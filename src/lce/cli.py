@@ -101,7 +101,8 @@ def _check(args) -> int:
     from .lattice import support_set
 
     if args.mode == "zconvex":
-        rep = convexity.is_zd_convex(support_set(p), exact=args.exact)
+        S = support_set(p)
+        rep = convexity.zd_convex_lp(S, exact=True) if args.exact else convexity.is_zd_convex(S)
         _emit({"is_convex": rep.is_convex, "witnesses": [list(w) for w in rep.witnesses]})
         return 0
     if args.mode == "extensible":
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--pmf", required=True)
     k.add_argument("--mode", required=True, choices=["zconvex", "extensible", "selfsum"])
     k.add_argument("--tol", type=float, default=1e-9)
-    k.add_argument("--exact", action="store_true")
+    k.add_argument("--exact", action="store_true", help="decide with rational-arithmetic LPs (reference route)")
     k.add_argument("--nmax", type=int, default=3)
     k.set_defaults(fn=_check)
 

@@ -2,10 +2,15 @@
 
 A set A is Z^d-convex when A equals conv(A) intersected with Z^d.  A p.m.f. p
 is log-concave extensible when its support is Z^d-convex and V = -log p lies
-on the lower convex envelope of its own lifted support points.  Both
-procedures reduce hull membership and envelope evaluation to small dense LPs
-(:mod:`lce.simplex`); brute-force Caratheodory oracles over all small affine
-subsets provide independent cross-checks and an exact-arithmetic path.
+on the lower convex envelope of its own lifted support points.
+
+Both decisions come from :mod:`lce.hull` for d <= 3: an exact integer
+H-representation of conv(A) tested against every bounding-box point in one
+matrix product, and for d <= 2 the lower hull of the lifted points
+(k, V(k)).  The per-point LPs of :mod:`lce.simplex` remain as the rational
+reference (``mode="exact"``, :func:`zd_convex_lp`), as the route for d >= 4,
+which has no hull, and as test oracles beside the brute-force Caratheodory
+checks below.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import LceError, SizeCapError
+from .hull import box_points_inside, hrep, lower_envelope
 from .lattice import Box, LatticePmf, LatticeSet, support_set
 from .simplex import envelope_minimum, hull_membership
 
@@ -25,6 +31,7 @@ DEFAULT_ENVELOPE_TOL = 1e-9
 BOX_ENUM_CAP = 500_000
 SUPPORT_CAP = 4096
 BRUTEFORCE_SUPPORT_CAP = 16
+HULL_MAX_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -60,39 +67,65 @@ def minkowski_sum(A: LatticeSet, B: LatticeSet) -> LatticeSet:
     return LatticeSet.from_iterable(A.dim, sums)
 
 
-def scale_set(A: LatticeSet, n: int) -> LatticeSet:
-    return LatticeSet.from_iterable(A.dim, n * A.array())
+def is_zd_convex(A: LatticeSet, *, box_cap: int = BOX_ENUM_CAP) -> ConvexityReport:
+    """Decide A = conv(A) cap Z^d; the witnesses are the lattice points of
+    conv(A) that A misses, in lexicographic order.
 
-
-def is_zd_convex(
-    A: LatticeSet,
-    *,
-    generators: LatticeSet | None = None,
-    exact: bool = False,
-    tol: float = 1e-9,
-    box_cap: int = BOX_ENUM_CAP,
-) -> ConvexityReport:
-    """Decide A = conv(A) cap Z^d by hull-membership LPs over the bounding box.
-
-    Every lattice point of the bounding box that is not in A is tested for
-    membership in conv(A) by linear feasibility (is it a convex combination of
-    the generating points?).  ``generators`` may supply any point set whose
-    convex hull equals conv(A); this keeps the LPs small when A itself is huge
-    but its hull has a compact description (e.g. scaled summands of an n-fold
-    Minkowski sum).
+    For d <= 3 every bounding-box point is tested against the exact integer
+    H-representation of conv(A); for d >= 4 each one costs a hull-membership
+    LP (:func:`zd_convex_lp`).
     """
+    _check_nonempty(A)
+    if A.dim > HULL_MAX_DIM:
+        return zd_convex_lp(A, box_cap=box_cap)
+    box = _checked_box(A, box_cap)
+    return _hull_report(A, box, *_hrep_from_corner(A, box))
+
+
+def zd_convex_lp(A: LatticeSet, *, exact: bool = False, box_cap: int = BOX_ENUM_CAP) -> ConvexityReport:
+    """LP reference for :func:`is_zd_convex`: one hull-membership LP per
+    bounding-box point outside A, in rational arithmetic when ``exact``."""
+    _check_nonempty(A)
+    return _lp_report(A, _checked_box(A, box_cap), A.array(), exact)
+
+
+def _check_nonempty(A: LatticeSet) -> None:
     if len(A) == 0:
         raise LceError("convexity of the empty set is not defined here")
-    gen = (generators if generators is not None else A).array()
-    box = A.bounding_box()
+
+
+def _checked_box(S: LatticeSet, box_cap: int) -> Box:
+    box = S.bounding_box()
     if box.ncells > box_cap:
         raise SizeCapError(f"bounding box has {box.ncells} cells, cap is {box_cap}")
-    witnesses = []
-    for z in _box_points_lex(box):
-        if z in A:
-            continue
-        if hull_membership(gen, np.array(z, dtype=np.float64), exact=exact, tol=tol):
-            witnesses.append(z)
+    return box
+
+
+def _hrep_from_corner(A: LatticeSet, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """H-representation of conv(A) in coordinates relative to ``box.lo``,
+    which keeps the int64 orientation tests small."""
+    return hrep(A.array() - np.array(box.lo, dtype=np.int64))
+
+
+def _hull_report(S: LatticeSet, box: Box, A: np.ndarray, b: np.ndarray) -> ConvexityReport:
+    """Witnesses of S against the hull {x : A (x - box.lo) <= b}, ``box`` the
+    bounding box of S."""
+    lo = np.array(box.lo, dtype=np.int64)
+    inside = box_points_inside(A, b, box.shape)
+    member = np.zeros(box.shape, dtype=bool)
+    member[tuple((S.array() - lo).T)] = True
+    witnesses = [tuple(z) for z in (inside[~member[tuple(inside.T)]] + lo).tolist()]
+    return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
+
+
+def _lp_report(S: LatticeSet, box: Box, generators: np.ndarray, exact: bool) -> ConvexityReport:
+    """Witnesses of S against conv(generators), one LP per point of ``box``
+    (the bounding box of S) outside S."""
+    witnesses = [
+        z
+        for z in _box_points_lex(box)
+        if z not in S and hull_membership(generators, np.array(z, dtype=np.float64), exact=exact)
+    ]
     return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
 
 
@@ -250,36 +283,35 @@ def is_log_concave_extensible(
     """Decide whether V = -log p extends to a convex function on R^d.
 
     Conditions: (a) support(p) is Z^d-convex, and (b) at every support point k
-    the value V(k) does not exceed the cheapest convex combination of the other
-    lifted support points above k, within ``tol``.  Each point contributes one
-    small LP; in ``exact`` mode the LP runs in rational arithmetic over the
-    exact float inputs.  Points outside the hull of the others (infeasible LP)
-    are envelope vertices and get gap 0: a convex extension can always bend
-    upward there.
+    the value V(k) does not exceed the lower convex envelope of the other
+    lifted support points at k, within ``tol``; the gap is V(k) minus that
+    envelope, and 0 at points outside the hull of the others (envelope
+    vertices: a convex extension can always bend upward there).
+
+    In ``float`` mode with d <= 2 the envelope is the lower hull of all lifted
+    support points (:func:`lce.hull.lower_envelope`), and the gap is
+    ``max(0, V - envelope)``.  Otherwise each point costs one envelope LP; in
+    ``exact`` mode the LPs, including those of the convexity test, run in
+    rational arithmetic over the exact float inputs.
     """
     if mode not in ("float", "exact"):
         raise LceError(f"unknown mode {mode!r}")
+    exact = mode == "exact"
     support = support_set(p)
     if len(support) == 0:
         raise LceError("p.m.f. has empty support")
     if len(support) > support_cap:
         raise SizeCapError(f"support size {len(support)} exceeds cap {support_cap}")
-    conv_report = is_zd_convex(support, exact=(mode == "exact"))
+    conv_report = zd_convex_lp(support, exact=True) if exact else is_zd_convex(support)
     pts = support.sorted_points()
-    V = {k: -math.log(p.value_at(k)) for k in pts}
-    if any(not math.isfinite(v) for v in V.values()):
+    vals = np.array([-math.log(p.value_at(k)) for k in pts])
+    if not np.all(np.isfinite(vals)):
         raise LceError("non-finite log-mass value")
-    gaps = {}
-    arr = np.array(pts, dtype=np.float64)
-    vals = np.array([V[k] for k in pts])
-    for idx, k in enumerate(pts):
-        others = np.delete(arr, idx, axis=0)
-        ovals = np.delete(vals, idx)
-        if len(others) == 0:
-            gaps[k] = 0.0
-            continue
-        feasible, mn = envelope_minimum(others, ovals, np.array(k, dtype=np.float64), exact=(mode == "exact"))
-        gaps[k] = 0.0 if not feasible else max(0.0, V[k] - mn)
+    if not exact and p.dim <= 2:
+        env = lower_envelope(np.array(pts, dtype=np.int64), vals)
+        gaps = {k: max(0.0, float(v - e)) for k, v, e in zip(pts, vals, env)}
+    else:
+        gaps = _envelope_gaps(pts, vals, lambda o, ov, z: envelope_minimum(o, ov, z, exact=exact))
     ok = conv_report.is_convex and max(gaps.values()) <= tol
     return ExtensibilityReport(
         is_extensible=ok,
@@ -289,6 +321,21 @@ def is_log_concave_extensible(
         mode=mode,
         convexity_witnesses=conv_report.witnesses,
     )
+
+
+def _envelope_gaps(pts: list, vals: np.ndarray, minimum) -> dict:
+    """Gap V(k) - min at every point k, where ``minimum(others, values, k)``
+    returns ``(feasible, min)`` for the cheapest convex combination of the
+    other lifted points above k; 0 where infeasible."""
+    arr = np.array(pts, dtype=np.float64)
+    gaps = {}
+    for idx, k in enumerate(pts):
+        if len(pts) == 1:
+            gaps[k] = 0.0
+            continue
+        feasible, mn = minimum(np.delete(arr, idx, axis=0), np.delete(vals, idx), arr[idx])
+        gaps[k] = max(0.0, float(vals[idx]) - mn) if feasible else 0.0
+    return gaps
 
 
 def is_log_concave_1d(p: LatticePmf, tol: float = DEFAULT_ENVELOPE_TOL) -> ExtensibilityReport:
@@ -361,17 +408,8 @@ def is_log_concave_extensible_bruteforce(
         raise SizeCapError("support too large for the brute-force extensibility oracle")
     conv_report = zd_convex_bruteforce(support)
     pts = support.sorted_points()
-    arr = np.array(pts, dtype=np.float64)
     V = np.array([-math.log(p.value_at(k)) for k in pts])
-    gaps = {}
-    for idx, k in enumerate(pts):
-        others = np.delete(arr, idx, axis=0)
-        ovals = np.delete(V, idx)
-        if len(others) == 0:
-            gaps[k] = 0.0
-            continue
-        feasible, mn = envelope_minimum_bruteforce(others, ovals, k)
-        gaps[k] = 0.0 if not feasible else max(0.0, float(V[idx]) - mn)
+    gaps = _envelope_gaps(pts, V, envelope_minimum_bruteforce)
     ok = conv_report.is_convex and max(gaps.values()) <= tol
     return ExtensibilityReport(
         is_extensible=ok,
@@ -383,25 +421,32 @@ def is_log_concave_extensible_bruteforce(
     )
 
 
-def check_self_sum_convexity(
-    A: LatticeSet, n_max: int, *, use_scaled_generators: bool = True
-) -> list[ConvexityReport]:
+def check_self_sum_convexity(A: LatticeSet, n_max: int) -> list[ConvexityReport]:
     """Convexity reports for the n-fold Minkowski sums of A, n = 2..n_max.
 
     Requires A itself to be Z^d-convex.  Since conv(A + ... + A) = n conv(A),
-    the scaled copy {n a : a in A} generates the same hull as the n-fold sum
-    and keeps the per-point LPs small; pass ``use_scaled_generators=False`` to
-    run the LPs against the raw sum instead.
+    the H-representation of conv(A) is built once and each sum is tested
+    against it with the offsets multiplied by n (for d >= 4, LPs against the
+    scaled copy {n a : a in A}).
     """
     if n_max < 2:
         raise LceError("n_max must be at least 2")
-    base = is_zd_convex(A)
+    if A.dim <= HULL_MAX_DIM:
+        box = _checked_box(A, BOX_ENUM_CAP)
+        H, b = _hrep_from_corner(A, box)
+        base = _hull_report(A, box, H, b)
+    else:
+        base = zd_convex_lp(A)
     if not base.is_convex:
         raise LceError("A must be Z^d-convex (witnesses: %s)" % base.witnesses[:5])
     reports = []
     current = A
     for n in range(2, n_max + 1):
         current = minkowski_sum(current, A)
-        gen = scale_set(A, n) if use_scaled_generators else None
-        reports.append(is_zd_convex(current, generators=gen))
+        box = _checked_box(current, BOX_ENUM_CAP)
+        if A.dim <= HULL_MAX_DIM:
+            # The box of the n-fold sum starts at n times the corner of A's box.
+            reports.append(_hull_report(current, box, H, n * b))
+        else:
+            reports.append(_lp_report(current, box, n * A.array(), exact=False))
     return reports

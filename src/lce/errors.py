@@ -31,3 +31,7 @@ class QuadratureError(LceError):
 
 class SizeCapError(LceError):
     """Problem size exceeds a configured solver budget."""
+
+
+class NumericalError(LceError, ArithmeticError):
+    """A numerical routine failed to converge or produced an impossible value."""

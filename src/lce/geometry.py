@@ -24,6 +24,7 @@ import numpy as np
 
 from .densities import ContinuousDensity, parse_param_spec
 from .errors import LceError, SizeCapError
+from .hull import monotone_chain
 from .numerics import adaptive_quad_1d, jacobi_eigenvalues
 from .simplex import OPTIMAL, hull_membership, solve_lp
 
@@ -533,7 +534,7 @@ def _vpoly_moments(K: ConvexBody):
         m2 = (hi**3 - lo**3) / 3.0 / vol
         return vol, np.array([c]), np.array([[m2]])
     if d == 2:
-        hull = _hull2d(V)
+        hull = monotone_chain(np.asarray(V, dtype=np.float64))
         c0 = hull.mean(axis=0)
         vol = 0.0
         cent = np.zeros(2)
@@ -589,27 +590,6 @@ def _tet_second_moment(tet: np.ndarray) -> np.ndarray:
         x = lam @ tet
         M += 0.25 * np.outer(x, x)
     return M
-
-
-def _hull2d(points: np.ndarray) -> np.ndarray:
-    """Convex hull vertices in counterclockwise order (monotone chain)."""
-    pts = sorted(map(tuple, points))
-    if len(pts) <= 2:
-        return np.asarray(pts, dtype=np.float64)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1], dtype=np.float64)
 
 
 def _vpoly3_facets(V: np.ndarray) -> list[np.ndarray]:
@@ -737,7 +717,7 @@ def body_inradius(K: ConvexBody) -> float:
         A, b = (np.asarray(a) for a in K.data)
         return float(np.min(b / np.linalg.norm(A, axis=1)))
     if K.kind == "vpoly" and K.dim == 2:
-        hull = _hull2d(np.asarray(K.data[0]))
+        hull = monotone_chain(np.asarray(K.data[0], dtype=np.float64))
         dists = []
         for i in range(len(hull)):
             a, bb = hull[i], hull[(i + 1) % len(hull)]

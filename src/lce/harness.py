@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, convexity, families, geometry
+from . import __version__, convexity, families, geometry, hull
 from .bridge import covdis_check_1d, lattice_vs_integral_gaps
 from .densities import asym_exponential, gaussian, laplace_product
 from .errors import LceError
@@ -102,7 +102,7 @@ class ExperimentConfig:
             n_values=list(doc["n_values"]),
             checks=list(doc["checks"]),
             tolerances=dict(doc.get("tolerances", {})),
-            seed=int(doc.get("seed", 0)),
+            seed=int(doc.get("seed", cls.seed)),
             output=doc.get("output"),
         )
 
@@ -530,22 +530,15 @@ def check_bridge_gaps(cfg: ExperimentConfig) -> list:
 
 def _random_convex_set(rng: np.random.Generator, d: int, span: int) -> convexity.LatticeSet:
     """Random Z^d-convex set: lattice points of the hull of random seeds."""
-    from itertools import product as iproduct
-
     from .lattice import LatticeSet
 
     npts = int(rng.integers(d + 1, d + 5))
     pts = rng.integers(0, span + 1, size=(npts, d))
     seed_set = LatticeSet.from_iterable(d, pts)
     box = seed_set.bounding_box()
-    arr = seed_set.array()
-    cands = list(iproduct(*[range(l, h + 1) for l, h in zip(box.lo, box.hi)]))
-    if d == 2:
-        mask = convexity._membership_2d_integer(arr, np.array(cands, dtype=np.int64))
-        member = [z for z, m in zip(cands, mask) if m]
-    else:
-        member = [z for z in cands if convexity.hull_membership(arr, np.array(z, dtype=np.float64))]
-    return LatticeSet.from_iterable(d, member)
+    lo = np.array(box.lo, dtype=np.int64)
+    A, b = hull.hrep(seed_set.array() - lo)
+    return LatticeSet.from_iterable(d, hull.box_points_inside(A, b, box.shape) + lo)
 
 
 def check_self_sum_convex(cfg: ExperimentConfig) -> list:

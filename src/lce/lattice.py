@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     LceError,
     NotNormalizedError,
+    NumericalError,
     TailToleranceError,
 )
 from .numerics import next_pow2, stable_sum
@@ -369,7 +370,7 @@ def _convolve_fft(p: LatticePmf, q: LatticePmf, out_shape) -> np.ndarray:
     out = np.ascontiguousarray(full[tuple(slice(0, s) for s in out_shape)])
     scale = max(1.0, float(np.sum(p.values)) * float(np.sum(q.values)))
     if float(out.min()) < -_FFT_CHECK_TOL * scale:
-        raise ArithmeticError("FFT convolution produced a significantly negative value")
+        raise NumericalError("FFT convolution produced a significantly negative value")
     return out
 
 
@@ -392,7 +393,7 @@ def _verify_fft_subsample(p: LatticePmf, q: LatticePmf, out: np.ndarray):
             direct = 0.0
         worst = max(worst, abs(direct - float(fft_val)))
     if worst > _FFT_CHECK_TOL * scale:
-        raise ArithmeticError(
+        raise NumericalError(
             f"FFT/direct subsample discrepancy {worst:.3e} exceeds {_FFT_CHECK_TOL * scale:.3e}"
         )
 

@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 def stable_sum(values) -> float:
     """Correctly rounded sum of a float array, taken in row-major order."""
@@ -134,7 +136,7 @@ def adaptive_quad_1d(
         lo, hi = stack.pop()
         panels += 1
         if panels > max_panels:
-            raise ArithmeticError("adaptive quadrature exceeded panel budget")
+            raise NumericalError("adaptive quadrature exceeded panel budget")
         i1 = panel(lo, hi, order)
         i2 = panel(lo, hi, 2 * order)
         err = abs(i2 - i1)
@@ -190,7 +192,7 @@ def adaptive_tensor_quad(
         plo, phi = stack.pop()
         panels += 1
         if panels > max_panels:
-            raise ArithmeticError("adaptive tensor quadrature exceeded panel budget")
+            raise NumericalError("adaptive tensor quadrature exceeded panel budget")
         i1 = panel(plo, phi, order)
         i2 = panel(plo, phi, 2 * order)
         err = abs(i2 - i1)

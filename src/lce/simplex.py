@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import NumericalError, SizeCapError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -75,7 +75,7 @@ def _solve_float(c, A, b, tol, max_iter):
     cost1[n:] = 1.0
     obj1 = _run(T, basis, cost1, tol, max_iter)
     if obj1 is None:
-        raise ArithmeticError("phase-1 simplex did not terminate")
+        raise NumericalError("phase-1 simplex did not terminate")
     if obj1 > tol * (1.0 + float(np.abs(b).sum())):
         return LPResult(INFEASIBLE, None, None)
 
@@ -99,7 +99,7 @@ def _solve_float(c, A, b, tol, max_iter):
     T2 = np.concatenate([T[:, :n], T[:, -1:]], axis=1)
     obj2 = _run(T2, basis, c, tol, max_iter)
     if obj2 is None:
-        raise ArithmeticError("phase-2 simplex did not terminate")
+        raise NumericalError("phase-2 simplex did not terminate")
     if obj2 == -np.inf:
         return LPResult(UNBOUNDED, None, None)
     x = np.zeros(n)
@@ -209,7 +209,7 @@ def _run_exact(rows, basis, cost):
         _, _, i = min(candidates)
         _pivot_exact(rows, i, j)
         basis[i] = j
-    raise ArithmeticError("exact simplex iteration cap")
+    raise NumericalError("exact simplex iteration cap")
 
 
 def _pivot_exact(rows, row, col):

@@ -85,9 +85,13 @@ def test_lp_route_agrees_with_bruteforce_on_random_subsets():
 
 
 def test_exact_mode_agrees():
+    # hull witnesses against the exact-rational LP route
     A = LatticeSet.from_iterable(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
-    assert not cx.is_zd_convex(A, exact=True).is_convex
-    assert cx.is_zd_convex(A, exact=True).witnesses == cx.is_zd_convex(A).witnesses
+    exact = cx.zd_convex_lp(A, exact=True)
+    assert not exact.is_convex
+    assert cx.is_zd_convex(A).witnesses == exact.witnesses
+    R = LatticeSet.from_iterable(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 4)])
+    assert cx.is_zd_convex(R).witnesses == cx.zd_convex_lp(R, exact=True).witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +209,23 @@ def test_self_sum_requires_convex_input():
 
 
 def test_self_sum_scaled_generators_match_raw():
-    A = LatticeSet.from_iterable(2, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)])
-    with_gen = cx.check_self_sum_convexity(A, 3, use_scaled_generators=True)
-    without = cx.check_self_sum_convexity(A, 3, use_scaled_generators=False)
-    for a, b in zip(with_gen, without):
-        assert a.is_convex == b.is_convex and a.witnesses == b.witnesses
+    # n conv(A) from the scaled facets of conv(A) equals the hull of the raw
+    # n-fold sum, and the reports equal those of the raw sums
+    from lce.hull import hrep
+
+    for A in (
+        LatticeSet.from_iterable(2, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]),
+        LatticeSet.from_iterable(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]),
+    ):
+        H, b = hrep(A.array())
+        reports = cx.check_self_sum_convexity(A, 3)
+        current = A
+        for n, rep in zip((2, 3), reports):
+            current = cx.minkowski_sum(current, A)
+            Hn, bn = hrep(current.array())
+            assert sorted(zip(map(tuple, H), n * b)) == sorted(zip(map(tuple, Hn), bn))
+            raw = cx.is_zd_convex(current)
+            assert rep.is_convex == raw.is_convex and rep.witnesses == raw.witnesses
 
 
 @settings(max_examples=30, deadline=None)

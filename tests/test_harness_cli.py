@@ -52,6 +52,12 @@ def test_config_round_trip(tmp_path):
     assert loaded.to_doc() == cfg.to_doc()
 
 
+def test_config_without_seed_loads_default_seed():
+    doc = harness.default_config().to_doc()
+    del doc["seed"]
+    assert harness.ExperimentConfig.from_doc(doc).seed == harness.default_config().seed
+
+
 def test_determinism_on_seeded_checks():
     cfg = tiny_config(["explore_conv", "self_sum_convex", "elementary_estimate"])
     a = harness.run_config(cfg).canonical_bytes()

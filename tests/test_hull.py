@@ -1,0 +1,146 @@
+import math
+
+import numpy as np
+import pytest
+
+from lce import convexity as cx
+from lce import hull
+from lce.errors import LceError, SizeCapError
+from lce.lattice import Box, LatticePmf, LatticeSet
+from lce.simplex import envelope_minimum
+
+
+def degenerate_points(rng, d, k, rank):
+    """k integer points on a random affine subspace of dimension ``rank``."""
+    base = rng.integers(0, 3, size=d)
+    dirs = rng.integers(-2, 3, size=(rank, d))
+    coef = rng.integers(0, 3, size=(k, rank))
+    return base + coef @ dirs
+
+
+def random_point_sets(rng, d, count, span):
+    for trial in range(count):
+        k = int(rng.integers(1, d + 5))
+        if d >= 2 and trial % 3 == 0:
+            yield degenerate_points(rng, d, k, rank=1 + (trial % 2) * (d - 2))  # collinear / coplanar
+        else:
+            yield rng.integers(0, span + 1, size=(k, d))
+
+
+@pytest.mark.parametrize("d,count,span", [(1, 40, 8), (2, 120, 5), (3, 40, 2)])
+def test_hull_witnesses_match_bruteforce_and_lp(d, count, span):
+    rng = np.random.default_rng(100 + d)
+    for pts in random_point_sets(rng, d, count, span):
+        A = LatticeSet.from_iterable(d, pts)
+        rep = cx.is_zd_convex(A)
+        assert rep.witnesses == cx.zd_convex_bruteforce(A).witnesses, pts.tolist()
+        assert rep.witnesses == cx.zd_convex_lp(A).witnesses, pts.tolist()
+
+
+def test_hrep_is_conv_of_its_points():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        for pts in random_point_sets(rng, d, 30, 4):
+            A, b = hull.hrep(pts)
+            assert np.all(pts @ A.T <= b)  # every point inside
+            # every row is tight at some point: no redundant slack rows
+            assert np.all((pts @ A.T == b).any(axis=0))
+            assert np.all(np.gcd.reduce(A, axis=1) == 1)
+
+
+def test_hrep_degenerate_sets_give_equalities():
+    A, b = hull.hrep(np.array([[0, 0, 0], [1, 2, 3], [2, 4, 6]]))
+    box = np.indices((3, 5, 7)).reshape(3, -1).T
+    inside = box[np.all(box @ A.T <= b, axis=1)]
+    assert inside.tolist() == [[0, 0, 0], [1, 2, 3], [2, 4, 6]]
+    A, b = hull.hrep(np.array([[4, -1]]))
+    near = np.array([[4, -1], [3, -1], [4, 0], [5, -2]])
+    assert np.all(near @ A.T <= b, axis=1).tolist() == [True, False, False, False]
+
+
+def test_hrep_rejects_what_it_cannot_decide():
+    with pytest.raises(LceError):
+        hull.hrep(np.zeros((3, 4), dtype=np.int64))
+    with pytest.raises(LceError):
+        hull.hrep(np.array([[0.5, 0.0]]))
+    with pytest.raises(SizeCapError):
+        hull.hrep(np.array([[0, 0], [hull.COORD_CAP + 1, 0]]))
+
+
+def test_monotone_chain_counterclockwise_without_collinear_points():
+    pts = np.array([[0, 0], [2, 0], [1, 0], [2, 2], [0, 2], [1, 1]])
+    assert hull.monotone_chain(pts).tolist() == [[0, 0], [2, 0], [2, 2], [0, 2]]
+
+
+def reference_gaps(pts, heights, minimum):
+    out = []
+    for i in range(len(pts)):
+        others, ovals = np.delete(pts, i, axis=0), np.delete(heights, i)
+        feasible, mn = minimum(others, ovals, pts[i]) if len(others) else (False, None)
+        out.append(max(0.0, heights[i] - mn) if feasible else 0.0)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lifted_envelope_gaps_match_lp_and_caratheodory(d):
+    rng = np.random.default_rng(7 + d)
+    for trial in range(60):
+        k = int(rng.integers(1, 13))
+        pts = np.unique(rng.integers(0, 4, size=(k, d)), axis=0)
+        if d == 2 and trial % 6 == 0:
+            pts = np.unique(degenerate_points(rng, 2, k, rank=1), axis=0)
+        heights = rng.uniform(0.0, 3.0, len(pts))
+        if trial % 4 == 0:  # convex quadratic: many exact ties on the envelope
+            heights = 0.25 * np.sum(pts * pts, axis=1) + pts @ rng.normal(size=d)
+        gaps = np.maximum(0.0, heights - hull.lower_envelope(pts, heights))
+        lp = reference_gaps(pts.astype(np.float64), heights, envelope_minimum)
+        bf = reference_gaps(pts, heights, cx.envelope_minimum_bruteforce)
+        assert np.max(np.abs(gaps - lp)) <= 1e-9
+        assert np.max(np.abs(gaps - bf)) <= 1e-9
+
+
+def test_lower_envelope_of_coplanar_lifted_points_is_the_plane():
+    pts = np.array([(a, b) for a in range(3) for b in range(3)])
+    heights = 0.5 + 0.25 * pts[:, 0] - 1.5 * pts[:, 1]
+    assert np.allclose(hull.lower_envelope(pts, heights), heights, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 40.0])
+def test_small_dip_below_a_steep_plane_is_a_vertex(tilt):
+    # A dip of 1e-8 under the center of a plane must still bend the envelope:
+    # the float tolerance is relative to the span but far below the gaps that
+    # decide extensibility.
+    pts = np.array([(a, b) for a in range(5) for b in range(5)])
+    heights = tilt * pts[:, 0] - 0.5 * tilt * pts[:, 1]
+    heights[12] -= 1e-8  # the point (2, 2)
+    gaps = np.maximum(0.0, heights - hull.lower_envelope(pts, heights))
+    lp = reference_gaps(pts.astype(np.float64), heights, envelope_minimum)
+    assert gaps[6] == pytest.approx(0.5e-8, abs=1e-10)  # (1, 1) halfway to (2, 2)
+    assert np.max(np.abs(gaps - lp)) <= 1e-10
+
+
+def test_cocircular_gaussian_window_stays_extensible():
+    # Every lattice circle of the isotropic window lifts to a coplanar set of
+    # points, the degenerate case for the lifted hull.
+    from lce.harness import _small_window_gaussian
+
+    for half in (3, 4):
+        q = _small_window_gaussian(2.0, 2, half=half)
+        rep = cx.is_log_concave_extensible(q)
+        assert rep.is_extensible and rep.max_gap() <= 1e-12
+
+
+def test_extensibility_hull_route_matches_exact_lp_route():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        vals = np.zeros(9)
+        cells = rng.choice(9, size=int(rng.integers(2, 8)), replace=False)
+        vals[cells] = rng.uniform(0.05, 1.0, len(cells))
+        vals = vals.reshape(3, 3)
+        p = LatticePmf(Box((0, 0), (2, 2)), vals / vals.sum())
+        fast = cx.is_log_concave_extensible(p)
+        exact = cx.is_log_concave_extensible(p, mode="exact")
+        assert fast.is_extensible == exact.is_extensible
+        assert fast.convexity_witnesses == exact.convexity_witnesses
+        for k, g in fast.envelope_gaps.items():
+            assert math.isclose(g, exact.envelope_gaps[k], abs_tol=1e-9)

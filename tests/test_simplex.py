@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lce.errors import LceError, NumericalError
 from lce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, envelope_minimum, hull_membership, solve_lp
 
 
@@ -46,6 +47,13 @@ def test_exact_mode_agrees():
     rx = solve_lp(c, A, b, exact=True)
     assert rf.status == rx.status == OPTIMAL
     assert rf.objective == pytest.approx(rx.objective, abs=1e-12)
+
+
+def test_iteration_cap_raises_numerical_error():
+    # phase 1 needs two pivots to drive both artificials out of the basis
+    with pytest.raises(NumericalError):
+        solve_lp([1.0, 2.0, 0.5], [[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], [1.0, 0.5], max_iter=1)
+    assert issubclass(NumericalError, LceError) and issubclass(NumericalError, ArithmeticError)
 
 
 def test_hull_membership_square():
