@@ -1,11 +1,8 @@
 """Lattice sums against integrals for log-concave densities.
 
 Implements the discrete-vs-continuous comparisons: mass, mean, second-moment
-and covariance-determinant gaps; the one-dimensional quasi-concave inequality
-|integral - lattice sum| <= max f; the one-dimensional first-moment bound with
-constant (e + 1); lattice point counts of convex bodies against their volume;
-an exponential concentration check for isotropic densities; and the conditional
-argmax profile moments used by the correlation analysis in d = 2.
+and covariance-determinant gaps, and the one-dimensional first-moment bound
+with constant (e + 1).
 """
 
 from __future__ import annotations
@@ -17,17 +14,8 @@ import numpy as np
 
 from .densities import ContinuousDensity
 from .errors import LceError
-from .geometry import ConvexBody, ball_constants, body_volume, lattice_point_count
 from .lattice import Box, truncation_box
-from .numerics import (
-    adaptive_quad_1d,
-    adaptive_tensor_quad,
-    jacobi_eigenvalues,
-    stable_sum,
-    unit_directions,
-)
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .numerics import adaptive_quad_1d, adaptive_tensor_quad, jacobi_eigenvalues, stable_sum
 
 
 @dataclass(frozen=True)
@@ -132,32 +120,7 @@ def lattice_vs_integral_gaps(
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional inequalities
-
-
-@dataclass(frozen=True)
-class SumIntCheck:
-    integral: float
-    lattice_sum: float
-    gap: float
-    max_lattice: float
-    holds: bool
-
-
-def sum_int_check_1d(fun, lo: int, hi: int, integral: float | None = None, rel_tol: float = 1e-10) -> SumIntCheck:
-    """|integral - sum over Z| <= max over Z of f, for quasi-concave f on R.
-
-    ``fun`` is a vectorized nonnegative quasi-concave function, effectively
-    supported inside [lo, hi].
-    """
-    ks = np.arange(lo, hi + 1, dtype=np.float64)
-    vals = np.asarray(fun(ks), dtype=np.float64)
-    lattice_sum = stable_sum(vals)
-    max_lattice = float(vals.max())
-    if integral is None:
-        integral, _ = adaptive_quad_1d(fun, float(lo), float(hi), rel_tol=rel_tol)
-    gap = abs(integral - lattice_sum)
-    return SumIntCheck(integral, lattice_sum, gap, max_lattice, gap <= max_lattice + 1e-12)
+# one-dimensional first-moment bound
 
 
 @dataclass(frozen=True)
@@ -189,124 +152,3 @@ def covdis_check_1d(f: ContinuousDensity, radius_multiplier: float = 12.0) -> Fi
     gap = abs(int_xf - skf)
     bound = (math.e + 1.0) * sf
     return FirstMomentCheck(int_xf, skf, sf, gap, bound, gap <= bound + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# lattice counts of convex bodies
-
-
-@dataclass(frozen=True)
-class CountReport:
-    count: int
-    volume: float
-    ratio: float
-
-
-def lattice_count_ratio(K: ConvexBody) -> CountReport:
-    """#(K cap Z^d) / |K| for a bounded convex body."""
-    count = lattice_point_count(K)
-    vol = body_volume(K)
-    if vol <= 0:
-        raise LceError("body has nonpositive volume")
-    return CountReport(count=count, volume=vol, ratio=count / vol)
-
-
-# ---------------------------------------------------------------------------
-# concentration check
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    c_d: float
-    threshold_radius: float
-    worst_ratio: float  # max over samples of f(x) / bound(x)
-    passed: bool
-
-
-def concentration_check(
-    f: ContinuousDensity,
-    c_d: float | None = None,
-    rays: int = 64,
-    samples_per_ray: int = 32,
-    span: float = 3.0,
-    L_d: float = 1.0,
-) -> ConcentrationReport:
-    """Verify f(x) <= f(0) 2^(-|x| f(0)^(1/d) / c_d) for |x| beyond the
-    threshold radius c_d / f(0)^(1/d), on deterministic sampled rays."""
-    d = f.dim
-    f0 = float(f(np.zeros(d)))
-    if f0 <= 0:
-        raise LceError("f(0) must be positive")
-    if c_d is None:
-        c_d = ball_constants(d, L_d).concentration
-    if c_d <= 0:
-        raise LceError("c_d must be positive")
-    r0 = c_d / f0 ** (1.0 / d)
-    dirs = unit_directions(d, rays)
-    radii = r0 * (1.0 + span * np.linspace(0.0, 1.0, samples_per_ray))
-    worst = 0.0
-    for r in radii:
-        pts = r * dirs
-        fv = f.evaluate(pts)
-        bound = f0 * 2.0 ** (-r * f0 ** (1.0 / d) / c_d)
-        worst = max(worst, float(fv.max()) / bound)
-    return ConcentrationReport(c_d=c_d, threshold_radius=r0, worst_ratio=worst, passed=worst <= 1.0 + 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# argmax profile moments (d = 2)
-
-
-@dataclass(frozen=True)
-class ProfileMomentReport:
-    integral_value: float  # int x n_max(x) max_y f(x, y) dx
-    lattice_value: float  # sum_k k n_max(k) max_y f(k, y)
-
-
-def _slice_argmax(f: ContinuousDensity, xs: np.ndarray, width: float) -> np.ndarray:
-    if f.slice_argmax is not None:
-        return np.asarray(f.slice_argmax(xs), dtype=np.float64)
-    return np.array([_golden_argmax(f, float(x), width) for x in xs])
-
-
-def _golden_argmax(f: ContinuousDensity, x: float, width: float, grid: int = 65, tol: float = 1e-10) -> float:
-    ys = np.linspace(-width, width, grid)
-    pts = np.stack([np.full(grid, x), ys], axis=1)
-    vals = f.evaluate(pts)
-    i = int(np.argmax(vals))
-    if i == 0 or i == grid - 1:
-        raise LceError(f"failed to bracket the slice maximum at x = {x}")
-    a, b = ys[i - 1], ys[i + 1]
-    # golden-section ascent; slices of log-concave densities are unimodal
-    c = b - GOLDEN * (b - a)
-    dd = a + GOLDEN * (b - a)
-    while b - a > tol * (1.0 + abs(a) + abs(b)):
-        fc = float(f.evaluate(np.array([[x, c]]))[0])
-        fd = float(f.evaluate(np.array([[x, dd]]))[0])
-        if fc >= fd:
-            b, dd = dd, c
-            c = b - GOLDEN * (b - a)
-        else:
-            a, c = c, dd
-            dd = a + GOLDEN * (b - a)
-    return 0.5 * (a + b)
-
-
-def argmax_profile_moment(f: ContinuousDensity, radius_multiplier: float = 12.0, rel_tol: float = 1e-8) -> ProfileMomentReport:
-    """Profile moments of the conditional argmax n_max(x) = argmin-y attaining
-    max_y f(x, y), in both integral and lattice-sum form (d = 2 only)."""
-    if f.dim != 2:
-        raise LceError("argmax_profile_moment is defined for d = 2")
-    scales = f.axis_scales()
-    W = radius_multiplier * float(scales[0])
-    width = radius_multiplier * float(scales[1]) * 2.0
-
-    def integrand(xs):
-        nmax = _slice_argmax(f, xs, width)
-        pts = np.stack([xs, nmax], axis=1)
-        return xs * nmax * f.evaluate(pts)
-
-    integral, _ = adaptive_quad_1d(integrand, -W, W, rel_tol=rel_tol, abs_tol=1e-14)
-    ks = np.arange(-int(math.ceil(W)), int(math.ceil(W)) + 1, dtype=np.float64)
-    lattice = stable_sum(integrand(ks))
-    return ProfileMomentReport(integral_value=float(integral), lattice_value=float(lattice))

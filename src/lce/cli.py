@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, convolve, entropy, moments, check, smooth-entropy, geom,
-bridge, verify, sweep.  P.m.f.s, lattice sets, configs and reports are JSON
-documents; results print to stdout as JSON.  Exit code is nonzero iff a
-verification run contains a failing check.
+bridge, verify, sweep.  P.m.f.s, configs and reports are JSON documents;
+results print to stdout as JSON.  Exit code 1 means a verification run
+contains a failing check; 2 means an error (bad input or a numerical
+failure), reported on one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import bridge as bridge_mod
 from . import convexity, families, geometry, harness, moments, smoothing
-from .densities import density_from_spec, parse_param_spec
+from .densities import _call_with_params, density_from_spec, make_density, parse_param_spec
 from .errors import LceError
 from .lattice import convolve, load_pmf, point_mass, save_pmf
 from .numerics import unit_directions
@@ -37,25 +38,25 @@ def _jsonable(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
+# ``lce gen`` families; each signature holds the keys a spec may set and
+# their defaults.
+_GENERATORS = {
+    "gaussian": lambda sigma=4.0, dim=1, radius_multiplier=12.0: families.quantized_gaussian(
+        sigma, int(dim), radius_multiplier
+    ),
+    "uniform": lambda m=5, lo=0: families.uniform_interval(int(m), int(lo)),
+    "binomial": lambda n=10, prob=0.5: families.binomial_pmf(int(n), prob),
+    "geometric": lambda q=0.5: families.one_sided_geometric(q),
+    "two_sided_geometric": lambda q=0.5: families.two_sided_geometric(q),
+    "point_mass": lambda at=(0,): point_mass(tuple(at)),
+}
+
+
 def _gen(args) -> int:
     name, params = parse_param_spec(args.family)
-    if name == "gaussian":
-        p = families.quantized_gaussian(
-            params.get("sigma", 4.0), int(params.get("dim", 1)),
-            params.get("radius_multiplier", 12.0),
-        )
-    elif name == "uniform":
-        p = families.uniform_interval(int(params.get("m", 5)), int(params.get("lo", 0)))
-    elif name == "binomial":
-        p = families.binomial_pmf(int(params.get("n", 10)), params.get("prob", 0.5))
-    elif name == "geometric":
-        p = families.one_sided_geometric(params.get("q", 0.5))
-    elif name == "two_sided_geometric":
-        p = families.two_sided_geometric(params.get("q", 0.5))
-    elif name == "point_mass":
-        p = point_mass(tuple(params.get("at", [0])))
-    else:
+    if name not in _GENERATORS:
         raise LceError(f"unknown generator family {name!r}")
+    p = _call_with_params(_GENERATORS[name], name, params)
     save_pmf(p, args.out)
     _emit({"written": args.out, "dim": p.dim, "cells": p.box.ncells, "deficit": p.deficit})
     return 0
@@ -193,18 +194,10 @@ def _geom(args) -> int:
 
 
 def _bridge(args) -> int:
-    from .densities import make_density
-
     name, params = parse_param_spec(args.density)
     out = []
     for sigma in [float(s) for s in args.sweep.split(",")] if args.sweep else [None]:
-        if sigma is not None:
-            try:
-                g = make_density(name, **{**params, "sigma": sigma})
-            except TypeError as exc:
-                raise LceError(f"family {name!r} does not take a sigma sweep: {exc}") from exc
-        else:
-            g = make_density(name, **params)
+        g = make_density(name, **{**params, **({} if sigma is None else {"sigma": sigma})})
         rep = bridge_mod.lattice_vs_integral_gaps(g)
         out.append(
             {

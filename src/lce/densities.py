@@ -18,6 +18,7 @@ Registry families::
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import re
@@ -54,7 +55,6 @@ class ContinuousDensity:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     center: Optional[np.ndarray] = None
-    slice_argmax: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, pts) -> np.ndarray:
         return self.evaluate(as_points(pts, self.dim))
@@ -122,7 +122,6 @@ def gaussian(sigma: float, dim: int = 1) -> ContinuousDensity:
         name="gaussian",
         params={"sigma": sigma, "dim": dim},
         center=np.zeros(dim),
-        slice_argmax=(lambda x: np.zeros_like(np.asarray(x, dtype=np.float64))) if dim == 2 else None,
     )
 
 
@@ -190,7 +189,6 @@ def sheared_gaussian(sigma: float, rho: float) -> ContinuousDensity:
         name="sheared_gaussian",
         params={"sigma": sigma, "rho": rho},
         center=np.zeros(2),
-        slice_argmax=lambda x: rho * np.asarray(x, dtype=np.float64),
     )
 
 
@@ -235,7 +233,7 @@ _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\{(.*)\})?\s*$")
 
 
 def parse_param_spec(text: str) -> tuple[str, dict]:
-    """Parse ``name{key=value,...}`` with JSON-ish values."""
+    """Parse ``name{key=value,...}``; every value must be JSON."""
     m = _SPEC_RE.match(text)
     if not m:
         raise LceError(f"cannot parse spec string: {text!r}")
@@ -250,7 +248,7 @@ def parse_param_spec(text: str) -> tuple[str, dict]:
         try:
             params[key.strip()] = json.loads(val.strip())
         except json.JSONDecodeError:
-            params[key.strip()] = val.strip()
+            raise LceError(f"value of {key.strip()!r} in {text!r} is not a JSON value") from None
     return name, params
 
 
@@ -272,10 +270,24 @@ def _split_top_level(body: str) -> list[str]:
     return parts
 
 
+def _call_with_params(factory, name: str, params: dict):
+    """``factory(**params)`` for a spec, with the keys checked against the
+    factory's signature and a value the factory rejects reported as an
+    :class:`LceError`."""
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise LceError(f"bad parameters for {name!r}: {exc}") from None
+    try:
+        return factory(**params)
+    except (TypeError, ValueError) as exc:
+        raise LceError(f"bad parameter value for {name!r}: {exc}") from None
+
+
 def make_density(name: str, **params) -> ContinuousDensity:
     if name not in _FAMILIES:
         raise LceError(f"unknown density family {name!r}; known: {sorted(_FAMILIES)}")
-    return _FAMILIES[name](**params)
+    return _call_with_params(_FAMILIES[name], name, params)
 
 
 def density_from_spec(text: str) -> ContinuousDensity:

@@ -3,11 +3,12 @@
 Covers: radial functions of the bodies K_p(f) attached to a density f, the
 Gamma/exponential inclusion constants between them, the second-moment
 inequality chain h_K(u)^2/(d(d+2)) <= mean <x,u>^2 <= d h_K(u)^2/(d+2) for
-centered bodies, per-direction radial-integral bounds, and inradius and
-circumradius bounds in terms of covariance eigenvalues.
+centered bodies, and inradius and circumradius bounds in terms of covariance
+eigenvalues.
 
 Convex bodies come from a small registry (cube, box, ball, ellipsoid,
 simplex, h-polytope, v-polytope).  Closed-form bodies use exact moments;
+v-polytopes in d <= 3 are triangulated from their hull (:mod:`lce.hull`);
 h-polytopes fall back to seeded rejection-sampling Monte Carlo with reported
 standard errors.
 """
@@ -18,13 +19,12 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .densities import ContinuousDensity, parse_param_spec
+from .densities import ContinuousDensity, _call_with_params, parse_param_spec
 from .errors import LceError, SizeCapError
-from .hull import monotone_chain
+from .hull import facets3, monotone_chain
 from .numerics import adaptive_quad_1d, jacobi_eigenvalues
 from .simplex import OPTIMAL, hull_membership, solve_lp
 
@@ -32,7 +32,7 @@ MC_DEFAULT_SAMPLES = 200_000
 
 
 # ---------------------------------------------------------------------------
-# inclusion constants and per-dimension ball-body constants
+# inclusion constants
 
 
 @dataclass(frozen=True)
@@ -49,42 +49,6 @@ def inclusion_constants(d: int, p: float, q: float) -> InclusionConstants:
     lower = math.gamma(p + 1.0) ** (1.0 / p) / math.gamma(q + 1.0) ** (1.0 / q)
     upper = math.exp(d / p - d / q)
     return InclusionConstants(p=p, q=q, lower=lower, upper=upper)
-
-
-@dataclass(frozen=True)
-class BallConstants:
-    dim: int
-    L_d: float
-    c1: float
-    c2: float
-    radial_lower: float  # c1^(d+2) / (sqrt(2 pi) e^(3/2))
-    radial_upper: float  # (d+1) c2^(d+2) L_d
-    concentration: float  # 3^(1/d) * radial_upper
-
-
-def ball_constants(d: int, L_d: float = 1.0) -> BallConstants:
-    """Per-dimension constants from the (d, d+1) and (d+1, d+2) inclusions.
-
-    The two universal inclusion constants are instantiated as the extreme
-    Gamma/exponential values those inclusions produce.  L_d (the dimensional
-    cap on the isotropic constant) is configurable; 1.0 is consistent with
-    known small-dimension values.
-    """
-    inc1 = inclusion_constants(d, d, d + 1)
-    inc2 = inclusion_constants(d, d + 1, d + 2)
-    c1 = min(inc1.lower, inc2.lower)
-    c2 = max(inc1.upper, inc2.upper)
-    radial_lower = c1 ** (d + 2) / (math.sqrt(2.0 * math.pi) * math.e**1.5)
-    radial_upper = (d + 1) * c2 ** (d + 2) * L_d
-    return BallConstants(
-        dim=d,
-        L_d=L_d,
-        c1=c1,
-        c2=c2,
-        radial_lower=radial_lower,
-        radial_upper=radial_upper,
-        concentration=3.0 ** (1.0 / d) * radial_upper,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -164,65 +128,6 @@ def check_inclusions(f: ContinuousDensity, p: float, q: float, dirs, tol: float 
     return InclusionCheck(consts.lower, consts.upper, lo, hi, passed)
 
 
-@dataclass(frozen=True)
-class RadialBoundsReport:
-    mode: str  # "isotropic" or "anisotropic"
-    values: np.ndarray  # I(theta) = int d r^(d-1) f(r theta) dr per direction
-    lower_const: float
-    upper_const: float
-    min_stat: float
-    max_stat: float
-    passed: bool
-
-
-def radial_integral_bounds(
-    f: ContinuousDensity, dirs, L_d: float = 1.0, mode: str | None = None, tol: float = 1e-9
-) -> RadialBoundsReport:
-    """Per-direction radial integrals against their dimensional envelopes.
-
-    Isotropic mode checks lower <= I(theta)^(1/d) <= upper with the constants
-    of :func:`ball_constants`.  Anisotropic mode reports the two normalized
-    ratios I / (f(0) lambda_min^(d/2)) and I / (f(0) lambda_max^(d/2)); the
-    caller asserts a stable envelope across a family sweep.
-    """
-    d = f.dim
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    vals = np.array([_radial_moment(f, th, float(d)) for th in dirs])
-    if mode is None:
-        cov = f.known_cov
-        iso = False
-        if cov is not None:
-            eig = jacobi_eigenvalues(np.asarray(cov, dtype=np.float64))
-            iso = float(eig[-1] - eig[0]) <= 1e-9 * float(eig[-1])
-        mode = "isotropic" if iso else "anisotropic"
-    if mode == "isotropic":
-        consts = ball_constants(d, L_d)
-        stats = vals ** (1.0 / d)
-        lo, hi = float(stats.min()), float(stats.max())
-        passed = lo >= consts.radial_lower - tol and hi <= consts.radial_upper + tol
-        return RadialBoundsReport("isotropic", vals, consts.radial_lower, consts.radial_upper, lo, hi, passed)
-    if mode != "anisotropic":
-        raise LceError(f"unknown mode {mode!r}")
-    if f.known_cov is None:
-        raise LceError("anisotropic mode needs covariance eigenvalues")
-    eig = jacobi_eigenvalues(np.asarray(f.known_cov, dtype=np.float64))
-    lam_min, lam_max = float(eig[0]), float(eig[-1])
-    f0 = float(f(np.zeros(d)))
-    lower_ref = f0 * lam_min ** (d / 2.0)
-    upper_ref = f0 * lam_max ** (d / 2.0)
-    stats_low = vals / lower_ref
-    stats_high = vals / upper_ref
-    return RadialBoundsReport(
-        "anisotropic",
-        vals,
-        lower_ref,
-        upper_ref,
-        float(stats_high.min()),
-        float(stats_low.max()),
-        True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # convex bodies
 
@@ -289,21 +194,6 @@ def make_vpoly(vertices) -> ConvexBody:
     return ConvexBody("vpoly", V.shape[1], (tuple(map(tuple, V)),))
 
 
-def make_ball_body(density, p: float = 2.0) -> ConvexBody:
-    """Star body K_p(f) of a log-concave density, stored by its radial function.
-
-    ``density`` is a ContinuousDensity or a registry spec string.  Membership
-    compares |x| with rho(x/|x|); convexity of the body holds for log-concave
-    f, so the usual checks apply.
-    """
-    from .densities import density_from_spec
-
-    f = density_from_spec(density) if isinstance(density, str) else density
-    if p <= 0:
-        raise LceError("p must be positive")
-    return ConvexBody("ball_body", f.dim, (f, float(p)))
-
-
 _BODY_FACTORIES = {
     "cube": make_cube,
     "box": make_box,
@@ -312,14 +202,13 @@ _BODY_FACTORIES = {
     "simplex": make_simplex,
     "hpoly": make_hpoly,
     "vpoly": make_vpoly,
-    "ball_body": make_ball_body,
 }
 
 
 def make_body(name: str, **params) -> ConvexBody:
     if name not in _BODY_FACTORIES:
         raise LceError(f"unknown body {name!r}; known: {sorted(_BODY_FACTORIES)}")
-    return _BODY_FACTORIES[name](**params)
+    return _call_with_params(_BODY_FACTORIES[name], name, params)
 
 
 def body_from_spec(text: str) -> ConvexBody:
@@ -351,15 +240,6 @@ def body_volume(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES) -> float:
     if K.kind == "hpoly":
         vol, _ = _hpoly_mc(K, mc_samples)[:2]
         return vol
-    if K.kind == "ball_body" and K.dim == 2:
-        f, p = K.data
-        # |K| = (1/2) integral of rho(theta)^2 over the circle
-        def rho_sq(angles):
-            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            return np.array([ball_body_radial(f, p, th[None, :]).radii[0] ** 2 for th in dirs])
-
-        val, _ = adaptive_quad_1d(rho_sq, 0.0, 2.0 * math.pi, rel_tol=1e-8, order=8, max_panels=256)
-        return 0.5 * val
     raise LceError(f"volume not implemented for {K.kind}")
 
 
@@ -385,17 +265,6 @@ def body_contains(K: ConvexBody, pts) -> np.ndarray:
     if K.kind == "vpoly":
         verts = np.asarray(K.data[0])
         return np.array([hull_membership(verts, z) for z in pts])
-    if K.kind == "ball_body":
-        f, p = K.data
-        out = np.zeros(len(pts), dtype=bool)
-        for i, x in enumerate(pts):
-            r = float(np.linalg.norm(x))
-            if r == 0.0:
-                out[i] = True
-                continue
-            rho = ball_body_radial(f, p, (x / r)[None, :]).radii[0]
-            out[i] = r <= rho + 1e-12
-        return out
     raise LceError(f"membership not implemented for {K.kind}")
 
 
@@ -551,22 +420,16 @@ def _vpoly_moments(K: ConvexBody):
             M += a * np.mean(mids[:, :, None] * mids[:, None, :], axis=0)
         return vol, cent / vol, M / vol
     if d == 3:
-        facets = _vpoly3_facets(V)
         c0 = V.mean(axis=0)
         vol = 0.0
         cent = np.zeros(3)
         M = np.zeros((3, 3))
-        for poly in facets:
-            for i in range(1, len(poly) - 1):
-                tet = np.array([c0, poly[0], poly[i], poly[i + 1]])
-                v = abs(np.linalg.det(tet[1:] - tet[0])) / 6.0
-                if v == 0.0:
-                    continue
-                vol += v
-                cent += v * tet.mean(axis=0)
-                M += v * _tet_second_moment(tet)
-        if vol <= 0:
-            raise LceError("degenerate v-polytope")
+        for tri in facets3(V):
+            tet = np.vstack([c0, V[tri]])
+            v = abs(np.linalg.det(tet[1:] - tet[0])) / 6.0
+            vol += v
+            cent += v * tet.mean(axis=0)
+            M += v * _tet_second_moment(tet)
         return vol, cent / vol, M / vol
     raise LceError("exact v-polytope moments implemented for d <= 3 only")
 
@@ -590,43 +453,6 @@ def _tet_second_moment(tet: np.ndarray) -> np.ndarray:
         x = lam @ tet
         M += 0.25 * np.outer(x, x)
     return M
-
-
-def _vpoly3_facets(V: np.ndarray) -> list[np.ndarray]:
-    """Facet polygons (ordered vertex loops) of a 3-d v-polytope by brute-force
-    supporting-plane enumeration; adequate for the small bodies used here."""
-    n = len(V)
-    scale = float(np.abs(V).max()) + 1.0
-    tol = 1e-9 * scale
-    c0 = V.mean(axis=0)
-    seen = set()
-    facets = []
-    for i, j, k in combinations(range(n), 3):
-        nrm = np.cross(V[j] - V[i], V[k] - V[i])
-        ln = np.linalg.norm(nrm)
-        if ln < 1e-12 * scale * scale:
-            continue
-        nrm = nrm / ln
-        if nrm @ (c0 - V[i]) > 0:
-            nrm = -nrm
-        s = (V - V[i]) @ nrm
-        if s.max() > tol:
-            continue  # not a supporting plane
-        members = tuple(sorted(np.nonzero(s > -tol)[0].tolist()))
-        if members in seen or len(members) < 3:
-            continue
-        seen.add(members)
-        pts = V[list(members)]
-        # order the facet polygon around its centroid
-        b1 = pts[1] - pts[0]
-        b1 = b1 / np.linalg.norm(b1)
-        b2 = np.cross(nrm, b1)
-        rel = pts - pts.mean(axis=0)
-        ang = np.arctan2(rel @ b2, rel @ b1)
-        facets.append(pts[np.argsort(ang)])
-    if not facets:
-        raise LceError("v-polytope has no facets; vertices may be degenerate")
-    return facets
 
 
 def scale_body(K: ConvexBody, t: float) -> ConvexBody:
@@ -763,33 +589,3 @@ def radius_bounds_check(K: ConvexBody) -> RadiusReport:
         circum_margin=(d + 1.0) * math.sqrt(lam_max) - R,
         inradius_margin=r - math.sqrt((d + 2.0) / d) * math.sqrt(lam_min),
     )
-
-
-def lattice_point_count(K: ConvexBody, cell_cap: int = 20_000_000) -> int:
-    """Number of lattice points in K, by enumeration over its bounding box."""
-    if K.kind == "hpoly":
-        lo, hi = _hpoly_bounding_box(K)
-    elif K.kind in ("vpoly", "simplex"):
-        V = np.asarray(K.data[0])
-        lo, hi = V.min(axis=0), V.max(axis=0)
-    elif K.kind == "box":
-        lo, hi = (np.asarray(a) for a in K.data)
-    elif K.kind == "ball":
-        r = K.data[0]
-        lo, hi = np.full(K.dim, -r), np.full(K.dim, r)
-    elif K.kind == "ellipsoid":
-        ax = np.asarray(K.data[0])
-        lo, hi = -ax, ax
-    else:
-        raise LceError(f"bounding box not implemented for {K.kind}")
-    los = np.floor(lo).astype(np.int64)
-    his = np.ceil(hi).astype(np.int64)
-    shape = his - los + 1
-    if int(np.prod(shape)) > cell_cap:
-        raise SizeCapError("bounding box too large for lattice enumeration")
-    axes = [np.arange(l, h + 1) for l, h in zip(los, his)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, K.dim)
-    if K.kind == "vpoly":
-        # LP membership per point is slow; chunk but keep exactness.
-        return int(sum(bool(x) for x in body_contains(K, grid.astype(np.float64))))
-    return int(np.count_nonzero(body_contains(K, grid.astype(np.float64))))

@@ -863,5 +863,14 @@ def save_config(cfg: ExperimentConfig, path):
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return ExperimentConfig.from_doc(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise LceError(f"cannot read config file {path}: {exc}") from None
+    try:
+        return ExperimentConfig.from_doc(doc)
+    except LceError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LceError(f"malformed config document: {exc!r}") from None

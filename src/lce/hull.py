@@ -32,6 +32,11 @@ COORD_CAP = 2**19
 # rounding in the orientation tests.
 ENVELOPE_REL_TOL = 1e-13
 
+# Points of :func:`facets3` closer than this times the coordinate span to a
+# facet plane count as on it, so that rounding cannot split a flat face of a
+# v-polytope into slivers.
+_FACET_REL_TOL = 1e-9
+
 # Cap on the elements of one (points x facets) block of a matrix product.
 _BLOCK = 1 << 20
 
@@ -122,6 +127,23 @@ def hrep(points) -> tuple[np.ndarray, np.ndarray]:
         lifted[:, keep] = Ak
         A, b = np.concatenate([A, lifted]), np.concatenate([b, bk])
     return _normalize(A, b)
+
+
+def facets3(points) -> np.ndarray:
+    """Triangular facets of the convex hull of float points in R^3, as an
+    (m, 3) array of row indices ordered counterclockwise seen from outside.
+
+    A point counts as outside a facet, or off the affine hull of the points
+    picked so far, only when it lies more than ``_FACET_REL_TOL`` times the
+    coordinate span away; a flat face comes back as several triangles.
+    """
+    P = np.asarray(points, dtype=np.float64)
+    if P.ndim != 2 or P.shape[1] != 3 or not np.all(np.isfinite(P)):
+        raise LceError("facets3 needs a finite (n, 3) point array")
+    frame = _frame(P, _FACET_REL_TOL)
+    if len(frame) < 4:
+        raise LceError("points are coplanar: their hull has no facets")
+    return _hull3(P, frame, _FACET_REL_TOL)[0]
 
 
 def box_points_inside(A: np.ndarray, b: np.ndarray, shape) -> np.ndarray:

@@ -377,7 +377,9 @@ def _convolve_fft(p: LatticePmf, q: LatticePmf, out_shape) -> np.ndarray:
 def _verify_fft_subsample(p: LatticePmf, q: LatticePmf, out: np.ndarray):
     small, big = (q, p) if np.count_nonzero(q.values) <= np.count_nonzero(p.values) else (p, q)
     n = out.size
-    flat = np.unique(np.linspace(0, n - 1, num=min(_FFT_CHECK_SAMPLES, n)).astype(np.int64))
+    # Sorted already, so dropping repeats needs no np.unique (which imports numpy.ma).
+    idx = np.linspace(0, n - 1, num=min(_FFT_CHECK_SAMPLES, n)).astype(np.int64)
+    flat = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
     positions = np.stack(np.unravel_index(flat, out.shape), axis=1)
     jidx = np.argwhere(small.values != 0.0)
     jvals = small.values[small.values != 0.0]
@@ -424,11 +426,20 @@ def pmf_to_doc(p: LatticePmf) -> dict:
 
 
 def pmf_from_doc(doc: dict) -> LatticePmf:
-    box = Box(tuple(int(x) for x in doc["lo"]), tuple(int(x) for x in doc["hi"]))
-    if box.dim != int(doc["dim"]):
+    try:
+        lo, hi = tuple(int(x) for x in doc["lo"]), tuple(int(x) for x in doc["hi"])
+        dim = int(doc["dim"])
+        vals = np.array(doc["values"], dtype=np.float64)
+        deficit = float(doc.get("deficit", 0.0))
+        meta = dict(doc.get("meta", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LceError(f"malformed p.m.f. document: {exc!r}") from None
+    box = Box(lo, hi)
+    if box.dim != dim:
         raise LceError("dim field inconsistent with bounds")
-    vals = np.array(doc["values"], dtype=np.float64).reshape(box.shape, order="C")
-    return LatticePmf(box, vals, float(doc.get("deficit", 0.0)), dict(doc.get("meta", {})))
+    if vals.size != box.ncells:
+        raise LceError(f"p.m.f. document has {vals.size} values for a box of {box.ncells} cells")
+    return LatticePmf(box, vals.reshape(box.shape, order="C"), deficit, meta)
 
 
 def save_pmf(p: LatticePmf, path):
@@ -438,24 +449,9 @@ def save_pmf(p: LatticePmf, path):
 
 
 def load_pmf(path) -> LatticePmf:
-    with open(path, encoding="utf-8") as fh:
-        return pmf_from_doc(json.load(fh))
-
-
-def set_to_doc(s: LatticeSet) -> dict:
-    return {"dim": s.dim, "points": [list(p) for p in s.sorted_points()]}
-
-
-def set_from_doc(doc: dict) -> LatticeSet:
-    return LatticeSet.from_iterable(int(doc["dim"]), doc["points"])
-
-
-def save_set(s: LatticeSet, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(set_to_doc(s), fh, indent=1)
-        fh.write("\n")
-
-
-def load_set(path) -> LatticeSet:
-    with open(path, encoding="utf-8") as fh:
-        return set_from_doc(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise LceError(f"cannot read p.m.f. file {path}: {exc}") from None
+    return pmf_from_doc(doc)

@@ -1,4 +1,5 @@
-"""Discrete entropy, moments, isotropy diagnostics, and max-mass bounds.
+"""Discrete entropy, moments, the isotropy score, and the d = 1 max-mass width
+product.
 
 Entropy is in nats throughout.  Moments are exact finite sums accumulated with
 the correctly rounded summation from :mod:`lce.numerics`; the argmax tie-break
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -58,20 +58,6 @@ class MomentSummary:
 class IsotropyScore:
     op_norm_deviation: float
     normalized: float
-
-
-@dataclass(frozen=True)
-class EntropyBoundsReport:
-    """Max-mass and entropy bound diagnostics for one p.m.f."""
-
-    dim: int
-    entropy: float
-    max_value: float
-    det_cov: float
-    sigma_hat: float
-    max_width_product: Optional[float]  # d=1 only: max p * sqrt(1 + 4 Var)
-    max_sqrt_det: float  # max p * det(Cov)^(1/2)
-    gauss_slack: float  # (d/2) log(2 pi e det(Cov + I/12)^(1/d)) - H
 
 
 def shannon_entropy(p: LatticePmf) -> float:
@@ -131,63 +117,3 @@ def max_pmf_width_product(p: LatticePmf) -> float:
     s = discrete_moments(p)
     var = float(s.cov.entries[0, 0])
     return s.max_value * math.sqrt(1.0 + 4.0 * var)
-
-
-def entropy_covariance_bounds(p: LatticePmf) -> EntropyBoundsReport:
-    """Bound ratios tying max mass and entropy to the discrete covariance.
-
-    ``gauss_slack`` is nonnegative for every p.m.f. with finite second moments:
-    the Gaussian maximizes entropy at fixed covariance, and adding an
-    independent uniform cell shifts the covariance by I/12.
-    """
-    s = discrete_moments(p)
-    d = p.dim
-    H = shannon_entropy(p)
-    det = max(s.cov.det(), 0.0)
-    shifted = s.cov.entries + np.eye(d) / 12.0
-    det_shifted = float(np.prod(jacobi_eigenvalues(shifted)))
-    gauss_slack = 0.5 * d * math.log(2.0 * math.pi * math.e * det_shifted ** (1.0 / d)) - H
-    return EntropyBoundsReport(
-        dim=d,
-        entropy=H,
-        max_value=s.max_value,
-        det_cov=det,
-        sigma_hat=s.sigma_hat,
-        max_width_product=max_pmf_width_product(p) if d == 1 else None,
-        max_sqrt_det=s.max_value * math.sqrt(det),
-        gauss_slack=gauss_slack,
-    )
-
-
-def variation_sum(p: LatticePmf, axis: int) -> float:
-    """Total variation along one axis: sum over the enlarged box of |p(k) - p(k - e_axis)|."""
-    if not (0 <= axis < p.dim):
-        raise LceError(f"axis {axis} out of range for dimension {p.dim}")
-    pad = [(0, 0)] * p.dim
-    pad[axis] = (1, 1)
-    padded = np.pad(p.values, pad)
-    diffs = np.diff(padded, axis=axis)
-    return stable_sum(np.abs(diffs))
-
-
-def sum_of_maxima(p: LatticePmf, i: int, j: int) -> float:
-    """sum over l in Z^(d-j) of |l_1|^i * max over the first j axes of p.
-
-    The first ``j`` coordinates are maximized over, the remaining ``d - j``
-    summed; ``l_1`` is the first summed coordinate (axis ``j``).  ``j = 0``
-    means no maximization.  Any permuted variant is obtained by permuting the
-    p.m.f.'s axes first.
-    """
-    if i not in (0, 1, 2):
-        raise LceError("i must be 0, 1 or 2")
-    if not (0 <= j <= p.dim - 1):
-        raise LceError(f"j must lie in [0, {p.dim - 1}]")
-    reduced = p.values.max(axis=tuple(range(j))) if j > 0 else p.values
-    l1 = p.box.axis_coords(j).astype(np.float64)
-    if i == 0:
-        weights = np.ones_like(l1)
-    else:
-        weights = np.abs(l1) ** i
-    shape = [1] * reduced.ndim
-    shape[0] = reduced.shape[0]
-    return stable_sum(reduced * weights.reshape(shape))

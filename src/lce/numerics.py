@@ -90,18 +90,6 @@ def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 100) ->
     return np.sort(np.diag(a))
 
 
-def sym_det(matrix) -> float:
-    """Determinant of a small symmetric matrix via its Jacobi eigenvalues."""
-    eig = jacobi_eigenvalues(matrix)
-    return float(np.prod(eig))
-
-
-def operator_norm_sym(matrix) -> float:
-    """Spectral norm (largest |eigenvalue|) of a small symmetric matrix."""
-    eig = jacobi_eigenvalues(matrix)
-    return float(np.max(np.abs(eig))) if eig.size else 0.0
-
-
 def adaptive_quad_1d(
     fun,
     a: float,

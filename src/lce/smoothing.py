@@ -19,7 +19,7 @@ import numpy as np
 
 from .densities import as_points
 from .errors import LceError, QuadratureError
-from .lattice import Box, LatticePmf
+from .lattice import LatticePmf
 from .numerics import gauss_legendre_01, neg_xlogx, stable_sum
 
 DEFAULT_QUAD_ORDER = 8
@@ -53,22 +53,6 @@ def _bspline_rec(n: int, x: np.ndarray) -> np.ndarray:
     return (x * prev + (n - x) * prev_shift) / (n - 1)
 
 
-@dataclass(frozen=True)
-class BSplineKernel:
-    order: int
-
-    def __call__(self, x):
-        return bspline_eval(self.order, x)
-
-    def peak(self) -> float:
-        return float(bspline_eval(self.order, self.order / 2.0))
-
-
-def smoothed_cell_box(p: LatticePmf, n: int) -> Box:
-    """Cells on which the smoothed density of p can be nonzero."""
-    return Box(p.box.lo, tuple(h + n - 1 for h in p.box.hi))
-
-
 def smoothed_density_eval(p: LatticePmf, n: int, x) -> np.ndarray | float:
     """Density of S + U_1 + ... + U_n at x: sum_s p(s) prod_i B_n(x_i - s_i).
 
@@ -95,24 +79,6 @@ def smoothed_density_eval(p: LatticePmf, n: int, x) -> np.ndarray | float:
             gathered[valid] = p.values[tuple(idx[valid].T)]
             out += coeff * gathered
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class SmoothedDensity:
-    """Density of S + U_1 + ... + U_n as a callable, with its base p.m.f."""
-
-    base: LatticePmf
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise LceError("order must be >= 1")
-
-    def __call__(self, x):
-        return smoothed_density_eval(self.base, self.order, x)
-
-    def cell_box(self) -> Box:
-        return smoothed_cell_box(self.base, self.order)
 
 
 # ---------------------------------------------------------------------------
@@ -280,71 +246,6 @@ def differential_entropy(
     equals the Shannon entropy of p to rounding accuracy.
     """
     return smoothed_entropy_detail(p, n, quad_order=quad_order, tol=tol).value
-
-
-# ---------------------------------------------------------------------------
-# cell deviation
-
-
-@dataclass(frozen=True)
-class CellDeviationReport:
-    cell_box: Box
-    sup_values: np.ndarray
-    total: float
-    certified_exact: bool
-
-
-def cell_deviation(p: LatticePmf, n: int) -> CellDeviationReport:
-    """Per-cell sup of |f_n - p(k)| and its total.
-
-    n = 1: identically zero.  n = 2: exact, since f_2 is multilinear on each
-    cell and extrema sit at cell corners.  n >= 3: certified upper bound from
-    corner values plus a per-cell Lipschitz pad; flagged as non-exact.
-    """
-    if n < 1:
-        raise LceError("n must be >= 1")
-    d = p.dim
-    cbox = smoothed_cell_box(p, n)
-    big_shape = tuple(s + n - 1 for s in p.values.shape)
-    if n == 1:
-        sup = np.zeros(big_shape)
-        return CellDeviationReport(cbox, sup, 0.0, True)
-
-    def embedded(j):
-        arr = np.zeros(big_shape)
-        sl = tuple(slice(ji, ji + s) for ji, s in zip(j, p.values.shape))
-        arr[sl] = p.values
-        return arr
-
-    center = embedded((0,) * d)
-    if n == 2:
-        sup = np.zeros(big_shape)
-        for j in product(range(2), repeat=d):
-            np.maximum(sup, np.abs(embedded(j) - center), out=sup)
-        return CellDeviationReport(cbox, sup, stable_sum(sup), True)
-
-    # n >= 3: f_n at the integer corners, then a kernel-slope pad.
-    kernel_at_int = bspline_eval(n, np.arange(n, dtype=np.float64))  # B_n(0..n-1)
-    corner = np.zeros(tuple(s + n for s in p.values.shape))  # grid of corner points
-    for j in product(range(n), repeat=d):
-        c = 1.0
-        for axis in range(d):
-            c *= kernel_at_int[j[axis]]
-        if c <= 0.0:
-            continue
-        sl = tuple(slice(ji + 1, ji + 1 + s) for ji, s in zip(j, p.values.shape))
-        corner[sl] += c * p.values
-    corner_dev = np.zeros(big_shape)
-    for s_corner in product(range(2), repeat=d):
-        sl = tuple(slice(si, si + bs) for si, bs in zip(s_corner, big_shape))
-        np.maximum(corner_dev, np.abs(corner[sl] - center), out=corner_dev)
-    cover = np.zeros(big_shape)
-    for j in product(range(n), repeat=d):
-        sl = tuple(slice(ji, ji + s) for ji, s in zip(j, p.values.shape))
-        cover[sl] += p.values
-    slope = float(bspline_eval(n - 1, (n - 1) / 2.0))  # max |B_n'| <= max B_(n-1)
-    sup = corner_dev + 0.5 * d * slope * cover
-    return CellDeviationReport(cbox, sup, stable_sum(sup), False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lce import bridge, geometry as geo
+from lce import bridge
 from lce.densities import (
     asym_exponential,
     density_from_spec,
@@ -115,28 +115,6 @@ def test_quadrature_fallback_matches_known_moments():
 # 1-d inequalities
 
 
-def test_sum_int_quasi_concave_tent():
-    tent = lambda t: np.maximum(0.0, 3.0 - np.abs(t - 2.5))
-    chk = bridge.sum_int_check_1d(tent, -3, 9)
-    assert chk.holds
-    assert chk.integral == pytest.approx(9.0, abs=1e-10)
-    assert chk.lattice_sum == pytest.approx(9.0, abs=1e-12)  # half-integer peak
-
-
-def test_sum_int_plateau_function():
-    plateau = lambda t: ((t >= 0.25) & (t <= 3.25)).astype(float)
-    chk = bridge.sum_int_check_1d(plateau, -2, 6)
-    assert chk.holds
-    assert chk.gap == pytest.approx(0.0, abs=1e-10)
-
-
-def test_sum_int_gaussian_scaled():
-    for s in (0.5, 1.0, 3.0):
-        f = lambda t, s=s: np.exp(-0.5 * (t / s) ** 2)
-        chk = bridge.sum_int_check_1d(f, -40, 40, integral=math.sqrt(2 * math.pi) * s)
-        assert chk.holds
-
-
 def test_covdis_bound_on_logconcave_zoo():
     zoo = [
         gaussian(1.0, 1),
@@ -156,129 +134,6 @@ def test_covdis_bound_on_logconcave_zoo():
 def test_covdis_requires_d1():
     with pytest.raises(LceError):
         bridge.covdis_check_1d(gaussian(1.0, 2))
-
-
-# ---------------------------------------------------------------------------
-# lattice counts
-
-
-def test_unit_cells_box_ratio_exactly_one():
-    K = geo.make_box([0.5, 0.5], [10.5, 10.5])
-    rep = bridge.lattice_count_ratio(K)
-    assert rep.count == 100 and rep.ratio == 1.0
-
-
-def test_disk_radius_20():
-    rep = bridge.lattice_count_ratio(geo.make_ball(2, 20.0))
-    assert rep.count == 1257
-    assert abs(rep.ratio - 1.0) < 0.05
-
-
-def test_thin_slab_has_no_points():
-    slab = geo.make_box([0.25, 0.0], [0.75, 200.0])
-    rep = bridge.lattice_count_ratio(slab)
-    assert rep.count == 0 and rep.ratio == 0.0 and rep.volume == pytest.approx(100.0)
-
-
-def test_count_ratio_improves_with_radius():
-    errs = [abs(bridge.lattice_count_ratio(geo.make_ball(2, r)).ratio - 1.0) * r
-            for r in (5.0, 10.0, 20.0)]
-    assert max(errs) < 2.0  # |ratio - 1| = O(1/r) at fixed dimension
-
-
-# ---------------------------------------------------------------------------
-# concentration
-
-
-def test_concentration_gaussian_passes_with_module_constants():
-    rep = bridge.concentration_check(gaussian(1.0, 2))
-    assert rep.passed
-    assert rep.worst_ratio <= 1.0
-
-
-def test_concentration_threshold_bound_is_half_peak():
-    f = gaussian(1.0, 2)
-    f0 = float(f(np.zeros(2)))
-    rep = bridge.concentration_check(f)
-    bound_at_threshold = f0 * 2.0 ** (-rep.threshold_radius * f0**0.5 / rep.c_d)
-    assert bound_at_threshold == pytest.approx(f0 / 2.0, rel=1e-12)
-
-
-def test_concentration_fails_for_too_small_constant():
-    # evaluation shows the check tolerates c_d down to ~0.47 on this Gaussian;
-    # c = 0.3 genuinely violates the bound near the threshold sphere
-    rep = bridge.concentration_check(gaussian(1.0, 2), c_d=0.3)
-    assert not rep.passed
-    assert rep.worst_ratio > 1.0
-
-
-def test_concentration_small_but_valid_constant_still_passes():
-    c = geo.ball_constants(2).concentration / 10.0
-    rep = bridge.concentration_check(gaussian(1.0, 2), c_d=c)
-    assert rep.passed
-
-
-# ---------------------------------------------------------------------------
-# argmax profile moments
-
-
-def test_profile_moment_isotropic_zero():
-    rep = bridge.argmax_profile_moment(gaussian(2.0, 2))
-    assert rep.integral_value == 0.0 and rep.lattice_value == 0.0
-
-
-def test_profile_moment_sheared_matches_closed_form():
-    s, rho = 2.0, 0.5
-    rep = bridge.argmax_profile_moment(sheared_gaussian(s, rho))
-    pref = 1.0 / (2 * math.pi * s * s * math.sqrt(1 - rho * rho))
-    oracle = rho * pref * math.sqrt(2 * math.pi) * s**3
-    assert rep.integral_value == pytest.approx(oracle, rel=1e-8)
-    assert rep.lattice_value == pytest.approx(oracle, rel=1e-6)
-
-
-def test_profile_moment_sweep_envelope():
-    stats = []
-    for s in (2.0, 4.0, 8.0):
-        rep = bridge.argmax_profile_moment(sheared_gaussian(s, 0.5))
-        stats.append(abs(rep.integral_value) / s)
-    assert rate_envelope_ok(stats, rel_slack=1e-6)
-
-
-def test_profile_moment_golden_section_agrees_with_closed_form():
-    s, rho = 2.0, 0.3
-    f = sheared_gaussian(s, rho)
-    blind = type(f)(
-        dim=2, evaluate=f.evaluate, known_mass=1.0, known_mean=f.known_mean,
-        known_cov=f.known_cov, tail_bound=f.tail_bound, name="blind2",
-        center=np.zeros(2), slice_argmax=None,
-    )
-    a = bridge.argmax_profile_moment(f)
-    b = bridge.argmax_profile_moment(blind, rel_tol=1e-7)
-    assert b.integral_value == pytest.approx(a.integral_value, rel=1e-5)
-
-
-def test_profile_moment_even_argmax_gives_zero_by_symmetry():
-    # product Gaussian shifted in y: n_max is constant (even in x), so the
-    # integrand x * c * maxf(x) is odd and both moments vanish
-    base = gaussian(1.0, 2)
-    shift = np.array([0.0, 2.0])
-
-    def evaluate(pts):
-        return base.evaluate(np.asarray(pts, dtype=np.float64) - shift)
-
-    f = type(base)(
-        dim=2, evaluate=evaluate, known_mass=1.0, known_mean=shift,
-        known_cov=base.known_cov, tail_bound=None, name="shifted",
-        center=shift, slice_argmax=lambda x: np.full_like(np.asarray(x, dtype=np.float64), 2.0),
-    )
-    rep = bridge.argmax_profile_moment(f)
-    assert abs(rep.integral_value) < 1e-12
-    assert abs(rep.lattice_value) < 1e-12
-
-
-def test_profile_moment_requires_d2():
-    with pytest.raises(LceError):
-        bridge.argmax_profile_moment(gaussian(1.0, 1))
 
 
 def test_gaussian_gaps_tiny_at_moderate_sigma():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lce import geometry as geo
-from lce.densities import gaussian, sheared_gaussian
+from lce.densities import gaussian
 from lce.errors import LceError
 from lce.numerics import unit_directions
 
@@ -30,15 +30,6 @@ def test_inclusion_constants_tend_to_one():
 def test_inclusion_constants_validation():
     with pytest.raises(LceError):
         geo.inclusion_constants(2, 3, 2)
-
-
-def test_ball_constants_values():
-    bc = geo.ball_constants(2)
-    assert bc.c1 == pytest.approx(0.778272, abs=1e-5)
-    assert bc.c2 == pytest.approx(math.exp(1.0 / 3.0), abs=1e-12)
-    assert bc.radial_lower == pytest.approx(bc.c1**4 / (math.sqrt(2 * math.pi) * math.e**1.5), abs=1e-12)
-    assert bc.radial_upper == pytest.approx(3 * bc.c2**4, abs=1e-12)
-    assert bc.concentration == pytest.approx(math.sqrt(3.0) * bc.radial_upper, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -78,29 +69,6 @@ def test_inclusion_chain_on_gaussian():
     assert chk.lower <= chk.min_ratio <= chk.max_ratio <= chk.upper
 
 
-def test_radial_bounds_isotropic():
-    rep = geo.radial_integral_bounds(gaussian(1.0, 2), unit_directions(2, 16))
-    assert rep.mode == "isotropic" and rep.passed
-    # I(theta) = 1/pi for the standard 2-d Gaussian
-    assert np.allclose(rep.values, 1.0 / math.pi, rtol=1e-9)
-
-
-def test_radial_bounds_scaling_relation():
-    rep1 = geo.radial_integral_bounds(gaussian(1.0, 2), unit_directions(2, 4))
-    rep2 = geo.radial_integral_bounds(gaussian(2.0, 2), unit_directions(2, 4))
-    # I scales like sigma^d * f(0)-ratio: here values are sigma-independent
-    # only through f(0) sigma^d = const, so I(theta) is scale-invariant
-    assert np.allclose(rep1.values, rep2.values, rtol=1e-9)
-
-
-def test_radial_bounds_anisotropic_envelope():
-    rep = geo.radial_integral_bounds(sheared_gaussian(2.0, 0.6), unit_directions(2, 32))
-    assert rep.mode == "anisotropic"
-    # I(theta) between the min/max eigenvalue envelopes up to moderate constants
-    assert rep.max_stat < 50.0
-    assert rep.min_stat > 0.02
-
-
 # ---------------------------------------------------------------------------
 # bodies: volumes, moments, membership
 
@@ -121,6 +89,15 @@ def test_vpoly_volume_and_moments_match_closed_forms():
     assert geo.body_volume(cube) == pytest.approx(1.0)
     M3, _ = geo.body_second_moment(cube)
     assert np.allclose(M3, np.eye(3) / 12.0, atol=1e-12)
+    # face centres and the origin are not vertices; the facet triangulation
+    # must not count them as corners
+    corners = [[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)]
+    faces = [[s * (i == 0), s * (i == 1), s * (i == 2)] for i in range(3) for s in (-0.5, 0.5)]
+    K = geo.make_vpoly(corners + faces + [[0.0, 0.0, 0.0]])
+    assert geo.body_volume(K) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(geo.body_barycenter(K), 0.0, atol=1e-12)
+    M4, _ = geo.body_second_moment(K)
+    assert np.allclose(M4, np.eye(3) / 12.0, atol=1e-12)
 
 
 def test_vpoly_rotation_invariance():
@@ -267,13 +244,3 @@ def test_inclusion_chain_laplace_2d():
     for (p, q) in ((2.0, 3.0), (2.0, 4.0), (3.0, 4.0)):
         chk = geo.check_inclusions(f, p, q, unit_directions(2, 32))
         assert chk.passed
-
-
-def test_ball_body_kind_is_the_expected_disk():
-    # K_2 of the standard 2-d Gaussian is the centered disk of radius sqrt(2)
-    K = geo.make_ball_body(gaussian(1.0, 2), 2.0)
-    assert geo.body_volume(K) == pytest.approx(2 * math.pi, rel=1e-7)
-    inside = geo.body_contains(K, np.array([[1.0, 0.9], [1.2, 1.0]]))
-    assert bool(inside[0]) and not bool(inside[1])
-    K2 = geo.body_from_spec("ball_body{density=gaussian{sigma=1,dim=2},p=2}")
-    assert K2.kind == "ball_body" and K2.dim == 2

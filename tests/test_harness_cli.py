@@ -164,9 +164,34 @@ def test_cli_sweep_subset(tmp_path, capsys):
     assert {r.check_id for r in doc.results} == {"max_pmf_1d", "geom_radius"}
 
 
-def test_cli_error_paths(tmp_path, capsys):
-    assert run_cli("gen", "--family", "bogus{z=1}", "--out", str(tmp_path / "x.json")) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "bogus{z=1}", "--out", "{tmp}/x.json"],
+        ["gen", "--family", "gaussian{sigma=abc}", "--out", "{tmp}/x.json"],
+        ["gen", "--family", "gaussian{sigma=2,foo=1}", "--out", "{tmp}/x.json"],
+        ["bridge", "--density", "gaussian{foo=1}"],
+        ["geom", "--body", "cube{foo=1}", "--check", "kls"],
+        ["entropy", "--pmf", "{tmp}/missing.json"],
+        ["verify", "--config", "{tmp}/missing.json"],
+        ["entropy", "--pmf", "{tmp}/short.json"],
+    ],
+    ids=[
+        "unknown_family",
+        "non_json_value",
+        "unknown_key",
+        "density_key",
+        "body_key",
+        "missing_pmf",
+        "missing_config",
+        "short_values",
+    ],
+)
+def test_cli_error_paths(argv, tmp_path, capsys):
+    # two values for a box of four cells
+    (tmp_path / "short.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [3], "values": [0.5, 0.5]}))
+    assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_point_mass_family_is_flagged_not_failed():

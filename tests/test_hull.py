@@ -72,6 +72,32 @@ def test_monotone_chain_counterclockwise_without_collinear_points():
     assert hull.monotone_chain(pts).tolist() == [[0, 0], [2, 0], [2, 2], [0, 2]]
 
 
+def test_facets3_bound_the_hull_as_a_closed_surface():
+    # Outward triangles that pair up every edge and have every point beneath
+    # their planes bound conv(points); flat faces must not break either.
+    rng = np.random.default_rng(7)
+    th = 0.4
+    R = np.array([[math.cos(th), -math.sin(th), 0.0], [math.sin(th), math.cos(th), 0.0], [0.0, 0.0, 1.0]])
+    cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=np.float64)
+    cases = [
+        (rng.normal(size=(20, 3)), None),
+        (rng.normal(size=(60, 3)), None),
+        (cube @ R.T, 8.0),
+        (np.vstack([cube, 0.3 * cube, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]]), 8.0),
+    ]
+    for P, volume in cases:
+        F = hull.facets3(P)
+        edges = [(a, b) for t in F.tolist() for a, b in zip(t, t[1:] + t[:1])]
+        assert len(set(edges)) == len(edges) and set(edges) == {(b, a) for a, b in edges}
+        N = np.cross(P[F[:, 1]] - P[F[:, 0]], P[F[:, 2]] - P[F[:, 0]])
+        height = P @ N.T - np.einsum("ij,ij->i", N, P[F[:, 0]])
+        assert np.all(height <= 1e-9 * np.linalg.norm(N, axis=1) * np.ptp(P))
+        if volume is not None:
+            assert np.sum(np.linalg.det(P[F])) / 6.0 == pytest.approx(volume, rel=1e-12)
+    with pytest.raises(LceError):
+        hull.facets3([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+
+
 def reference_gaps(pts, heights, minimum):
     out = []
     for i in range(len(pts)):

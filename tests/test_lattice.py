@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,8 +25,6 @@ from lce.lattice import (
     quantize_density,
     save_pmf,
     self_convolve,
-    set_from_doc,
-    set_to_doc,
     support_set,
 )
 from lce.moments import discrete_moments
@@ -229,11 +230,19 @@ def test_row_major_order_in_doc():
     assert doc["values"] == pytest.approx([0.1, 0.2, 0.3, 0.4])
 
 
-def test_set_doc_round_trip():
-    s = LatticeSet.from_iterable(2, [(0, 1), (2, 3)])
-    doc = set_to_doc(s)
-    assert set(doc) == {"dim", "points"}
-    assert set_from_doc(doc) == s
+def test_fft_convolution_does_not_import_numpy_ma():
+    code = (
+        "import sys\n"
+        "from lce import families\n"
+        "from lce.lattice import convolve\n"
+        "p = families.quantized_gaussian(16.0, 2)\n"
+        "assert convolve(p, p, method='fft').meta['method'] == 'fft'\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_negative_values_rejected():

@@ -18,14 +18,10 @@ from lce.lattice import (
 )
 from lce.moments import (
     discrete_moments,
-    entropy_covariance_bounds,
     isotropy_score,
     max_pmf_width_product,
     shannon_entropy,
-    sum_of_maxima,
-    variation_sum,
 )
-from lce.numerics import rate_envelope_ok
 
 
 def pmf(masses, lo=(0,)):
@@ -147,42 +143,21 @@ def test_width_product_rejects_d2():
         max_pmf_width_product(point_mass((0, 0)))
 
 
-def test_point_mass_gauss_slack():
-    for d in (1, 2, 3):
-        rep = entropy_covariance_bounds(point_mass((0,) * d))
-        expected = 0.5 * d * math.log(2 * math.pi * math.e / 12.0)
-        assert rep.gauss_slack == pytest.approx(expected, abs=1e-12)
-        assert rep.gauss_slack == pytest.approx(0.1765 * d, abs=2e-3 * d)
-
-
-def test_gauss_slack_nonnegative_everywhere():
-    rng = np.random.default_rng(5)
-    cases = [
-        point_mass((2,)),
-        families.uniform_interval(9),
-        families.two_sided_geometric(0.7),
-        families.quantized_gaussian(3.0, 2),
-    ]
-    for _ in range(30):
-        cases.append(pmf(rng.uniform(0.001, 1.0, int(rng.integers(1, 8)))))
-    for p in cases:
-        assert entropy_covariance_bounds(p).gauss_slack >= -1e-9
-
-
 def test_discrete_ub_ratio_gaussian_sigma32():
     for d in (1, 2):
         p = families.quantized_gaussian(32.0, d)
-        rep = entropy_covariance_bounds(p)
+        s = discrete_moments(p)
         target = (2 * math.pi) ** (-d / 2.0)
-        assert rep.max_sqrt_det == pytest.approx(target, rel=0.02)
+        assert s.max_value * math.sqrt(s.cov.det()) == pytest.approx(target, rel=0.02)
 
 
 def test_uniform_m25_ub_ratio():
     p = families.uniform_interval(25)
-    rep = entropy_covariance_bounds(p)
+    s = discrete_moments(p)
+    ratio = s.max_value * math.sqrt(s.cov.det())
     expected = math.sqrt(25**2 - 1) / (25 * math.sqrt(12.0))
-    assert rep.max_sqrt_det == pytest.approx(expected, abs=1e-12)
-    assert rep.max_sqrt_det == pytest.approx(0.28844, abs=2e-4)
+    assert ratio == pytest.approx(expected, abs=1e-12)
+    assert ratio == pytest.approx(0.28844, abs=2e-4)
 
 
 @pytest.mark.xfail(
@@ -214,62 +189,6 @@ def test_geometric_attains_sharp_bound():
     assert var == pytest.approx((1.0 - 0.5) / 0.25, abs=1e-9)
     # and the claimed-but-false bound is indeed violated
     assert max_pmf_width_product(p) == pytest.approx(1.5, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# variation sums and sums of maxima
-
-
-def test_variation_sum_point_mass():
-    assert variation_sum(point_mass((0,)), 0) == 2.0
-
-
-def test_variation_sum_uniform():
-    for m in (1, 4, 10):
-        assert variation_sum(families.uniform_interval(m), 0) == pytest.approx(2.0 / m, abs=1e-15)
-
-
-def test_variation_sum_axis_range():
-    with pytest.raises(LceError):
-        variation_sum(families.uniform_interval(3), 1)
-
-
-def test_variation_sum_rate_envelope():
-    stats = []
-    for sigma in (4.0, 8.0, 16.0, 32.0):
-        p = families.quantized_gaussian(sigma, 2)
-        s = discrete_moments(p)
-        stats.append(variation_sum(p, 0) * s.sigma_hat)
-    assert rate_envelope_ok(stats, rel_slack=1e-6)
-
-
-def test_sum_of_maxima_mass():
-    p = families.quantized_gaussian(3.0, 2)
-    assert sum_of_maxima(p, 0, 0) == pytest.approx(p.mass, abs=1e-15)
-
-
-def test_sum_of_maxima_second_moment_d1():
-    p = families.binomial_pmf(8)
-    s2 = sum_of_maxima(p, 2, 0)
-    ks = np.arange(0, 9, dtype=float)
-    assert s2 == pytest.approx(float(np.sum(ks**2 * p.values)), abs=1e-12)
-
-
-def test_sum_of_maxima_invalid_args():
-    p = families.quantized_gaussian(2.0, 2)
-    with pytest.raises(LceError):
-        sum_of_maxima(p, 3, 0)
-    with pytest.raises(LceError):
-        sum_of_maxima(p, 0, 2)
-
-
-def test_sum_of_maxima_rate_envelope():
-    stats = []
-    for sigma in (4.0, 8.0, 16.0, 32.0):
-        p = families.quantized_gaussian(sigma, 2)
-        s = discrete_moments(p)
-        stats.append(sum_of_maxima(p, 0, 1) * s.sigma_hat)
-    assert rate_envelope_ok(stats, rel_slack=1e-6)
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from lce import families
 from lce.errors import LceError
 from lce.lattice import Box, LatticePmf, make_product, point_mass
-from lce.moments import discrete_moments, shannon_entropy
-from lce.numerics import gauss_legendre_01, rate_envelope_ok
+from lce.moments import shannon_entropy
+from lce.numerics import gauss_legendre_01
 from lce.smoothing import (
-    BSplineKernel,
     bspline_eval,
-    cell_deviation,
     differential_entropy,
     elementary_estimate,
     entropy_like,
@@ -59,7 +57,7 @@ def test_kernel_bounded_by_one():
         vals = bspline_eval(n, xs)
         assert np.all(vals >= 0.0)
         assert vals.max() <= 1.0
-    assert BSplineKernel(2).peak() == 1.0
+    assert bspline_eval(2, 1.0) == 1.0
 
 
 def test_order_validation():
@@ -168,45 +166,6 @@ def test_entropy_tolerance_honored():
 
 
 # ---------------------------------------------------------------------------
-# cell deviation
-
-
-def test_cell_deviation_n1_zero():
-    rep = cell_deviation(families.binomial_pmf(6), 1)
-    assert rep.total == 0.0 and rep.certified_exact
-
-
-def test_cell_deviation_uniform_two_over_m():
-    for m in (2, 5, 10):
-        rep = cell_deviation(families.uniform_interval(m), 2)
-        assert rep.certified_exact
-        assert rep.total == pytest.approx(2.0 / m, abs=1e-15)
-
-
-def test_cell_deviation_upper_bounds_sampled_sup():
-    rng = np.random.default_rng(9)
-    p = pmf(rng.uniform(0.05, 1.0, 5))
-    for n in (2, 3):
-        rep = cell_deviation(p, n)
-        lo = rep.cell_box.lo[0]
-        for idx, bound in enumerate(rep.sup_values):
-            k = lo + idx
-            ts = np.linspace(0.0, 0.999, 41)
-            f = smoothed_density_eval(p, n, (k + ts)[:, None])
-            sampled = float(np.max(np.abs(np.asarray(f) - p.value_at((k,)))))
-            assert sampled <= bound + 1e-12
-
-
-def test_cell_deviation_rate_envelope():
-    stats = []
-    for sigma in (4.0, 8.0, 16.0, 32.0):
-        p = families.quantized_gaussian(sigma, 2)
-        s = discrete_moments(p)
-        stats.append(cell_deviation(p, 2).total * s.sigma_hat)
-    assert rate_envelope_ok(stats, rel_slack=1e-6)
-
-
-# ---------------------------------------------------------------------------
 # elementary estimate
 
 
@@ -248,13 +207,3 @@ def test_elementary_estimate_random_samples(seed):
     g = abs(entropy_like(b, M) - entropy_like(a, M))
     bound = elementary_estimate(a, b, mu, D, M)
     assert g <= bound * (1 + 1e-12) + 1e-15
-
-
-def test_smoothed_density_wrapper():
-    from lce.smoothing import SmoothedDensity
-
-    sd = SmoothedDensity(point_mass((0,)), 2)
-    assert sd([0.5]) == pytest.approx(0.5)
-    assert sd.cell_box().lo == (0,) and sd.cell_box().hi == (1,)
-    with pytest.raises(LceError):
-        SmoothedDensity(point_mass((0,)), 0)
