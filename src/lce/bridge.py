@@ -1,7 +1,8 @@
 """Lattice sums against integrals for log-concave densities.
 
 Implements the discrete-vs-continuous comparisons: mass, mean, second-moment
-and covariance-determinant gaps, and the one-dimensional first-moment bound
+and covariance-determinant gaps; the one-dimensional quasi-concave inequality
+|integral - lattice sum| <= max f; and the one-dimensional first-moment bound
 with constant (e + 1).
 """
 
@@ -120,7 +121,32 @@ def lattice_vs_integral_gaps(
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional first-moment bound
+# one-dimensional inequalities
+
+
+@dataclass(frozen=True)
+class SumIntCheck:
+    integral: float
+    lattice_sum: float
+    gap: float
+    max_lattice: float
+    holds: bool
+
+
+def sum_int_check_1d(fun, lo: int, hi: int, integral: float | None = None, rel_tol: float = 1e-10) -> SumIntCheck:
+    """|integral - sum over Z| <= max over Z of f, for quasi-concave f on R.
+
+    ``fun`` is a vectorized nonnegative quasi-concave function, effectively
+    supported inside [lo, hi].
+    """
+    ks = np.arange(lo, hi + 1, dtype=np.float64)
+    vals = np.asarray(fun(ks), dtype=np.float64)
+    lattice_sum = stable_sum(vals)
+    max_lattice = float(vals.max())
+    if integral is None:
+        integral, _ = adaptive_quad_1d(fun, float(lo), float(hi), rel_tol=rel_tol)
+    gap = abs(integral - lattice_sum)
+    return SumIntCheck(integral, lattice_sum, gap, max_lattice, gap <= max_lattice + 1e-12)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Discrete entropy, moments, the isotropy score, and the d = 1 max-mass width
-product.
+"""Discrete entropy, moments, the isotropy score, the d = 1 max-mass width
+product, variation sums and sums of maxima.
 
 Entropy is in nats throughout.  Moments are exact finite sums accumulated with
 the correctly rounded summation from :mod:`lce.numerics`; the argmax tie-break
@@ -117,3 +117,31 @@ def max_pmf_width_product(p: LatticePmf) -> float:
     s = discrete_moments(p)
     var = float(s.cov.entries[0, 0])
     return s.max_value * math.sqrt(1.0 + 4.0 * var)
+
+
+def variation_sum(p: LatticePmf, axis: int) -> float:
+    """Total variation along one axis: sum over the enlarged box of |p(k) - p(k - e_axis)|."""
+    if not (0 <= axis < p.dim):
+        raise LceError(f"axis {axis} out of range for dimension {p.dim}")
+    pad = [(0, 0)] * p.dim
+    pad[axis] = (1, 1)
+    return stable_sum(np.abs(np.diff(np.pad(p.values, pad), axis=axis)))
+
+
+def sum_of_maxima(p: LatticePmf, i: int, j: int) -> float:
+    """sum over l in Z^(d-j) of |l_1|^i * max over the first j axes of p.
+
+    The first ``j`` coordinates are maximized over, the remaining ``d - j``
+    summed; ``l_1`` is the first summed coordinate (axis ``j``).  ``j = 0``
+    means no maximization.  Any permuted variant is obtained by permuting the
+    p.m.f.'s axes first.
+    """
+    if i not in (0, 1, 2):
+        raise LceError("i must be 0, 1 or 2")
+    if not (0 <= j <= p.dim - 1):
+        raise LceError(f"j must lie in [0, {p.dim - 1}]")
+    reduced = p.values.max(axis=tuple(range(j))) if j > 0 else p.values
+    weights = np.abs(p.box.axis_coords(j).astype(np.float64)) ** i  # |0|^0 = 1
+    shape = [1] * reduced.ndim
+    shape[0] = reduced.shape[0]
+    return stable_sum(reduced * weights.reshape(shape))

@@ -115,6 +115,28 @@ def test_quadrature_fallback_matches_known_moments():
 # 1-d inequalities
 
 
+def test_sum_int_quasi_concave_tent():
+    tent = lambda t: np.maximum(0.0, 3.0 - np.abs(t - 2.5))
+    chk = bridge.sum_int_check_1d(tent, -3, 9)
+    assert chk.holds
+    assert chk.integral == pytest.approx(9.0, abs=1e-10)
+    assert chk.lattice_sum == pytest.approx(9.0, abs=1e-12)  # half-integer peak
+
+
+def test_sum_int_plateau_function():
+    plateau = lambda t: ((t >= 0.25) & (t <= 3.25)).astype(float)
+    chk = bridge.sum_int_check_1d(plateau, -2, 6)
+    assert chk.holds
+    assert chk.gap == pytest.approx(0.0, abs=1e-10)
+
+
+def test_sum_int_gaussian_scaled():
+    for s in (0.5, 1.0, 3.0):
+        f = lambda t, s=s: np.exp(-0.5 * (t / s) ** 2)
+        chk = bridge.sum_int_check_1d(f, -40, 40, integral=math.sqrt(2 * math.pi) * s)
+        assert chk.holds
+
+
 def test_covdis_bound_on_logconcave_zoo():
     zoo = [
         gaussian(1.0, 1),

@@ -164,6 +164,11 @@ def test_cli_sweep_subset(tmp_path, capsys):
     assert {r.check_id for r in doc.results} == {"max_pmf_1d", "geom_radius"}
 
 
+def test_cli_error_paths(tmp_path, capsys):
+    assert run_cli("gen", "--family", "bogus{z=1}", "--out", str(tmp_path / "x.json")) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -187,7 +192,7 @@ def test_cli_sweep_subset(tmp_path, capsys):
         "short_values",
     ],
 )
-def test_cli_error_paths(argv, tmp_path, capsys):
+def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # two values for a box of four cells
     (tmp_path / "short.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [3], "values": [0.5, 0.5]}))
     assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2

@@ -21,7 +21,10 @@ from lce.moments import (
     isotropy_score,
     max_pmf_width_product,
     shannon_entropy,
+    sum_of_maxima,
+    variation_sum,
 )
+from lce.numerics import jacobi_eigenvalues, rate_envelope_ok
 
 
 def pmf(masses, lo=(0,)):
@@ -143,6 +146,40 @@ def test_width_product_rejects_d2():
         max_pmf_width_product(point_mass((0, 0)))
 
 
+def gauss_slack(p):
+    """(d/2) log(2 pi e det(Cov + I/12)^(1/d)) - H(p).
+
+    Nonnegative for every p.m.f. with finite second moments: the Gaussian
+    maximizes entropy at fixed covariance, and adding an independent uniform
+    cell shifts the covariance by I/12.
+    """
+    d = p.dim
+    det_shifted = float(np.prod(jacobi_eigenvalues(discrete_moments(p).cov.entries + np.eye(d) / 12.0)))
+    return 0.5 * d * math.log(2.0 * math.pi * math.e * det_shifted ** (1.0 / d)) - shannon_entropy(p)
+
+
+def test_point_mass_gauss_slack():
+    for d in (1, 2, 3):
+        slack = gauss_slack(point_mass((0,) * d))
+        expected = 0.5 * d * math.log(2 * math.pi * math.e / 12.0)
+        assert slack == pytest.approx(expected, abs=1e-12)
+        assert slack == pytest.approx(0.1765 * d, abs=2e-3 * d)
+
+
+def test_gauss_slack_nonnegative_everywhere():
+    rng = np.random.default_rng(5)
+    cases = [
+        point_mass((2,)),
+        families.uniform_interval(9),
+        families.two_sided_geometric(0.7),
+        families.quantized_gaussian(3.0, 2),
+    ]
+    for _ in range(30):
+        cases.append(pmf(rng.uniform(0.001, 1.0, int(rng.integers(1, 8)))))
+    for p in cases:
+        assert gauss_slack(p) >= -1e-9
+
+
 def test_discrete_ub_ratio_gaussian_sigma32():
     for d in (1, 2):
         p = families.quantized_gaussian(32.0, d)
@@ -189,6 +226,62 @@ def test_geometric_attains_sharp_bound():
     assert var == pytest.approx((1.0 - 0.5) / 0.25, abs=1e-9)
     # and the claimed-but-false bound is indeed violated
     assert max_pmf_width_product(p) == pytest.approx(1.5, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# variation sums and sums of maxima
+
+
+def test_variation_sum_point_mass():
+    assert variation_sum(point_mass((0,)), 0) == 2.0
+
+
+def test_variation_sum_uniform():
+    for m in (1, 4, 10):
+        assert variation_sum(families.uniform_interval(m), 0) == pytest.approx(2.0 / m, abs=1e-15)
+
+
+def test_variation_sum_axis_range():
+    with pytest.raises(LceError):
+        variation_sum(families.uniform_interval(3), 1)
+
+
+def test_variation_sum_rate_envelope():
+    stats = []
+    for sigma in (4.0, 8.0, 16.0, 32.0):
+        p = families.quantized_gaussian(sigma, 2)
+        s = discrete_moments(p)
+        stats.append(variation_sum(p, 0) * s.sigma_hat)
+    assert rate_envelope_ok(stats, rel_slack=1e-6)
+
+
+def test_sum_of_maxima_mass():
+    p = families.quantized_gaussian(3.0, 2)
+    assert sum_of_maxima(p, 0, 0) == pytest.approx(p.mass, abs=1e-15)
+
+
+def test_sum_of_maxima_second_moment_d1():
+    p = families.binomial_pmf(8)
+    s2 = sum_of_maxima(p, 2, 0)
+    ks = np.arange(0, 9, dtype=float)
+    assert s2 == pytest.approx(float(np.sum(ks**2 * p.values)), abs=1e-12)
+
+
+def test_sum_of_maxima_invalid_args():
+    p = families.quantized_gaussian(2.0, 2)
+    with pytest.raises(LceError):
+        sum_of_maxima(p, 3, 0)
+    with pytest.raises(LceError):
+        sum_of_maxima(p, 0, 2)
+
+
+def test_sum_of_maxima_rate_envelope():
+    stats = []
+    for sigma in (4.0, 8.0, 16.0, 32.0):
+        p = families.quantized_gaussian(sigma, 2)
+        s = discrete_moments(p)
+        stats.append(sum_of_maxima(p, 0, 1) * s.sigma_hat)
+    assert rate_envelope_ok(stats, rel_slack=1e-6)
 
 
 @settings(max_examples=30, deadline=None)

@@ -207,3 +207,13 @@ def test_elementary_estimate_random_samples(seed):
     g = abs(entropy_like(b, M) - entropy_like(a, M))
     bound = elementary_estimate(a, b, mu, D, M)
     assert g <= bound * (1 + 1e-12) + 1e-15
+
+
+def test_smoothed_density_wrapper():
+    # S + U_1 + U_2 for a point mass at 0 is the tent B_2 on the cells [0, 1]
+    p = point_mass((0,))
+    assert smoothed_density_eval(p, 2, [0.5]) == pytest.approx(0.5)
+    vals = smoothed_density_eval(p, 2, [[-0.01], [0.0], [1.0], [1.99], [2.0]])
+    assert np.allclose(vals, [0.0, 0.0, 1.0, 0.01, 0.0], atol=1e-12)
+    with pytest.raises(LceError):
+        smoothed_density_eval(p, 0, [0.5])
