@@ -3,8 +3,8 @@
 Subcommands: gen, convolve, entropy, moments, check, smooth-entropy, geom,
 bridge, verify, sweep.  P.m.f.s, configs and reports are JSON documents;
 results print to stdout as JSON.  Exit code 1 means a verification run
-contains a failing check; 2 means an error (bad input or a numerical
-failure), reported on one ``error:`` line.
+contains a failing check, 2 bad input and 3 a numerical failure (a routine
+that did not converge); errors are reported on one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import bridge as bridge_mod
 from . import convexity, families, geometry, harness, moments, smoothing
 from .densities import _call_with_params, density_from_spec, make_density, parse_param_spec
-from .errors import LceError
+from .errors import LceError, NumericalError
 from .lattice import convolve, load_pmf, point_mass, save_pmf
 from .numerics import unit_directions
 
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except LceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

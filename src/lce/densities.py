@@ -280,6 +280,8 @@ def _call_with_params(factory, name: str, params: dict):
         raise LceError(f"bad parameters for {name!r}: {exc}") from None
     try:
         return factory(**params)
+    except LceError:
+        raise
     except (TypeError, ValueError) as exc:
         raise LceError(f"bad parameter value for {name!r}: {exc}") from None
 

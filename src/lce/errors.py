@@ -25,13 +25,13 @@ class DegenerateCovarianceError(LceError):
     """Covariance determinant is zero or negative where positivity is required."""
 
 
-class QuadratureError(LceError):
-    """Adaptive quadrature failed to converge within its budget."""
-
-
 class SizeCapError(LceError):
     """Problem size exceeds a configured solver budget."""
 
 
 class NumericalError(LceError, ArithmeticError):
     """A numerical routine failed to converge or produced an impossible value."""
+
+
+class QuadratureError(NumericalError):
+    """Adaptive quadrature failed to converge within its budget."""

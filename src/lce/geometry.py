@@ -6,11 +6,15 @@ inequality chain h_K(u)^2/(d(d+2)) <= mean <x,u>^2 <= d h_K(u)^2/(d+2) for
 centered bodies, and inradius and circumradius bounds in terms of covariance
 eigenvalues.
 
-Convex bodies come from a small registry (cube, box, ball, ellipsoid,
-simplex, h-polytope, v-polytope).  Closed-form bodies use exact moments;
-v-polytopes in d <= 3 are triangulated from their hull (:mod:`lce.hull`);
-h-polytopes fall back to seeded rejection-sampling Monte Carlo with reported
-standard errors.
+Convex bodies come in five kinds: box, ellipsoid, simplex, h-polytope and
+v-polytope.  ``cube`` and ``ball`` are constructors of a box and an ellipsoid,
+and a scaled simplex is a v-polytope.  Boxes, ellipsoids and the centred
+standard simplex use closed-form moments; v-polytopes in d <= 3 are
+triangulated from their hull (:mod:`lce.hull`); h-polytopes fall back to
+seeded rejection-sampling Monte Carlo with reported standard errors.  Every
+polytope tests membership and measures its inradius on the facet rows
+``A x <= b``: an h-polytope's own, or those of the :mod:`lce.hull` facets of a
+simplex or v-polytope.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .densities import ContinuousDensity, _call_with_params, parse_param_spec
 from .errors import LceError, SizeCapError
 from .hull import facets3, monotone_chain
 from .numerics import adaptive_quad_1d, jacobi_eigenvalues
-from .simplex import OPTIMAL, hull_membership, solve_lp
+from .simplex import OPTIMAL, solve_lp
 
 MC_DEFAULT_SAMPLES = 200_000
 
@@ -138,9 +142,6 @@ class ConvexBody:
     dim: int
     data: tuple  # kind-specific payload, hashable
 
-    def label(self) -> str:
-        return f"{self.kind}(d={self.dim})"
-
 
 def make_box(lo, hi) -> ConvexBody:
     lo = tuple(float(x) for x in lo)
@@ -156,9 +157,7 @@ def make_cube(d: int, side: float = 1.0) -> ConvexBody:
 
 
 def make_ball(d: int, radius: float = 1.0) -> ConvexBody:
-    if radius <= 0:
-        raise LceError("radius must be positive")
-    return ConvexBody("ball", d, (float(radius),))
+    return make_ellipsoid([radius] * d)
 
 
 def make_ellipsoid(axes) -> ConvexBody:
@@ -169,7 +168,8 @@ def make_ellipsoid(axes) -> ConvexBody:
 
 
 def make_simplex(d: int) -> ConvexBody:
-    """Standard simplex translated so its barycenter is the origin."""
+    """Standard simplex translated so its barycenter is the origin (the only
+    body of kind ``simplex``; scaling it gives a v-polytope)."""
     verts = np.vstack([np.zeros(d), np.eye(d)])
     verts = verts - verts.mean(axis=0)
     return ConvexBody("simplex", d, (tuple(map(tuple, verts)),))
@@ -191,6 +191,8 @@ def make_vpoly(vertices) -> ConvexBody:
         raise LceError("v-polytope needs at least d+1 vertices")
     if V.shape[0] > 64:
         raise SizeCapError("v-polytope capped at 64 vertices")
+    if not np.all(np.isfinite(V)) or np.linalg.matrix_rank(V[1:] - V[0]) < V.shape[1]:
+        raise LceError("v-polytope vertices must be finite and span R^d")
     return ConvexBody("vpoly", V.shape[1], (tuple(map(tuple, V)),))
 
 
@@ -229,14 +231,12 @@ def body_volume(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES) -> float:
     if K.kind == "box":
         lo, hi = K.data
         return float(np.prod(np.asarray(hi) - np.asarray(lo)))
-    if K.kind == "ball":
-        return _unit_ball_volume(K.dim) * K.data[0] ** K.dim
     if K.kind == "ellipsoid":
         return _unit_ball_volume(K.dim) * float(np.prod(K.data[0]))
     if K.kind == "simplex":
         return 1.0 / math.factorial(K.dim)
     if K.kind == "vpoly":
-        return _vpoly_volume(K)
+        return _vpoly_moments(K)[0]
     if K.kind == "hpoly":
         vol, _ = _hpoly_mc(K, mc_samples)[:2]
         return vol
@@ -248,24 +248,33 @@ def body_contains(K: ConvexBody, pts) -> np.ndarray:
     if K.kind == "box":
         lo, hi = (np.asarray(a) for a in K.data)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
-    if K.kind == "ball":
-        return np.linalg.norm(pts, axis=1) <= K.data[0] + 1e-12
     if K.kind == "ellipsoid":
         ax = np.asarray(K.data[0])
         return np.sum((pts / ax) ** 2, axis=1) <= 1.0 + 1e-12
-    if K.kind == "simplex":
-        verts = np.asarray(K.data[0])
-        shift = pts - verts[0]
-        basis = (verts[1:] - verts[0]).T
-        lam = np.linalg.solve(basis, shift.T).T
-        return np.all(lam >= -1e-12, axis=1) & (lam.sum(axis=1) <= 1.0 + 1e-12)
+    A, b = _facets(K)
+    return np.all(pts @ A.T <= b + 1e-12, axis=1)
+
+
+def _facets(K: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """Facet rows ``(A, b)`` with K = {x : A x <= b} for a polytope: an
+    h-polytope's own data; for a simplex or v-polytope the unit outward
+    normals and offsets of its hull (:mod:`lce.hull`), for d <= 3."""
     if K.kind == "hpoly":
-        A, b = (np.asarray(a) for a in K.data)
-        return np.all(pts @ A.T <= b + 1e-12, axis=1)
-    if K.kind == "vpoly":
-        verts = np.asarray(K.data[0])
-        return np.array([hull_membership(verts, z) for z in pts])
-    raise LceError(f"membership not implemented for {K.kind}")
+        return np.asarray(K.data[0]), np.asarray(K.data[1])
+    V = np.asarray(K.data[0], dtype=np.float64)
+    if K.dim == 1:
+        return np.array([[1.0], [-1.0]]), np.array([V.max(), -V.min()])
+    if K.dim == 2:
+        hull = monotone_chain(V)
+        E = np.roll(hull, -1, axis=0) - hull
+        A, P = np.stack([E[:, 1], -E[:, 0]], axis=1), hull
+    elif K.dim == 3:
+        F = facets3(V)
+        A, P = np.cross(V[F[:, 1]] - V[F[:, 0]], V[F[:, 2]] - V[F[:, 0]]), V[F[:, 0]]
+    else:
+        raise LceError(f"polytope facets implemented for d <= 3 only, got d = {K.dim}")
+    A = A / np.linalg.norm(A, axis=1, keepdims=True)
+    return A, np.einsum("ij,ij->i", A, P)
 
 
 def body_support(K: ConvexBody, u) -> float:
@@ -274,8 +283,6 @@ def body_support(K: ConvexBody, u) -> float:
     if K.kind == "box":
         lo, hi = (np.asarray(a) for a in K.data)
         return float(np.sum(np.where(u >= 0, hi * u, lo * u)))
-    if K.kind == "ball":
-        return K.data[0] * float(np.linalg.norm(u))
     if K.kind == "ellipsoid":
         ax = np.asarray(K.data[0])
         return float(np.linalg.norm(ax * u))
@@ -303,7 +310,7 @@ def body_barycenter(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES) -> np.n
     if K.kind == "box":
         lo, hi = (np.asarray(a) for a in K.data)
         return (lo + hi) / 2.0
-    if K.kind in ("ball", "ellipsoid"):
+    if K.kind == "ellipsoid":
         return np.zeros(K.dim)
     if K.kind == "simplex":
         return np.asarray(K.data[0]).mean(axis=0)
@@ -331,8 +338,6 @@ def body_second_moment(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES):
         M = np.outer(c, c)
         M[np.diag_indices(d)] += w**2 / 12.0
         return M, np.zeros((d, d))
-    if K.kind == "ball":
-        return (K.data[0] ** 2 / (d + 2.0)) * np.eye(d), np.zeros((d, d))
     if K.kind == "ellipsoid":
         ax = np.asarray(K.data[0])
         return np.diag(ax**2 / (d + 2.0)), np.zeros((d, d))
@@ -386,10 +391,6 @@ def _hpoly_mc(K: ConvexBody, n: int):
 
 
 # exact v-polytope volume and moments (d <= 3)
-
-
-def _vpoly_volume(K: ConvexBody) -> float:
-    return _vpoly_moments(K)[0]
 
 
 def _vpoly_moments(K: ConvexBody):
@@ -461,13 +462,9 @@ def scale_body(K: ConvexBody, t: float) -> ConvexBody:
     if K.kind == "box":
         lo, hi = (np.asarray(a) for a in K.data)
         return make_box(t * lo, t * hi)
-    if K.kind == "ball":
-        return make_ball(K.dim, t * K.data[0])
     if K.kind == "ellipsoid":
         return make_ellipsoid(t * np.asarray(K.data[0]))
-    if K.kind == "simplex":
-        return ConvexBody("simplex", K.dim, (tuple(map(tuple, t * np.asarray(K.data[0]))),))
-    if K.kind == "vpoly":
+    if K.kind in ("simplex", "vpoly"):
         return make_vpoly(t * np.asarray(K.data[0]))
     if K.kind == "hpoly":
         A, b = (np.asarray(a) for a in K.data)
@@ -535,31 +532,16 @@ def body_inradius(K: ConvexBody) -> float:
     if K.kind == "box":
         lo, hi = (np.asarray(a) for a in K.data)
         return float(np.min((hi - lo) / 2.0))
-    if K.kind == "ball":
-        return K.data[0]
     if K.kind == "ellipsoid":
         return float(np.min(K.data[0]))
-    if K.kind == "hpoly":
-        A, b = (np.asarray(a) for a in K.data)
-        return float(np.min(b / np.linalg.norm(A, axis=1)))
-    if K.kind == "vpoly" and K.dim == 2:
-        hull = monotone_chain(np.asarray(K.data[0], dtype=np.float64))
-        dists = []
-        for i in range(len(hull)):
-            a, bb = hull[i], hull[(i + 1) % len(hull)]
-            e = bb - a
-            nrm = np.array([e[1], -e[0]]) / np.linalg.norm(e)
-            dists.append(abs(nrm @ a))
-        return float(min(dists))
-    raise LceError(f"inradius not implemented for {K.kind} in dimension {K.dim}")
+    A, b = _facets(K)
+    return float(np.min(b / np.linalg.norm(A, axis=1)))
 
 
 def body_circumradius(K: ConvexBody) -> float:
     if K.kind == "box":
         lo, hi = (np.asarray(a) for a in K.data)
         return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-    if K.kind == "ball":
-        return K.data[0]
     if K.kind == "ellipsoid":
         return float(np.max(K.data[0]))
     if K.kind in ("simplex", "vpoly"):

@@ -17,12 +17,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import __version__, convexity, families, geometry, hull
 from .bridge import covdis_check_1d, lattice_vs_integral_gaps
-from .densities import asym_exponential, gaussian, laplace_product
+from .densities import _call_with_params, asym_exponential, gaussian, laplace_product
 from .errors import LceError
 from .lattice import LatticePmf, convolve, make_product, pmf_to_doc, point_mass
 from .moments import discrete_moments, isotropy_score, max_pmf_width_product, shannon_entropy
@@ -219,20 +220,27 @@ class _Timer:
 # family instantiation
 
 
+def _uniform_family(sigma: float, d: int) -> LatticePmf:
+    m = max(1, int(round(math.sqrt(12.0) * sigma)))
+    one = families.uniform_interval(m)
+    return make_product([one] * d) if d > 1 else one
+
+
+# Sweep families: called as f(sigma, d, **params); the config's params must
+# fit the rest of the signature.
+_SWEEP_FAMILIES = {
+    "gaussian": families.quantized_gaussian,
+    "product_gaussian": families.product_gaussian,
+    "uniform": _uniform_family,
+    "point_mass": lambda sigma, d: point_mass((0,) * d),
+}
+
+
 def family_pmf(cfg: ExperimentConfig, d: int, sigma: float) -> LatticePmf:
     name = cfg.family.get("name", "gaussian")
-    params = cfg.family.get("params", {})
-    if name == "gaussian":
-        return families.quantized_gaussian(sigma, d, **params)
-    if name == "product_gaussian":
-        return families.product_gaussian(sigma, d, **params)
-    if name == "uniform":
-        m = max(1, int(round(math.sqrt(12.0) * sigma)))
-        one = families.uniform_interval(m)
-        return make_product([one] * d) if d > 1 else one
-    if name == "point_mass":
-        return point_mass((0,) * d)
-    raise LceError(f"unknown sweep family {name!r}")
+    if name not in _SWEEP_FAMILIES:
+        raise LceError(f"unknown sweep family {name!r}")
+    return _call_with_params(partial(_SWEEP_FAMILIES[name], sigma, d), name, cfg.family.get("params", {}))
 
 
 def _small_window_gaussian(sigma: float, d: int, half: int = 4) -> LatticePmf:

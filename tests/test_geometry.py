@@ -6,7 +6,9 @@ import pytest
 from lce import geometry as geo
 from lce.densities import gaussian
 from lce.errors import LceError
+from lce.hull import facets3, monotone_chain
 from lce.numerics import unit_directions
+from lce.simplex import hull_membership
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +135,45 @@ def test_membership_closed_forms():
     assert bool(inside[0])
 
 
+def test_vpoly_membership_matches_lp_oracle():
+    rng = np.random.default_rng(2024)
+    for d in (2, 3):
+        for trial in range(6):
+            V = rng.normal(size=(rng.integers(d + 2, 16), d))
+            K = geo.make_vpoly(V)
+            # random points, the vertices, and boundary points that are not
+            # vertices: edge midpoints and (in 3-d) facet centroids
+            if d == 2:
+                H = monotone_chain(V)
+                on_face = (H + np.roll(H, -1, axis=0)) / 2.0
+            else:
+                F = facets3(V)
+                on_face = np.vstack([V[F].mean(axis=1), (V[F[:, 0]] + V[F[:, 1]]) / 2.0])
+            Z = np.vstack([1.5 * rng.normal(size=(40, d)), V, on_face])
+            got = geo.body_contains(K, Z)
+            want = np.array([hull_membership(V, z) for z in Z])
+            assert np.array_equal(got, want)
+            assert got[-len(on_face):].all()
+
+
+def test_vpoly_membership_beyond_d3_raises():
+    K = geo.make_vpoly(np.vstack([np.zeros(4), np.eye(4)]))
+    with pytest.raises(LceError):
+        geo.body_contains(K, np.zeros((1, 4)))
+
+
+def test_scaled_simplex_is_vpoly_with_scaled_moments():
+    for d in (2, 3):
+        K = geo.make_simplex(d)
+        M, _ = geo.body_second_moment(K)
+        for t in (0.5, 2.0, 3.0):
+            S = geo.scale_body(K, t)
+            assert S.kind == "vpoly"
+            assert geo.body_volume(S) == pytest.approx(t**d / math.factorial(d), rel=1e-12)
+            assert np.allclose(geo.body_barycenter(S), 0.0, atol=1e-12)
+            assert np.allclose(geo.body_second_moment(S)[0], t * t * M, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # second-moment chain
 
@@ -224,13 +265,28 @@ def test_radius_bounds_ellipsoid():
     assert rep.holds()
 
 
+def test_radius_bounds_simplex_is_the_inradius_equality_case():
+    for d in (2, 3):
+        rep = geo.radius_bounds_check(geo.scale_to_unit_volume(geo.make_simplex(d)))
+        assert rep.holds()
+        assert abs(rep.inradius_margin) < 1e-12
+
+
+def test_radius_bounds_vpoly_cube_3d():
+    K = geo.make_vpoly([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    rep = geo.radius_bounds_check(geo.scale_to_unit_volume(K))
+    assert rep.inradius == pytest.approx(0.5, abs=1e-12)
+    assert rep.circumradius == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
+    assert rep.holds()
+
+
 # ---------------------------------------------------------------------------
 # registry
 
 
 def test_body_from_spec():
     K = geo.body_from_spec("ball{d=3,radius=2}")
-    assert K.kind == "ball" and K.dim == 3
+    assert K == geo.make_ellipsoid([2.0, 2.0, 2.0])
     E = geo.body_from_spec("ellipsoid{axes=[1,2]}")
     assert E.dim == 2
     with pytest.raises(LceError):

@@ -177,9 +177,11 @@ def test_cli_error_paths(tmp_path, capsys):
         ["gen", "--family", "gaussian{sigma=2,foo=1}", "--out", "{tmp}/x.json"],
         ["bridge", "--density", "gaussian{foo=1}"],
         ["geom", "--body", "cube{foo=1}", "--check", "kls"],
+        ["geom", "--body", "vpoly{vertices=[[0,0],[1,1],[2,2]]}", "--check", "radius"],
         ["entropy", "--pmf", "{tmp}/missing.json"],
         ["verify", "--config", "{tmp}/missing.json"],
         ["entropy", "--pmf", "{tmp}/short.json"],
+        ["verify", "--config", "{tmp}/family_key.json"],
     ],
     ids=[
         "unknown_family",
@@ -187,16 +189,46 @@ def test_cli_error_paths(tmp_path, capsys):
         "unknown_key",
         "density_key",
         "body_key",
+        "flat_vpoly",
         "missing_pmf",
         "missing_config",
         "short_values",
+        "config_family_key",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # two values for a box of four cells
     (tmp_path / "short.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [3], "values": [0.5, 0.5]}))
+    cfg = tiny_config(["max_pmf_1d"])
+    cfg.family = {"name": "gaussian", "params": {"foo": 1}}
+    harness.save_config(cfg, tmp_path / "family_key.json")
     assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# sigma=2 fails at the per-cell order cap; sigma=6 in d=2 has more cells to
+# refine than the refinement cap
+@pytest.mark.parametrize("family", ["gaussian{sigma=2}", "gaussian{sigma=6,dim=2}"])
+def test_cli_numerical_failure_exits_3_with_error_line(family, tmp_path, capsys):
+    pmf = tmp_path / "g.json"
+    assert run_cli("gen", "--family", family, "--out", str(pmf)) == 0
+    capsys.readouterr()
+    assert run_cli("smooth-entropy", "--pmf", str(pmf), "--n", "2", "--tol", "1e-300") == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "simplex{d=2}",
+        "simplex{d=3}",
+        "vpoly{vertices=[[-1,-1,-1],[-1,-1,1],[-1,1,-1],[-1,1,1],[1,-1,-1],[1,-1,1],[1,1,-1],[1,1,1]]}",
+    ],
+    ids=["simplex2", "simplex3", "cube3_vpoly"],
+)
+def test_cli_geom_radius_on_polytopes(body, capsys):
+    assert run_cli("geom", "--body", body, "--check", "radius") == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
 def test_point_mass_family_is_flagged_not_failed():
