@@ -3,7 +3,9 @@
 Implements the discrete-vs-continuous comparisons: mass, mean, second-moment
 and covariance-determinant gaps; the one-dimensional quasi-concave inequality
 |integral - lattice sum| <= max f; and the one-dimensional first-moment bound
-with constant (e + 1).
+with constant (e + 1).  Integrals without a closed form, in any dimension, come
+from :func:`lce.numerics.adaptive_quad`; covariance determinants are products
+of ``np.linalg.eigvalsh`` eigenvalues.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .densities import ContinuousDensity
 from .errors import LceError
 from .lattice import Box, truncation_box
-from .numerics import adaptive_quad_1d, adaptive_tensor_quad, jacobi_eigenvalues, stable_sum
+from .numerics import adaptive_quad, stable_sum
 
 
 @dataclass(frozen=True)
@@ -60,19 +62,19 @@ def _continuous_raw_moments(f: ContinuousDensity, box: Box, rel_tol: float):
     lo = np.array(box.lo, dtype=np.float64) - 0.5
     hi = np.array(box.hi, dtype=np.float64) + 0.5
     d = f.dim
-    m0, _ = adaptive_tensor_quad(f.evaluate, lo, hi, rel_tol=rel_tol)
+    m0, _ = adaptive_quad(f.evaluate, lo, hi, rel_tol=rel_tol)
     # Odd moments can vanish by symmetry; anchor their tolerance to the mass
     # scale so the splitter cannot chase a zero target.
     W = float(np.max(np.abs(np.stack([lo, hi]))))
     m1 = np.zeros(d)
     raw2 = np.zeros((d, d))
     for i in range(d):
-        m1[i], _ = adaptive_tensor_quad(
+        m1[i], _ = adaptive_quad(
             lambda x, i=i: x[..., i] * f.evaluate(x), lo, hi,
             rel_tol=rel_tol, abs_tol=rel_tol * m0 * W,
         )
         for j in range(i, d):
-            val, _ = adaptive_tensor_quad(
+            val, _ = adaptive_quad(
                 lambda x, i=i, j=j: x[..., i] * x[..., j] * f.evaluate(x), lo, hi,
                 rel_tol=rel_tol, abs_tol=rel_tol * m0 * W * W,
             )
@@ -89,8 +91,9 @@ def lattice_vs_integral_gaps(
     """Compare lattice sums of f over a truncation box with its integrals.
 
     Continuous moments come from the family's closed forms when declared and
-    from adaptive tensor quadrature otherwise.  The discrete covariance is
-    normalized by the lattice mass, mirroring the continuous normalization.
+    from :func:`lce.numerics.adaptive_quad` over the box otherwise.  The
+    discrete covariance is normalized by the lattice mass, mirroring the
+    continuous normalization.
     """
     if box is None:
         box, _ = truncation_box(f, radius_multiplier=radius_multiplier)
@@ -101,8 +104,8 @@ def lattice_vs_integral_gaps(
         raise LceError("density carries no lattice mass on the box")
     cov_lattice = s2 / s0 - np.outer(s1 / s0, s1 / s0)
     cov_cont = raw2 / m0 - np.outer(m1 / m0, m1 / m0)
-    det_l = float(np.prod(jacobi_eigenvalues(cov_lattice)))
-    det_c = float(np.prod(jacobi_eigenvalues(cov_cont)))
+    det_l = float(np.prod(np.linalg.eigvalsh(cov_lattice)))
+    det_c = float(np.prod(np.linalg.eigvalsh(cov_cont)))
     cross = {}
     for i in range(d):
         for j in range(i + 1, d):
@@ -144,7 +147,7 @@ def sum_int_check_1d(fun, lo: int, hi: int, integral: float | None = None, rel_t
     lattice_sum = stable_sum(vals)
     max_lattice = float(vals.max())
     if integral is None:
-        integral, _ = adaptive_quad_1d(fun, float(lo), float(hi), rel_tol=rel_tol)
+        integral, _ = adaptive_quad(lambda x: fun(x[..., 0]), float(lo), float(hi), rel_tol=rel_tol)
     gap = abs(integral - lattice_sum)
     return SumIntCheck(integral, lattice_sum, gap, max_lattice, gap <= max_lattice + 1e-12)
 
@@ -172,8 +175,8 @@ def covdis_check_1d(f: ContinuousDensity, radius_multiplier: float = 12.0) -> Fi
     if f.known_mean is not None and f.known_mass is not None:
         int_xf = float(f.known_mass * np.asarray(f.known_mean).ravel()[0])
     else:
-        int_xf, _ = adaptive_quad_1d(
-            lambda t: t * f.evaluate(t[:, None]), float(box.lo[0]) - 0.5, float(box.hi[0]) + 0.5
+        int_xf, _ = adaptive_quad(
+            lambda x: x[..., 0] * f.evaluate(x), float(box.lo[0]) - 0.5, float(box.hi[0]) + 0.5
         )
     gap = abs(int_xf - skf)
     bound = (math.e + 1.0) * sf

@@ -95,11 +95,24 @@ def as_points(pts, dim: int) -> np.ndarray:
     return a
 
 
+# Largest dimension a factory accepts: a d x d matrix is built per density or
+# body, and nothing in the library is usable beyond a handful of dimensions.
+MAX_DIM = 64
+
+
+def check_dim(d) -> int:
+    """``d`` if it is an integer in [1, MAX_DIM], else an :class:`LceError`."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 1 <= d <= MAX_DIM:
+        raise LceError(f"dimension must be an integer in [1, {MAX_DIM}], got {d!r}")
+    return int(d)
+
+
 # ---------------------------------------------------------------------------
 # registry families
 
 
 def gaussian(sigma: float, dim: int = 1) -> ContinuousDensity:
+    dim = check_dim(dim)
     if sigma <= 0:
         raise LceError("sigma must be positive")
     sigma = float(sigma)
@@ -126,6 +139,7 @@ def gaussian(sigma: float, dim: int = 1) -> ContinuousDensity:
 
 
 def laplace_product(rate: float, dim: int = 1) -> ContinuousDensity:
+    dim = check_dim(dim)
     if rate <= 0:
         raise LceError("rate must be positive")
     lam = float(rate)
@@ -282,7 +296,7 @@ def _call_with_params(factory, name: str, params: dict):
         return factory(**params)
     except LceError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise LceError(f"bad parameter value for {name!r}: {exc}") from None
 
 

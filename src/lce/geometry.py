@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import ContinuousDensity, _call_with_params, parse_param_spec
+from .densities import ContinuousDensity, _call_with_params, check_dim, parse_param_spec
 from .errors import LceError, SizeCapError
 from .hull import facets3, monotone_chain
-from .numerics import adaptive_quad_1d, jacobi_eigenvalues
+from .numerics import adaptive_quad
 from .simplex import OPTIMAL, solve_lp
 
 MC_DEFAULT_SAMPLES = 200_000
@@ -92,11 +92,12 @@ def _radial_moment(f: ContinuousDensity, theta: np.ndarray, p: float, rel_tol: f
         R *= 1.5
     theta = np.asarray(theta, dtype=np.float64)
 
-    def integrand(r):
+    def integrand(x):
+        r = x[..., 0]
         pts = r[:, None] * theta[None, :]
         return p * r ** (p - 1.0) * f.evaluate(pts)
 
-    val, _ = adaptive_quad_1d(integrand, 0.0, R, rel_tol=rel_tol)
+    val, _ = adaptive_quad(integrand, 0.0, R, rel_tol=rel_tol)
     return val
 
 
@@ -146,22 +147,25 @@ class ConvexBody:
 def make_box(lo, hi) -> ConvexBody:
     lo = tuple(float(x) for x in lo)
     hi = tuple(float(x) for x in hi)
+    check_dim(len(lo))
     if len(lo) != len(hi) or any(h <= l for l, h in zip(lo, hi)):
         raise LceError("box needs hi > lo per axis")
     return ConvexBody("box", len(lo), (lo, hi))
 
 
 def make_cube(d: int, side: float = 1.0) -> ConvexBody:
+    d = check_dim(d)
     h = side / 2.0
     return make_box([-h] * d, [h] * d)
 
 
 def make_ball(d: int, radius: float = 1.0) -> ConvexBody:
-    return make_ellipsoid([radius] * d)
+    return make_ellipsoid([radius] * check_dim(d))
 
 
 def make_ellipsoid(axes) -> ConvexBody:
     ax = tuple(float(a) for a in axes)
+    check_dim(len(ax))
     if any(a <= 0 for a in ax):
         raise LceError("semi-axes must be positive")
     return ConvexBody("ellipsoid", len(ax), (ax,))
@@ -170,6 +174,7 @@ def make_ellipsoid(axes) -> ConvexBody:
 def make_simplex(d: int) -> ConvexBody:
     """Standard simplex translated so its barycenter is the origin (the only
     body of kind ``simplex``; scaling it gives a v-polytope)."""
+    d = check_dim(d)
     verts = np.vstack([np.zeros(d), np.eye(d)])
     verts = verts - verts.mean(axis=0)
     return ConvexBody("simplex", d, (tuple(map(tuple, verts)),))
@@ -180,6 +185,7 @@ def make_hpoly(A, b) -> ConvexBody:
     b = np.asarray(b, dtype=np.float64).ravel()
     if A.ndim != 2 or A.shape[0] != b.size:
         raise LceError("h-polytope needs A (m, d) and b (m,)")
+    check_dim(A.shape[1])
     if np.any(b <= 0):
         raise LceError("origin must be interior: need b > 0")
     return ConvexBody("hpoly", A.shape[1], (tuple(map(tuple, A)), tuple(b)))
@@ -529,9 +535,11 @@ class RadiusReport:
 
 
 def body_inradius(K: ConvexBody) -> float:
+    """Distance from the origin to the boundary of K; <= 0 when the origin is
+    not interior."""
     if K.kind == "box":
         lo, hi = (np.asarray(a) for a in K.data)
-        return float(np.min((hi - lo) / 2.0))
+        return float(min(np.min(-lo), np.min(hi)))
     if K.kind == "ellipsoid":
         return float(np.min(K.data[0]))
     A, b = _facets(K)
@@ -555,13 +563,13 @@ def radius_bounds_check(K: ConvexBody) -> RadiusReport:
     vol = body_volume(K)
     if abs(vol - 1.0) > 1e-9:
         raise LceError(f"body must have unit volume (got {vol}); rescale first")
-    if not bool(body_contains(K, np.zeros((1, K.dim)))[0]):
+    r = body_inradius(K)
+    if r <= 0.0:
         raise LceError("origin must lie in the interior")
     d = K.dim
     M, _ = body_second_moment(K)  # |K| = 1: matrix of int_K y_i y_j dy
-    eig = jacobi_eigenvalues(M)
+    eig = np.linalg.eigvalsh(M)
     lam_min, lam_max = float(eig[0]), float(eig[-1])
-    r = body_inradius(K)
     R = body_circumradius(K)
     return RadiusReport(
         inradius=r,

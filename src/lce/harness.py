@@ -880,5 +880,5 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_doc(doc)
     except LceError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise LceError(f"malformed config document: {exc!r}") from None

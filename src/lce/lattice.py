@@ -160,7 +160,10 @@ class LatticeSet:
 
     @classmethod
     def from_iterable(cls, dim: int, pts) -> "LatticeSet":
-        return cls(dim, frozenset(tuple(int(x) for x in p) for p in pts))
+        arr = np.asarray(pts, dtype=np.int64)
+        if arr.size and (arr.ndim != 2 or arr.shape[1] != dim):
+            raise DimensionMismatchError(f"points of shape {arr.shape} do not have dimension {dim}")
+        return cls(dim, frozenset(map(tuple, arr.reshape(-1, dim).tolist())))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -432,7 +435,7 @@ def pmf_from_doc(doc: dict) -> LatticePmf:
         vals = np.array(doc["values"], dtype=np.float64)
         deficit = float(doc.get("deficit", 0.0))
         meta = dict(doc.get("meta", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise LceError(f"malformed p.m.f. document: {exc!r}") from None
     box = Box(lo, hi)
     if box.dim != dim:

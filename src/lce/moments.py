@@ -4,7 +4,7 @@ product, variation sums and sums of maxima.
 Entropy is in nats throughout.  Moments are exact finite sums accumulated with
 the correctly rounded summation from :mod:`lce.numerics`; the argmax tie-break
 is lexicographic.  Operator norms and determinants of the small covariance
-matrices go through the cyclic-Jacobi eigensolver.
+matrices come from their eigenvalues (LAPACK, ``np.linalg.eigvalsh``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateCovarianceError, LceError
 from .lattice import LatticePmf
-from .numerics import jacobi_eigenvalues, neg_xlogx, stable_sum
+from .numerics import neg_xlogx, stable_sum
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,14 @@ class CovarianceMatrix:
         scale = 1.0 + float(np.abs(m).max(initial=0.0))
         if float(np.abs(m - m.T).max(initial=0.0)) > 1e-12 * scale:
             raise LceError("covariance must be symmetric")
-        eig = jacobi_eigenvalues(m)
+        eig = np.linalg.eigvalsh(m)
         if eig.size and float(eig[0]) < -1e-9 * scale:
             raise LceError(f"covariance has eigenvalue {eig[0]}, not PSD within tolerance")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
     def eigenvalues(self) -> np.ndarray:
-        return jacobi_eigenvalues(self.entries)
+        return np.linalg.eigvalsh(self.entries)
 
     def det(self) -> float:
         return float(np.prod(self.eigenvalues()))
@@ -86,7 +86,7 @@ def discrete_moments(p: LatticePmf) -> MomentSummary:
     flat_arg = int(np.argmax(vals))  # first occurrence in C order = lex smallest
     idx = np.unravel_index(flat_arg, vals.shape)
     argmax = tuple(int(a) + l for a, l in zip(idx, p.box.lo))
-    det = float(np.prod(jacobi_eigenvalues(cov)))
+    det = float(np.prod(np.linalg.eigvalsh(cov)))
     sigma_hat = max(det, 0.0) ** (1.0 / (2.0 * d))
     return MomentSummary(
         mass=mass,
@@ -105,7 +105,7 @@ def isotropy_score(p: LatticePmf | MomentSummary) -> IsotropyScore:
         raise DegenerateCovarianceError("degenerate covariance: isotropy score undefined")
     d = summary.cov.dim
     dev = summary.cov.entries - summary.sigma_hat**2 * np.eye(d)
-    eig = jacobi_eigenvalues(dev)
+    eig = np.linalg.eigvalsh(dev)
     op = float(np.max(np.abs(eig)))
     return IsotropyScore(op_norm_deviation=op, normalized=op / summary.sigma_hat)
 

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: exact summation, small symmetric eigenproblems,
-Gauss-Legendre node caches, and sweep-envelope helpers.
+"""Shared numerical kernels: exact summation, Gauss-Legendre node caches, one
+adaptive tensor quadrature over boxes in R^d, and sweep-envelope helpers.
 
 All reductions in the library funnel through :func:`stable_sum`, which computes
 the correctly rounded sum of its inputs (Shewchuk's algorithm via
@@ -49,129 +49,46 @@ def gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
-
-    Iterates until the off-diagonal Frobenius norm drops below
-    ``off_tol * (1 + |A|_F)``.  Intended for the d x d covariance matrices of
-    this library (d <= 4), where it is simple, robust, and deterministic.
-    Returns eigenvalues sorted ascending.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if not np.allclose(a, a.T, atol=1e-12 * (1.0 + float(np.abs(a).max(initial=0.0)))):
-        raise ValueError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    if n == 1:
-        return a[0, :1].copy()
-    scale = 1.0 + float(np.sqrt(np.sum(a * a)))
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(a[i, j] ** 2 for i in range(n) for j in range(n) if i != j))
-        if off <= off_tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)
-    return np.sort(np.diag(a))
+QUAD_ORDER = 16  # each panel compares this order with twice it
+QUAD_MAX_PANELS = 20000
+QUAD_WIDTH_FLOOR = 1e-14  # panels narrower than this share of the box are accepted
 
 
-def adaptive_quad_1d(
-    fun,
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    order: int = 16,
-    max_panels: int = 4096,
-):
-    """Panel-adaptive Gauss-Legendre integration of a vectorized function.
+@lru_cache(maxsize=16)
+def _tensor_rule_01(order: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule on [0, 1]^d: nodes (order^d, d), weights (order^d,)."""
+    X, W = (np.stack(np.meshgrid(*([a] * d), indexing="ij"), axis=-1).reshape(-1, d)
+            for a in gauss_legendre_01(order))
+    W = W.prod(axis=1)
+    X.flags.writeable = False
+    W.flags.writeable = False
+    return X, W
 
-    Each panel compares orders ``order`` and ``2*order`` and bisects until its
-    error estimate fits its share of the budget.  Returns ``(value, err_est)``.
+
+def adaptive_quad(fun, lo, hi, *, rel_tol: float = 1e-10, abs_tol: float = 0.0):
+    """Panel-adaptive tensor Gauss-Legendre integration over the box [lo, hi] in R^d.
+
+    ``fun`` maps points of shape (..., d) to values of shape (...).  Each panel
+    compares orders ``QUAD_ORDER`` and ``2 * QUAD_ORDER`` and, while its error
+    estimate exceeds its volume share of the budget, is bisected along its
+    longest axis.  Returns ``(value, err_est)``; an empty box gives (0, 0).
     Deterministic: panels are processed depth-first in a fixed order.
     """
-    if b <= a:
-        return 0.0, 0.0
-
-    def panel(lo, hi, m):
-        x, w = gauss_legendre_01(m)
-        t = lo + (hi - lo) * x
-        return (hi - lo) * float(np.sum(w * fun(t)))
-
-    whole = abs(panel(a, b, 2 * order))
-    scale = max(abs_tol, rel_tol * max(whole, 1e-300))
-    stack = [(a, b)]
-    accepted = []
-    errors = []
-    panels = 0
-    while stack:
-        lo, hi = stack.pop()
-        panels += 1
-        if panels > max_panels:
-            raise NumericalError("adaptive quadrature exceeded panel budget")
-        i1 = panel(lo, hi, order)
-        i2 = panel(lo, hi, 2 * order)
-        err = abs(i2 - i1)
-        budget = scale * (hi - lo) / (b - a)
-        if err <= budget or (hi - lo) < 1e-14 * (b - a):
-            accepted.append(i2)
-            errors.append(err)
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-    return math.fsum(accepted), math.fsum(errors)
-
-
-def adaptive_tensor_quad(
-    fun,
-    lo,
-    hi,
-    *,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 0.0,
-    order: int = 12,
-    max_panels: int = 20000,
-):
-    """Box-adaptive tensor Gauss-Legendre integration over [lo, hi] in R^d.
-
-    ``fun`` maps arrays of shape (..., d) to values.  Panels split along their
-    longest axis.  Returns ``(value, err_est)``.
-    """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    d = lo.size
+    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
+    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
     if np.any(hi <= lo):
-        raise ValueError("need hi > lo on every axis")
+        return 0.0, 0.0
+    rules = {m: _tensor_rule_01(m, lo.size) for m in (QUAD_ORDER, 2 * QUAD_ORDER)}
 
-    def panel(plo, phi, m):
-        x, w = gauss_legendre_01(m)
-        axes = [plo[i] + (phi[i] - plo[i]) * x for i in range(d)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = fun(grid)
-        for i in range(d):
-            vals = np.tensordot(vals, (phi[i] - plo[i]) * w, axes=([0], [0]))
-        return float(vals)
+    def panel(plo, width, vol, m):
+        X, W = rules[m]
+        return vol * float((W * fun(plo + width * X)).sum())
 
-    total_vol = float(np.prod(hi - lo))
-    whole = abs(panel(lo, hi, 2 * order))
+    total_width = hi - lo
+    total_vol = float(total_width.prod())
+    whole = abs(panel(lo, total_width, total_vol, 2 * QUAD_ORDER))
     scale = max(abs_tol, rel_tol * max(whole, 1e-300))
+    floor = QUAD_WIDTH_FLOOR * total_width
     stack = [(lo, hi)]
     accepted = []
     errors = []
@@ -179,17 +96,18 @@ def adaptive_tensor_quad(
     while stack:
         plo, phi = stack.pop()
         panels += 1
-        if panels > max_panels:
-            raise NumericalError("adaptive tensor quadrature exceeded panel budget")
-        i1 = panel(plo, phi, order)
-        i2 = panel(plo, phi, 2 * order)
+        if panels > QUAD_MAX_PANELS:
+            raise NumericalError("adaptive quadrature exceeded panel budget")
+        width = phi - plo
+        vol = float(width.prod())
+        i1 = panel(plo, width, vol, QUAD_ORDER)
+        i2 = panel(plo, width, vol, 2 * QUAD_ORDER)
         err = abs(i2 - i1)
-        vol = float(np.prod(phi - plo))
-        if err <= scale * vol / total_vol or vol < 1e-12 * total_vol:
+        if err <= scale * vol / total_vol or (width < floor).all():
             accepted.append(i2)
             errors.append(err)
         else:
-            axis = int(np.argmax(phi - plo))
+            axis = int(width.argmax())
             mid = 0.5 * (plo[axis] + phi[axis])
             hi1 = phi.copy()
             hi1[axis] = mid

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -109,6 +110,23 @@ def test_quadrature_fallback_matches_known_moments():
     known = bridge.lattice_vs_integral_gaps(base)
     assert rep.mass_gap == pytest.approx(known.mass_gap, abs=1e-7)
     assert rep.det_gap == pytest.approx(known.det_gap, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [gaussian(2.0, 2), laplace_product(1.0, 2), sheared_gaussian(2.0, 0.5), asym_exponential(0.7, 2.0)],
+    ids=["gaussian2", "laplace2", "sheared2", "asym1"],
+)
+def test_quadrature_moments_match_closed_forms(f):
+    from lce.lattice import truncation_box
+
+    blind = dataclasses.replace(f, known_mass=None, known_mean=None, known_cov=None)
+    box, _ = truncation_box(f, radius_multiplier=40)
+    m0, m1, raw2 = bridge._continuous_raw_moments(blind, box, 1e-8)
+    mean = np.asarray(f.known_mean)
+    assert m0 == pytest.approx(f.known_mass, abs=1e-12)
+    assert np.abs(m1 - mean).max() <= 1e-12
+    assert np.abs(raw2 - (np.asarray(f.known_cov) + np.outer(mean, mean))).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

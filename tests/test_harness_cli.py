@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,8 @@ def test_cli_error_paths(tmp_path, capsys):
         ["bridge", "--density", "gaussian{foo=1}"],
         ["geom", "--body", "cube{foo=1}", "--check", "kls"],
         ["geom", "--body", "vpoly{vertices=[[0,0],[1,1],[2,2]]}", "--check", "radius"],
+        ["geom", "--body", "vpoly{vertices=[[0,0],[1,1],[2,2.5]]}", "--check", "radius"],
+        ["geom", "--body", "box{lo=[0,0],hi=[1,1]}", "--check", "radius"],
         ["entropy", "--pmf", "{tmp}/missing.json"],
         ["verify", "--config", "{tmp}/missing.json"],
         ["entropy", "--pmf", "{tmp}/short.json"],
@@ -190,6 +196,8 @@ def test_cli_error_paths(tmp_path, capsys):
         "density_key",
         "body_key",
         "flat_vpoly",
+        "origin_vertex_vpoly",
+        "origin_corner_box",
         "missing_pmf",
         "missing_config",
         "short_values",
@@ -254,3 +262,22 @@ def test_diff_approx_envelope_sigma8():
     delta = abs(differential_entropy(s2, 2) - shannon_entropy(s2))
     sig = discrete_moments(s2).sigma_hat
     assert delta <= 5.0 * math.log(sig) / sig
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epi_rate_table.py", "--dims", "1", "--sigmas", "4", "--nmax", "1"],
+        ["explore_self_convolution.py", "2", "1", "{tmp}"],
+    ],
+    ids=["epi_rate_table", "explore_self_convolution"],
+)
+def test_scripts_run_to_exit_0(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    args = [str(REPO / "scripts" / argv[0])] + [a.replace("{tmp}", str(tmp_path)) for a in argv[1:]]
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()

@@ -250,6 +250,17 @@ def test_negative_values_rejected():
         LatticePmf(Box((0,), (1,)), np.array([0.5, -0.1]))
 
 
+def test_lattice_set_from_iterable():
+    pts = np.array([[0, 1], [2, -3], [0, 1]])
+    s = LatticeSet.from_iterable(2, pts)
+    assert s.points == frozenset({(0, 1), (2, -3)})
+    assert all(type(x) is int for p in s.points for x in p)
+    assert LatticeSet.from_iterable(2, [(0, 1), (2, -3)]) == s
+    assert len(LatticeSet.from_iterable(3, [])) == 0
+    with pytest.raises(DimensionMismatchError):
+        LatticeSet.from_iterable(3, pts)
+
+
 def test_support_set():
     p = small_pmf([0.5, 0.0, 0.5])
     assert support_set(p).sorted_points() == [(0,), (2,)]

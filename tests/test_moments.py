@@ -17,6 +17,7 @@ from lce.lattice import (
     self_convolve,
 )
 from lce.moments import (
+    CovarianceMatrix,
     discrete_moments,
     isotropy_score,
     max_pmf_width_product,
@@ -24,7 +25,7 @@ from lce.moments import (
     sum_of_maxima,
     variation_sum,
 )
-from lce.numerics import jacobi_eigenvalues, rate_envelope_ok
+from lce.numerics import rate_envelope_ok
 
 
 def pmf(masses, lo=(0,)):
@@ -154,7 +155,7 @@ def gauss_slack(p):
     cell shifts the covariance by I/12.
     """
     d = p.dim
-    det_shifted = float(np.prod(jacobi_eigenvalues(discrete_moments(p).cov.entries + np.eye(d) / 12.0)))
+    det_shifted = CovarianceMatrix(d, discrete_moments(p).cov.entries + np.eye(d) / 12.0).det()
     return 0.5 * d * math.log(2.0 * math.pi * math.e * det_shifted ** (1.0 / d)) - shannon_entropy(p)
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lce.errors import NumericalError
+from lce.moments import CovarianceMatrix, MomentSummary, isotropy_score
 from lce.numerics import (
-    adaptive_quad_1d,
-    adaptive_tensor_quad,
+    adaptive_quad,
     gauss_legendre_01,
-    jacobi_eigenvalues,
     neg_xlogx,
     next_pow2,
     rate_envelope_ok,
@@ -47,30 +47,53 @@ def test_gauss_legendre_01_normalization():
 
 def test_jacobi_eigenvalues_match_closed_form():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    eig = jacobi_eigenvalues(m)
-    assert np.allclose(eig, [1.0, 3.0], atol=1e-12)
-    assert float(np.prod(eig)) == pytest.approx(3.0, abs=1e-12)
-    shifted = jacobi_eigenvalues(m - 2 * np.eye(2))
-    assert float(np.max(np.abs(shifted))) == pytest.approx(1.0, abs=1e-12)
+    cov = CovarianceMatrix(2, m)
+    assert np.allclose(cov.eigenvalues(), [1.0, 3.0], atol=1e-12)
+    assert cov.det() == pytest.approx(3.0, abs=1e-12)
+    # Cov - sigma_hat^2 I has eigenvalues 1 - sqrt(3) and 3 - sqrt(3).
+    summary = MomentSummary(1.0, np.zeros(2), cov, 1.0, (0, 0), 3.0**0.25)
+    assert isotropy_score(summary).op_norm_deviation == pytest.approx(3.0 - math.sqrt(3.0), abs=1e-12)
 
 
 def test_jacobi_4x4_random_psd():
     rng = np.random.default_rng(3)
     b = rng.normal(size=(4, 4))
     m = b @ b.T
-    eig = jacobi_eigenvalues(m)
-    assert np.allclose(sorted(eig), sorted(np.linalg.eigvalsh(m)), atol=1e-9)
+    cov = CovarianceMatrix(4, m)
+    eig = cov.eigenvalues()
+    assert np.all(np.diff(eig) > 0)
+    assert eig.sum() == pytest.approx(np.trace(m), rel=1e-12)
+    assert np.sum(eig**2) == pytest.approx(np.sum(m * m), rel=1e-12)
+    assert cov.det() == pytest.approx(np.linalg.det(m), rel=1e-9)
+    for lam in eig:
+        assert abs(np.linalg.det(m - lam * np.eye(4))) <= 1e-9 * np.linalg.norm(m) ** 4
 
 
 def test_adaptive_quad_1d_log_singularity():
-    val, err = adaptive_quad_1d(lambda t: t * np.log(t, where=t > 0, out=np.zeros_like(t)), 0.0, 1.0)
+    val, err = adaptive_quad(
+        lambda x: x[..., 0] * np.log(x[..., 0], where=x[..., 0] > 0, out=np.zeros(x.shape[:-1])), 0.0, 1.0
+    )
     assert val == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_adaptive_tensor_quad_gaussian():
     f = lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)) / (2 * math.pi)
-    val, err = adaptive_tensor_quad(f, [-8, -8], [8, 8], rel_tol=1e-10)
+    val, err = adaptive_quad(f, [-8, -8], [8, 8], rel_tol=1e-10)
     assert val == pytest.approx(1.0, abs=1e-9)
+
+
+def test_adaptive_quad_3d_polynomial_and_empty_box():
+    # x^2 y z^4 over [0,1] x [0,2] x [-1,1]: (1/3) * 2 * (2/5)
+    val, err = adaptive_quad(lambda x: x[..., 0] ** 2 * x[..., 1] * x[..., 2] ** 4, [0, 0, -1], [1, 2, 1])
+    assert val == pytest.approx(4.0 / 15.0, rel=1e-14)
+    assert err <= 1e-14
+    assert adaptive_quad(lambda x: np.ones(x.shape[:-1]), 1.0, 1.0) == (0.0, 0.0)
+    assert adaptive_quad(lambda x: np.ones(x.shape[:-1]), [0, 1], [1, 0]) == (0.0, 0.0)
+
+
+def test_adaptive_quad_panel_budget_raises_numerical_error():
+    with pytest.raises(NumericalError):
+        adaptive_quad(lambda x: np.sin(1e7 * x[..., 0]) + 2.0, 0.0, 1.0, rel_tol=1e-14)
 
 
 def test_unit_directions_are_unit():

@@ -99,12 +99,12 @@ def test_bilinear_cell_formula_d2():
 
 
 def test_smoothed_density_integrates_to_mass():
-    from lce.numerics import adaptive_quad_1d
+    from lce.numerics import adaptive_quad
 
     p = pmf([0.3, 0.1, 0.6])
     for n in (1, 2, 3):
-        val, _ = adaptive_quad_1d(
-            lambda t: np.asarray(smoothed_density_eval(p, n, t[:, None])),
+        val, _ = adaptive_quad(
+            lambda x: np.asarray(smoothed_density_eval(p, n, x)),
             -1.0, p.box.hi[0] + n + 1.0, rel_tol=1e-10,
         )
         assert val == pytest.approx(p.mass, abs=1e-8)
