@@ -10,6 +10,7 @@ that did not converge); errors are reported on one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import bridge as bridge_mod
 from . import convexity, families, geometry, harness, moments, smoothing
-from .densities import _call_with_params, density_from_spec, make_density, parse_param_spec
+from .densities import DENSITIES, parse_param_spec
 from .errors import LceError, NumericalError
-from .lattice import convolve, load_pmf, point_mass, save_pmf
+from .lattice import convolve, load_pmf, save_pmf
 from .numerics import unit_directions
 
 
@@ -38,25 +39,8 @@ def _jsonable(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
-# ``lce gen`` families; each signature holds the keys a spec may set and
-# their defaults.
-_GENERATORS = {
-    "gaussian": lambda sigma=4.0, dim=1, radius_multiplier=12.0: families.quantized_gaussian(
-        sigma, int(dim), radius_multiplier
-    ),
-    "uniform": lambda m=5, lo=0: families.uniform_interval(int(m), int(lo)),
-    "binomial": lambda n=10, prob=0.5: families.binomial_pmf(int(n), prob),
-    "geometric": lambda q=0.5: families.one_sided_geometric(q),
-    "two_sided_geometric": lambda q=0.5: families.two_sided_geometric(q),
-    "point_mass": lambda at=(0,): point_mass(tuple(at)),
-}
-
-
 def _gen(args) -> int:
-    name, params = parse_param_spec(args.family)
-    if name not in _GENERATORS:
-        raise LceError(f"unknown generator family {name!r}")
-    p = _call_with_params(_GENERATORS[name], name, params)
+    p = families.GENERATORS.from_spec(args.family)
     save_pmf(p, args.out)
     _emit({"written": args.out, "dim": p.dim, "cells": p.box.ncells, "deficit": p.deficit})
     return 0
@@ -87,6 +71,8 @@ def _moments(args) -> int:
         "max_value": s.max_value,
         "argmax": list(s.argmax),
         "sigma_hat": s.sigma_hat,
+        "variation_sum": [moments.variation_sum(p, axis) for axis in range(p.dim)],
+        "sum_of_maxima": [[moments.sum_of_maxima(p, i, j) for j in range(p.dim)] for i in range(3)],
     }
     try:
         score = moments.isotropy_score(s)
@@ -151,7 +137,7 @@ def _smooth_entropy(args) -> int:
 
 
 def _geom(args) -> int:
-    K = geometry.body_from_spec(args.body)
+    K = geometry.BODIES.from_spec(args.body)
     if args.check == "kls":
         u = np.ones(K.dim)
         rep = geometry.kls_second_moment_check(K, u)
@@ -171,7 +157,7 @@ def _geom(args) -> int:
         )
         return 0
     if args.check in ("ballbody", "inclusions"):
-        f = density_from_spec(args.density)
+        f = DENSITIES.from_spec(args.density)
         dirs = unit_directions(f.dim, args.dirs)
         if args.check == "ballbody":
             prof = geometry.ball_body_radial(f, args.p, dirs)
@@ -197,7 +183,7 @@ def _bridge(args) -> int:
     name, params = parse_param_spec(args.density)
     out = []
     for sigma in [float(s) for s in args.sweep.split(",")] if args.sweep else [None]:
-        g = make_density(name, **{**params, **({} if sigma is None else {"sigma": sigma})})
+        g = DENSITIES.make(name, **{**params, **({} if sigma is None else {"sigma": sigma})})
         rep = bridge_mod.lattice_vs_integral_gaps(g)
         out.append(
             {
@@ -226,7 +212,7 @@ def _verify(args) -> int:
 def _sweep(args) -> int:
     cfg = harness.default_config(output=args.out)
     if args.checks:
-        cfg.checks = args.checks.split(",")
+        cfg = dataclasses.replace(cfg, checks=args.checks.split(","))
     doc = harness.run_config(cfg)
     if args.out:
         harness.emit_report(doc, args.out, args.out.rsplit(".", 1)[0] + ".csv")
@@ -234,6 +220,9 @@ def _sweep(args) -> int:
         _emit(doc.to_doc())
     print(f"pass={doc.summary['pass']} fail={doc.summary['fail']} flagged={doc.summary['flagged']}",
           file=sys.stderr)
+    for r in doc.results:
+        if r.status != harness.PASS:
+            print(f"[{r.status}] {r.check_id} {json.dumps(r.inputs, sort_keys=True)}", file=sys.stderr)
     return doc.exit_code()
 
 

@@ -6,7 +6,13 @@ Each density carries whatever closed-form knowledge its family provides
 ``|x - center|_2 >= radius``.  The tail bound is what makes box truncation
 auditable: every truncated constructor converts it into a deficit bound.
 
-Registry families::
+The module also holds the spec-string parser and :class:`Registry`, the one
+name-to-factory table that ``lce`` uses for every named object: the lattice
+families of ``lce gen`` and of a config's ``family``
+(:mod:`lce.families`), the densities below, and the convex bodies of
+:mod:`lce.geometry`.
+
+``DENSITIES`` families::
 
     gaussian{sigma, dim}            isotropic N(0, sigma^2 I)
     laplace_product{rate, dim}      product of two-sided exponentials
@@ -236,13 +242,6 @@ def asym_exponential(left_rate: float, right_rate: float) -> ContinuousDensity:
     )
 
 
-_FAMILIES = {
-    "gaussian": gaussian,
-    "laplace_product": laplace_product,
-    "sheared_gaussian": sheared_gaussian,
-    "asym_exponential": asym_exponential,
-}
-
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\{(.*)\})?\s*$")
 
 
@@ -284,28 +283,43 @@ def _split_top_level(body: str) -> list[str]:
     return parts
 
 
-def _call_with_params(factory, name: str, params: dict):
-    """``factory(**params)`` for a spec, with the keys checked against the
-    factory's signature and a value the factory rejects reported as an
-    :class:`LceError`."""
-    try:
-        inspect.signature(factory).bind(**params)
-    except TypeError as exc:
-        raise LceError(f"bad parameters for {name!r}: {exc}") from None
-    try:
-        return factory(**params)
-    except LceError:
-        raise
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise LceError(f"bad parameter value for {name!r}: {exc}") from None
+@dataclass(frozen=True)
+class Registry:
+    """Named factories of one kind: lattice families, densities or bodies."""
+
+    kind: str
+    factories: dict
+
+    def make(self, name: str, /, *args, **params):
+        """``factories[name](*args, **params)``, with the name and the keys
+        checked first and a value the factory rejects reported as an
+        :class:`LceError`."""
+        if name not in self.factories:
+            raise LceError(f"unknown {self.kind} {name!r}; known: {sorted(self.factories)}")
+        factory = self.factories[name]
+        try:
+            inspect.signature(factory).bind(*args, **params)
+        except TypeError as exc:
+            raise LceError(f"bad parameters for {name!r}: {exc}") from None
+        try:
+            return factory(*args, **params)
+        except LceError:
+            raise
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise LceError(f"bad parameter value for {name!r}: {exc}") from None
+
+    def from_spec(self, text: str):
+        """The object a ``name{key=value,...}`` spec string names."""
+        name, params = parse_param_spec(text)
+        return self.make(name, **params)
 
 
-def make_density(name: str, **params) -> ContinuousDensity:
-    if name not in _FAMILIES:
-        raise LceError(f"unknown density family {name!r}; known: {sorted(_FAMILIES)}")
-    return _call_with_params(_FAMILIES[name], name, params)
-
-
-def density_from_spec(text: str) -> ContinuousDensity:
-    name, params = parse_param_spec(text)
-    return make_density(name, **params)
+DENSITIES = Registry(
+    "density family",
+    {
+        "gaussian": gaussian,
+        "laplace_product": laplace_product,
+        "sheared_gaussian": sheared_gaussian,
+        "asym_exponential": asym_exponential,
+    },
+)

@@ -2,7 +2,9 @@
 
 Every family here is log-concave in the extensible sense.  Truncated families
 (geometric tails, quantized Gaussians) carry exact or certified deficits so
-that downstream error budgets stay honest.
+that downstream error budgets stay honest.  Two registries name them:
+``GENERATORS`` for ``lce gen`` and ``SWEEP`` for the ``family`` of a
+verification config.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import densities
 from .errors import LceError
-from .lattice import Box, LatticePmf, make_product, quantize_density
+from .lattice import Box, LatticePmf, make_product, point_mass, quantize_density
 
 
 def uniform_interval(m: int, lo: int = 0) -> LatticePmf:
@@ -64,8 +66,6 @@ def quantized_gaussian(sigma: float, dim: int = 1, radius_multiplier: float = 12
 
 def assorted_pmfs_1d(count: int = 20) -> list[LatticePmf]:
     """Deterministic zoo of 1-d p.m.f.s covering shapes from point mass to wide."""
-    from .lattice import point_mass
-
     pool = [
         point_mass((0,)),
         point_mass((5,)),
@@ -118,3 +118,38 @@ def product_gaussian(sigma: float, dim: int, radius_multiplier: float = 12.0) ->
     """Product of 1-d quantized Gaussians (coordinates independent)."""
     factor = quantized_gaussian(sigma, 1, radius_multiplier)
     return make_product([factor] * dim)
+
+
+def _uniform_family(sigma: float, d: int) -> LatticePmf:
+    m = max(1, int(round(math.sqrt(12.0) * sigma)))
+    one = uniform_interval(m)
+    return make_product([one] * d) if d > 1 else one
+
+
+# ``lce gen`` families; each signature holds the keys a spec may set and
+# their defaults.
+GENERATORS = densities.Registry(
+    "generator family",
+    {
+        "gaussian": lambda sigma=4.0, dim=1, radius_multiplier=12.0: quantized_gaussian(
+            sigma, int(dim), radius_multiplier
+        ),
+        "uniform": lambda m=5, lo=0: uniform_interval(int(m), int(lo)),
+        "binomial": lambda n=10, prob=0.5: binomial_pmf(int(n), prob),
+        "geometric": lambda q=0.5: one_sided_geometric(q),
+        "two_sided_geometric": lambda q=0.5: two_sided_geometric(q),
+        "point_mass": lambda at=(0,): point_mass(tuple(at)),
+    },
+)
+
+# Sweep families: called as make(name, sigma, d, **params); the config's
+# params must fit the rest of the signature.
+SWEEP = densities.Registry(
+    "sweep family",
+    {
+        "gaussian": quantized_gaussian,
+        "product_gaussian": product_gaussian,
+        "uniform": _uniform_family,
+        "point_mass": lambda sigma, d: point_mass((0,) * d),
+    },
+)

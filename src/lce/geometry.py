@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import ContinuousDensity, _call_with_params, check_dim, parse_param_spec
+from .densities import ContinuousDensity, Registry, check_dim
 from .errors import LceError, SizeCapError
 from .hull import facets3, monotone_chain
 from .numerics import adaptive_quad
@@ -202,26 +202,18 @@ def make_vpoly(vertices) -> ConvexBody:
     return ConvexBody("vpoly", V.shape[1], (tuple(map(tuple, V)),))
 
 
-_BODY_FACTORIES = {
-    "cube": make_cube,
-    "box": make_box,
-    "ball": make_ball,
-    "ellipsoid": make_ellipsoid,
-    "simplex": make_simplex,
-    "hpoly": make_hpoly,
-    "vpoly": make_vpoly,
-}
-
-
-def make_body(name: str, **params) -> ConvexBody:
-    if name not in _BODY_FACTORIES:
-        raise LceError(f"unknown body {name!r}; known: {sorted(_BODY_FACTORIES)}")
-    return _call_with_params(_BODY_FACTORIES[name], name, params)
-
-
-def body_from_spec(text: str) -> ConvexBody:
-    name, params = parse_param_spec(text)
-    return make_body(name, **params)
+BODIES = Registry(
+    "body",
+    {
+        "cube": make_cube,
+        "box": make_box,
+        "ball": make_ball,
+        "ellipsoid": make_ellipsoid,
+        "simplex": make_simplex,
+        "hpoly": make_hpoly,
+        "vpoly": make_vpoly,
+    },
+)
 
 
 def _body_seed(K: ConvexBody, purpose: str) -> int:

@@ -17,13 +17,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import __version__, convexity, families, geometry, hull
 from .bridge import covdis_check_1d, lattice_vs_integral_gaps
-from .densities import _call_with_params, asym_exponential, gaussian, laplace_product
+from .densities import asym_exponential, gaussian, laplace_product
 from .errors import LceError
 from .lattice import LatticePmf, convolve, make_product, pmf_to_doc, point_mass
 from .moments import discrete_moments, isotropy_score, max_pmf_width_product, shannon_entropy
@@ -71,11 +70,24 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if not self.dims or not self.sigmas or not self.n_values:
-            raise LceError("sweep lists must be nonempty")
+        fam = self.family
+        if not (isinstance(fam, dict) and isinstance(fam.get("name", ""), str)
+                and isinstance(fam.get("params", {}), dict)):
+            raise LceError('family must be an object {"name": string, "params": object}')
+        for key in ("dims", "n_values"):
+            if not _nonempty_list(getattr(self, key), lambda v: isinstance(v, int) and v > 0):
+                raise LceError(f"{key} must be a nonempty list of positive integers")
+        if not _nonempty_list(self.sigmas, lambda v: isinstance(v, (int, float)) and 0 < v < math.inf):
+            raise LceError("sigmas must be a nonempty list of finite positive numbers")
+        if not isinstance(self.checks, list) or not all(isinstance(c, str) for c in self.checks):
+            raise LceError("checks must be a list of check ids")
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise LceError(f"unknown check ids: {unknown}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.tolerances.values()):
+            raise LceError("tolerances must be numbers")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise LceError("seed must be a non-negative integer")
 
     def tol(self, name: str) -> float:
         if name in self.tolerances:
@@ -98,14 +110,19 @@ class ExperimentConfig:
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
         return cls(
             family=doc["family"],
-            dims=list(doc["dims"]),
-            sigmas=list(doc["sigmas"]),
-            n_values=list(doc["n_values"]),
-            checks=list(doc["checks"]),
+            dims=doc["dims"],
+            sigmas=doc["sigmas"],
+            n_values=doc["n_values"],
+            checks=doc["checks"],
             tolerances=dict(doc.get("tolerances", {})),
             seed=int(doc.get("seed", cls.seed)),
             output=doc.get("output"),
         )
+
+
+def _nonempty_list(values, ok) -> bool:
+    """``values`` is a nonempty list whose items, none of them a bool, pass ``ok``."""
+    return isinstance(values, list) and bool(values) and all(not isinstance(v, bool) and ok(v) for v in values)
 
 
 def default_config(output: str | None = None) -> ExperimentConfig:
@@ -114,21 +131,7 @@ def default_config(output: str | None = None) -> ExperimentConfig:
         dims=[1, 2],
         sigmas=[4.0, 8.0, 16.0, 32.0],
         n_values=[1, 2],
-        checks=[
-            "smooth_identity",
-            "epi_gap",
-            "diff_approx",
-            "discrete_ub",
-            "max_pmf_1d",
-            "bridge_gaps",
-            "self_sum_convex",
-            "explore_conv",
-            "geom_ballbody",
-            "geom_inclusions",
-            "geom_kls",
-            "geom_radius",
-            "elementary_estimate",
-        ],
+        checks=list(CHECKS),
         seed=20240810,
         output=output,
     )
@@ -220,27 +223,8 @@ class _Timer:
 # family instantiation
 
 
-def _uniform_family(sigma: float, d: int) -> LatticePmf:
-    m = max(1, int(round(math.sqrt(12.0) * sigma)))
-    one = families.uniform_interval(m)
-    return make_product([one] * d) if d > 1 else one
-
-
-# Sweep families: called as f(sigma, d, **params); the config's params must
-# fit the rest of the signature.
-_SWEEP_FAMILIES = {
-    "gaussian": families.quantized_gaussian,
-    "product_gaussian": families.product_gaussian,
-    "uniform": _uniform_family,
-    "point_mass": lambda sigma, d: point_mass((0,) * d),
-}
-
-
 def family_pmf(cfg: ExperimentConfig, d: int, sigma: float) -> LatticePmf:
-    name = cfg.family.get("name", "gaussian")
-    if name not in _SWEEP_FAMILIES:
-        raise LceError(f"unknown sweep family {name!r}")
-    return _call_with_params(partial(_SWEEP_FAMILIES[name], sigma, d), name, cfg.family.get("params", {}))
+    return families.SWEEP.make(cfg.family.get("name", "gaussian"), sigma, d, **cfg.family.get("params", {}))
 
 
 def _small_window_gaussian(sigma: float, d: int, half: int = 4) -> LatticePmf:
@@ -862,12 +846,6 @@ def emit_report(doc: ReportDocument, json_path, csv_path=None):
 def load_report(path) -> ReportDocument:
     with open(path, encoding="utf-8") as fh:
         return ReportDocument.from_doc(json.load(fh))
-
-
-def save_config(cfg: ExperimentConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(cfg.to_doc(), sort_keys=True, indent=1))
-        fh.write("\n")
 
 
 def load_config(path) -> ExperimentConfig:

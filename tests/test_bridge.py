@@ -6,11 +6,10 @@ import pytest
 
 from lce import bridge
 from lce.densities import (
+    DENSITIES,
     asym_exponential,
-    density_from_spec,
     gaussian,
     laplace_product,
-    make_density,
     parse_param_spec,
     sheared_gaussian,
 )
@@ -47,9 +46,9 @@ def test_registry_families_normalized():
 
 
 def test_density_from_spec_unknown():
-    with pytest.raises(LceError):
-        make_density("bogus")
-    assert density_from_spec("laplace_product{rate=1,dim=1}").dim == 1
+    with pytest.raises(LceError, match="known: .*'gaussian'"):
+        DENSITIES.make("bogus")
+    assert DENSITIES.from_spec("laplace_product{rate=1,dim=1}").dim == 1
 
 
 def test_sheared_gaussian_matches_quadratic_form():
@@ -131,28 +130,6 @@ def test_quadrature_moments_match_closed_forms(f):
 
 # ---------------------------------------------------------------------------
 # 1-d inequalities
-
-
-def test_sum_int_quasi_concave_tent():
-    tent = lambda t: np.maximum(0.0, 3.0 - np.abs(t - 2.5))
-    chk = bridge.sum_int_check_1d(tent, -3, 9)
-    assert chk.holds
-    assert chk.integral == pytest.approx(9.0, abs=1e-10)
-    assert chk.lattice_sum == pytest.approx(9.0, abs=1e-12)  # half-integer peak
-
-
-def test_sum_int_plateau_function():
-    plateau = lambda t: ((t >= 0.25) & (t <= 3.25)).astype(float)
-    chk = bridge.sum_int_check_1d(plateau, -2, 6)
-    assert chk.holds
-    assert chk.gap == pytest.approx(0.0, abs=1e-10)
-
-
-def test_sum_int_gaussian_scaled():
-    for s in (0.5, 1.0, 3.0):
-        f = lambda t, s=s: np.exp(-0.5 * (t / s) ** 2)
-        chk = bridge.sum_int_check_1d(f, -40, 40, integral=math.sqrt(2 * math.pi) * s)
-        assert chk.holds
 
 
 def test_covdis_bound_on_logconcave_zoo():

@@ -2,15 +2,16 @@
 ``LceError``, so that bad input always ends in an exit code, never a traceback."""
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lce.densities import density_from_spec, parse_param_spec
+from lce.densities import DENSITIES, parse_param_spec
 from lce.errors import LceError
-from lce.geometry import body_from_spec
-from lce.harness import load_config
+from lce.geometry import BODIES
+from lce.harness import CHECKS, load_config
 from lce.lattice import pmf_from_doc
 
 FUZZ = settings(max_examples=200, deadline=None)
@@ -24,7 +25,7 @@ json_values = st.recursive(
 _NAMES = ["gaussian", "laplace_product", "sheared_gaussian", "asym_exponential",
           "cube", "box", "ball", "ellipsoid", "simplex", "hpoly", "vpoly", "bogus"]
 _KEYS = ["sigma", "dim", "rate", "rho", "left_rate", "right_rate",
-         "d", "side", "lo", "hi", "radius", "axes", "A", "b", "vertices", "foo"]
+         "d", "side", "lo", "hi", "radius", "axes", "A", "b", "vertices", "foo", "name", "self"]
 
 
 @st.composite
@@ -53,13 +54,13 @@ def test_parse_param_spec_raises_only_lce_error(text):
 @FUZZ
 @given(specs())
 def test_density_from_spec_raises_only_lce_error(text):
-    raises_only_lce_error(density_from_spec, text)
+    raises_only_lce_error(DENSITIES.from_spec, text)
 
 
 @FUZZ
 @given(specs())
 def test_body_from_spec_raises_only_lce_error(text):
-    raises_only_lce_error(body_from_spec, text)
+    raises_only_lce_error(BODIES.from_spec, text)
 
 
 small_ints = st.lists(st.integers(-3, 3), min_size=1, max_size=2)
@@ -111,15 +112,51 @@ def test_load_config_raises_only_lce_error(tmp_path, doc):
     raises_only_lce_error(load_config, path)
 
 
+# Every field that ``ExperimentConfig.from_doc`` reads, present, with values
+# of the wrong type, zero, negative, non-integer or non-finite.
+field_values = st.lists(st.integers(-2, 3) | st.floats() | st.booleans() | st.text(max_size=3), max_size=3)
+config_field_docs = st.fixed_dictionaries(
+    {
+        "family": st.just({"name": "gaussian", "params": {}}) | json_values,
+        "dims": field_values | json_values,
+        "sigmas": field_values | json_values,
+        "n_values": field_values | json_values,
+        "checks": st.lists(st.sampled_from(["max_pmf_1d", "bogus"]), max_size=2)
+        | st.sampled_from(["max_pmf_1d", "epi_gap"])
+        | json_values,
+        "tolerances": st.dictionaries(st.sampled_from(["max_width_cap", "explore_samples"]), json_values, max_size=2),
+        "seed": st.integers(-3, 3) | st.floats(-3, 3),
+    }
+)
+
+
+@settings(FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config_field_docs)
+def test_load_config_accepts_only_valid_field_values(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = load_config(path)
+    except LceError:
+        return
+    for values in (cfg.dims, cfg.n_values):
+        assert values and all(type(v) is int and v > 0 for v in values)
+    assert cfg.sigmas and all(type(v) in (int, float) and 0 < v < math.inf for v in cfg.sigmas)
+    assert isinstance(cfg.checks, list) and set(cfg.checks) <= set(CHECKS)
+    assert isinstance(cfg.family.get("name", ""), str) and isinstance(cfg.family.get("params", {}), dict)
+    assert all(type(v) in (int, float) for v in cfg.tolerances.values())
+    assert type(cfg.seed) is int and cfg.seed >= 0
+
+
 def test_values_that_break_a_factory_or_loader_are_lce_errors(tmp_path):
     # sigma^2 underflows to 0, so does a rate's square, and so does l * r
     for text in ["gaussian{sigma=1e-200}", "laplace_product{rate=1e-200}",
                  "asym_exponential{left_rate=1e-300,right_rate=1e-300}"]:
         with pytest.raises(LceError):
-            density_from_spec(text)
+            DENSITIES.from_spec(text)
     for text in ["simplex{d=100000}", "ball{d=0}", "cube{d=-1}"]:
         with pytest.raises(LceError):
-            body_from_spec(text)
+            BODIES.from_spec(text)
     with pytest.raises(LceError):
         pmf_from_doc({"dim": 1, "lo": [float("inf")], "hi": [0], "values": [1.0]})
     path = tmp_path / "config.json"

@@ -285,12 +285,12 @@ def test_radius_bounds_vpoly_cube_3d():
 
 
 def test_body_from_spec():
-    K = geo.body_from_spec("ball{d=3,radius=2}")
+    K = geo.BODIES.from_spec("ball{d=3,radius=2}")
     assert K == geo.make_ellipsoid([2.0, 2.0, 2.0])
-    E = geo.body_from_spec("ellipsoid{axes=[1,2]}")
+    E = geo.BODIES.from_spec("ellipsoid{axes=[1,2]}")
     assert E.dim == 2
     with pytest.raises(LceError):
-        geo.body_from_spec("dodecahedron{d=3}")
+        geo.BODIES.from_spec("dodecahedron{d=3}")
 
 
 def test_inclusion_chain_laplace_2d():

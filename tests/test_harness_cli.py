@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -36,6 +37,27 @@ def test_unknown_check_id_rejected():
         tiny_config(["no_such_check"])
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_values", [0], "n_values must be"),
+        ("n_values", [1.5], "n_values must be"),
+        ("dims", [True], "dims must be"),
+        ("dims", [], "dims must be"),
+        ("sigmas", [float("nan")], "sigmas must be"),
+        ("sigmas", [-1.0], "sigmas must be"),
+        ("checks", "epi_gap", "checks must be a list"),
+        ("family", {"name": "gaussian", "params": [1]}, "family must be"),
+        ("tolerances", {"max_width_cap": "x"}, "tolerances must be"),
+        ("seed", -5, "seed must be"),
+    ],
+)
+def test_config_fields_are_validated(field, value, message):
+    doc = tiny_config([]).to_doc()
+    with pytest.raises(LceError, match=message):
+        harness.ExperimentConfig.from_doc({**doc, field: value})
+
+
 def test_report_round_trip(tmp_path):
     cfg = tiny_config(["max_pmf_1d", "discrete_ub"])
     doc = harness.run_config(cfg)
@@ -51,7 +73,7 @@ def test_report_round_trip(tmp_path):
 def test_config_round_trip(tmp_path):
     cfg = harness.default_config()
     path = tmp_path / "cfg.json"
-    harness.save_config(cfg, path)
+    path.write_text(json.dumps(cfg.to_doc()))
     loaded = harness.load_config(path)
     assert loaded.to_doc() == cfg.to_doc()
 
@@ -117,6 +139,24 @@ def test_cli_gen_entropy_moments(tmp_path, capsys):
     assert doc["sigma_hat"] == pytest.approx(2.0, rel=1e-6)
 
 
+def test_cli_moments_variation_and_maxima(tmp_path, capsys):
+    pmf = tmp_path / "u.json"
+    run_cli("gen", "--family", "uniform{m=4}", "--out", str(pmf))
+    capsys.readouterr()
+    assert run_cli("moments", "--pmf", str(pmf)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["variation_sum"] == [0.5]
+    # sums over k = 0..3 of |k|^i / 4
+    assert doc["sum_of_maxima"] == [[1.0], [1.5], [3.5]]
+    run_cli("gen", "--family", "gaussian{sigma=2,dim=2}", "--out", str(pmf))
+    capsys.readouterr()
+    assert run_cli("moments", "--pmf", str(pmf)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["variation_sum"]) == 2
+    assert [len(row) for row in doc["sum_of_maxima"]] == [2, 2, 2]
+    assert doc["sum_of_maxima"][0][0] == pytest.approx(doc["mass"], abs=1e-15)
+
+
 def test_cli_convolve_and_check(tmp_path, capsys):
     a = tmp_path / "u.json"
     run_cli("gen", "--family", "uniform{m=2}", "--out", str(a))
@@ -152,7 +192,7 @@ def test_cli_geom_and_bridge(capsys):
 def test_cli_verify_and_exit_code(tmp_path, capsys):
     cfg = tiny_config(["max_pmf_1d"])
     cpath = tmp_path / "cfg.json"
-    harness.save_config(cfg, cpath)
+    cpath.write_text(json.dumps(cfg.to_doc()))
     rpath = tmp_path / "rep.json"
     assert run_cli("verify", "--config", str(cpath), "--out", str(rpath)) == 0
     capsys.readouterr()
@@ -166,6 +206,18 @@ def test_cli_sweep_subset(tmp_path, capsys):
     doc = harness.load_report(rpath)
     assert doc.summary["fail"] == 0
     assert {r.check_id for r in doc.results} == {"max_pmf_1d", "geom_radius"}
+
+
+def test_cli_sweep_prints_one_line_per_row_that_did_not_pass(monkeypatch, capsys):
+    def rows(cfg):
+        return [
+            harness.CheckResult("max_pmf_1d", {"d": 1}, {}, {}, harness.FLAGGED, 0.0),
+            harness.CheckResult("max_pmf_1d", {"d": 2}, {}, {}, harness.PASS, 0.0),
+        ]
+
+    monkeypatch.setitem(harness.CHECKS, "max_pmf_1d", rows)
+    assert run_cli("sweep", "--checks", "max_pmf_1d") == 0
+    assert capsys.readouterr().err.splitlines() == ["pass=1 fail=0 flagged=1", '[flagged] max_pmf_1d {"d": 1}']
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -188,6 +240,12 @@ def test_cli_error_paths(tmp_path, capsys):
         ["verify", "--config", "{tmp}/missing.json"],
         ["entropy", "--pmf", "{tmp}/short.json"],
         ["verify", "--config", "{tmp}/family_key.json"],
+        ["sweep", "--checks", "foo"],
+        ["verify", "--config", "{tmp}/zero_n.json"],
+        ["verify", "--config", "{tmp}/fractional_n.json"],
+        ["verify", "--config", "{tmp}/checks_string.json"],
+        ["bridge", "--density", "gaussian{name=1}"],
+        ["geom", "--body", "cube{self=1}", "--check", "kls"],
     ],
     ids=[
         "unknown_family",
@@ -202,14 +260,25 @@ def test_cli_error_paths(tmp_path, capsys):
         "missing_config",
         "short_values",
         "config_family_key",
+        "sweep_unknown_check",
+        "config_zero_n",
+        "config_fractional_n",
+        "config_checks_string",
+        "density_key_name",
+        "body_key_self",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # two values for a box of four cells
     (tmp_path / "short.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [3], "values": [0.5, 0.5]}))
-    cfg = tiny_config(["max_pmf_1d"])
-    cfg.family = {"name": "gaussian", "params": {"foo": 1}}
-    harness.save_config(cfg, tmp_path / "family_key.json")
+    doc = tiny_config(["max_pmf_1d"]).to_doc()
+    for name, change in [
+        ("family_key", {"family": {"name": "gaussian", "params": {"foo": 1}}}),
+        ("zero_n", {"n_values": [0]}),
+        ("fractional_n", {"n_values": [1.5]}),
+        ("checks_string", {"checks": "epi_gap"}),
+    ]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({**doc, **change}))
     assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -281,3 +350,36 @@ def test_scripts_run_to_exit_0(argv, tmp_path):
     out = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+# Public functions that only tests call: reference oracles and fixtures.
+TEST_ONLY_API = {
+    "convexity.is_log_concave_1d",
+    "convexity.is_log_concave_extensible_bruteforce",
+    "families.extensible_zoo_1d",
+    "harness.load_report",
+    "lattice.make_uniform_on_set",
+    "lattice.self_convolve",
+    "numerics.rate_envelope_ok",
+    "smoothing.smoothed_density_eval",
+}
+
+
+def test_every_public_function_is_reached_or_a_test_oracle():
+    files = sorted((REPO / "src" / "lce").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unreached = {
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items()
+        if path.parent.name == "lce"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in named
+    }
+    assert unreached == TEST_ONLY_API
