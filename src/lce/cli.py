@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -139,8 +140,7 @@ def _smooth_entropy(args) -> int:
 def _geom(args) -> int:
     K = geometry.BODIES.from_spec(args.body)
     if args.check == "kls":
-        u = np.ones(K.dim)
-        rep = geometry.kls_second_moment_check(K, u)
+        (rep,) = geometry.kls_second_moment_check(K, np.ones(K.dim))
         _emit({"lhs": rep.lhs, "mid": rep.mid, "rhs": rep.rhs, "mid_stderr": rep.mid_stderr,
                "chain_holds": rep.chain_holds(tol=1e-9)})
         return 0
@@ -181,8 +181,16 @@ def _geom(args) -> int:
 
 def _bridge(args) -> int:
     name, params = parse_param_spec(args.density)
+    sigmas = [None]
+    if args.sweep:
+        try:
+            sigmas = [float(s) for s in args.sweep.split(",")]
+        except ValueError:
+            sigmas = [math.nan]
+        if not all(math.isfinite(s) for s in sigmas):
+            raise LceError(f"--sweep needs comma-separated finite numbers, got {args.sweep!r}")
     out = []
-    for sigma in [float(s) for s in args.sweep.split(",")] if args.sweep else [None]:
+    for sigma in sigmas:
         g = DENSITIES.make(name, **{**params, **({} if sigma is None else {"sigma": sigma})})
         rep = bridge_mod.lattice_vs_integral_gaps(g)
         out.append(

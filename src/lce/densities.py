@@ -119,7 +119,7 @@ def check_dim(d) -> int:
 
 def gaussian(sigma: float, dim: int = 1) -> ContinuousDensity:
     dim = check_dim(dim)
-    if sigma <= 0:
+    if not sigma > 0:
         raise LceError("sigma must be positive")
     sigma = float(sigma)
     norm = (2.0 * math.pi * sigma * sigma) ** (-dim / 2.0)
@@ -146,7 +146,7 @@ def gaussian(sigma: float, dim: int = 1) -> ContinuousDensity:
 
 def laplace_product(rate: float, dim: int = 1) -> ContinuousDensity:
     dim = check_dim(dim)
-    if rate <= 0:
+    if not rate > 0:
         raise LceError("rate must be positive")
     lam = float(rate)
     norm = (lam / 2.0) ** dim
@@ -176,7 +176,7 @@ def sheared_gaussian(sigma: float, rho: float) -> ContinuousDensity:
     the density is exactly the correlated Gaussian while the code path mirrors
     "base density composed with a linear map".
     """
-    if not (-1.0 < rho < 1.0) or sigma <= 0:
+    if not (-1.0 < rho < 1.0 and sigma > 0):
         raise LceError("need sigma > 0 and -1 < rho < 1")
     sigma = float(sigma)
     rho = float(rho)
@@ -215,7 +215,7 @@ def sheared_gaussian(sigma: float, rho: float) -> ContinuousDensity:
 def asym_exponential(left_rate: float, right_rate: float) -> ContinuousDensity:
     """Centered asymmetric two-sided exponential on R (log-concave)."""
     l, r = float(left_rate), float(right_rate)
-    if l <= 0 or r <= 0:
+    if not (l > 0 and r > 0):
         raise LceError("rates must be positive")
     C = l * r / (l + r)
     mu = 1.0 / r - 1.0 / l  # mean of the uncentered density

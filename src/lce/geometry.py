@@ -103,8 +103,8 @@ def _radial_moment(f: ContinuousDensity, theta: np.ndarray, p: float, rel_tol: f
 
 def ball_body_radial(f: ContinuousDensity, p: float, dirs) -> RadialProfile:
     """Radial function of K_p(f): rho(theta)^p = (1/f(0)) int p r^(p-1) f(r theta) dr."""
-    if p <= 0:
-        raise LceError("p must be positive")
+    if not 0 < p < math.inf:
+        raise LceError("p must be finite and positive")
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     f0 = float(f(np.zeros(f.dim)))
     if f0 <= 0.0:
@@ -225,22 +225,6 @@ def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def body_volume(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES) -> float:
-    if K.kind == "box":
-        lo, hi = K.data
-        return float(np.prod(np.asarray(hi) - np.asarray(lo)))
-    if K.kind == "ellipsoid":
-        return _unit_ball_volume(K.dim) * float(np.prod(K.data[0]))
-    if K.kind == "simplex":
-        return 1.0 / math.factorial(K.dim)
-    if K.kind == "vpoly":
-        return _vpoly_moments(K)[0]
-    if K.kind == "hpoly":
-        vol, _ = _hpoly_mc(K, mc_samples)[:2]
-        return vol
-    raise LceError(f"volume not implemented for {K.kind}")
-
-
 def body_contains(K: ConvexBody, pts) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     if K.kind == "box":
@@ -304,55 +288,41 @@ def _hpoly_support(K: ConvexBody, u: np.ndarray) -> float:
     return -res.objective
 
 
-def body_barycenter(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES) -> np.ndarray:
-    if K.kind == "box":
-        lo, hi = (np.asarray(a) for a in K.data)
-        return (lo + hi) / 2.0
-    if K.kind == "ellipsoid":
-        return np.zeros(K.dim)
-    if K.kind == "simplex":
-        return np.asarray(K.data[0]).mean(axis=0)
-    if K.kind == "vpoly":
-        _, centroid, _ = _vpoly_moments(K)
-        return centroid
-    if K.kind == "hpoly":
-        if _hpoly_is_symmetric(K):
-            return np.zeros(K.dim)
-        _, mean, _, _ = _hpoly_mc(K, mc_samples)
-        return mean
-    raise LceError(f"barycenter not implemented for {K.kind}")
+@dataclass(frozen=True)
+class BodyMoments:
+    volume: float
+    barycenter: np.ndarray  # (1/|K|) int_K x dx
+    second_moment: np.ndarray  # (1/|K|) int_K x x^T dx
+    stderr: np.ndarray  # standard errors of second_moment; zero for closed forms
 
 
-def body_second_moment(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES):
-    """Normalized second moment matrix M = (1/|K|) int_K x x^T dx.
-
-    Returns (M, stderr_matrix); stderr is zero for closed-form bodies.
-    """
+def body_moments(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES) -> BodyMoments:
+    """Volume, barycenter and normalized second moment matrix of K."""
     d = K.dim
     if K.kind == "box":
         lo, hi = (np.asarray(a) for a in K.data)
         c = (lo + hi) / 2.0
-        w = hi - lo
         M = np.outer(c, c)
-        M[np.diag_indices(d)] += w**2 / 12.0
-        return M, np.zeros((d, d))
+        M[np.diag_indices(d)] += (hi - lo) ** 2 / 12.0
+        return BodyMoments(float(np.prod(hi - lo)), c, M, np.zeros((d, d)))
     if K.kind == "ellipsoid":
         ax = np.asarray(K.data[0])
-        return np.diag(ax**2 / (d + 2.0)), np.zeros((d, d))
+        vol = _unit_ball_volume(d) * float(np.prod(ax))
+        return BodyMoments(vol, np.zeros(d), np.diag(ax**2 / (d + 2.0)), np.zeros((d, d)))
     if K.kind == "simplex":
         # Dirichlet moments of the standard simplex, then recentered.
         raw = np.full((d, d), 1.0) + np.eye(d)
         raw *= math.factorial(d) / math.factorial(d + 2)
         b = np.full(d, 1.0 / (d + 1.0))
         M0 = raw - np.outer(b, b)  # centered moments of the standard simplex
-        return M0, np.zeros((d, d))
+        bary = np.asarray(K.data[0]).mean(axis=0)
+        return BodyMoments(1.0 / math.factorial(d), bary, M0, np.zeros((d, d)))
     if K.kind == "vpoly":
-        _, centroid, M = _vpoly_moments(K)
-        return M, np.zeros((d, d))
+        return _vpoly_moments(K)
     if K.kind == "hpoly":
-        _, _, M, se = _hpoly_mc(K, mc_samples)
-        return M, se
-    raise LceError(f"second moment not implemented for {K.kind}")
+        vol, mean, M, se = _hpoly_mc(K, mc_samples)
+        return BodyMoments(vol, np.zeros(d) if _hpoly_is_symmetric(K) else mean, M, se)
+    raise LceError(f"moments not implemented for {K.kind}")
 
 
 def _hpoly_is_symmetric(K: ConvexBody) -> bool:
@@ -392,7 +362,7 @@ def _hpoly_mc(K: ConvexBody, n: int):
 
 
 def _vpoly_moments(K: ConvexBody):
-    """Exact (volume, centroid, normalized second moment) for d <= 3."""
+    """Exact moments for d <= 3."""
     V = np.asarray(K.data[0])
     d = K.dim
     if d == 1:
@@ -400,7 +370,7 @@ def _vpoly_moments(K: ConvexBody):
         vol = hi - lo
         c = (lo + hi) / 2.0
         m2 = (hi**3 - lo**3) / 3.0 / vol
-        return vol, np.array([c]), np.array([[m2]])
+        return BodyMoments(vol, np.array([c]), np.array([[m2]]), np.zeros((1, 1)))
     if d == 2:
         hull = monotone_chain(np.asarray(V, dtype=np.float64))
         c0 = hull.mean(axis=0)
@@ -417,7 +387,7 @@ def _vpoly_moments(K: ConvexBody):
             # edge-midpoint rule is exact for quadratics on triangles
             mids = np.array([(tri[0] + tri[1]) / 2, (tri[1] + tri[2]) / 2, (tri[0] + tri[2]) / 2])
             M += a * np.mean(mids[:, :, None] * mids[:, None, :], axis=0)
-        return vol, cent / vol, M / vol
+        return BodyMoments(vol, cent / vol, M / vol, np.zeros((d, d)))
     if d == 3:
         c0 = V.mean(axis=0)
         vol = 0.0
@@ -429,7 +399,7 @@ def _vpoly_moments(K: ConvexBody):
             vol += v
             cent += v * tet.mean(axis=0)
             M += v * _tet_second_moment(tet)
-        return vol, cent / vol, M / vol
+        return BodyMoments(vol, cent / vol, M / vol, np.zeros((d, d)))
     raise LceError("exact v-polytope moments implemented for d <= 3 only")
 
 
@@ -471,8 +441,7 @@ def scale_body(K: ConvexBody, t: float) -> ConvexBody:
 
 
 def scale_to_unit_volume(K: ConvexBody) -> ConvexBody:
-    vol = body_volume(K)
-    return scale_body(K, vol ** (-1.0 / K.dim))
+    return scale_body(K, body_moments(K).volume ** (-1.0 / K.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -493,24 +462,22 @@ class KlsReport:
         return self.lhs <= self.mid + widen and self.mid - widen <= self.rhs
 
 
-def kls_second_moment_check(K: ConvexBody, u, mc_samples: int = MC_DEFAULT_SAMPLES) -> KlsReport:
-    """Second-moment chain for a centered convex body along direction u."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    u = u / np.linalg.norm(u)
+def kls_second_moment_check(K: ConvexBody, dirs, mc_samples: int = MC_DEFAULT_SAMPLES) -> list[KlsReport]:
+    """Second-moment chain for a centered convex body along each row of ``dirs``."""
+    if K.kind == "hpoly" and not _hpoly_is_symmetric(K):
+        raise LceError("h-polytope must be origin-symmetric for the centered chain")
     d = K.dim
-    scale = 1.0 + body_support(K, u)
-    if K.kind == "hpoly":
-        if not _hpoly_is_symmetric(K):
-            raise LceError("h-polytope must be origin-symmetric for the centered chain")
-    else:
-        bary = body_barycenter(K, mc_samples)
-        if float(np.linalg.norm(bary)) > 1e-9 * scale:
-            raise LceError(f"body is not centered: barycenter {bary}")
-    M, se = body_second_moment(K, mc_samples)
-    h = body_support(K, u)
-    mid = float(u @ M @ u)
-    mid_se = float(np.sqrt(u**2 @ se**2 @ u**2))
-    return KlsReport(lhs=h * h / (d * (d + 2.0)), mid=mid, rhs=d / (d + 2.0) * h * h, mid_stderr=mid_se)
+    mom = body_moments(K, mc_samples)
+    reports = []
+    for u in np.atleast_2d(np.asarray(dirs, dtype=np.float64)):
+        u = u / np.linalg.norm(u)
+        h = body_support(K, u)
+        if float(np.linalg.norm(mom.barycenter)) > 1e-9 * (1.0 + h):
+            raise LceError(f"body is not centered: barycenter {mom.barycenter}")
+        mid_se = float(np.sqrt(u**2 @ mom.stderr**2 @ u**2))
+        reports.append(KlsReport(lhs=h * h / (d * (d + 2.0)), mid=float(u @ mom.second_moment @ u),
+                                 rhs=d / (d + 2.0) * h * h, mid_stderr=mid_se))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -552,15 +519,14 @@ def body_circumradius(K: ConvexBody) -> float:
 def radius_bounds_check(K: ConvexBody) -> RadiusReport:
     """Inradius/circumradius bounds via covariance eigenvalues; requires |K| = 1
     and the origin in the interior."""
-    vol = body_volume(K)
-    if abs(vol - 1.0) > 1e-9:
-        raise LceError(f"body must have unit volume (got {vol}); rescale first")
+    mom = body_moments(K)
+    if abs(mom.volume - 1.0) > 1e-9:
+        raise LceError(f"body must have unit volume (got {mom.volume}); rescale first")
     r = body_inradius(K)
     if r <= 0.0:
         raise LceError("origin must lie in the interior")
     d = K.dim
-    M, _ = body_second_moment(K)  # |K| = 1: matrix of int_K y_i y_j dy
-    eig = np.linalg.eigvalsh(M)
+    eig = np.linalg.eigvalsh(mom.second_moment)  # |K| = 1: matrix of int_K y_i y_j dy
     lam_min, lam_max = float(eig[0]), float(eig[-1])
     R = body_circumradius(K)
     return RadiusReport(

@@ -24,7 +24,7 @@ from . import __version__, convexity, families, geometry, hull
 from .bridge import covdis_check_1d, lattice_vs_integral_gaps
 from .densities import asym_exponential, gaussian, laplace_product
 from .errors import LceError
-from .lattice import LatticePmf, convolve, make_product, pmf_to_doc, point_mass
+from .lattice import Box, LatticePmf, convolve, make_product, pmf_to_doc, point_mass
 from .moments import discrete_moments, isotropy_score, max_pmf_width_product, shannon_entropy
 from .numerics import stable_sum, unit_directions
 from .smoothing import differential_entropy, elementary_estimate, entropy_like
@@ -44,7 +44,6 @@ DEFAULT_TOLERANCES = {
     "epi_sigma_floor": 8.0,
     "deficit_floor": 1e-9,  # fp floor when comparing EPI deficits across sigma
     "ub_cap": 1.0,  # max p * sqrt(det Cov) cap for the sweep family
-    "ub_target_rel": 0.02,
     "envelope_tol": 1e-9,  # extensibility tolerance (log-mass units)
     "max_width_cap": 1.0 + 1e-9,
     "explore_samples": 40,
@@ -56,6 +55,8 @@ DEFAULT_TOLERANCES = {
     "selfsum_nmax": 4,
     "elementary_samples": 100_000,
 }
+# Tolerances that count samples, sets or summands: non-negative integers.
+COUNT_TOLERANCES = ("explore_samples", "selfsum_d2_sets", "selfsum_d3_sets", "selfsum_nmax", "elementary_samples")
 
 
 @dataclass
@@ -84,8 +85,16 @@ class ExperimentConfig:
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise LceError(f"unknown check ids: {unknown}")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.tolerances.values()):
+        tols = self.tolerances
+        unknown = sorted(set(tols) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise LceError(f"unknown tolerance keys: {unknown}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in tols.values()):
             raise LceError("tolerances must be numbers")
+        for key in COUNT_TOLERANCES:
+            least = 2 if key == "selfsum_nmax" else 0
+            if key in tols and not (isinstance(tols[key], int) and tols[key] >= least):
+                raise LceError(f"tolerance {key} must be an integer >= {least}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise LceError("seed must be a non-negative integer")
 
@@ -227,33 +236,20 @@ def family_pmf(cfg: ExperimentConfig, d: int, sigma: float) -> LatticePmf:
     return families.SWEEP.make(cfg.family.get("name", "gaussian"), sigma, d, **cfg.family.get("params", {}))
 
 
-def _small_window_gaussian(sigma: float, d: int, half: int = 4) -> LatticePmf:
-    """Gaussian masses on a tiny central box, renormalized (precheck input)."""
-    from .lattice import Box
-
-    box = Box((-half,) * d, (half,) * d)
-    grid = box.grid()
-    vals = np.exp(-0.5 * np.sum(grid * grid, axis=-1) / (sigma * sigma))
-    return LatticePmf(box, vals / stable_sum(vals), 0.0, {"family": "gaussian_window"})
-
-
 def _family_extensibility_precheck(cfg: ExperimentConfig, d: int, sigma: float) -> bool:
-    """Extensibility of a small central window of the family member.
+    """Extensibility of a central window, at most 9 cells per axis, of the
+    family member.
 
-    The window is the restriction of the same convex log-mass, renormalized,
-    so extensibility of the window is the meaningful finite check.
+    The window is the restriction of the same convex log-mass to a box, so
+    extensibility of the window is the meaningful finite check.
     """
-    name = cfg.family.get("name", "gaussian")
-    if name == "point_mass":
-        return True
-    if name in ("gaussian", "product_gaussian"):
-        rep = convexity.is_log_concave_extensible(
-            _small_window_gaussian(sigma, d), tol=cfg.tol("envelope_tol")
-        )
-        return rep.is_extensible
-    if name == "uniform":
-        return True
-    return False
+    p = family_pmf(cfg, d, sigma)
+    mid = [(lo + hi) // 2 for lo, hi in zip(p.box.lo, p.box.hi)]
+    box = Box(tuple(max(lo, c - 4) for lo, c in zip(p.box.lo, mid)),
+              tuple(min(hi, c + 4) for hi, c in zip(p.box.hi, mid)))
+    cells = tuple(slice(a - lo, b - lo + 1) for a, b, lo in zip(box.lo, box.hi, p.box.lo))
+    window = LatticePmf(box, p.values[cells])
+    return convexity.is_log_concave_extensible(window, tol=cfg.tol("envelope_tol")).is_extensible
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +531,10 @@ def _random_convex_set(rng: np.random.Generator, d: int, span: int) -> convexity
 
 def check_self_sum_convex(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed + 1)
-    n_max = int(cfg.tol("selfsum_nmax"))
+    n_max = cfg.tol("selfsum_nmax")
     # Set sizes are configured by count, not by the p.m.f. sweep dims: the
     # self-sum law is a lattice-set statement and cheap even in d = 3.
-    plans = [(2, int(cfg.tol("selfsum_d2_sets")), 5), (3, int(cfg.tol("selfsum_d3_sets")), 3)]
+    plans = [(2, cfg.tol("selfsum_d2_sets"), 5), (3, cfg.tol("selfsum_d3_sets"), 3)]
     results = []
     for d, count, span in plans:
         if count <= 0:
@@ -593,7 +589,7 @@ def _random_extensible_pmf(rng: np.random.Generator, span: int = 4, noise: float
 
 def check_explore_conv(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed + 2)
-    samples = int(cfg.tol("explore_samples"))
+    samples = cfg.tol("explore_samples")
     tol = cfg.tol("envelope_tol")
     counterexamples = []
     with _Timer() as t:
@@ -695,13 +691,11 @@ def check_geom_kls(cfg: ExperimentConfig) -> list:
     results = []
     rng = np.random.default_rng(cfg.seed + 4)
     for name, K in _geom_bodies(cfg):
-        u = rng.normal(size=K.dim)
-        dirs = [np.eye(K.dim)[0], np.ones(K.dim), u]
+        dirs = [np.eye(K.dim)[0], np.ones(K.dim), rng.normal(size=K.dim)]
         with _Timer() as t:
             ok = True
             worst = 0.0
-            for v in dirs:
-                rep = geometry.kls_second_moment_check(K, v)
+            for rep in geometry.kls_second_moment_check(K, dirs):
                 ok = ok and rep.chain_holds(tol=1e-6)
                 span = max(rep.rhs - rep.lhs, 1e-300)
                 worst = max(worst, (rep.lhs - rep.mid) / span, (rep.mid - rep.rhs) / span)
@@ -747,7 +741,7 @@ def check_geom_radius(cfg: ExperimentConfig) -> list:
 
 def check_elementary(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed + 5)
-    n = int(cfg.tol("elementary_samples"))
+    n = cfg.tol("elementary_samples")
     with _Timer() as t:
         M = np.exp(rng.uniform(0.0, 8.0, n))
         D = np.exp(rng.uniform(0.0, 8.0, n))

@@ -260,15 +260,16 @@ def test_criterion_10_ball_geometry():
     kls_ok = True
     for K in (geo.make_ball(2, 1.5), geo.make_cube(2), geo.make_simplex(2),
               geo.make_ball(3), geo.make_cube(3), geo.make_simplex(3)):
-        for u in (np.eye(K.dim)[0], np.ones(K.dim)):
-            kls_ok = kls_ok and geo.kls_second_moment_check(K, u).chain_holds(tol=1e-6)
+        reps = geo.kls_second_moment_check(K, [np.eye(K.dim)[0], np.ones(K.dim)])
+        kls_ok = kls_ok and all(rep.chain_holds(tol=1e-6) for rep in reps)
     rng = np.random.default_rng(10)
     for d in (2, 3):
         A = rng.normal(size=(3 * d, d))
         A /= np.linalg.norm(A, axis=1, keepdims=True)
         b = rng.uniform(0.5, 1.5, size=3 * d)
         K = geo.make_hpoly(np.vstack([A, -A]), np.concatenate([b, b]))
-        kls_ok = kls_ok and geo.kls_second_moment_check(K, rng.normal(size=d)).chain_holds(se_mult=3.0)
+        (rep,) = geo.kls_second_moment_check(K, rng.normal(size=d))
+        kls_ok = kls_ok and rep.chain_holds(se_mult=3.0)
     radius_ok = (geo.radius_bounds_check(geo.make_cube(2)).holds()
                  and geo.radius_bounds_check(geo.make_cube(3)).holds()
                  and geo.radius_bounds_check(geo.scale_to_unit_volume(geo.make_ball(2))).holds()

@@ -16,6 +16,14 @@ def pmf_from_masses(masses, lo):
     return LatticePmf(Box(tuple(lo), hi), vals / vals.sum())
 
 
+def gaussian_window(sigma, d, half):
+    """Masses of N(0, sigma^2 I) on the central box [-half, half]^d, normalized."""
+    box = Box((-half,) * d, (half,) * d)
+    grid = box.grid()
+    vals = np.exp(-0.5 * np.sum(grid * grid, axis=-1) / (sigma * sigma))
+    return LatticePmf(box, vals / vals.sum())
+
+
 def random_subset_pmf(rng, span=3, max_support=12):
     pts = [(a, b) for a in range(span + 1) for b in range(span + 1)]
     k = int(rng.integers(2, max_support + 1))
@@ -115,9 +123,7 @@ def test_non_extensible_with_exact_gap():
 def test_quantized_gaussian_2d_extensible():
     # central window of the quantized isotropic Gaussian: restriction of a
     # convex quadratic, so extensible; window keeps the LP sizes modest
-    from lce.harness import _small_window_gaussian
-
-    q = _small_window_gaussian(2.0, 2, half=3)
+    q = gaussian_window(2.0, 2, half=3)
     rep = cx.is_log_concave_extensible(q)
     assert rep.is_extensible
 
@@ -266,10 +272,9 @@ def test_random_z3_convex_self_sums_all_convex():
 def test_gaussian_window_self_convolution_extensible():
     # truncated product structure: coordinates stay independent, and 1-d
     # log-concavity is closed under convolution, so the self-sum must pass
-    from lce.harness import _small_window_gaussian
     from lce.lattice import convolve
 
-    p = _small_window_gaussian(2.0, 2, half=3)
+    p = gaussian_window(2.0, 2, half=3)
     p2 = convolve(p, p)
     assert cx.is_log_concave_extensible(p2).is_extensible
 

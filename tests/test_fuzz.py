@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lce.densities import DENSITIES, parse_param_spec
 from lce.errors import LceError
 from lce.geometry import BODIES
-from lce.harness import CHECKS, load_config
+from lce.harness import CHECKS, COUNT_TOLERANCES, DEFAULT_TOLERANCES, load_config
 from lce.lattice import pmf_from_doc
 
 FUZZ = settings(max_examples=200, deadline=None)
@@ -124,7 +124,11 @@ config_field_docs = st.fixed_dictionaries(
         "checks": st.lists(st.sampled_from(["max_pmf_1d", "bogus"]), max_size=2)
         | st.sampled_from(["max_pmf_1d", "epi_gap"])
         | json_values,
-        "tolerances": st.dictionaries(st.sampled_from(["max_width_cap", "explore_samples"]), json_values, max_size=2),
+        "tolerances": st.dictionaries(
+            st.sampled_from(["max_width_cap", "explore_samples", "selfsum_nmax", "explore_sample"]),
+            st.integers(-2, 3) | st.floats() | st.booleans() | json_values,
+            max_size=3,
+        ),
         "seed": st.integers(-3, 3) | st.floats(-3, 3),
     }
 )
@@ -144,7 +148,10 @@ def test_load_config_accepts_only_valid_field_values(tmp_path, doc):
     assert cfg.sigmas and all(type(v) in (int, float) and 0 < v < math.inf for v in cfg.sigmas)
     assert isinstance(cfg.checks, list) and set(cfg.checks) <= set(CHECKS)
     assert isinstance(cfg.family.get("name", ""), str) and isinstance(cfg.family.get("params", {}), dict)
+    assert set(cfg.tolerances) <= set(DEFAULT_TOLERANCES)
     assert all(type(v) in (int, float) for v in cfg.tolerances.values())
+    for key in set(cfg.tolerances) & set(COUNT_TOLERANCES):
+        assert type(cfg.tolerances[key]) is int and cfg.tolerances[key] >= (2 if key == "selfsum_nmax" else 0)
     assert type(cfg.seed) is int and cfg.seed >= 0
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lce import geometry as geo
+from lce import harness
 from lce.densities import gaussian
 from lce.errors import LceError
 from lce.hull import facets3, monotone_chain
@@ -76,30 +77,31 @@ def test_inclusion_chain_on_gaussian():
 
 
 def test_body_volumes():
-    assert geo.body_volume(geo.make_cube(3)) == pytest.approx(1.0)
-    assert geo.body_volume(geo.make_ball(2, 2.0)) == pytest.approx(4 * math.pi)
-    assert geo.body_volume(geo.make_ellipsoid([1.0, 2.0])) == pytest.approx(2 * math.pi)
-    assert geo.body_volume(geo.make_simplex(3)) == pytest.approx(1.0 / 6.0)
+    assert geo.body_moments(geo.make_cube(3)).volume == pytest.approx(1.0)
+    assert geo.body_moments(geo.make_ball(2, 2.0)).volume == pytest.approx(4 * math.pi)
+    assert geo.body_moments(geo.make_ellipsoid([1.0, 2.0])).volume == pytest.approx(2 * math.pi)
+    assert geo.body_moments(geo.make_simplex(3)).volume == pytest.approx(1.0 / 6.0)
 
 
 def test_vpoly_volume_and_moments_match_closed_forms():
     sq = geo.make_vpoly([[-1, -1], [1, -1], [1, 1], [-1, 1]])
-    assert geo.body_volume(sq) == pytest.approx(4.0)
-    M, se = geo.body_second_moment(sq)
-    assert np.allclose(M, np.eye(2) / 3.0, atol=1e-12)
+    mom = geo.body_moments(sq)
+    assert mom.volume == pytest.approx(4.0)
+    assert np.allclose(mom.second_moment, np.eye(2) / 3.0, atol=1e-12)
+    assert not mom.stderr.any()
     cube = geo.make_vpoly([[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)])
-    assert geo.body_volume(cube) == pytest.approx(1.0)
-    M3, _ = geo.body_second_moment(cube)
-    assert np.allclose(M3, np.eye(3) / 12.0, atol=1e-12)
+    mom3 = geo.body_moments(cube)
+    assert mom3.volume == pytest.approx(1.0)
+    assert np.allclose(mom3.second_moment, np.eye(3) / 12.0, atol=1e-12)
     # face centres and the origin are not vertices; the facet triangulation
     # must not count them as corners
     corners = [[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)]
     faces = [[s * (i == 0), s * (i == 1), s * (i == 2)] for i in range(3) for s in (-0.5, 0.5)]
     K = geo.make_vpoly(corners + faces + [[0.0, 0.0, 0.0]])
-    assert geo.body_volume(K) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(geo.body_barycenter(K), 0.0, atol=1e-12)
-    M4, _ = geo.body_second_moment(K)
-    assert np.allclose(M4, np.eye(3) / 12.0, atol=1e-12)
+    mom4 = geo.body_moments(K)
+    assert mom4.volume == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(mom4.barycenter, 0.0, atol=1e-12)
+    assert np.allclose(mom4.second_moment, np.eye(3) / 12.0, atol=1e-12)
 
 
 def test_vpoly_rotation_invariance():
@@ -107,7 +109,7 @@ def test_vpoly_rotation_invariance():
     R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     verts = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     K = geo.make_vpoly(verts @ R.T)
-    assert geo.body_volume(K) == pytest.approx(4.0, abs=1e-12)
+    assert geo.body_moments(K).volume == pytest.approx(4.0, abs=1e-12)
     rep = geo.radius_bounds_check(geo.scale_to_unit_volume(K))
     ref = geo.radius_bounds_check(geo.scale_to_unit_volume(geo.make_vpoly(verts)))
     assert rep.inradius == pytest.approx(ref.inradius, abs=1e-12)
@@ -121,16 +123,15 @@ def test_hpoly_support_and_mc_moments():
     b = np.array([1.0, 1.0, 1.0, 1.0])
     K = geo.make_hpoly(A, b)
     assert geo.body_support(K, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
-    M, se = geo.body_second_moment(K, mc_samples=100_000)
-    assert abs(M[0, 0] - 1.0 / 3.0) < 4 * se[0, 0] + 1e-3
-    vol = geo.body_volume(K, mc_samples=100_000)
-    assert vol == pytest.approx(4.0, rel=0.05)
+    mom = geo.body_moments(K, mc_samples=100_000)
+    assert abs(mom.second_moment[0, 0] - 1.0 / 3.0) < 4 * mom.stderr[0, 0] + 1e-3
+    assert mom.volume == pytest.approx(4.0, rel=0.05)
+    assert not mom.barycenter.any()  # symmetric: exact zero, not the MC mean
 
 
 def test_membership_closed_forms():
     K = geo.make_simplex(2)
-    b = geo.body_barycenter(K)
-    assert np.allclose(b, 0.0, atol=1e-15)
+    assert np.allclose(geo.body_moments(K).barycenter, 0.0, atol=1e-15)
     inside = geo.body_contains(K, np.array([[0.0, 0.0]]))
     assert bool(inside[0])
 
@@ -165,13 +166,14 @@ def test_vpoly_membership_beyond_d3_raises():
 def test_scaled_simplex_is_vpoly_with_scaled_moments():
     for d in (2, 3):
         K = geo.make_simplex(d)
-        M, _ = geo.body_second_moment(K)
+        M = geo.body_moments(K).second_moment
         for t in (0.5, 2.0, 3.0):
             S = geo.scale_body(K, t)
             assert S.kind == "vpoly"
-            assert geo.body_volume(S) == pytest.approx(t**d / math.factorial(d), rel=1e-12)
-            assert np.allclose(geo.body_barycenter(S), 0.0, atol=1e-12)
-            assert np.allclose(geo.body_second_moment(S)[0], t * t * M, atol=1e-12)
+            mom = geo.body_moments(S)
+            assert mom.volume == pytest.approx(t**d / math.factorial(d), rel=1e-12)
+            assert np.allclose(mom.barycenter, 0.0, atol=1e-12)
+            assert np.allclose(mom.second_moment, t * t * M, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +183,14 @@ def test_scaled_simplex_is_vpoly_with_scaled_moments():
 def test_kls_ball_closed_form():
     for d in (2, 3):
         R = 1.3
-        rep = geo.kls_second_moment_check(geo.make_ball(d, R), np.eye(d)[0])
+        (rep,) = geo.kls_second_moment_check(geo.make_ball(d, R), np.eye(d)[0])
         assert rep.mid == pytest.approx(R * R / (d + 2.0), abs=1e-12)
         assert rep.chain_holds(tol=1e-9)
         assert rep.lhs <= rep.mid <= rep.rhs
 
 
 def test_kls_cube_e1():
-    rep = geo.kls_second_moment_check(geo.make_cube(2), [1.0, 0.0])
+    (rep,) = geo.kls_second_moment_check(geo.make_cube(2), [1.0, 0.0])
     assert rep.mid == pytest.approx(1.0 / 12.0, abs=1e-12)
     assert rep.lhs == pytest.approx(0.25 / 8.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.25 / 2.0, abs=1e-12)
@@ -196,8 +198,8 @@ def test_kls_cube_e1():
 
 def test_kls_chain_homogeneous_under_scaling():
     u = np.array([0.3, -0.9])
-    r1 = geo.kls_second_moment_check(geo.make_ball(2, 1.0), u)
-    r2 = geo.kls_second_moment_check(geo.make_ball(2, 2.0), u)
+    (r1,) = geo.kls_second_moment_check(geo.make_ball(2, 1.0), u)
+    (r2,) = geo.kls_second_moment_check(geo.make_ball(2, 2.0), u)
     assert r2.lhs == pytest.approx(4 * r1.lhs, rel=1e-12)
     assert r2.mid == pytest.approx(4 * r1.mid, rel=1e-12)
     assert r2.rhs == pytest.approx(4 * r1.rhs, rel=1e-12)
@@ -206,9 +208,9 @@ def test_kls_chain_homogeneous_under_scaling():
 def test_kls_simplex_exact_including_equality_direction():
     for d in (2, 3):
         K = geo.make_simplex(d)
-        for u in (np.eye(d)[0], np.ones(d)):
-            rep = geo.kls_second_moment_check(K, u)
-            assert rep.chain_holds(tol=1e-9)
+        reps = geo.kls_second_moment_check(K, [np.eye(d)[0], np.ones(d)])
+        assert len(reps) == 2
+        assert all(rep.chain_holds(tol=1e-9) for rep in reps)
 
 
 def test_kls_random_symmetric_hpoly_mc():
@@ -219,7 +221,7 @@ def test_kls_random_symmetric_hpoly_mc():
         A /= np.linalg.norm(A, axis=1, keepdims=True)
         b = rng.uniform(0.5, 1.5, size=m)
         K = geo.make_hpoly(np.vstack([A, -A]), np.concatenate([b, b]))
-        rep = geo.kls_second_moment_check(K, rng.normal(size=d))
+        (rep,) = geo.kls_second_moment_check(K, rng.normal(size=d))
         assert rep.mid_stderr > 0.0
         assert rep.chain_holds(tol=1e-9, se_mult=3.0)
 
@@ -228,6 +230,27 @@ def test_kls_rejects_uncentered():
     K = geo.make_box([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(LceError):
         geo.kls_second_moment_check(K, [1.0, 0.0])
+
+
+def test_geom_kls_computes_moments_once_per_body(monkeypatch):
+    calls = {"_hpoly_mc": 0, "_hpoly_support": 0}
+
+    def counted(name):
+        fn = getattr(geo, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(geo, name, wrapper)
+
+    counted("_hpoly_mc")
+    counted("_hpoly_support")
+    rows = harness.check_geom_kls(harness.default_config())
+    assert all(r.status == harness.PASS for r in rows)
+    # two h-polytopes, in d = 2 and d = 3: one Monte Carlo run each, and one
+    # support LP per direction (3 each) besides the 2d of each bounding box
+    assert calls == {"_hpoly_mc": 2, "_hpoly_support": (3 + 4) + (3 + 6)}
 
 
 # ---------------------------------------------------------------------------

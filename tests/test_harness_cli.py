@@ -49,6 +49,13 @@ def test_unknown_check_id_rejected():
         ("checks", "epi_gap", "checks must be a list"),
         ("family", {"name": "gaussian", "params": [1]}, "family must be"),
         ("tolerances", {"max_width_cap": "x"}, "tolerances must be"),
+        ("tolerances", {"explore_sample": 3}, "unknown tolerance keys"),
+        ("tolerances", {"ub_target_rel": 0.02}, "unknown tolerance keys"),
+        ("tolerances", {"explore_samples": -3}, "explore_samples must be an integer >= 0"),
+        ("tolerances", {"elementary_samples": -1}, "elementary_samples must be"),
+        ("tolerances", {"selfsum_d2_sets": 2.5}, "selfsum_d2_sets must be"),
+        ("tolerances", {"selfsum_d3_sets": True}, "tolerances must be numbers"),
+        ("tolerances", {"selfsum_nmax": 1}, "selfsum_nmax must be an integer >= 2"),
         ("seed", -5, "seed must be"),
     ],
 )
@@ -246,6 +253,15 @@ def test_cli_error_paths(tmp_path, capsys):
         ["verify", "--config", "{tmp}/checks_string.json"],
         ["bridge", "--density", "gaussian{name=1}"],
         ["geom", "--body", "cube{self=1}", "--check", "kls"],
+        ["verify", "--config", "{tmp}/tol_unknown.json"],
+        ["verify", "--config", "{tmp}/tol_negative.json"],
+        ["verify", "--config", "{tmp}/tol_fractional.json"],
+        ["bridge", "--density", "gaussian", "--sweep", "a"],
+        ["bridge", "--density", "gaussian", "--sweep", "nan"],
+        ["bridge", "--density", "gaussian{sigma=NaN}"],
+        ["geom", "--check", "ballbody", "--p", "nan"],
+        ["geom", "--check", "ballbody", "--p", "inf"],
+        ["geom", "--check", "ballbody", "--density", "laplace_product{rate=NaN,dim=2}"],
     ],
     ids=[
         "unknown_family",
@@ -266,6 +282,15 @@ def test_cli_error_paths(tmp_path, capsys):
         "config_checks_string",
         "density_key_name",
         "body_key_self",
+        "config_tolerance_unknown_key",
+        "config_tolerance_negative_count",
+        "config_tolerance_fractional_count",
+        "bridge_sweep_not_a_number",
+        "bridge_sweep_nan",
+        "density_sigma_nan",
+        "ballbody_p_nan",
+        "ballbody_p_inf",
+        "density_rate_nan",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
@@ -277,6 +302,9 @@ def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
         ("zero_n", {"n_values": [0]}),
         ("fractional_n", {"n_values": [1.5]}),
         ("checks_string", {"checks": "epi_gap"}),
+        ("tol_unknown", {"tolerances": {"explore_sample": 3}}),
+        ("tol_negative", {"tolerances": {"elementary_samples": -1}}),
+        ("tol_fractional", {"tolerances": {"selfsum_d2_sets": 2.5}}),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, **change}))
     assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2

@@ -37,6 +37,25 @@ def test_hull_witnesses_match_bruteforce_and_lp(d, count, span):
         assert rep.witnesses == cx.zd_convex_lp(A).witnesses, pts.tolist()
 
 
+def test_d4_lp_route_matches_bruteforce():
+    # d >= 4 has no hull route: is_zd_convex solves one membership LP per
+    # bounding-box point outside A
+    rng = np.random.default_rng(44)
+    outcomes = set()
+    for _ in range(8):
+        A = LatticeSet.from_iterable(4, rng.integers(0, 3, size=(int(rng.integers(2, 6)), 4)))
+        rep = cx.is_zd_convex(A)
+        assert rep == cx.zd_convex_bruteforce(A)
+        outcomes.add(rep.is_convex)
+    assert outcomes == {True, False}
+
+
+def test_self_sums_of_the_4_simplex_are_convex():
+    S = LatticeSet.from_iterable(4, np.vstack([np.zeros(4, dtype=np.int64), np.eye(4, dtype=np.int64)]))
+    reps = cx.check_self_sum_convexity(S, 3)
+    assert [r.is_convex for r in reps] == [True, True]
+
+
 def test_hrep_is_conv_of_its_points():
     rng = np.random.default_rng(5)
     for d in (1, 2, 3):
@@ -148,10 +167,11 @@ def test_small_dip_below_a_steep_plane_is_a_vertex(tilt):
 def test_cocircular_gaussian_window_stays_extensible():
     # Every lattice circle of the isotropic window lifts to a coplanar set of
     # points, the degenerate case for the lifted hull.
-    from lce.harness import _small_window_gaussian
-
     for half in (3, 4):
-        q = _small_window_gaussian(2.0, 2, half=half)
+        box = Box((-half, -half), (half, half))
+        grid = box.grid()
+        vals = np.exp(-0.5 * np.sum(grid * grid, axis=-1) / 4.0)
+        q = LatticePmf(box, vals / vals.sum())
         rep = cx.is_log_concave_extensible(q)
         assert rep.is_extensible and rep.max_gap() <= 1e-12
 
