@@ -4,18 +4,15 @@ entropy deviation along the quantized-Gaussian sigma sweep.
 
 For each (d, sigma, n): Delta_n = H(S_(n+1)) - H(S_n) - (d/2) log((n+1)/n)
 and delta_n = |h(S_n + U^(n)) - H(S_n)|, with the rate statistic scaled by
-sigma_hat / log sigma_hat.
+sigma_hat / log sigma_hat.  The values are the ``epi_gap`` and
+``diff_approx`` rows of one verification run, which share its entropy chains.
 
-Usage: python scripts/epi_rate_table.py [--dims 1,2] [--sigmas 4,8,16,32]
+Usage: python scripts/epi_rate_table.py [--dims 1,2] [--sigmas 4,8,16,32] [--nmax 2]
 """
 
 import argparse
-import math
 
-from lce.families import quantized_gaussian
-from lce.lattice import convolve
-from lce.moments import discrete_moments, shannon_entropy
-from lce.smoothing import differential_entropy
+from lce.harness import ExperimentConfig, run_config
 
 
 def main() -> int:
@@ -24,24 +21,26 @@ def main() -> int:
     ap.add_argument("--sigmas", default="4,8,16,32")
     ap.add_argument("--nmax", type=int, default=2)
     args = ap.parse_args()
-    dims = [int(x) for x in args.dims.split(",")]
-    sigmas = [float(x) for x in args.sigmas.split(",")]
+    try:
+        cfg = ExperimentConfig(
+            family={"name": "gaussian", "params": {}},
+            dims=[int(x) for x in args.dims.split(",")],
+            sigmas=[float(x) for x in args.sigmas.split(",")],
+            n_values=list(range(1, args.nmax + 1)),
+            checks=["epi_gap", "diff_approx"],
+        )
+    except ValueError as exc:  # lce.errors.LceError included
+        ap.error(str(exc))
+    measured = {"epi_gap": {}, "diff_approx": {}}
+    for r in run_config(cfg).results:
+        if r.check_id in measured:
+            measured[r.check_id][r.inputs["d"], r.inputs["sigma"], r.inputs["n"]] = r.measured
 
     print(f"{'d':>2} {'sigma':>6} {'n':>2} {'Delta_n':>12} {'delta_n':>12} {'rate(delta)':>12}")
-    for d in dims:
-        for sigma in sigmas:
-            p = quantized_gaussian(sigma, d)
-            sums = [p]
-            for _ in range(args.nmax):
-                sums.append(convolve(sums[-1], p))
-            H = [shannon_entropy(s) for s in sums]
-            for n in range(1, args.nmax + 1):
-                gap = H[n] - H[n - 1] - 0.5 * d * math.log((n + 1) / n)
-                h = differential_entropy(sums[n - 1], n)
-                delta = abs(h - H[n - 1])
-                sig = discrete_moments(sums[n - 1]).sigma_hat
-                rate = delta * sig / math.log(sig) if sig > 1 else float("nan")
-                print(f"{d:>2} {sigma:>6.1f} {n:>2} {gap:>12.3e} {delta:>12.3e} {rate:>12.3e}")
+    for (d, sigma, n), gap in measured["epi_gap"].items():
+        approx = measured["diff_approx"][d, sigma, n]
+        values = (gap["delta"], approx["delta"], approx["rate_stat"])
+        print(f"{d:>2} {sigma:>6.1f} {n:>2}", *(f"{v:>12.3e}" for v in values))
     return 0
 
 

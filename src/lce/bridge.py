@@ -87,7 +87,6 @@ def lattice_vs_integral_gaps(
     f: ContinuousDensity,
     box: Box | None = None,
     radius_multiplier: float = 12.0,
-    rel_tol: float = 1e-8,
 ) -> GapReport:
     """Compare lattice sums of f over a truncation box with its integrals.
 
@@ -99,7 +98,7 @@ def lattice_vs_integral_gaps(
     if box is None:
         box, _ = truncation_box(f, radius_multiplier=radius_multiplier)
     s0, s1, s2, vmax = _lattice_raw_moments(f, box)
-    m0, m1, raw2 = _continuous_raw_moments(f, box, rel_tol)
+    m0, m1, raw2 = _continuous_raw_moments(f, box, 1e-8)
     d = f.dim
     if s0 <= 0:
         raise LceError("density carries no lattice mass on the box")
@@ -138,12 +137,12 @@ class FirstMomentCheck:
     holds: bool
 
 
-def covdis_check_1d(f: ContinuousDensity, radius_multiplier: float = 12.0) -> FirstMomentCheck:
+def covdis_check_1d(f: ContinuousDensity) -> FirstMomentCheck:
     """d=1 first-moment bound |int x f - sum k f(k)| <= (e+1) sum f(k) for
     centered log-concave f."""
     if f.dim != 1:
         raise LceError("covdis_check_1d is for d = 1")
-    box, _ = truncation_box(f, radius_multiplier=radius_multiplier)
+    box, _ = truncation_box(f)
     ks = np.arange(box.lo[0], box.hi[0] + 1, dtype=np.float64)
     vals = f.evaluate(ks[:, None])
     skf = stable_sum(vals * ks)

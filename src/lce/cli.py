@@ -21,7 +21,7 @@ from . import bridge as bridge_mod
 from . import convexity, families, geometry, harness, moments, smoothing
 from .densities import DENSITIES, parse_param_spec
 from .errors import LceError, NumericalError
-from .lattice import convolve, load_pmf, save_pmf
+from .lattice import convolve, load_pmf, save_pmf, support_set
 from .numerics import unit_directions
 
 
@@ -33,10 +33,8 @@ def _emit(doc: dict):
 def _jsonable(x):
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, (np.floating, np.integer, np.bool_)):
         return x.item()
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
@@ -86,8 +84,6 @@ def _moments(args) -> int:
 
 def _check(args) -> int:
     p = load_pmf(args.pmf)
-    from .lattice import support_set
-
     if args.mode == "zconvex":
         S = support_set(p)
         rep = convexity.zd_convex_lp(S, exact=True) if args.exact else convexity.is_zd_convex(S)

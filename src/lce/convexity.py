@@ -67,7 +67,7 @@ def minkowski_sum(A: LatticeSet, B: LatticeSet) -> LatticeSet:
     return LatticeSet.from_iterable(A.dim, sums)
 
 
-def is_zd_convex(A: LatticeSet, *, box_cap: int = BOX_ENUM_CAP) -> ConvexityReport:
+def is_zd_convex(A: LatticeSet) -> ConvexityReport:
     """Decide A = conv(A) cap Z^d; the witnesses are the lattice points of
     conv(A) that A misses, in lexicographic order.
 
@@ -77,16 +77,16 @@ def is_zd_convex(A: LatticeSet, *, box_cap: int = BOX_ENUM_CAP) -> ConvexityRepo
     """
     _check_nonempty(A)
     if A.dim > HULL_MAX_DIM:
-        return zd_convex_lp(A, box_cap=box_cap)
-    box = _checked_box(A, box_cap)
+        return zd_convex_lp(A)
+    box = _checked_box(A)
     return _hull_report(A, box, *_hrep_from_corner(A, box))
 
 
-def zd_convex_lp(A: LatticeSet, *, exact: bool = False, box_cap: int = BOX_ENUM_CAP) -> ConvexityReport:
+def zd_convex_lp(A: LatticeSet, *, exact: bool = False) -> ConvexityReport:
     """LP reference for :func:`is_zd_convex`: one hull-membership LP per
     bounding-box point outside A, in rational arithmetic when ``exact``."""
     _check_nonempty(A)
-    return _lp_report(A, _checked_box(A, box_cap), A.array(), exact)
+    return _lp_report(A, _checked_box(A), A.array(), exact)
 
 
 def _check_nonempty(A: LatticeSet) -> None:
@@ -94,10 +94,10 @@ def _check_nonempty(A: LatticeSet) -> None:
         raise LceError("convexity of the empty set is not defined here")
 
 
-def _checked_box(S: LatticeSet, box_cap: int) -> Box:
+def _checked_box(S: LatticeSet) -> Box:
     box = S.bounding_box()
-    if box.ncells > box_cap:
-        raise SizeCapError(f"bounding box has {box.ncells} cells, cap is {box_cap}")
+    if box.ncells > BOX_ENUM_CAP:
+        raise SizeCapError(f"bounding box has {box.ncells} cells, cap is {BOX_ENUM_CAP}")
     return box
 
 
@@ -278,7 +278,6 @@ def is_log_concave_extensible(
     p: LatticePmf,
     tol: float = DEFAULT_ENVELOPE_TOL,
     mode: str = "float",
-    support_cap: int = SUPPORT_CAP,
 ) -> ExtensibilityReport:
     """Decide whether V = -log p extends to a convex function on R^d.
 
@@ -296,12 +295,14 @@ def is_log_concave_extensible(
     """
     if mode not in ("float", "exact"):
         raise LceError(f"unknown mode {mode!r}")
+    if not 0.0 <= tol < math.inf:
+        raise LceError(f"tol must be a finite non-negative number, got {tol!r}")
     exact = mode == "exact"
     support = support_set(p)
     if len(support) == 0:
         raise LceError("p.m.f. has empty support")
-    if len(support) > support_cap:
-        raise SizeCapError(f"support size {len(support)} exceeds cap {support_cap}")
+    if len(support) > SUPPORT_CAP:
+        raise SizeCapError(f"support size {len(support)} exceeds cap {SUPPORT_CAP}")
     conv_report = zd_convex_lp(support, exact=True) if exact else is_zd_convex(support)
     pts = support.sorted_points()
     vals = np.array([-math.log(p.value_at(k)) for k in pts])
@@ -432,7 +433,7 @@ def check_self_sum_convexity(A: LatticeSet, n_max: int) -> list[ConvexityReport]
     if n_max < 2:
         raise LceError("n_max must be at least 2")
     if A.dim <= HULL_MAX_DIM:
-        box = _checked_box(A, BOX_ENUM_CAP)
+        box = _checked_box(A)
         H, b = _hrep_from_corner(A, box)
         base = _hull_report(A, box, H, b)
     else:
@@ -443,7 +444,7 @@ def check_self_sum_convexity(A: LatticeSet, n_max: int) -> list[ConvexityReport]
     current = A
     for n in range(2, n_max + 1):
         current = minkowski_sum(current, A)
-        box = _checked_box(current, BOX_ENUM_CAP)
+        box = _checked_box(current)
         if A.dim <= HULL_MAX_DIM:
             # The box of the n-fold sum starts at n times the corner of A's box.
             reports.append(_hull_report(current, box, H, n * b))

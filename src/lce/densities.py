@@ -57,7 +57,6 @@ class ContinuousDensity:
     known_mean: Optional[np.ndarray] = None
     known_cov: Optional[np.ndarray] = None
     tail_bound: Optional[TailBound] = None
-    logconcave_flag: bool = True
     name: str = "custom"
     params: dict = field(default_factory=dict)
     center: Optional[np.ndarray] = None

@@ -17,6 +17,9 @@ from . import densities
 from .errors import LceError
 from .lattice import Box, LatticePmf, make_product, point_mass, quantize_density
 
+# Largest tail mass a geometric family cuts off; it is the exact deficit.
+GEOMETRIC_TAIL_TOL = 1e-14
+
 
 def uniform_interval(m: int, lo: int = 0) -> LatticePmf:
     """Uniform mass on {lo, ..., lo + m - 1}."""
@@ -34,24 +37,24 @@ def binomial_pmf(n: int, prob: float = 0.5) -> LatticePmf:
     return LatticePmf(Box((0,), (n,)), vals, 0.0, {"family": "binomial", "n": n, "prob": prob})
 
 
-def one_sided_geometric(q: float, tail_tol: float = 1e-14) -> LatticePmf:
+def one_sided_geometric(q: float) -> LatticePmf:
     """p(k) = (1-q) q^k on {0..K}; the cut tail q^(K+1) is the exact deficit."""
     if not (0.0 < q < 1.0):
         raise LceError("need 0 < q < 1")
-    K = max(1, int(math.ceil(math.log(tail_tol) / math.log(q))) + 1)
+    K = max(1, int(math.ceil(math.log(GEOMETRIC_TAIL_TOL) / math.log(q))) + 1)
     ks = np.arange(K + 1)
     vals = (1.0 - q) * q**ks
     deficit = q ** (K + 1)
     return LatticePmf(Box((0,), (K,)), vals, deficit, {"family": "geometric", "q": q})
 
 
-def two_sided_geometric(q: float, tail_tol: float = 1e-14) -> LatticePmf:
+def two_sided_geometric(q: float) -> LatticePmf:
     """p(k) proportional to q^|k| on {-K..K}; exact symmetric tail deficit."""
     if not (0.0 < q < 1.0):
         raise LceError("need 0 < q < 1")
     C = (1.0 - q) / (1.0 + q)
     K = 1
-    while 2.0 * C * q ** (K + 1) / (1.0 - q) > tail_tol:
+    while 2.0 * C * q ** (K + 1) / (1.0 - q) > GEOMETRIC_TAIL_TOL:
         K += 1
     ks = np.arange(-K, K + 1)
     vals = C * q ** np.abs(ks)
@@ -65,7 +68,8 @@ def quantized_gaussian(sigma: float, dim: int = 1, radius_multiplier: float = 12
 
 
 def assorted_pmfs_1d(count: int = 20) -> list[LatticePmf]:
-    """Deterministic zoo of 1-d p.m.f.s covering shapes from point mass to wide."""
+    """The first ``count`` (at most 20) of a deterministic zoo of 1-d p.m.f.s
+    covering shapes from point mass to wide."""
     pool = [
         point_mass((0,)),
         point_mass((5,)),
@@ -88,8 +92,6 @@ def assorted_pmfs_1d(count: int = 20) -> list[LatticePmf]:
         quantized_gaussian(6.0),
         quantized_gaussian(10.0),
     ]
-    while len(pool) < count:
-        pool.append(binomial_pmf(3 + len(pool), 0.5))
     return pool[:count]
 
 

@@ -122,14 +122,14 @@ class InclusionCheck:
     passed: bool
 
 
-def check_inclusions(f: ContinuousDensity, p: float, q: float, dirs, tol: float = 1e-9) -> InclusionCheck:
+def check_inclusions(f: ContinuousDensity, p: float, q: float, dirs) -> InclusionCheck:
     """Verify lower <= rho_{K_p}(theta)/rho_{K_q}(theta) <= upper on sampled directions."""
     consts = inclusion_constants(f.dim, p, q)
     prof_p = ball_body_radial(f, p, dirs)
     prof_q = ball_body_radial(f, q, dirs)
     ratios = prof_p.radii / prof_q.radii
     lo, hi = float(ratios.min()), float(ratios.max())
-    passed = (lo >= consts.lower - tol) and (hi <= consts.upper + tol)
+    passed = (lo >= consts.lower - 1e-9) and (hi <= consts.upper + 1e-9)
     return InclusionCheck(consts.lower, consts.upper, lo, hi, passed)
 
 

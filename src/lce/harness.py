@@ -1,12 +1,19 @@
 """Experiment driver: sweeps over distribution families, quantitative checks,
 report and CSV emission.
 
-Checks are registered by id and consume an :class:`ExperimentConfig`.  Each
-check produces :class:`CheckResult` rows whose status is recomputable from the
-stored measured/bound pairs; sweep points whose hypotheses fail
+Checks are registered by id and take the :class:`RunContext` that
+:func:`run_config` builds per run: the :class:`ExperimentConfig` and the
+entropy chains S_1..S_n, one per (d, sigma), which ``epi_gap`` (Delta_n) and
+``diff_approx`` (delta_n) share.  Each chain level is convolved once, when a
+reader first needs it, and a chain is dropped at its last read.
+
+Each check produces :class:`CheckResult` rows whose status is recomputable
+from the stored measured/bound pairs; sweep points whose hypotheses fail
 (degenerate covariance, non-extensible family member) are ``flagged`` rather
-than ``fail``.  Reports serialize to JSON deterministically; byte identity
-modulo the runtime fields is part of the contract.
+than ``fail``.  A row's ``runtime_ms`` is its share of the check's wall time,
+chain builds and the extensibility precheck included.  Reports serialize to
+JSON deterministically; byte identity modulo the runtime fields is part of
+the contract.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +32,7 @@ from . import __version__, convexity, families, geometry, hull
 from .bridge import covdis_check_1d, lattice_vs_integral_gaps
 from .densities import asym_exponential, gaussian, laplace_product
 from .errors import LceError
-from .lattice import Box, LatticePmf, convolve, make_product, pmf_to_doc, point_mass
+from .lattice import Box, LatticePmf, LatticeSet, convolve, make_product, pmf_to_doc, point_mass
 from .moments import discrete_moments, isotropy_score, max_pmf_width_product, shannon_entropy
 from .numerics import stable_sum, unit_directions
 from .smoothing import differential_entropy, elementary_estimate, entropy_like
@@ -91,6 +99,9 @@ class ExperimentConfig:
             raise LceError(f"unknown tolerance keys: {unknown}")
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in tols.values()):
             raise LceError("tolerances must be numbers")
+        infinite = sorted(k for k, v in tols.items() if isinstance(v, float) and not math.isfinite(v))
+        if infinite:
+            raise LceError(f"tolerances must be finite: {infinite}")
         for key in COUNT_TOLERANCES:
             least = 2 if key == "selfsum_nmax" else 0
             if key in tols and not (isinstance(tols[key], int) and tols[key] >= least):
@@ -99,21 +110,10 @@ class ExperimentConfig:
             raise LceError("seed must be a non-negative integer")
 
     def tol(self, name: str) -> float:
-        if name in self.tolerances:
-            return self.tolerances[name]
-        return DEFAULT_TOLERANCES[name]
+        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def to_doc(self) -> dict:
-        return {
-            "family": self.family,
-            "dims": list(self.dims),
-            "sigmas": list(self.sigmas),
-            "n_values": list(self.n_values),
-            "checks": list(self.checks),
-            "tolerances": dict(self.tolerances),
-            "seed": self.seed,
-            "output": self.output,
-        }
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
@@ -141,7 +141,6 @@ def default_config(output: str | None = None) -> ExperimentConfig:
         sigmas=[4.0, 8.0, 16.0, 32.0],
         n_values=[1, 2],
         checks=list(CHECKS),
-        seed=20240810,
         output=output,
     )
 
@@ -157,15 +156,7 @@ class CheckResult:
     notes: dict = field(default_factory=dict)
 
     def to_doc(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "inputs": self.inputs,
-            "measured": self.measured,
-            "bound": self.bound,
-            "status": self.status,
-            "runtime_ms": self.runtime_ms,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CheckResult":
@@ -188,12 +179,7 @@ class ReportDocument:
     tool_version: str = TOOL_VERSION
 
     def to_doc(self) -> dict:
-        return {
-            "config": self.config,
-            "results": [r.to_doc() for r in self.results],
-            "summary": self.summary,
-            "tool_version": self.tool_version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ReportDocument":
@@ -204,11 +190,10 @@ class ReportDocument:
             tool_version=doc["tool_version"],
         )
 
-    def canonical_bytes(self, strip_runtime: bool = True) -> bytes:
+    def canonical_bytes(self) -> bytes:
         doc = self.to_doc()
-        if strip_runtime:
-            for r in doc["results"]:
-                r["runtime_ms"] = 0.0
+        for r in doc["results"]:
+            r["runtime_ms"] = 0.0
         return json.dumps(doc, sort_keys=True, indent=1).encode()
 
     def exit_code(self) -> int:
@@ -253,20 +238,76 @@ def _family_extensibility_precheck(cfg: ExperimentConfig, d: int, sigma: float) 
 
 
 # ---------------------------------------------------------------------------
+# run context
+
+
+class EntropyChain:
+    """S_k = X_1 + ... + X_k for i.i.d. copies of one family member: ``H[k - 1]``
+    = H(S_k), ``sigma_hat[k - 1]`` = sigma_hat(S_k) and, for k <= ``keep``
+    only, ``sums[k - 1]`` = the p.m.f. of S_k; so it grows at most one level
+    past ``keep``."""
+
+    def __init__(self, base: LatticePmf, keep: int):
+        self.base = base
+        self.keep = keep
+        self.sums = [base]
+        self.H = [shannon_entropy(base)]
+        self.sigma_hat = [discrete_moments(base).sigma_hat]
+
+    def extend(self, levels: int) -> None:
+        # Convolutions first: on the default sweep this peaks lower in RSS.
+        new = []
+        while len(self.H) + len(new) < levels:
+            new.append(convolve(new[-1] if new else self.sums[-1], self.base))
+        self.H += [shannon_entropy(s) for s in new]
+        self.sigma_hat += [discrete_moments(s).sigma_hat for s in new]
+        self.sums += new[: self.keep - len(self.sums)]
+
+
+# Checks that read the entropy chains of the run context.
+CHAIN_READERS = ("epi_gap", "diff_approx")
+
+
+class RunContext:
+    """What the checks of one run share: the config and the entropy chains.
+
+    Each chain reader reads the chain of every (d, sigma) of the sweep once;
+    a chain is built at its first read, keeps the p.m.f.s up to max(n_values)
+    (the ones ``diff_approx`` smooths) and is dropped at its last read."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        readers = sum(c in CHAIN_READERS for c in cfg.checks)
+        points = Counter((d, sigma) for d in cfg.dims for sigma in cfg.sigmas)
+        self._reads_left = Counter({key: count * readers for key, count in points.items()})
+        self._chains: dict = {}
+
+    def chain(self, d: int, sigma: float, levels: int) -> EntropyChain:
+        """The chain of (d, sigma), extended to at least ``levels`` levels."""
+        key = (d, sigma)
+        chain = self._chains.pop(key, None)
+        if chain is None:
+            chain = EntropyChain(family_pmf(self.cfg, d, sigma), max(self.cfg.n_values))
+        chain.extend(levels)
+        self._reads_left[key] -= 1
+        if self._reads_left[key] > 0:
+            self._chains[key] = chain
+        return chain
+
+
+# ---------------------------------------------------------------------------
 # checks
 
 
-def check_smooth_identity(cfg: ExperimentConfig) -> list:
-    tol = cfg.tol("identity_tol")
-    zoo: list[tuple[str, LatticePmf]] = [(p.meta.get("family", "pmf"), p) for p in families.assorted_pmfs_1d(16)]
-    zoo.append(("point_mass_2d", point_mass((0, 0))))
-    u2 = families.uniform_interval(2)
-    zoo.append(("uniform_square", make_product([u2, u2])))
-    zoo.append(("product_gaussian_2d", families.product_gaussian(2.0, 2)))
-    zoo.append(("gaussian_2d", families.quantized_gaussian(2.0, 2)))
+def check_smooth_identity(ctx: RunContext) -> list:
+    tol = ctx.cfg.tol("identity_tol")
     with _Timer() as t:
+        zoo = families.assorted_pmfs_1d(16)
+        u2 = families.uniform_interval(2)
+        zoo += [point_mass((0, 0)), make_product([u2, u2]), families.product_gaussian(2.0, 2),
+                families.quantized_gaussian(2.0, 2)]
         worst = 0.0
-        for _, p in zoo:
+        for p in zoo:
             delta = abs(differential_entropy(p, 1) - shannon_entropy(p))
             worst = max(worst, delta)
     status = PASS if worst < tol else FAIL
@@ -283,18 +324,8 @@ def check_smooth_identity(cfg: ExperimentConfig) -> list:
     ]
 
 
-def _entropy_chain(cfg: ExperimentConfig, d: int, sigma: float, n_top: int):
-    """Sums S_1..S_n_top with entropies and sigma_hat per level."""
-    p = family_pmf(cfg, d, sigma)
-    sums = [p]
-    for _ in range(n_top - 1):
-        sums.append(convolve(sums[-1], p))
-    H = [shannon_entropy(s) for s in sums]
-    sig = [discrete_moments(s).sigma_hat for s in sums]
-    return sums, H, sig
-
-
-def check_epi_gap(cfg: ExperimentConfig) -> list:
+def check_epi_gap(ctx: RunContext) -> list:
+    cfg = ctx.cfg
     results = []
     fam = cfg.family.get("name", "gaussian")
     floor = cfg.tol("epi_sigma_floor")
@@ -302,14 +333,16 @@ def check_epi_gap(cfg: ExperimentConfig) -> list:
     dfloor = cfg.tol("deficit_floor")
     n_top = max(cfg.n_values) + 1
     for d in cfg.dims:
-        extensible = _family_extensibility_precheck(cfg, d, min(cfg.sigmas))
+        with _Timer() as pre:
+            extensible = _family_extensibility_precheck(cfg, d, min(cfg.sigmas))
         deficits: dict[int, list] = {n: [] for n in cfg.n_values}
         for sigma in cfg.sigmas:
             with _Timer() as t:
-                _, H, sig = _entropy_chain(cfg, d, sigma, n_top)
+                chain = ctx.chain(d, sigma, n_top)
+            row_ms = (pre.ms / len(cfg.sigmas) + t.ms) / len(cfg.n_values)
             for n in cfg.n_values:
-                delta = H[n] - H[n - 1] - 0.5 * d * math.log((n + 1) / n)
-                sig_n = sig[n - 1]
+                delta = chain.H[n] - chain.H[n - 1] - 0.5 * d * math.log((n + 1) / n)
+                sig_n = chain.sigma_hat[n - 1]
                 rate = delta * sig_n / math.log(sig_n) if sig_n > 1.0 else float("nan")
                 deficit = max(0.0, -delta)
                 deficits[n].append(deficit)
@@ -326,7 +359,7 @@ def check_epi_gap(cfg: ExperimentConfig) -> list:
                         {"delta": delta, "sigma_hat": sig_n, "rate_stat": rate, "deficit": deficit},
                         {"delta_min": -min_delta, "sigma_floor": floor},
                         status,
-                        t.ms / len(cfg.n_values),
+                        row_ms,
                         {"rule": "delta >= bound.delta_min when sigma >= bound.sigma_floor"},
                     )
                 )
@@ -347,7 +380,8 @@ def check_epi_gap(cfg: ExperimentConfig) -> list:
     return results
 
 
-def check_diff_approx(cfg: ExperimentConfig) -> list:
+def check_diff_approx(ctx: RunContext) -> list:
+    cfg = ctx.cfg
     results = []
     fam = cfg.family.get("name", "gaussian")
     id_tol = cfg.tol("identity_tol")
@@ -356,12 +390,13 @@ def check_diff_approx(cfg: ExperimentConfig) -> list:
     for d in cfg.dims:
         rates: dict[int, list] = {n: [] for n in cfg.n_values if n >= 2}
         for sigma in cfg.sigmas:
-            sums, H, sig = _entropy_chain(cfg, d, sigma, n_top)
+            with _Timer() as tc:
+                chain = ctx.chain(d, sigma, n_top)
             for n in cfg.n_values:
                 with _Timer() as t:
-                    h = differential_entropy(sums[n - 1], n, tol=etol)
-                delta = abs(h - H[n - 1])
-                sig_n = sig[n - 1]
+                    h = differential_entropy(chain.sums[n - 1], n, tol=etol)
+                delta = abs(h - chain.H[n - 1])
+                sig_n = chain.sigma_hat[n - 1]
                 rate = delta * sig_n / math.log(sig_n) if sig_n > 1.0 else float("nan")
                 if n >= 2:
                     rates[n].append(rate)
@@ -373,7 +408,7 @@ def check_diff_approx(cfg: ExperimentConfig) -> list:
                         {"delta": delta, "rate_stat": rate, "sigma_hat": sig_n},
                         {"identity_tol": id_tol if n == 1 else float("nan")},
                         status,
-                        t.ms,
+                        t.ms + tc.ms / len(cfg.n_values),
                         {"rule": "n=1: delta < identity_tol; n>=2: rate recorded"},
                     )
                 )
@@ -395,7 +430,8 @@ def check_diff_approx(cfg: ExperimentConfig) -> list:
     return results
 
 
-def check_discrete_ub(cfg: ExperimentConfig) -> list:
+def check_discrete_ub(ctx: RunContext) -> list:
+    cfg = ctx.cfg
     results = []
     fam = cfg.family.get("name", "gaussian")
     cap = cfg.tol("ub_cap")
@@ -430,7 +466,8 @@ def check_discrete_ub(cfg: ExperimentConfig) -> list:
     return results
 
 
-def check_max_pmf_1d(cfg: ExperimentConfig) -> list:
+def check_max_pmf_1d(ctx: RunContext) -> list:
+    cfg = ctx.cfg
     results = []
     fam = cfg.family.get("name", "gaussian")
     cap = cfg.tol("max_width_cap")
@@ -452,9 +489,9 @@ def check_max_pmf_1d(cfg: ExperimentConfig) -> list:
     return results
 
 
-def check_bridge_gaps(cfg: ExperimentConfig) -> list:
+def check_bridge_gaps(ctx: RunContext) -> list:
     results = []
-    for d in cfg.dims:
+    for d in ctx.cfg.dims:
         det_stats = []
         for sigma in BRIDGE_SIGMAS:
             with _Timer() as t:
@@ -490,16 +527,10 @@ def check_bridge_gaps(cfg: ExperimentConfig) -> list:
             )
         )
     with _Timer() as t:
-        densities_1d = [
-            ("gaussian_s1", gaussian(1.0, 1)),
-            ("gaussian_s2", gaussian(2.0, 1)),
-            ("laplace_r1", laplace_product(1.0, 1)),
-            ("laplace_r05", laplace_product(0.5, 1)),
-            ("asym_07_2", asym_exponential(0.7, 2.0)),
-            ("asym_2_05", asym_exponential(2.0, 0.5)),
-        ]
+        densities_1d = [gaussian(1.0, 1), gaussian(2.0, 1), laplace_product(1.0, 1), laplace_product(0.5, 1),
+                        asym_exponential(0.7, 2.0), asym_exponential(2.0, 0.5)]
         worst = 0.0
-        for _, f in densities_1d:
+        for f in densities_1d:
             chk = covdis_check_1d(f)
             worst = max(worst, chk.gap / chk.bound)
     results.append(
@@ -516,10 +547,8 @@ def check_bridge_gaps(cfg: ExperimentConfig) -> list:
     return results
 
 
-def _random_convex_set(rng: np.random.Generator, d: int, span: int) -> convexity.LatticeSet:
+def _random_convex_set(rng: np.random.Generator, d: int, span: int) -> LatticeSet:
     """Random Z^d-convex set: lattice points of the hull of random seeds."""
-    from .lattice import LatticeSet
-
     npts = int(rng.integers(d + 1, d + 5))
     pts = rng.integers(0, span + 1, size=(npts, d))
     seed_set = LatticeSet.from_iterable(d, pts)
@@ -529,7 +558,8 @@ def _random_convex_set(rng: np.random.Generator, d: int, span: int) -> convexity
     return LatticeSet.from_iterable(d, hull.box_points_inside(A, b, box.shape) + lo)
 
 
-def check_self_sum_convex(cfg: ExperimentConfig) -> list:
+def check_self_sum_convex(ctx: RunContext) -> list:
+    cfg = ctx.cfg
     rng = np.random.default_rng(cfg.seed + 1)
     n_max = cfg.tol("selfsum_nmax")
     # Set sizes are configured by count, not by the p.m.f. sweep dims: the
@@ -562,8 +592,6 @@ def check_self_sum_convex(cfg: ExperimentConfig) -> list:
 def _random_extensible_pmf(rng: np.random.Generator, span: int = 4, noise: float = 0.15):
     """Rejection sampler: noisy convex quadratic log-masses on a random convex
     support; accepted only if the result is log-concave extensible."""
-    from .lattice import Box, LatticeSet
-
     for _ in range(200):
         support = _random_convex_set(rng, 2, span)
         if len(support) < 2:
@@ -577,9 +605,7 @@ def _random_extensible_pmf(rng: np.random.Generator, span: int = 4, noise: float
         w = np.exp(-(V - V.min()))
         box = support.bounding_box()
         vals = np.zeros(box.shape)
-        lo = np.array(box.lo)
-        for pt, mass in zip(support.array(), w):
-            vals[tuple(pt - lo)] = mass
+        vals[tuple((support.array() - np.array(box.lo)).T)] = w
         p = LatticePmf(Box(tuple(box.lo), tuple(box.hi)), vals / stable_sum(vals), 0.0, {"family": "random_extensible"})
         rep = convexity.is_log_concave_extensible(p)
         if rep.is_extensible:
@@ -587,7 +613,8 @@ def _random_extensible_pmf(rng: np.random.Generator, span: int = 4, noise: float
     raise LceError("rejection sampler failed to produce an extensible p.m.f.")
 
 
-def check_explore_conv(cfg: ExperimentConfig) -> list:
+def check_explore_conv(ctx: RunContext) -> list:
+    cfg = ctx.cfg
     rng = np.random.default_rng(cfg.seed + 2)
     samples = cfg.tol("explore_samples")
     tol = cfg.tol("envelope_tol")
@@ -624,7 +651,7 @@ def check_explore_conv(cfg: ExperimentConfig) -> list:
     ]
 
 
-def check_geom_ballbody(cfg: ExperimentConfig) -> list:
+def check_geom_ballbody(ctx: RunContext) -> list:
     with _Timer() as t:
         dirs = unit_directions(2, 64)
         prof1 = geometry.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
@@ -646,7 +673,7 @@ def check_geom_ballbody(cfg: ExperimentConfig) -> list:
     ]
 
 
-def check_geom_inclusions(cfg: ExperimentConfig) -> list:
+def check_geom_inclusions(ctx: RunContext) -> list:
     results = []
     dirs = unit_directions(2, 64)
     for (p, q) in ((2.0, 3.0), (3.0, 4.0)):
@@ -687,7 +714,8 @@ def _geom_bodies(cfg: ExperimentConfig):
     return bodies
 
 
-def check_geom_kls(cfg: ExperimentConfig) -> list:
+def check_geom_kls(ctx: RunContext) -> list:
+    cfg = ctx.cfg
     results = []
     rng = np.random.default_rng(cfg.seed + 4)
     for name, K in _geom_bodies(cfg):
@@ -713,7 +741,7 @@ def check_geom_kls(cfg: ExperimentConfig) -> list:
     return results
 
 
-def check_geom_radius(cfg: ExperimentConfig) -> list:
+def check_geom_radius(ctx: RunContext) -> list:
     results = []
     bodies = [
         ("cube2", geometry.make_cube(2)),
@@ -739,7 +767,8 @@ def check_geom_radius(cfg: ExperimentConfig) -> list:
     return results
 
 
-def check_elementary(cfg: ExperimentConfig) -> list:
+def check_elementary(ctx: RunContext) -> list:
+    cfg = ctx.cfg
     rng = np.random.default_rng(cfg.seed + 5)
     n = cfg.tol("elementary_samples")
     with _Timer() as t:
@@ -789,15 +818,12 @@ CHECKS = {
 
 
 def run_config(cfg: ExperimentConfig) -> ReportDocument:
+    ctx = RunContext(cfg)
     results = []
     for check_id in cfg.checks:
-        results.extend(CHECKS[check_id](cfg))
-    summary = {
-        "pass": sum(1 for r in results if r.status == PASS),
-        "fail": sum(1 for r in results if r.status == FAIL),
-        "flagged": sum(1 for r in results if r.status == FLAGGED),
-        "total": len(results),
-    }
+        results.extend(CHECKS[check_id](ctx))
+    counts = Counter(r.status for r in results)
+    summary = {"pass": counts[PASS], "fail": counts[FAIL], "flagged": counts[FLAGGED], "total": len(results)}
     return ReportDocument(config=cfg.to_doc(), results=results, summary=summary)
 
 
@@ -810,21 +836,9 @@ def report_csv_text(doc: ReportDocument) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_HEADER)
     for r in doc.results:
-        measured = next(iter(r.measured.values()), "")
-        bound = next(iter(r.bound.values()), "")
-        w.writerow(
-            [
-                r.check_id,
-                r.inputs.get("family", ""),
-                r.inputs.get("d", ""),
-                r.inputs.get("sigma", ""),
-                r.inputs.get("n", ""),
-                measured,
-                bound,
-                r.status,
-                r.runtime_ms,
-            ]
-        )
+        inputs = [r.inputs.get(key, "") for key in ("family", "d", "sigma", "n")]
+        primary = [next(iter(r.measured.values()), ""), next(iter(r.bound.values()), "")]
+        w.writerow([r.check_id, *inputs, *primary, r.status, r.runtime_ms])
     return buf.getvalue()
 
 

@@ -66,10 +66,7 @@ class Box:
 
     @property
     def ncells(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
 
     def contains(self, point) -> bool:
         return all(l <= int(x) <= h for l, x, h in zip(self.lo, point, self.hi))
@@ -186,8 +183,8 @@ class LatticeSet:
         return Box(tuple(int(x) for x in arr.min(axis=0)), tuple(int(x) for x in arr.max(axis=0)))
 
 
-def support_set(p: LatticePmf, threshold: float = 0.0) -> LatticeSet:
-    idx = np.argwhere(p.values > threshold)
+def support_set(p: LatticePmf) -> LatticeSet:
+    idx = np.argwhere(p.values > 0.0)
     pts = idx + np.array(p.box.lo, dtype=np.int64)
     return LatticeSet.from_iterable(p.dim, pts)
 
@@ -267,38 +264,28 @@ def lattice_tail_sum_bound(density: ContinuousDensity, center, inf_radius: int) 
 
 
 def truncation_box(
-    f: ContinuousDensity, center=None, radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER
+    f: ContinuousDensity, radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER
 ) -> tuple[Box, tuple[int, ...]]:
-    """Integer box [center +- ceil(radius_multiplier * axis scale)] and its center."""
+    """Integer box [center +- ceil(radius_multiplier * axis scale)] around
+    the rounded center of f (the origin if f declares none), and that center."""
     if radius_multiplier <= 0:
         raise LceError("radius_multiplier must be positive")
-    d = f.dim
-    if center is None:
-        c = f.center if f.center is not None else np.zeros(d)
-        center = tuple(int(round(x)) for x in c)
-    else:
-        center = tuple(int(x) for x in center)
-        if len(center) != d:
-            raise DimensionMismatchError("center dimension mismatch")
+    c = f.center if f.center is not None else np.zeros(f.dim)
+    center = tuple(int(round(x)) for x in c)
     scales = f.axis_scales()
     half = tuple(max(1, int(math.ceil(radius_multiplier * s))) for s in scales)
     box = Box(tuple(c - h for c, h in zip(center, half)), tuple(c + h for c, h in zip(center, half)))
     return box, center
 
 
-def quantize_density(
-    f: ContinuousDensity,
-    center=None,
-    radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER,
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
-) -> LatticePmf:
+def quantize_density(f: ContinuousDensity, radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER) -> LatticePmf:
     """Sample f at lattice points of [center +- radius_multiplier * scale] and normalize.
 
     The retained values are scaled so that retained mass plus the certified
     out-of-box bound equals one; the bound (divided by the same normalizer)
     becomes the deficit.  Mass ratios inside the box are those of f exactly.
     """
-    box, center = truncation_box(f, center, radius_multiplier)
+    box, center = truncation_box(f, radius_multiplier)
     _check_cells(box)
     vals = f.evaluate(box.grid())
     if not np.all(np.isfinite(vals)):
@@ -312,9 +299,9 @@ def quantize_density(
     outside = lattice_tail_sum_bound(f, center, inradius)
     normalizer = retained + outside
     deficit = outside / normalizer
-    if deficit > tail_tolerance:
+    if deficit > DEFAULT_TAIL_TOLERANCE:
         raise TailToleranceError(
-            f"deficit bound {deficit:.3e} exceeds tail tolerance {tail_tolerance:.3e}; "
+            f"deficit bound {deficit:.3e} exceeds tail tolerance {DEFAULT_TAIL_TOLERANCE:.3e}; "
             "increase radius_multiplier"
         )
     meta = {"family": f.name, "params": dict(f.params), "radius_multiplier": radius_multiplier}

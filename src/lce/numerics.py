@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import LceError, NumericalError
 
 
 def stable_sum(values) -> float:
@@ -118,16 +118,18 @@ def adaptive_quad(fun, lo, hi, *, rel_tol: float = 1e-10, abs_tol: float = 0.0):
     return math.fsum(accepted), math.fsum(errors)
 
 
-def unit_directions(dim: int, count: int, seed: int = 11) -> np.ndarray:
+def unit_directions(dim: int, count: int) -> np.ndarray:
     """Deterministic unit directions: signs in d=1, equal angles in d=2,
     seeded normalized Gaussians beyond."""
+    if count < 1:
+        raise LceError(f"direction count must be at least 1, got {count}")
     if dim == 1:
         reps = [(-1.0) ** i for i in range(count)]
         return np.array(reps).reshape(-1, 1)
     if dim == 2:
         ang = 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     v = rng.standard_normal((count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 

@@ -147,7 +147,7 @@ def _stencil_values(p: LatticePmf, cell: tuple[int, ...], n: int) -> np.ndarray:
 
 def _tensor_cell_integral(sv: np.ndarray, n: int, order: int, d: int) -> float:
     nodes, weights = gauss_legendre_01(order)
-    K = np.stack([bspline_eval(n, nodes + j) for j in range(n)])  # (n, order)
+    K = np.stack(_kernel_node_weights(n, nodes))  # (n, order)
     f = sv
     for _ in range(d):
         f = np.tensordot(f, K, axes=([0], [0]))
@@ -157,18 +157,18 @@ def _tensor_cell_integral(sv: np.ndarray, n: int, order: int, d: int) -> float:
     return float(val)
 
 
-def _refine_cell(p, n, cell, start_order, tol_cell, order_cap) -> float:
+def _refine_cell(p, n, cell, start_order, tol_cell) -> float:
     sv = _stencil_values(p, cell, n)
     prev = None
     order = start_order
-    while order <= order_cap:
+    while order <= ORDER_CAP:
         cur = _tensor_cell_integral(sv, n, order, p.dim)
         if prev is not None and abs(cur - prev) <= tol_cell:
             return cur
         prev = cur
         order *= 2
     raise QuadratureError(
-        f"cell {cell} did not converge below {tol_cell:.2e} at order cap {order_cap}"
+        f"cell {cell} did not converge below {tol_cell:.2e} at order cap {ORDER_CAP}"
     )
 
 
@@ -177,12 +177,11 @@ def smoothed_entropy_detail(
     n: int,
     quad_order: int = DEFAULT_QUAD_ORDER,
     tol: float = DEFAULT_ENTROPY_TOL,
-    order_cap: int = ORDER_CAP,
 ) -> SmoothedEntropyDetail:
     if n < 1:
         raise LceError("n must be >= 1")
-    if tol <= 0:
-        raise LceError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise LceError(f"tol must be a finite positive number, got {tol!r}")
     I1 = _cell_integrals(p, n, quad_order)
     I2 = _cell_integrals(p, n, 2 * quad_order)
     diff = np.abs(I2 - I1)
@@ -209,7 +208,7 @@ def smoothed_entropy_detail(
         for flat_idx in chosen:
             idx = np.unravel_index(int(flat_idx), I2.shape)
             cell = tuple(int(a) + l for a, l in zip(idx, lo))
-            final[idx] = _refine_cell(p, n, cell, 4 * quad_order, tol_each, order_cap)
+            final[idx] = _refine_cell(p, n, cell, 4 * quad_order, tol_each)
         refined = k
         err_accepted = stable_sum(np.delete(flat, chosen)) + k * tol_each
 

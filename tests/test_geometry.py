@@ -246,7 +246,7 @@ def test_geom_kls_computes_moments_once_per_body(monkeypatch):
 
     counted("_hpoly_mc")
     counted("_hpoly_support")
-    rows = harness.check_geom_kls(harness.default_config())
+    rows = harness.check_geom_kls(harness.RunContext(harness.default_config()))
     assert all(r.status == harness.PASS for r in rows)
     # two h-polytopes, in d = 2 and d = 3: one Monte Carlo run each, and one
     # support LP per direction (3 each) besides the 2d of each bounding box

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,8 @@ def test_unknown_check_id_rejected():
         ("tolerances", {"selfsum_d2_sets": 2.5}, "selfsum_d2_sets must be"),
         ("tolerances", {"selfsum_d3_sets": True}, "tolerances must be numbers"),
         ("tolerances", {"selfsum_nmax": 1}, "selfsum_nmax must be an integer >= 2"),
+        ("tolerances", {"identity_tol": float("nan")}, "tolerances must be finite"),
+        ("tolerances", {"envelope_tol": float("inf")}, "tolerances must be finite"),
         ("seed", -5, "seed must be"),
     ],
 )
@@ -262,6 +265,14 @@ def test_cli_error_paths(tmp_path, capsys):
         ["geom", "--check", "ballbody", "--p", "nan"],
         ["geom", "--check", "ballbody", "--p", "inf"],
         ["geom", "--check", "ballbody", "--density", "laplace_product{rate=NaN,dim=2}"],
+        ["check", "--pmf", "{tmp}/pair.json", "--mode", "extensible", "--tol", "nan"],
+        ["check", "--pmf", "{tmp}/pair.json", "--mode", "extensible", "--tol", "-1"],
+        ["smooth-entropy", "--pmf", "{tmp}/pair.json", "--n", "2", "--tol", "nan"],
+        ["verify", "--config", "{tmp}/tol_nan.json"],
+        ["verify", "--config", "{tmp}/tol_infinite.json"],
+        ["geom", "--check", "ballbody", "--dirs", "0"],
+        ["geom", "--check", "inclusions", "--dirs", "0"],
+        ["geom", "--check", "ballbody", "--dirs", "-2", "--density", "gaussian{sigma=1,dim=3}"],
     ],
     ids=[
         "unknown_family",
@@ -291,11 +302,20 @@ def test_cli_error_paths(tmp_path, capsys):
         "ballbody_p_nan",
         "ballbody_p_inf",
         "density_rate_nan",
+        "extensible_tol_nan",
+        "extensible_tol_negative",
+        "smooth_entropy_tol_nan",
+        "config_tolerance_nan",
+        "config_tolerance_infinite",
+        "ballbody_no_directions",
+        "inclusions_no_directions",
+        "ballbody_negative_directions",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # two values for a box of four cells
     (tmp_path / "short.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [3], "values": [0.5, 0.5]}))
+    (tmp_path / "pair.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [1], "values": [0.5, 0.5]}))
     doc = tiny_config(["max_pmf_1d"]).to_doc()
     for name, change in [
         ("family_key", {"family": {"name": "gaussian", "params": {"foo": 1}}}),
@@ -305,6 +325,8 @@ def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
         ("tol_unknown", {"tolerances": {"explore_sample": 3}}),
         ("tol_negative", {"tolerances": {"elementary_samples": -1}}),
         ("tol_fractional", {"tolerances": {"selfsum_d2_sets": 2.5}}),
+        ("tol_nan", {"tolerances": {"identity_tol": float("nan")}}),
+        ("tol_infinite", {"tolerances": {"entropy_tol": float("inf")}}),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, **change}))
     assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
@@ -343,6 +365,84 @@ def test_point_mass_family_is_flagged_not_failed():
     statuses = {r.status for r in doc.results if r.check_id in ("epi_gap", "discrete_ub")}
     assert statuses == {"flagged"}
     assert doc.summary["fail"] == 0
+
+
+def chain_config(checks):
+    return harness.ExperimentConfig(
+        family={"name": "gaussian", "params": {}}, dims=[1], sigmas=[2.0, 3.0], n_values=[1, 2], checks=checks
+    )
+
+
+@pytest.mark.parametrize(
+    "checks, per_point",
+    [(["epi_gap", "diff_approx"], 2), (["diff_approx", "epi_gap"], 2), (["diff_approx"], 1), (["epi_gap"], 2)],
+)
+def test_each_chain_level_is_convolved_once_per_run(checks, per_point, monkeypatch):
+    from lce.lattice import convolve
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "convolve", counted)
+    harness.run_config(chain_config(checks))
+    # max(n) levels past S_1 when epi_gap reads H(S_(max n + 1)), else max(n) - 1
+    assert len(calls) == per_point * 2
+
+
+def canonical_rows(doc):
+    return [json.dumps({**r.to_doc(), "runtime_ms": 0.0}, sort_keys=True) for r in doc.results]
+
+
+def test_shared_chains_give_the_rows_of_single_check_runs():
+    cfg = chain_config([])
+    cfg.sigmas = [2.0, 3.0, 4.0]  # three sigmas, so diff_approx_rate rows appear too
+    alone = {}
+    for check in ("epi_gap", "diff_approx"):
+        cfg.checks = [check]
+        alone[check] = canonical_rows(harness.run_config(cfg))
+    for order in (["epi_gap", "diff_approx"], ["diff_approx", "epi_gap"]):
+        cfg.checks = order
+        assert canonical_rows(harness.run_config(cfg)) == alone[order[0]] + alone[order[1]]
+
+
+def test_a_chain_is_shared_then_dropped_at_its_last_read():
+    ctx = harness.RunContext(chain_config(["epi_gap", "diff_approx"]))
+    first = ctx.chain(1, 2.0, 3)
+    # H and sigma_hat of S_3, but p.m.f.s only up to S_(max n) = S_2
+    assert (len(first.H), len(first.sigma_hat), len(first.sums)) == (3, 3, 2)
+    assert ctx.chain(1, 2.0, 2) is first
+    assert ctx.chain(1, 2.0, 2) is not first
+
+
+@pytest.mark.parametrize("checks", [["epi_gap", "diff_approx"], ["diff_approx", "epi_gap"]])
+def test_rows_carry_chain_builds_and_the_precheck(checks, monkeypatch):
+    running = []
+    pmf_calls = {c: 0 for c in checks}
+    family_pmf = harness.family_pmf
+
+    def slow_family_pmf(*args):
+        pmf_calls[running[-1]] += 1
+        time.sleep(0.05)
+        return family_pmf(*args)
+
+    def tracked(check_id, fn):
+        def run(ctx):
+            running.append(check_id)
+            return fn(ctx)
+        return run
+
+    monkeypatch.setattr(harness, "family_pmf", slow_family_pmf)
+    for c in checks:
+        monkeypatch.setitem(harness.CHECKS, c, tracked(c, harness.CHECKS[c]))
+    doc = harness.run_config(chain_config(checks))
+    # the precheck reads one member per d, and the first reader builds each chain
+    assert pmf_calls == {"epi_gap": 1 + 2 * (checks[0] == "epi_gap"), "diff_approx": 2 * (checks[0] == "diff_approx")}
+    for c in checks:
+        total_ms = sum(r.runtime_ms for r in doc.results if r.check_id.startswith(c))
+        assert total_ms >= 50.0 * pmf_calls[c]
 
 
 def test_diff_approx_envelope_sigma8():
