@@ -50,7 +50,6 @@ class ExtensibilityReport:
     support_convex: bool
     envelope_gaps: dict  # support point -> nonnegative gap in log-mass units
     tolerance_used: float
-    mode: str = "float"
     convexity_witnesses: list = field(default_factory=list)
 
     def max_gap(self) -> float:
@@ -319,7 +318,6 @@ def is_log_concave_extensible(
         support_convex=conv_report.is_convex,
         envelope_gaps=gaps,
         tolerance_used=tol,
-        mode=mode,
         convexity_witnesses=conv_report.witnesses,
     )
 
@@ -368,7 +366,6 @@ def is_log_concave_1d(p: LatticePmf, tol: float = DEFAULT_ENVELOPE_TOL) -> Exten
         support_convex=interval,
         envelope_gaps=gaps,
         tolerance_used=tol,
-        mode="fast1d",
         convexity_witnesses=witnesses,
     )
 
@@ -417,7 +414,6 @@ def is_log_concave_extensible_bruteforce(
         support_convex=conv_report.is_convex,
         envelope_gaps=gaps,
         tolerance_used=tol,
-        mode="bruteforce",
         convexity_witnesses=conv_report.witnesses,
     )
 

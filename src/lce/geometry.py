@@ -9,11 +9,12 @@ eigenvalues.
 Convex bodies come in five kinds: box, ellipsoid, simplex, h-polytope and
 v-polytope.  ``cube`` and ``ball`` are constructors of a box and an ellipsoid,
 and a scaled simplex is a v-polytope.  Boxes, ellipsoids and the centred
-standard simplex use closed-form moments; v-polytopes in d <= 3 are
-triangulated from their hull (:mod:`lce.hull`); h-polytopes fall back to
+standard simplex use closed-form moments; a v-polytope in d <= 3 cones each
+facet of its hull (:func:`lce.hull.facets`) from the vertex mean into a
+simplex and sums the simplices' closed-form moments; h-polytopes fall back to
 seeded rejection-sampling Monte Carlo with reported standard errors.  Every
 polytope tests membership and measures its inradius on the facet rows
-``A x <= b``: an h-polytope's own, or those of the :mod:`lce.hull` facets of a
+``A x <= b``: an h-polytope's own, or the unit-normalized hull facets of a
 simplex or v-polytope.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .densities import ContinuousDensity, Registry, check_dim
 from .errors import LceError, SizeCapError
-from .hull import facets3, monotone_chain
+from .hull import facets
 from .numerics import adaptive_quad
 from .simplex import OPTIMAL, solve_lp
 
@@ -78,7 +79,7 @@ class RadialProfile:
         object.__setattr__(self, "radii", rad)
 
 
-def _radial_moment(f: ContinuousDensity, theta: np.ndarray, p: float, rel_tol: float = 1e-10) -> float:
+def _radial_moment(f: ContinuousDensity, theta: np.ndarray, p: float) -> float:
     """integral of p r^(p-1) f(r theta) dr over (0, inf) with certified tail cut."""
     tb = f.tail_bound
     if tb is None:
@@ -97,7 +98,7 @@ def _radial_moment(f: ContinuousDensity, theta: np.ndarray, p: float, rel_tol: f
         pts = r[:, None] * theta[None, :]
         return p * r ** (p - 1.0) * f.evaluate(pts)
 
-    val, _ = adaptive_quad(integrand, 0.0, R, rel_tol=rel_tol)
+    val, _ = adaptive_quad(integrand, 0.0, R, rel_tol=1e-10)
     return val
 
 
@@ -193,7 +194,7 @@ def make_hpoly(A, b) -> ConvexBody:
 
 def make_vpoly(vertices) -> ConvexBody:
     V = np.asarray(vertices, dtype=np.float64)
-    if V.ndim != 2 or V.shape[0] < V.shape[1] + 1:
+    if V.ndim != 2 or V.shape[0] < check_dim(V.shape[1]) + 1:
         raise LceError("v-polytope needs at least d+1 vertices")
     if V.shape[0] > 64:
         raise SizeCapError("v-polytope capped at 64 vertices")
@@ -240,23 +241,12 @@ def body_contains(K: ConvexBody, pts) -> np.ndarray:
 def _facets(K: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """Facet rows ``(A, b)`` with K = {x : A x <= b} for a polytope: an
     h-polytope's own data; for a simplex or v-polytope the unit outward
-    normals and offsets of its hull (:mod:`lce.hull`), for d <= 3."""
+    normals and offsets of its hull (:func:`lce.hull.facets`, d <= 3)."""
     if K.kind == "hpoly":
         return np.asarray(K.data[0]), np.asarray(K.data[1])
-    V = np.asarray(K.data[0], dtype=np.float64)
-    if K.dim == 1:
-        return np.array([[1.0], [-1.0]]), np.array([V.max(), -V.min()])
-    if K.dim == 2:
-        hull = monotone_chain(V)
-        E = np.roll(hull, -1, axis=0) - hull
-        A, P = np.stack([E[:, 1], -E[:, 0]], axis=1), hull
-    elif K.dim == 3:
-        F = facets3(V)
-        A, P = np.cross(V[F[:, 1]] - V[F[:, 0]], V[F[:, 2]] - V[F[:, 0]]), V[F[:, 0]]
-    else:
-        raise LceError(f"polytope facets implemented for d <= 3 only, got d = {K.dim}")
-    A = A / np.linalg.norm(A, axis=1, keepdims=True)
-    return A, np.einsum("ij,ij->i", A, P)
+    _, N, off = facets(np.asarray(K.data[0], dtype=np.float64))
+    nrm = np.linalg.norm(N, axis=1)
+    return N / nrm[:, None], off / nrm
 
 
 def body_support(K: ConvexBody, u) -> float:
@@ -358,70 +348,23 @@ def _hpoly_mc(K: ConvexBody, n: int):
     return vol, mean, M, se
 
 
-# exact v-polytope volume and moments (d <= 3)
-
-
-def _vpoly_moments(K: ConvexBody):
-    """Exact moments for d <= 3."""
-    V = np.asarray(K.data[0])
+def _vpoly_moments(K: ConvexBody) -> BodyMoments:
+    """Exact moments for d <= 3: the hull is coned from the vertex mean c into
+    one simplex S per facet.  With v_0 = c, v_1..v_d the facet's vertices and
+    s = sum v_i, S has volume |S| = (off - N c)/d! and the closed-form moments
+    int_S x dx = |S| s/(d+1) and
+    int_S x x^T dx = |S| (sum v_i v_i^T + s s^T)/((d+1)(d+2))."""
+    V = np.asarray(K.data[0], dtype=np.float64)
     d = K.dim
-    if d == 1:
-        lo, hi = float(V.min()), float(V.max())
-        vol = hi - lo
-        c = (lo + hi) / 2.0
-        m2 = (hi**3 - lo**3) / 3.0 / vol
-        return BodyMoments(vol, np.array([c]), np.array([[m2]]), np.zeros((1, 1)))
-    if d == 2:
-        hull = monotone_chain(np.asarray(V, dtype=np.float64))
-        c0 = hull.mean(axis=0)
-        vol = 0.0
-        cent = np.zeros(2)
-        M = np.zeros((2, 2))
-        for i in range(len(hull)):
-            tri = np.array([c0, hull[i], hull[(i + 1) % len(hull)]])
-            a = abs(_tri_area(tri))
-            if a == 0.0:
-                continue
-            vol += a
-            cent += a * tri.mean(axis=0)
-            # edge-midpoint rule is exact for quadratics on triangles
-            mids = np.array([(tri[0] + tri[1]) / 2, (tri[1] + tri[2]) / 2, (tri[0] + tri[2]) / 2])
-            M += a * np.mean(mids[:, :, None] * mids[:, None, :], axis=0)
-        return BodyMoments(vol, cent / vol, M / vol, np.zeros((d, d)))
-    if d == 3:
-        c0 = V.mean(axis=0)
-        vol = 0.0
-        cent = np.zeros(3)
-        M = np.zeros((3, 3))
-        for tri in facets3(V):
-            tet = np.vstack([c0, V[tri]])
-            v = abs(np.linalg.det(tet[1:] - tet[0])) / 6.0
-            vol += v
-            cent += v * tet.mean(axis=0)
-            M += v * _tet_second_moment(tet)
-        return BodyMoments(vol, cent / vol, M / vol, np.zeros((d, d)))
-    raise LceError("exact v-polytope moments implemented for d <= 3 only")
-
-
-def _tri_area(tri: np.ndarray) -> float:
-    u = tri[1] - tri[0]
-    v = tri[2] - tri[0]
-    return 0.5 * float(u[0] * v[1] - u[1] * v[0])
-
-
-def _tet_second_moment(tet: np.ndarray) -> np.ndarray:
-    """Unnormalized int over the tetrahedron of x x^T, exact for quadratics."""
-    # Degree-2 rule: 4 points at barycentric (a, b, b, b), weight 1/4 each.
-    a = (5.0 + 3.0 * math.sqrt(5.0)) / 20.0
-    b = (5.0 - math.sqrt(5.0)) / 20.0
-    vol = abs(np.linalg.det(tet[1:] - tet[0])) / 6.0
-    M = np.zeros((3, 3))
-    for i in range(4):
-        lam = np.full(4, b)
-        lam[i] = a
-        x = lam @ tet
-        M += 0.25 * np.outer(x, x)
-    return M
+    F, N, off = facets(V)
+    c = V.mean(axis=0)
+    S = np.concatenate([np.broadcast_to(c, (len(F), 1, d)), V[F]], axis=1)  # (m, d+1, d)
+    s = S.sum(axis=1)
+    w = (off - N @ c) / math.factorial(d)
+    vol = float(w.sum())
+    first = w @ s / (d + 1.0)
+    second = (np.einsum("k,kij,kil->jl", w, S, S) + np.einsum("k,kj,kl->jl", w, s, s)) / ((d + 1.0) * (d + 2.0))
+    return BodyMoments(vol, first / vol, second / vol, np.zeros((d, d)))
 
 
 def scale_body(K: ConvexBody, t: float) -> ConvexBody:

@@ -589,11 +589,12 @@ def check_self_sum_convex(ctx: RunContext) -> list:
     return results
 
 
-def _random_extensible_pmf(rng: np.random.Generator, span: int = 4, noise: float = 0.15):
-    """Rejection sampler: noisy convex quadratic log-masses on a random convex
-    support; accepted only if the result is log-concave extensible."""
+def _random_extensible_pmf(rng: np.random.Generator):
+    """Rejection sampler: convex quadratic log-masses plus uniform noise up to
+    0.15 on a random convex support in [0, 4]^2; accepted only if the result
+    is log-concave extensible."""
     for _ in range(200):
-        support = _random_convex_set(rng, 2, span)
+        support = _random_convex_set(rng, 2, 4)
         if len(support) < 2:
             continue
         B = rng.normal(size=(2, 2))
@@ -601,7 +602,7 @@ def _random_extensible_pmf(rng: np.random.Generator, span: int = 4, noise: float
         b = rng.normal(size=2)
         arr = support.array().astype(np.float64)
         V = 0.5 * np.einsum("ni,ij,nj->n", arr, Q, arr) + arr @ b
-        V = V + noise * rng.random(len(arr))
+        V = V + 0.15 * rng.random(len(arr))
         w = np.exp(-(V - V.min()))
         box = support.bounding_box()
         vals = np.zeros(box.shape)

@@ -1,13 +1,19 @@
-"""Exact convex hulls of small lattice point sets and lower envelopes of lifted
+"""Exact convex hulls of small point sets and lower envelopes of lifted
 points.
 
-:func:`hrep` turns integer points in d <= 3 into an integer H-representation
-``A x <= b`` of their convex hull: Andrew's monotone chain in the plane, an
-incremental hull in space (the beneath-beyond step of Barber, Dobkin and
-Huhdanpaa, "The Quickhull algorithm for convex hulls", ACM TOMS 1996), with
-every orientation test in int64 arithmetic.  Sets of lower affine dimension
-are described by their affine-hull equalities, each written as a pair of
-opposite inequalities, plus the hull inside that affine hull.
+:func:`facets` is the one hull routine: the simplicial facets, outward normals
+and offsets of the hull of a full-dimensional point set in d <= 3.  In the
+plane it runs Andrew's monotone chain, whose half-chain loop
+(:func:`_half_chain`) is shared with the 1-d lower envelope; in space it runs
+an incremental hull (the beneath-beyond step of Barber, Dobkin and Huhdanpaa,
+"The Quickhull algorithm for convex hulls", ACM TOMS 1996).  Integer input is
+decided exactly, every orientation test on Python ints.
+
+:func:`hrep` turns integer points in d <= 3 into a primitive integer
+H-representation ``A x <= b`` of their convex hull, from :func:`facets` for a
+full-dimensional set.  Sets of lower affine dimension are described by their
+affine-hull equalities, each written as a pair of opposite inequalities, plus
+the hull inside that affine hull.
 
 :func:`lower_envelope` evaluates the lower convex envelope of lifted points
 ``(k, V(k))`` at the points themselves for d <= 2.  The heights are floats, so
@@ -22,8 +28,8 @@ import numpy as np
 from .errors import LceError, SizeCapError
 
 # |coordinate| bound under which every orientation determinant and facet
-# offset of :func:`hrep` fits in int64 (a 3x3 determinant of differences up to
-# 2^20 stays below 6 * 2^60).
+# offset of :func:`facets` and :func:`hrep` fits in int64 (a 3x3 determinant
+# of differences up to 2^20 stays below 6 * 2^60).
 COORD_CAP = 2**19
 
 # Lifted points closer than this times the coordinate span to the current
@@ -32,41 +38,60 @@ COORD_CAP = 2**19
 # rounding in the orientation tests.
 ENVELOPE_REL_TOL = 1e-13
 
-# Points of :func:`facets3` closer than this times the coordinate span to a
-# facet plane count as on it, so that rounding cannot split a flat face of a
-# v-polytope into slivers.
+# Float points in 3-d closer than this times the coordinate span to a facet
+# plane of :func:`facets` count as on it, so that rounding cannot split a flat
+# face of a v-polytope into slivers.
 _FACET_REL_TOL = 1e-9
 
 # Cap on the elements of one (points x facets) block of a matrix product.
 _BLOCK = 1 << 20
 
 
-def monotone_chain(points) -> np.ndarray:
-    """Vertices of the planar convex hull in counterclockwise order, starting
-    from the lexicographically smallest point (Andrew's monotone chain).
+def facets(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simplicial facets ``(F, N, off)`` of the hull of a full-dimensional
+    point set in d = 1, 2, 3, with conv(points) = {x : N x <= off}.
 
-    Collinear boundary points are dropped.  Integer input is decided exactly
-    (the turns are computed on Python ints); one or two distinct points come
-    back as they are, sorted.
+    ``F`` (m, d) holds the row indices of each facet's vertices: the vertex
+    itself in d = 1, the edges counterclockwise from the lexicographically
+    smallest vertex in d = 2, triangles counterclockwise seen from outside in
+    d = 3.  ``N`` is the outward normal, not unit length: its length is
+    (d - 1)! times the facet's (d - 1)-volume, so ``off - N @ c`` is d! times
+    the volume of the cone from an inner point ``c`` over the facet.
+
+    Integer input (``|x| <= COORD_CAP``) is decided exactly.  Float input
+    takes the exact turn test in the plane; in space a point counts as
+    outside a facet, or off the affine hull of the points picked so far, only
+    when it lies more than ``_FACET_REL_TOL`` times the coordinate span away,
+    so a flat face comes back as several triangles.
     """
-    arr = np.asarray(points)
-    pts = sorted(set(map(tuple, arr.tolist())))
-    if len(pts) <= 2:
-        return np.asarray(pts, dtype=arr.dtype).reshape(-1, 2)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1], dtype=arr.dtype)
+    P = np.asarray(points)
+    if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] not in (1, 2, 3):
+        raise LceError(f"hull facets need a nonempty (n, d) point array with d <= 3, got shape {P.shape}")
+    exact = P.dtype.kind in "iu"
+    P = P.astype(np.int64 if exact else np.float64)
+    if exact and int(np.abs(P).max()) > COORD_CAP:
+        raise SizeCapError(f"coordinates exceed {COORD_CAP}; translate the set towards the origin")
+    if not exact and not np.all(np.isfinite(P)):
+        raise LceError("hull facets need finite points")
+    d = P.shape[1]
+    # frame: the counterclockwise vertex ring in the plane, else up to d + 1
+    # affinely independent points
+    if d == 2:
+        rows, order = P.tolist(), np.lexsort(P.T[::-1]).tolist()
+        frame = _half_chain(rows, order)[:-1] + _half_chain(rows, order[::-1])[:-1]
+    else:
+        frame = _frame(_pad3(P), _FACET_REL_TOL)
+    if len(frame) <= d:
+        raise LceError("points are not full-dimensional: their hull has no facets")
+    if d == 3:
+        return _hull3(P, frame, _FACET_REL_TOL)
+    if d == 1:
+        lo, hi = frame
+        return np.array([[hi], [lo]]), np.array([[1], [-1]], dtype=P.dtype), np.array([P[hi, 0], -P[lo, 0]])
+    F = np.column_stack([frame, np.roll(frame, -1)])
+    E = P[F[:, 1]] - P[F[:, 0]]
+    N = np.stack([E[:, 1], -E[:, 0]], axis=1)
+    return F, N, np.einsum("ij,ij->i", N, P[F[:, 0]])
 
 
 def hrep(points) -> tuple[np.ndarray, np.ndarray]:
@@ -88,18 +113,10 @@ def hrep(points) -> tuple[np.ndarray, np.ndarray]:
         raise LceError(f"hrep is implemented for d <= 3, got d = {d}")
     if int(np.abs(P).max()) > COORD_CAP:
         raise SizeCapError(f"coordinates exceed {COORD_CAP}; translate the set towards the origin")
-    if d == 1:
-        return np.array([[1], [-1]], dtype=np.int64), np.array([P.max(), -P.min()], dtype=np.int64)
     frame = _frame(_pad3(P), 0.0)
     k = len(frame) - 1
     if k == d:
-        if d == 2:
-            V = monotone_chain(P)
-            E = np.roll(V, -1, axis=0) - V
-            A = np.stack([E[:, 1], -E[:, 0]], axis=1)
-            return _normalize(A, np.einsum("ij,ij->i", A, V))
-        F, N, off = _hull3(P, frame, 0.0)
-        return _normalize(N, off)
+        return _normalize(*facets(P)[1:])
     # Lower-dimensional: equalities of the affine hull, then the hull of a
     # one-to-one coordinate projection.
     D = P[frame[1:]] - P[frame[0]]
@@ -127,23 +144,6 @@ def hrep(points) -> tuple[np.ndarray, np.ndarray]:
         lifted[:, keep] = Ak
         A, b = np.concatenate([A, lifted]), np.concatenate([b, bk])
     return _normalize(A, b)
-
-
-def facets3(points) -> np.ndarray:
-    """Triangular facets of the convex hull of float points in R^3, as an
-    (m, 3) array of row indices ordered counterclockwise seen from outside.
-
-    A point counts as outside a facet, or off the affine hull of the points
-    picked so far, only when it lies more than ``_FACET_REL_TOL`` times the
-    coordinate span away; a flat face comes back as several triangles.
-    """
-    P = np.asarray(points, dtype=np.float64)
-    if P.ndim != 2 or P.shape[1] != 3 or not np.all(np.isfinite(P)):
-        raise LceError("facets3 needs a finite (n, 3) point array")
-    frame = _frame(P, _FACET_REL_TOL)
-    if len(frame) < 4:
-        raise LceError("points are coplanar: their hull has no facets")
-    return _hull3(P, frame, _FACET_REL_TOL)[0]
 
 
 def box_points_inside(A: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
@@ -205,16 +205,25 @@ def lower_envelope(points, heights) -> np.ndarray:
 # internals
 
 
-def _lower_envelope_1d(t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    order = np.argsort(t, kind="stable")
+def _half_chain(rows: list, order: list) -> list[int]:
+    """Indices of the chain over ``rows[order]`` (2-vectors) that turns
+    strictly left at every inner vertex: Andrew's monotone chain, one half.
+    Points on a straight stretch are dropped.  The turn is computed on the
+    rows' own numbers, so Python ints make it exact."""
     chain: list[int] = []
-    for i in order.tolist():
+    for i in order:
+        p = rows[i]
         while len(chain) >= 2:
-            o, a = chain[-2], chain[-1]
-            if (t[a] - t[o]) * (h[i] - h[o]) - (h[a] - h[o]) * (t[i] - t[o]) > 0:
+            o, a = rows[chain[-2]], rows[chain[-1]]
+            if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0:
                 break
             chain.pop()
         chain.append(i)
+    return chain
+
+
+def _lower_envelope_1d(t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    chain = _half_chain(np.column_stack([t, h]).tolist(), np.argsort(t, kind="stable").tolist())
     env = np.interp(t, t[chain], h[chain])
     env[chain] = h[chain]
     return env

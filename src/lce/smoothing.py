@@ -90,9 +90,7 @@ class SmoothedEntropyDetail:
     value: float
     cells: int
     refined_cells: int
-    base_order: int
     error_estimate: float
-    tiny_cell_count: int
     tiny_cell_bound: float
 
 
@@ -226,9 +224,7 @@ def smoothed_entropy_detail(
         value=value,
         cells=int(ncells),
         refined_cells=refined,
-        base_order=quad_order,
         error_estimate=float(err_accepted),
-        tiny_cell_count=int(tiny.sum()),
         tiny_cell_bound=float(tiny_bound),
     )
 

@@ -7,7 +7,7 @@ from lce import geometry as geo
 from lce import harness
 from lce.densities import gaussian
 from lce.errors import LceError
-from lce.hull import facets3, monotone_chain
+from lce.hull import facets
 from lce.numerics import unit_directions
 from lce.simplex import hull_membership
 
@@ -144,17 +144,47 @@ def test_vpoly_membership_matches_lp_oracle():
             K = geo.make_vpoly(V)
             # random points, the vertices, and boundary points that are not
             # vertices: edge midpoints and (in 3-d) facet centroids
+            F = facets(V)[0]
             if d == 2:
-                H = monotone_chain(V)
-                on_face = (H + np.roll(H, -1, axis=0)) / 2.0
+                on_face = V[F].mean(axis=1)
             else:
-                F = facets3(V)
                 on_face = np.vstack([V[F].mean(axis=1), (V[F[:, 0]] + V[F[:, 1]]) / 2.0])
             Z = np.vstack([1.5 * rng.normal(size=(40, d)), V, on_face])
             got = geo.body_contains(K, Z)
             want = np.array([hull_membership(V, z) for z in Z])
             assert np.array_equal(got, want)
             assert got[-len(on_face):].all()
+
+
+def test_vpoly_fan_moments_match_the_simplex_closed_form():
+    # Independent oracle for the facet fan: a simplex given by its vertices
+    # has the Dirichlet closed form, also after an affine map x -> A x + c,
+    # which scales the volume by |det A| and maps the centred second moment
+    # M to A M A^T.  A is a rotation times axis scales in [0.5, 2], so that
+    # rounding the mapped vertices stays far below the tolerance.
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        S = geo.make_simplex(d)
+        ref = geo.body_moments(S)
+        V = np.asarray(S.data[0])
+        maps = [(np.eye(d), np.zeros(d))]
+        for _ in range(5):
+            Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            maps.append((Q * rng.uniform(0.5, 2.0, size=d), rng.normal(size=d)))
+        for A, c in maps:
+            mom = geo.body_moments(geo.make_vpoly(V @ A.T + c))
+            bary = A @ ref.barycenter + c
+            cov = A @ (ref.second_moment - np.outer(ref.barycenter, ref.barycenter)) @ A.T
+            assert mom.volume == pytest.approx(abs(np.linalg.det(A)) * ref.volume, rel=1e-14, abs=0.0)
+            assert np.abs(mom.barycenter - bary).max() <= 1e-14 * (1.0 + np.abs(bary).max())
+            centred = mom.second_moment - np.outer(mom.barycenter, mom.barycenter)
+            assert np.abs(centred - cov).max() <= 1e-14 * (1.0 + np.abs(bary).max() ** 2)
+            assert not mom.stderr.any()
+
+
+def test_vpoly_of_dimension_zero_is_rejected():
+    with pytest.raises(LceError, match="dimension must be an integer"):
+        geo.BODIES.from_spec("vpoly{vertices=[[]]}")
 
 
 def test_vpoly_membership_beyond_d3_raises():

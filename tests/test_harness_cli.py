@@ -235,6 +235,10 @@ def test_cli_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+# The reason an error line must give, where a wrong one was seen.
+BAD_INPUT_REASONS = {"zero_dim_vpoly": "dimension must be an integer in [1, "}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -273,6 +277,7 @@ def test_cli_error_paths(tmp_path, capsys):
         ["geom", "--check", "ballbody", "--dirs", "0"],
         ["geom", "--check", "inclusions", "--dirs", "0"],
         ["geom", "--check", "ballbody", "--dirs", "-2", "--density", "gaussian{sigma=1,dim=3}"],
+        ["geom", "--body", "vpoly{vertices=[[]]}", "--check", "kls"],
     ],
     ids=[
         "unknown_family",
@@ -310,9 +315,10 @@ def test_cli_error_paths(tmp_path, capsys):
         "ballbody_no_directions",
         "inclusions_no_directions",
         "ballbody_negative_directions",
+        "zero_dim_vpoly",
     ],
 )
-def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
+def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
     # two values for a box of four cells
     (tmp_path / "short.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [3], "values": [0.5, 0.5]}))
     (tmp_path / "pair.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [1], "values": [0.5, 0.5]}))
@@ -330,7 +336,9 @@ def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, **change}))
     assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert BAD_INPUT_REASONS.get(request.node.callspec.id, "") in err
 
 
 # sigma=2 fails at the per-cell order cap; sigma=6 in d=2 has more cells to
@@ -492,8 +500,17 @@ TEST_ONLY_API = {
     "smoothing.smoothed_density_eval",
 }
 
+# Public methods that only tests or the benchmark call.
+TEST_ONLY_METHODS = {
+    "densities.ContinuousDensity.spot_check_tail",
+    "harness.ReportDocument.canonical_bytes",
+    "lattice.LatticePmf.shifted",
+}
+
 
 def test_every_public_function_is_reached_or_a_test_oracle():
+    # A public function or method counts as reached when some name in
+    # src/lce or scripts uses it.
     files = sorted((REPO / "src" / "lce").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in files}
     named = set()
@@ -503,11 +520,13 @@ def test_every_public_function_is_reached_or_a_test_oracle():
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    unreached = {
-        f"{path.stem}.{node.name}"
-        for path, tree in trees.items()
-        if path.parent.name == "lce"
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in named
-    }
-    assert unreached == TEST_ONLY_API
+
+    def unreached(prefix, body):
+        return {f"{prefix}.{node.name}" for node in body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in named}
+
+    modules = {path.stem: tree for path, tree in trees.items() if path.parent.name == "lce"}
+    assert set().union(*(unreached(m, tree.body) for m, tree in modules.items())) == TEST_ONLY_API
+    methods = set().union(*(unreached(f"{m}.{node.name}", node.body) for m, tree in modules.items()
+                            for node in tree.body if isinstance(node, ast.ClassDef)))
+    assert methods == TEST_ONLY_METHODS

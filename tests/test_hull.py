@@ -88,33 +88,65 @@ def test_hrep_rejects_what_it_cannot_decide():
 
 def test_monotone_chain_counterclockwise_without_collinear_points():
     pts = np.array([[0, 0], [2, 0], [1, 0], [2, 2], [0, 2], [1, 1]])
-    assert hull.monotone_chain(pts).tolist() == [[0, 0], [2, 0], [2, 2], [0, 2]]
+    F, N, off = hull.facets(pts)
+    assert pts[F[:, 0]].tolist() == [[0, 0], [2, 0], [2, 2], [0, 2]]
+    assert np.array_equal(pts[F[:, 1]], np.roll(pts[F[:, 0]], -1, axis=0))
 
 
 def test_facets3_bound_the_hull_as_a_closed_surface():
-    # Outward triangles that pair up every edge and have every point beneath
-    # their planes bound conv(points); flat faces must not break either.
+    # Outward facets that pair up every edge (d >= 2) and have every point
+    # beneath their planes bound conv(points); flat faces must not break
+    # either.  Integer input is decided exactly.
     rng = np.random.default_rng(7)
     th = 0.4
     R = np.array([[math.cos(th), -math.sin(th), 0.0], [math.sin(th), math.cos(th), 0.0], [0.0, 0.0, 1.0]])
     cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=np.float64)
+    square = np.array([[0, 0], [3, 0], [3, 3], [0, 3], [1, 0], [1, 1], [3, 2]])
     cases = [
+        (rng.normal(size=(9, 1)), None),
+        (rng.integers(-5, 6, size=(9, 1)), None),
+        (rng.normal(size=(30, 2)), None),
+        (rng.integers(-4, 5, size=(30, 2)), None),
+        (square, 9.0),
+        (square.astype(np.float64), 9.0),
         (rng.normal(size=(20, 3)), None),
         (rng.normal(size=(60, 3)), None),
+        (rng.integers(-3, 4, size=(40, 3)), None),
         (cube @ R.T, 8.0),
         (np.vstack([cube, 0.3 * cube, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]]), 8.0),
+        (np.vstack([cube, [[0, 0, 1], [1, 0, 0], [0, 0, 0]]]).astype(np.int64), 8.0),
     ]
     for P, volume in cases:
-        F = hull.facets3(P)
-        edges = [(a, b) for t in F.tolist() for a, b in zip(t, t[1:] + t[:1])]
-        assert len(set(edges)) == len(edges) and set(edges) == {(b, a) for a, b in edges}
-        N = np.cross(P[F[:, 1]] - P[F[:, 0]], P[F[:, 2]] - P[F[:, 0]])
-        height = P @ N.T - np.einsum("ij,ij->i", N, P[F[:, 0]])
-        assert np.all(height <= 1e-9 * np.linalg.norm(N, axis=1) * np.ptp(P))
+        F, N, off = hull.facets(P)
+        d = P.shape[1]
+        assert F.shape == N.shape == (len(off), d)
+        if d == 2:  # one closed ring: each vertex ends one edge and starts the next
+            assert len(set(F[:, 0].tolist())) == len(F)
+            assert sorted(F[:, 0].tolist()) == sorted(F[:, 1].tolist())
+        if d == 3:  # each directed edge once, and its reverse in the next triangle
+            edges = [(a, b) for t in F.tolist() for a, b in zip(t, t[1:] + t[:1])]
+            assert len(set(edges)) == len(edges) and set(edges) == {(b, a) for a, b in edges}
+        height = P @ N.T - off
+        if P.dtype.kind == "i":
+            assert N.dtype == off.dtype == np.int64
+            assert np.all(height <= 0)
+            assert np.all(np.einsum("ij,ij->i", N, P[F[:, 0]]) == off)
+        else:
+            assert np.all(height <= 1e-9 * np.linalg.norm(N, axis=1) * np.ptp(P))
         if volume is not None:
-            assert np.sum(np.linalg.det(P[F])) / 6.0 == pytest.approx(volume, rel=1e-12)
-    with pytest.raises(LceError):
-        hull.facets3([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+            c = P.mean(axis=0)
+            assert np.sum(off - N @ c) / math.factorial(d) == pytest.approx(volume, rel=1e-12)
+    flat = [
+        [[0.0], [0.0]],
+        [[0, 0], [1, 1], [2, 2]],
+        [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+        [[0, 0, 0], [1, 2, 3], [2, 4, 6], [5, 1, 0]],
+        np.zeros((5, 4)),
+    ]
+    for P in flat:
+        with pytest.raises(LceError):
+            hull.facets(np.asarray(P))
 
 
 def reference_gaps(pts, heights, minimum):
