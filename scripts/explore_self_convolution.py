@@ -43,7 +43,7 @@ def main() -> int:
         else:
             tallies["fail_twofold"] += 1
             # exact-arithmetic confirmation before calling it a counterexample
-            exact = convexity.is_log_concave_extensible(p2, mode="exact")
+            exact = convexity.is_log_concave_extensible(p2, exact=True)
             if not exact.is_extensible:
                 dumps.append((i, p, 2))
 

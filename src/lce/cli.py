@@ -90,7 +90,7 @@ def _check(args) -> int:
         _emit({"is_convex": rep.is_convex, "witnesses": [list(w) for w in rep.witnesses]})
         return 0
     if args.mode == "extensible":
-        rep = convexity.is_log_concave_extensible(p, tol=args.tol, mode="exact" if args.exact else "float")
+        rep = convexity.is_log_concave_extensible(p, tol=args.tol, exact=args.exact)
         _emit(
             {
                 "is_extensible": rep.is_extensible,

@@ -8,7 +8,7 @@ Both decisions come from :mod:`lce.hull` for d <= 3: an exact integer
 H-representation of conv(A) tested against every bounding-box point in one
 matrix product, and for d <= 2 the lower hull of the lifted points
 (k, V(k)).  The per-point LPs of :mod:`lce.simplex` remain as the rational
-reference (``mode="exact"``, :func:`zd_convex_lp`), as the route for d >= 4,
+reference (``exact=True``, :func:`zd_convex_lp`), as the route for d >= 4,
 which has no hull, and as test oracles beside the brute-force Caratheodory
 checks below.
 """
@@ -247,7 +247,7 @@ def _membership_2d_integer(points: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return inside
 
 
-def zd_convex_bruteforce(A: LatticeSet, box_cap: int = 100_000) -> ConvexityReport:
+def zd_convex_bruteforce(A: LatticeSet) -> ConvexityReport:
     """Definitional convexity check: exact hull membership of every box point.
 
     d=2 runs vectorized integer orientation tests; other dimensions fall back
@@ -256,7 +256,7 @@ def zd_convex_bruteforce(A: LatticeSet, box_cap: int = 100_000) -> ConvexityRepo
     if len(A) == 0:
         raise LceError("convexity of the empty set is not defined here")
     box = A.bounding_box()
-    if box.ncells > box_cap:
+    if box.ncells > 100_000:
         raise SizeCapError("bounding box too large for the brute-force oracle")
     pts = A.array()
     candidates = [z for z in _box_points_lex(box) if z not in A]
@@ -274,9 +274,7 @@ def zd_convex_bruteforce(A: LatticeSet, box_cap: int = 100_000) -> ConvexityRepo
 
 
 def is_log_concave_extensible(
-    p: LatticePmf,
-    tol: float = DEFAULT_ENVELOPE_TOL,
-    mode: str = "float",
+    p: LatticePmf, tol: float = DEFAULT_ENVELOPE_TOL, *, exact: bool = False
 ) -> ExtensibilityReport:
     """Decide whether V = -log p extends to a convex function on R^d.
 
@@ -286,17 +284,14 @@ def is_log_concave_extensible(
     envelope, and 0 at points outside the hull of the others (envelope
     vertices: a convex extension can always bend upward there).
 
-    In ``float`` mode with d <= 2 the envelope is the lower hull of all lifted
-    support points (:func:`lce.hull.lower_envelope`), and the gap is
-    ``max(0, V - envelope)``.  Otherwise each point costs one envelope LP; in
-    ``exact`` mode the LPs, including those of the convexity test, run in
+    In float arithmetic with d <= 2 the envelope is the lower hull of all
+    lifted support points (:func:`lce.hull.lower_envelope`), and the gap is
+    ``max(0, V - envelope)``.  Otherwise each point costs one envelope LP; with
+    ``exact=True`` the LPs, including those of the convexity test, run in
     rational arithmetic over the exact float inputs.
     """
-    if mode not in ("float", "exact"):
-        raise LceError(f"unknown mode {mode!r}")
     if not 0.0 <= tol < math.inf:
         raise LceError(f"tol must be a finite non-negative number, got {tol!r}")
-    exact = mode == "exact"
     support = support_set(p)
     if len(support) == 0:
         raise LceError("p.m.f. has empty support")
@@ -370,11 +365,11 @@ def is_log_concave_1d(p: LatticePmf, tol: float = DEFAULT_ENVELOPE_TOL) -> Exten
     )
 
 
-def envelope_minimum_bruteforce(points, values, z, support_cap: int = BRUTEFORCE_SUPPORT_CAP):
+def envelope_minimum_bruteforce(points, values, z):
     """Caratheodory oracle: minimize the interpolated value over exact convex
     combinations drawn from every affine subset of at most d+1 points."""
     pts = np.asarray(points)
-    if pts.shape[0] > support_cap:
+    if pts.shape[0] > BRUTEFORCE_SUPPORT_CAP:
         raise SizeCapError("too many points for the brute-force envelope oracle")
     d = pts.shape[1]
     z = tuple(int(round(float(x))) for x in np.asarray(z).ravel())

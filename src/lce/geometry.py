@@ -405,12 +405,12 @@ class KlsReport:
         return self.lhs <= self.mid + widen and self.mid - widen <= self.rhs
 
 
-def kls_second_moment_check(K: ConvexBody, dirs, mc_samples: int = MC_DEFAULT_SAMPLES) -> list[KlsReport]:
+def kls_second_moment_check(K: ConvexBody, dirs) -> list[KlsReport]:
     """Second-moment chain for a centered convex body along each row of ``dirs``."""
     if K.kind == "hpoly" and not _hpoly_is_symmetric(K):
         raise LceError("h-polytope must be origin-symmetric for the centered chain")
     d = K.dim
-    mom = body_moments(K, mc_samples)
+    mom = body_moments(K)
     reports = []
     for u in np.atleast_2d(np.asarray(dirs, dtype=np.float64)):
         u = u / np.linalg.norm(u)

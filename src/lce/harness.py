@@ -24,7 +24,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -94,6 +94,8 @@ class ExperimentConfig:
         if unknown:
             raise LceError(f"unknown check ids: {unknown}")
         tols = self.tolerances
+        if not isinstance(tols, dict):
+            raise LceError("tolerances must be an object")
         unknown = sorted(set(tols) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise LceError(f"unknown tolerance keys: {unknown}")
@@ -108,6 +110,8 @@ class ExperimentConfig:
                 raise LceError(f"tolerance {key} must be an integer >= {least}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise LceError("seed must be a non-negative integer")
+        if self.output is not None and not isinstance(self.output, str):
+            raise LceError("output must be null or a string")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -117,16 +121,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            family=doc["family"],
-            dims=doc["dims"],
-            sigmas=doc["sigmas"],
-            n_values=doc["n_values"],
-            checks=doc["checks"],
-            tolerances=dict(doc.get("tolerances", {})),
-            seed=int(doc.get("seed", cls.seed)),
-            output=doc.get("output"),
-        )
+        if not isinstance(doc, dict):
+            raise LceError("config document must be an object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        missing = sorted(f.name for f in fields(cls) if f.name not in doc
+                         and f.default is MISSING and f.default_factory is MISSING)
+        if unknown or missing:
+            raise LceError(f"config document: unknown keys {unknown}, missing keys {missing}")
+        return cls(**doc)
 
 
 def _nonempty_list(values, ok) -> bool:
@@ -863,9 +865,4 @@ def load_config(path) -> ExperimentConfig:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise LceError(f"cannot read config file {path}: {exc}") from None
-    try:
-        return ExperimentConfig.from_doc(doc)
-    except LceError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise LceError(f"malformed config document: {exc!r}") from None
+    return ExperimentConfig.from_doc(doc)

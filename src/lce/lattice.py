@@ -6,6 +6,10 @@ a ``deficit``: an upper bound on the mass truncated outside the box.  Deficits
 are tracked through every operation and never silently renormalized, so the
 error budget of any downstream quantity remains auditable.
 
+Every FFT convolution is checked at sample cells against direct summation:
+``math.fsum``, exact up to one rounding, of a window of one operand times the
+flipped window of the other.
+
 All values are immutable after construction and operations are pure, so
 everything here is safe to share across threads.
 """
@@ -133,11 +137,9 @@ class LatticePmf:
         idx = tuple(int(x) - l for x, l in zip(point, self.box.lo))
         return float(self.values[idx])
 
-    def assert_normalized(self, tol: float = 1e-9):
-        if abs(self.mass + self.deficit - 1.0) > tol:
-            raise NotNormalizedError(
-                f"mass {self.mass} + deficit {self.deficit} differs from 1 by more than {tol}"
-            )
+    def assert_normalized(self):
+        if abs(self.mass + self.deficit - 1.0) > 1e-9:
+            raise NotNormalizedError(f"mass {self.mass} + deficit {self.deficit} differs from 1 by more than 1e-9")
 
     def shifted(self, vec) -> "LatticePmf":
         return LatticePmf(self.box.translate(vec), self.values, self.deficit, dict(self.meta))
@@ -193,10 +195,8 @@ def support_set(p: LatticePmf) -> LatticeSet:
 # constructors
 
 
-def point_mass(point, dim: int | None = None) -> LatticePmf:
+def point_mass(point) -> LatticePmf:
     pt = tuple(int(x) for x in (point if hasattr(point, "__len__") else [point]))
-    if dim is not None and len(pt) != dim:
-        raise DimensionMismatchError("point dimension mismatch")
     box = Box(pt, pt)
     return LatticePmf(box, np.ones(box.shape), 0.0, {"family": "point_mass"})
 
@@ -317,7 +317,8 @@ def convolve(p: LatticePmf, q: LatticePmf, method: str = "auto") -> LatticePmf:
 
     ``method`` is ``direct``, ``fft`` or ``auto``.  The FFT path is verified
     against direct summation on a deterministic subsample of output cells on
-    every call.
+    every call: ``math.fsum`` of a window of p times the flipped window of q,
+    exact up to its one rounding, so no order of the products can change it.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("convolution operands have different dimensions")
@@ -325,64 +326,62 @@ def convolve(p: LatticePmf, q: LatticePmf, method: str = "auto") -> LatticePmf:
     _check_cells(out_box)
     if method not in ("auto", "direct", "fft"):
         raise LceError(f"unknown convolution method {method!r}")
+    p_nnz, q_nnz = np.count_nonzero(p.values), np.count_nonzero(q.values)
+    # The direct path loops over the operand with fewer nonzero cells.
+    small, big = (q, p) if q_nnz <= p_nnz else (p, q)
     if method == "auto":
-        small_nnz = min(int(np.count_nonzero(p.values)), int(np.count_nonzero(q.values)))
-        cost = small_nnz * max(p.box.ncells, q.box.ncells)
+        cost = int(min(p_nnz, q_nnz)) * max(p.box.ncells, q.box.ncells)
         method = "direct" if cost <= _DIRECT_COST_CAP else "fft"
     if method == "direct":
-        out = _convolve_direct(p, q, out_box.shape)
+        out = _convolve_direct(small.values, big.values, out_box.shape)
     else:
-        out = _convolve_fft(p, q, out_box.shape)
-        _verify_fft_subsample(p, q, out)
+        scale = max(1.0, float(np.sum(p.values)) * float(np.sum(q.values)))
+        out = _convolve_fft(p.values, q.values, out_box.shape, scale)
+        _verify_fft_subsample(p.values, q.values, out, scale)
         np.maximum(out, 0.0, out=out)
     deficit = p.deficit + q.deficit - p.deficit * q.deficit
     return LatticePmf(out_box, out, deficit, {"method": method})
 
 
-def _convolve_direct(p: LatticePmf, q: LatticePmf, out_shape) -> np.ndarray:
-    small, big = (q, p) if np.count_nonzero(q.values) <= np.count_nonzero(p.values) else (p, q)
+def _convolve_direct(small: np.ndarray, big: np.ndarray, out_shape) -> np.ndarray:
     out = np.zeros(out_shape)
-    big_shape = big.values.shape
     # np.argwhere returns row-major order, which fixes the accumulation order.
-    for j in np.argwhere(small.values != 0.0):
-        w = small.values[tuple(j)]
-        sl = tuple(slice(int(a), int(a) + s) for a, s in zip(j, big_shape))
-        out[sl] += w * big.values
+    for j in np.argwhere(small != 0.0):
+        sl = tuple(slice(int(a), int(a) + s) for a, s in zip(j, big.shape))
+        out[sl] += small[tuple(j)] * big
     return out
 
 
-def _convolve_fft(p: LatticePmf, q: LatticePmf, out_shape) -> np.ndarray:
+def _convolve_fft(p: np.ndarray, q: np.ndarray, out_shape, scale: float) -> np.ndarray:
     padded = tuple(next_pow2(s) for s in out_shape)
     axes = tuple(range(len(padded)))
-    fp = np.fft.rfftn(p.values, s=padded, axes=axes)
-    fq = np.fft.rfftn(q.values, s=padded, axes=axes)
+    fp = np.fft.rfftn(p, s=padded, axes=axes)
+    fq = np.fft.rfftn(q, s=padded, axes=axes)
     full = np.fft.irfftn(fp * fq, s=padded, axes=axes)
     out = np.ascontiguousarray(full[tuple(slice(0, s) for s in out_shape)])
-    scale = max(1.0, float(np.sum(p.values)) * float(np.sum(q.values)))
     if float(out.min()) < -_FFT_CHECK_TOL * scale:
         raise NumericalError("FFT convolution produced a significantly negative value")
     return out
 
 
-def _verify_fft_subsample(p: LatticePmf, q: LatticePmf, out: np.ndarray):
-    small, big = (q, p) if np.count_nonzero(q.values) <= np.count_nonzero(p.values) else (p, q)
-    n = out.size
+def _verify_fft_subsample(p: np.ndarray, q: np.ndarray, out: np.ndarray, scale: float):
+    """Compare ``out`` with direct summation at up to ``_FFT_CHECK_SAMPLES`` cells.
+
+    At cell c, j runs over lo = max(0, c - shape(q) + 1) .. hi = min(c, shape(p) - 1)
+    on each axis: p[lo:hi+1] times q[c-hi : c-lo+1] flipped on every axis.
+    """
     # Sorted already, so dropping repeats needs no np.unique (which imports numpy.ma).
-    idx = np.linspace(0, n - 1, num=min(_FFT_CHECK_SAMPLES, n)).astype(np.int64)
+    idx = np.linspace(0, out.size - 1, num=min(_FFT_CHECK_SAMPLES, out.size)).astype(np.int64)
     flat = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
-    positions = np.stack(np.unravel_index(flat, out.shape), axis=1)
-    jidx = np.argwhere(small.values != 0.0)
-    jvals = small.values[small.values != 0.0]
-    big_shape = np.array(big.values.shape)
-    scale = max(1.0, float(np.sum(p.values)) * float(np.sum(q.values)))
+    flip = (slice(None, None, -1),) * out.ndim
     worst = 0.0
-    for pos, fft_val in zip(positions, out.ravel()[flat]):
-        rel = pos[None, :] - jidx
-        ok = np.all((rel >= 0) & (rel < big_shape[None, :]), axis=1)
-        if ok.any():
-            direct = math.fsum((jvals[ok] * big.values[tuple(rel[ok].T)]).tolist())
-        else:
-            direct = 0.0
+    cells = np.stack(np.unravel_index(flat, out.shape), axis=1).tolist()
+    for cell, fft_val in zip(cells, out.ravel()[flat]):
+        lo = [max(0, c - s + 1) for c, s in zip(cell, q.shape)]
+        hi = [min(c, s - 1) for c, s in zip(cell, p.shape)]
+        p_win = p[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+        q_win = q[tuple(slice(c - b, c - a + 1) for c, a, b in zip(cell, lo, hi))][flip]
+        direct = math.fsum((p_win * q_win).ravel().tolist())
         worst = max(worst, abs(direct - float(fft_val)))
     if worst > _FFT_CHECK_TOL * scale:
         raise NumericalError(
@@ -390,13 +389,13 @@ def _verify_fft_subsample(p: LatticePmf, q: LatticePmf, out: np.ndarray):
         )
 
 
-def self_convolve(p: LatticePmf, n: int, method: str = "auto") -> LatticePmf:
+def self_convolve(p: LatticePmf, n: int) -> LatticePmf:
     """n-fold convolution power of p; n = 1 returns p unchanged."""
     if n < 1:
         raise LceError("n must be a positive integer")
     out = p
     for _ in range(n - 1):
-        out = convolve(out, p, method=method)
+        out = convolve(out, p)
     return out
 
 
@@ -417,13 +416,17 @@ def pmf_to_doc(p: LatticePmf) -> dict:
 
 def pmf_from_doc(doc: dict) -> LatticePmf:
     try:
-        lo, hi = tuple(int(x) for x in doc["lo"]), tuple(int(x) for x in doc["hi"])
-        dim = int(doc["dim"])
-        vals = np.array(doc["values"], dtype=np.float64)
+        lo, hi, dim, values = tuple(doc["lo"]), tuple(doc["hi"]), doc["dim"], doc["values"]
+        vals = np.array(values, dtype=np.float64)
         deficit = float(doc.get("deficit", 0.0))
         meta = dict(doc.get("meta", {}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise LceError(f"malformed p.m.f. document: {exc!r}") from None
+    # The conversions above would accept bools, strings and fractional bounds.
+    if not all(type(x) is int for x in (dim, *lo, *hi)):
+        raise LceError("p.m.f. document: dim, lo and hi must be integers")
+    if not (isinstance(values, list) and all(type(x) in (int, float) for x in (*values, doc.get("deficit", 0.0)))):
+        raise LceError("p.m.f. document: values must be a list of numbers, and deficit a number")
     box = Box(lo, hi)
     if box.dim != dim:
         raise LceError("dim field inconsistent with bounds")

@@ -28,6 +28,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 MAX_COLUMNS = 20000
+FLOAT_TOL = 1e-9  # pivot, reduced-cost and phase-1 feasibility tolerance of the float backend
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class LPResult:
     x: np.ndarray | None
 
 
-def solve_lp(c, A, b, *, exact: bool = False, tol: float = 1e-9, max_iter: int | None = None) -> LPResult:
+def solve_lp(c, A, b, *, exact: bool = False, max_iter: int | None = None) -> LPResult:
     """Minimize ``c.x`` over ``A x = b, x >= 0``."""
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -48,14 +49,14 @@ def solve_lp(c, A, b, *, exact: bool = False, tol: float = 1e-9, max_iter: int |
         raise SizeCapError(f"LP has {c.size} columns, cap is {MAX_COLUMNS}")
     if exact:
         return _solve_exact(c, A, b)
-    return _solve_float(c, A, b, tol, max_iter)
+    return _solve_float(c, A, b, max_iter)
 
 
 # ---------------------------------------------------------------------------
 # float64 backend
 
 
-def _solve_float(c, A, b, tol, max_iter):
+def _solve_float(c, A, b, max_iter):
     m, n = A.shape
     A = A.copy()
     b = b.copy()
@@ -73,10 +74,10 @@ def _solve_float(c, A, b, tol, max_iter):
     basis = list(range(n, n + m))
     cost1 = np.zeros(n + m)
     cost1[n:] = 1.0
-    obj1 = _run(T, basis, cost1, tol, max_iter)
+    obj1 = _run(T, basis, cost1, max_iter)
     if obj1 is None:
         raise NumericalError("phase-1 simplex did not terminate")
-    if obj1 > tol * (1.0 + float(np.abs(b).sum())):
+    if obj1 > FLOAT_TOL * (1.0 + float(np.abs(b).sum())):
         return LPResult(INFEASIBLE, None, None)
 
     # Drive any leftover artificials out of the basis; drop redundant rows.
@@ -87,7 +88,7 @@ def _solve_float(c, A, b, tol, max_iter):
             continue
         row = T[i, :n]
         j = int(np.argmax(np.abs(row)))
-        if abs(row[j]) > tol:
+        if abs(row[j]) > FLOAT_TOL:
             _pivot(T, i, j)
             basis[i] = j
             keep_rows.append(i)
@@ -97,7 +98,7 @@ def _solve_float(c, A, b, tol, max_iter):
 
     # Phase 2 on original columns only.
     T2 = np.concatenate([T[:, :n], T[:, -1:]], axis=1)
-    obj2 = _run(T2, basis, c, tol, max_iter)
+    obj2 = _run(T2, basis, c, max_iter)
     if obj2 is None:
         raise NumericalError("phase-2 simplex did not terminate")
     if obj2 == -np.inf:
@@ -107,22 +108,22 @@ def _solve_float(c, A, b, tol, max_iter):
     return LPResult(OPTIMAL, float(obj2), x)
 
 
-def _run(T, basis, cost, tol, max_iter):
+def _run(T, basis, cost, max_iter):
     """Bland-rule simplex loop on tableau T; returns objective or -inf/None."""
     m = T.shape[0]
     ncols = T.shape[1] - 1
     if m == 0:
         # no constraints left: any negative cost direction is unbounded
-        return -np.inf if np.any(cost[:ncols] < -tol) else 0.0
+        return -np.inf if np.any(cost[:ncols] < -FLOAT_TOL) else 0.0
     for _ in range(max_iter):
         cb = cost[basis]
         reduced = cost[:ncols] - cb @ T[:, :ncols]
-        entering = np.nonzero(reduced < -tol)[0]
+        entering = np.nonzero(reduced < -FLOAT_TOL)[0]
         if entering.size == 0:
             return float(cb @ T[:, -1])
         j = int(entering[0])
         col = T[:, j]
-        pos = col > tol
+        pos = col > FLOAT_TOL
         if not pos.any():
             return -np.inf
         ratios = np.full(m, np.inf)
@@ -227,7 +228,7 @@ def _pivot_exact(rows, row, col):
 # geometry-flavoured wrappers
 
 
-def hull_membership(points, z, *, exact: bool = False, tol: float = 1e-9) -> bool:
+def hull_membership(points, z, *, exact: bool = False) -> bool:
     """Is ``z`` a convex combination of the rows of ``points``?"""
     pts = np.asarray(points, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64).ravel()
@@ -236,11 +237,11 @@ def hull_membership(points, z, *, exact: bool = False, tol: float = 1e-9) -> boo
     mpts = pts.shape[0]
     A = np.vstack([pts.T, np.ones((1, mpts))])
     b = np.concatenate([z, [1.0]])
-    res = solve_lp(np.zeros(mpts), A, b, exact=exact, tol=tol)
+    res = solve_lp(np.zeros(mpts), A, b, exact=exact)
     return res.status == OPTIMAL
 
 
-def envelope_minimum(points, values, z, *, exact: bool = False, tol: float = 1e-9):
+def envelope_minimum(points, values, z, *, exact: bool = False):
     """Minimize ``sum(lam * values)`` over convex combinations of ``points`` hitting ``z``.
 
     Returns ``(feasible, minimum)``; ``minimum`` is None when infeasible.
@@ -255,7 +256,7 @@ def envelope_minimum(points, values, z, *, exact: bool = False, tol: float = 1e-
         return False, None
     A = np.vstack([pts.T, np.ones((1, mpts))])
     b = np.concatenate([z, [1.0]])
-    res = solve_lp(vals, A, b, exact=exact, tol=tol)
+    res = solve_lp(vals, A, b, exact=exact)
     if res.status != OPTIMAL:
         return False, None
     return True, res.objective

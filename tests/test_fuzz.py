@@ -112,25 +112,29 @@ def test_load_config_raises_only_lce_error(tmp_path, doc):
     raises_only_lce_error(load_config, path)
 
 
-# Every field that ``ExperimentConfig.from_doc`` reads, present, with values
-# of the wrong type, zero, negative, non-integer or non-finite.
+# A valid config document with one or two of its fields replaced by values
+# of the wrong type, zero, negative, non-integer or non-finite (or valid ones).
+VALID_CONFIG = {"family": {"name": "gaussian", "params": {}}, "dims": [1], "sigmas": [2.0], "n_values": [1],
+                "checks": [], "tolerances": {}, "seed": 7, "output": None}
 field_values = st.lists(st.integers(-2, 3) | st.floats() | st.booleans() | st.text(max_size=3), max_size=3)
-config_field_docs = st.fixed_dictionaries(
-    {
-        "family": st.just({"name": "gaussian", "params": {}}) | json_values,
-        "dims": field_values | json_values,
-        "sigmas": field_values | json_values,
-        "n_values": field_values | json_values,
-        "checks": st.lists(st.sampled_from(["max_pmf_1d", "bogus"]), max_size=2)
-        | st.sampled_from(["max_pmf_1d", "epi_gap"])
-        | json_values,
-        "tolerances": st.dictionaries(
-            st.sampled_from(["max_width_cap", "explore_samples", "selfsum_nmax", "explore_sample"]),
-            st.integers(-2, 3) | st.floats() | st.booleans() | json_values,
-            max_size=3,
-        ),
-        "seed": st.integers(-3, 3) | st.floats(-3, 3),
-    }
+config_fields = {
+    "family": st.just({"name": "gaussian", "params": {}}) | json_values,
+    "dims": field_values | json_values,
+    "sigmas": field_values | json_values,
+    "n_values": field_values | json_values,
+    "checks": st.lists(st.sampled_from(["max_pmf_1d", "bogus"]), max_size=2)
+    | st.sampled_from(["max_pmf_1d", "epi_gap"])
+    | json_values,
+    "tolerances": st.dictionaries(
+        st.sampled_from(["max_width_cap", "explore_samples", "selfsum_nmax", "explore_sample"]),
+        st.integers(-2, 3) | st.floats() | st.booleans() | json_values,
+        max_size=3,
+    ),
+    "seed": st.integers(-3, 3) | st.floats(-3, 3) | st.booleans() | st.text(max_size=3),
+    "output": st.none() | st.text(max_size=3) | json_values,
+}
+config_field_docs = st.lists(st.sampled_from(sorted(config_fields)), min_size=1, max_size=2, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: config_fields[k] for k in keys}).map(lambda v: {**VALID_CONFIG, **v})
 )
 
 
@@ -152,7 +156,8 @@ def test_load_config_accepts_only_valid_field_values(tmp_path, doc):
     assert all(type(v) in (int, float) for v in cfg.tolerances.values())
     for key in set(cfg.tolerances) & set(COUNT_TOLERANCES):
         assert type(cfg.tolerances[key]) is int and cfg.tolerances[key] >= (2 if key == "selfsum_nmax" else 0)
-    assert type(cfg.seed) is int and cfg.seed >= 0
+    assert type(cfg.seed) is int and cfg.seed >= 0 and cfg.seed == doc["seed"]
+    assert cfg.output is None or isinstance(cfg.output, str)
 
 
 def test_values_that_break_a_factory_or_loader_are_lce_errors(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,12 @@ def test_unknown_check_id_rejected():
         ("tolerances", {"identity_tol": float("nan")}, "tolerances must be finite"),
         ("tolerances", {"envelope_tol": float("inf")}, "tolerances must be finite"),
         ("seed", -5, "seed must be"),
+        ("seed", True, "seed must be"),
+        ("seed", 2.9, "seed must be"),
+        ("seed", "12", "seed must be"),
+        ("tolerances", [["ub_cap", 0.5]], "tolerances must be an object"),
+        ("tolerance", {"ub_cap": 0.5}, r"unknown keys \['tolerance'\]"),
+        ("output", 5, "output must be null or a string"),
     ],
 )
 def test_config_fields_are_validated(field, value, message):
@@ -92,6 +99,9 @@ def test_config_without_seed_loads_default_seed():
     doc = harness.default_config().to_doc()
     del doc["seed"]
     assert harness.ExperimentConfig.from_doc(doc).seed == harness.default_config().seed
+    del doc["dims"]
+    with pytest.raises(LceError, match=r"missing keys \['dims'\]"):
+        harness.ExperimentConfig.from_doc(doc)
 
 
 def test_determinism_on_seeded_checks():
@@ -236,7 +246,10 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 # The reason an error line must give, where a wrong one was seen.
-BAD_INPUT_REASONS = {"zero_dim_vpoly": "dimension must be an integer in [1, "}
+BAD_INPUT_REASONS = {
+    "zero_dim_vpoly": "dimension must be an integer in [1, ",
+    "config_output_not_a_string": "output must be null or a string",
+}
 
 
 @pytest.mark.parametrize(
@@ -278,6 +291,7 @@ BAD_INPUT_REASONS = {"zero_dim_vpoly": "dimension must be an integer in [1, "}
         ["geom", "--check", "inclusions", "--dirs", "0"],
         ["geom", "--check", "ballbody", "--dirs", "-2", "--density", "gaussian{sigma=1,dim=3}"],
         ["geom", "--body", "vpoly{vertices=[[]]}", "--check", "kls"],
+        ["verify", "--config", "{tmp}/output_int.json"],
     ],
     ids=[
         "unknown_family",
@@ -316,6 +330,7 @@ BAD_INPUT_REASONS = {"zero_dim_vpoly": "dimension must be an integer in [1, "}
         "inclusions_no_directions",
         "ballbody_negative_directions",
         "zero_dim_vpoly",
+        "config_output_not_a_string",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
@@ -333,6 +348,7 @@ def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
         ("tol_fractional", {"tolerances": {"selfsum_d2_sets": 2.5}}),
         ("tol_nan", {"tolerances": {"identity_tol": float("nan")}}),
         ("tol_infinite", {"tolerances": {"entropy_tol": float("inf")}}),
+        ("output_int", {"output": 5}),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, **change}))
     assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
@@ -508,11 +524,31 @@ TEST_ONLY_METHODS = {
 }
 
 
+def source_trees():
+    """Parsed modules of src/lce and scripts, by path."""
+    files = sorted((REPO / "src" / "lce").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    return {path: ast.parse(path.read_text()) for path in files}
+
+
+def lce_functions(trees):
+    """(qualified name, def node, whether it is a method) for every function and
+    method defined at the top level of a src/lce module or class."""
+    for path, tree in trees.items():
+        if path.parent.name != "lce":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node, False
+            elif isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{m.name}", m, True
+
+
 def test_every_public_function_is_reached_or_a_test_oracle():
     # A public function or method counts as reached when some name in
     # src/lce or scripts uses it.
-    files = sorted((REPO / "src" / "lce").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in files}
+    trees = source_trees()
     named = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -520,13 +556,52 @@ def test_every_public_function_is_reached_or_a_test_oracle():
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+    unreached = {(name, method) for name, node, method in lce_functions(trees)
+                 if not node.name.startswith("_") and node.name not in named}
+    assert {name for name, method in unreached if not method} == TEST_ONLY_API
+    assert {name for name, method in unreached if method} == TEST_ONLY_METHODS
 
-    def unreached(prefix, body):
-        return {f"{prefix}.{node.name}" for node in body
-                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in named}
 
-    modules = {path.stem: tree for path, tree in trees.items() if path.parent.name == "lce"}
-    assert set().union(*(unreached(m, tree.body) for m, tree in modules.items())) == TEST_ONLY_API
-    methods = set().union(*(unreached(f"{m}.{node.name}", node.body) for m, tree in modules.items()
-                            for node in tree.body if isinstance(node, ast.ClassDef)))
-    assert methods == TEST_ONLY_METHODS
+# Defaulted parameters that no call in src/lce or scripts passes.
+UNSET_KNOBS = {
+    # spec keys, which Registry.make(**params) passes out of the scan's sight
+    "families.product_gaussian(radius_multiplier)",
+    "geometry.make_cube(side)",
+    # knobs that only tests or the benchmark set
+    "bridge.lattice_vs_integral_gaps(box)",
+    "bridge.lattice_vs_integral_gaps(radius_multiplier)",
+    "cli.main(argv)",
+    "families.extensible_zoo_1d(count)",
+    "geometry.KlsReport.chain_holds(se_mult)",
+    "geometry.body_moments(mc_samples)",
+    "numerics.rate_envelope_ok(noise_floor)",
+    "numerics.rate_envelope_ok(rel_slack)",
+    "simplex.solve_lp(max_iter)",
+    "smoothing.differential_entropy(quad_order)",
+    # tolerances of test oracles that no caller sets
+    "convexity.is_log_concave_1d(tol)",
+    "convexity.is_log_concave_extensible_bruteforce(tol)",
+}
+
+
+def test_every_defaulted_parameter_is_passed_or_a_listed_knob():
+    # A call passes a parameter by keyword, or by position when it has more
+    # positional arguments than precede the parameter (self not counted).
+    trees = source_trees()
+    passed, most_positional = set(), {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                passed.update((name, k.arg) for k in node.keywords)
+                most_positional[name] = max(most_positional.get(name, 0), len(node.args))
+    unset = set()
+    for qualname, node, method in lce_functions(trees):
+        a = node.args
+        positional = (a.posonlyargs + a.args)[1 if method else 0:]
+        first_defaulted = len(positional) - len(a.defaults)
+        defaulted = [(i, arg) for i, arg in enumerate(positional) if i >= first_defaulted]
+        defaulted += [(math.inf, arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        unset |= {f"{qualname}({arg.arg})" for i, arg in defaulted
+                  if (node.name, arg.arg) not in passed and most_positional.get(node.name, 0) <= i}
+    assert unset == UNSET_KNOBS

@@ -217,7 +217,7 @@ def test_extensibility_hull_route_matches_exact_lp_route():
         vals = vals.reshape(3, 3)
         p = LatticePmf(Box((0, 0), (2, 2)), vals / vals.sum())
         fast = cx.is_log_concave_extensible(p)
-        exact = cx.is_log_concave_extensible(p, mode="exact")
+        exact = cx.is_log_concave_extensible(p, exact=True)
         assert fast.is_extensible == exact.is_extensible
         assert fast.convexity_witnesses == exact.convexity_witnesses
         for k, g in fast.envelope_gaps.items():

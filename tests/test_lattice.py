@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lce import families
 from lce.densities import gaussian
-from lce.errors import BoxTooLargeError, DimensionMismatchError, LceError, TailToleranceError
+from lce.errors import BoxTooLargeError, DimensionMismatchError, LceError, NumericalError, TailToleranceError
 from lce.lattice import (
     Box,
     LatticePmf,
@@ -223,6 +223,27 @@ def test_pmf_doc_round_trip(tmp_path):
     assert np.array_equal(r.values, p.values)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"lo": [0.5], "hi": [1.7]},
+        {"dim": True},
+        {"dim": "1"},
+        {"lo": [False]},
+        {"values": [True, 0.5]},
+        {"values": ["1", 0.5]},
+        {"deficit": "0"},
+        {"deficit": False},
+    ],
+    ids=["fractional_bounds", "bool_dim", "string_dim", "bool_lo", "bool_value", "string_value",
+         "string_deficit", "bool_deficit"],
+)
+def test_pmf_doc_fields_are_not_coerced(change):
+    doc = {"dim": 1, "lo": [0], "hi": [1], "values": [0.5, 0.5], "deficit": 0.0, **change}
+    with pytest.raises(LceError, match="must be integers|must be a list of numbers"):
+        pmf_from_doc(doc)
+
+
 def test_row_major_order_in_doc():
     p = small_pmf(np.array([[0.1, 0.2], [0.3, 0.4]]), lo=(0, 0))
     doc = pmf_to_doc(p)
@@ -243,6 +264,36 @@ def test_fft_convolution_does_not_import_numpy_ma():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def sparse_pmf(rng, shape):
+    vals = rng.random(shape) * (rng.random(shape) < 0.6)
+    vals.flat[0] = 1.0
+    return small_pmf(vals, lo=(0,) * len(shape))
+
+
+@pytest.mark.parametrize("shapes", [((40,), (75,)), ((7, 12), (11, 5)), ((4, 6, 3), (5, 3, 7))],
+                         ids=["d1", "d2", "d3"])
+def test_fft_check_compares_sampled_cells_with_direct_sums(shapes):
+    # Operands of different shapes, both orders: the check passes on the exact
+    # direct convolution and catches 2 tolerances of error at a sampled cell only.
+    import lce.lattice as lat
+
+    rng = np.random.default_rng(len(shapes[0]))
+    a, b = (sparse_pmf(rng, s) for s in shapes)
+    for pmf_p, pmf_q in ((a, b), (b, a)):
+        p, q = pmf_p.values, pmf_q.values
+        out = convolve(pmf_p, pmf_q, method="direct").values
+        scale = max(1.0, float(p.sum()) * float(q.sum()))
+        lat._verify_fft_subsample(p, q, out, scale)
+        sampled = np.linspace(0, out.size - 1, num=lat._FFT_CHECK_SAMPLES).astype(np.int64)
+        assert sampled[1] + 1 not in sampled
+        at_sample, off_sample = out.copy(), out.copy()
+        at_sample.flat[sampled[1]] += 2 * lat._FFT_CHECK_TOL * scale
+        off_sample.flat[sampled[1] + 1] += 2 * lat._FFT_CHECK_TOL * scale
+        with pytest.raises(NumericalError, match="subsample discrepancy"):
+            lat._verify_fft_subsample(p, q, at_sample, scale)
+        lat._verify_fft_subsample(p, q, off_sample, scale)
 
 
 def test_negative_values_rejected():
