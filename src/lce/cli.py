@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -208,7 +209,7 @@ def _verify(args) -> int:
     doc = harness.run_config(cfg)
     if args.out or cfg.output:
         base = args.out or cfg.output
-        harness.emit_report(doc, base, base.rsplit(".", 1)[0] + ".csv")
+        harness.emit_report(doc, base, Path(base).with_suffix(".csv"))
     _emit(doc.to_doc())
     return doc.exit_code()
 
@@ -219,7 +220,7 @@ def _sweep(args) -> int:
         cfg = dataclasses.replace(cfg, checks=args.checks.split(","))
     doc = harness.run_config(cfg)
     if args.out:
-        harness.emit_report(doc, args.out, args.out.rsplit(".", 1)[0] + ".csv")
+        harness.emit_report(doc, args.out, Path(args.out).with_suffix(".csv"))
     else:
         _emit(doc.to_doc())
     print(f"pass={doc.summary['pass']} fail={doc.summary['fail']} flagged={doc.summary['flagged']}",

@@ -332,7 +332,7 @@ def _envelope_gaps(pts: list, vals: np.ndarray, minimum) -> dict:
     return gaps
 
 
-def is_log_concave_1d(p: LatticePmf, tol: float = DEFAULT_ENVELOPE_TOL) -> ExtensibilityReport:
+def is_log_concave_1d(p: LatticePmf) -> ExtensibilityReport:
     """Fast d=1 test: interval support plus p(k)^2 >= p(k-1) p(k+1).
 
     Equivalent to the envelope procedure on interval supports; the reported
@@ -355,12 +355,12 @@ def is_log_concave_1d(p: LatticePmf, tol: float = DEFAULT_ENVELOPE_TOL) -> Exten
         for j in range(1, len(ks) - 1):
             gap = -logs[j] - 0.5 * (-logs[j - 1] - logs[j + 1])
             gaps[(ks[j],)] = max(0.0, float(gap))
-    ok = interval and max(gaps.values()) <= tol
+    ok = interval and max(gaps.values()) <= DEFAULT_ENVELOPE_TOL
     return ExtensibilityReport(
         is_extensible=ok,
         support_convex=interval,
         envelope_gaps=gaps,
-        tolerance_used=tol,
+        tolerance_used=DEFAULT_ENVELOPE_TOL,
         convexity_witnesses=witnesses,
     )
 
@@ -390,9 +390,7 @@ def envelope_minimum_bruteforce(points, values, z):
     return True, float(best)
 
 
-def is_log_concave_extensible_bruteforce(
-    p: LatticePmf, tol: float = DEFAULT_ENVELOPE_TOL
-) -> ExtensibilityReport:
+def is_log_concave_extensible_bruteforce(p: LatticePmf) -> ExtensibilityReport:
     """Envelope decision via the Caratheodory oracle (small supports only)."""
     support = support_set(p)
     if len(support) == 0:
@@ -403,12 +401,12 @@ def is_log_concave_extensible_bruteforce(
     pts = support.sorted_points()
     V = np.array([-math.log(p.value_at(k)) for k in pts])
     gaps = _envelope_gaps(pts, V, envelope_minimum_bruteforce)
-    ok = conv_report.is_convex and max(gaps.values()) <= tol
+    ok = conv_report.is_convex and max(gaps.values()) <= DEFAULT_ENVELOPE_TOL
     return ExtensibilityReport(
         is_extensible=ok,
         support_convex=conv_report.is_convex,
         envelope_gaps=gaps,
-        tolerance_used=tol,
+        tolerance_used=DEFAULT_ENVELOPE_TOL,
         convexity_witnesses=conv_report.witnesses,
     )
 

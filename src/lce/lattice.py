@@ -7,8 +7,8 @@ are tracked through every operation and never silently renormalized, so the
 error budget of any downstream quantity remains auditable.
 
 Every FFT convolution is checked at sample cells against direct summation:
-``math.fsum``, exact up to one rounding, of a window of one operand times the
-flipped window of the other.
+:func:`~lce.numerics.stable_sum`, exact up to one rounding, of a window of one
+operand times the flipped window of the other.
 
 All values are immutable after construction and operations are pure, so
 everything here is safe to share across threads.
@@ -41,6 +41,8 @@ CELL_CAP = 1 << 26
 _DIRECT_COST_CAP = 1 << 22
 
 DEFAULT_TAIL_TOLERANCE = 1e-12
+# A tail sum longer than this many shells is taken in closed form.
+_TAIL_LOOP_SHELLS = 10_000
 DEFAULT_RADIUS_MULTIPLIER = 12.0
 
 _FFT_CHECK_SAMPLES = 64
@@ -237,7 +239,8 @@ def lattice_tail_sum_bound(density: ContinuousDensity, center, inf_radius: int) 
 
     Uses the declared exponential tail majorant over L-inf shells; valid because
     |k - c|_2 >= |k - c|_inf.  Requires the shells to start beyond the majorant's
-    validity radius.
+    validity radius.  Sums shell by shell when that stops within
+    ``_TAIL_LOOP_SHELLS`` shells, and in closed form beyond them.
     """
     tb = density.tail_bound
     if tb is None:
@@ -248,18 +251,49 @@ def lattice_tail_sum_bound(density: ContinuousDensity, center, inf_radius: int) 
             f"truncation box (inradius {inf_radius}) lies inside the tail-bound radius {tb.radius}; "
             "increase radius_multiplier"
         )
-    d = density.dim
+    d, amplitude, rate = density.dim, tb.amplitude, tb.rate
+    # The loop stops at the first term below 1e-300 or below 1e-18 of its
+    # running total.  No term exceeds top = shell(last) exp(-rate m0), so the
+    # total stays below _TAIL_LOOP_SHELLS * top; and shell(m) exp(-rate m) is
+    # log-concave in m, so the least term is at an end.  If both ends clear
+    # that test with a margin for rounding, the loop would run all its shells,
+    # and the closed form replaces it.
+    last = m0 + _TAIL_LOOP_SHELLS - 1
+    ends = [float(_shell(d, m)) * amplitude * math.exp(-rate * m) for m in (m0, last)]
+    top = float(_shell(d, last)) * amplitude * math.exp(-rate * m0)
+    if min(ends) >= (1.0 + 1e-6) * max(1e-300, 1e-18 * _TAIL_LOOP_SHELLS * top):
+        return amplitude * _shell_series(d, rate, m0)
     total = 0.0
-    m = m0
-    while True:
-        shell = float((2 * m + 1) ** d - (2 * m - 1) ** d)
-        term = shell * tb.amplitude * math.exp(-tb.rate * m)
+    for m in range(m0, last + 1):
+        term = float(_shell(d, m)) * amplitude * math.exp(-rate * m)
         total += term
         if term < 1e-300 or term < 1e-18 * max(total, 1e-300):
-            break
-        m += 1
-        if m > m0 + 10_000_000:
-            raise TailToleranceError("tail bound sum did not converge")
+            return total
+    return total + amplitude * _shell_series(d, rate, last + 1)
+
+
+def _shell(d: int, m: int) -> int:
+    """Number of points of Z^d at L-inf distance exactly m >= 1 from a point."""
+    return (2 * m + 1) ** d - (2 * m - 1) ** d
+
+
+def _shell_series(d: int, rate: float, start: int) -> float:
+    """sum_{m >= start} shell(m) exp(-rate m), in closed form.
+
+    With x = exp(-rate), Q(k) = shell(start + k) is a polynomial of degree
+    d - 1, so Q(k) = sum_j Delta^j Q(0) C(k, j), and sum_k C(k, j) x^k =
+    x^j / (1 - x)^(j + 1).  Every term is nonnegative.  Raises
+    :class:`TailToleranceError` if the sum overflows.
+    """
+    diffs = [_shell(d, start + k) for k in range(d)]
+    x, one_minus_x = math.exp(-rate), -math.expm1(-rate)
+    terms = []
+    for j in range(d):
+        terms.append(float(diffs[0]) * x**j / one_minus_x ** (j + 1))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    total = math.exp(-rate * start) * math.fsum(terms)
+    if not math.isfinite(total):
+        raise TailToleranceError("tail bound sum overflows")
     return total
 
 
@@ -317,8 +351,8 @@ def convolve(p: LatticePmf, q: LatticePmf, method: str = "auto") -> LatticePmf:
 
     ``method`` is ``direct``, ``fft`` or ``auto``.  The FFT path is verified
     against direct summation on a deterministic subsample of output cells on
-    every call: ``math.fsum`` of a window of p times the flipped window of q,
-    exact up to its one rounding, so no order of the products can change it.
+    every call: ``stable_sum`` of a window of p times the flipped window of
+    q, exact up to its one rounding, so no order of the products can change it.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("convolution operands have different dimensions")
@@ -357,8 +391,14 @@ def _convolve_fft(p: np.ndarray, q: np.ndarray, out_shape, scale: float) -> np.n
     axes = tuple(range(len(padded)))
     fp = np.fft.rfftn(p, s=padded, axes=axes)
     fq = np.fft.rfftn(q, s=padded, axes=axes)
-    full = np.fft.irfftn(fp * fq, s=padded, axes=axes)
-    out = np.ascontiguousarray(full[tuple(slice(0, s) for s in out_shape)])
+    # The product goes into fp, and each array is dropped after its last use,
+    # so at most two padded spectra are alive at once.
+    np.multiply(fp, fq, out=fp)
+    del fq
+    full = np.fft.irfftn(fp, s=padded, axes=axes)
+    del fp
+    out = full[tuple(slice(0, s) for s in out_shape)].copy()
+    del full
     if float(out.min()) < -_FFT_CHECK_TOL * scale:
         raise NumericalError("FFT convolution produced a significantly negative value")
     return out
@@ -381,7 +421,7 @@ def _verify_fft_subsample(p: np.ndarray, q: np.ndarray, out: np.ndarray, scale: 
         hi = [min(c, s - 1) for c, s in zip(cell, p.shape)]
         p_win = p[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
         q_win = q[tuple(slice(c - b, c - a + 1) for c, a, b in zip(cell, lo, hi))][flip]
-        direct = math.fsum((p_win * q_win).ravel().tolist())
+        direct = stable_sum(p_win * q_win)
         worst = max(worst, abs(direct - float(fft_val)))
     if worst > _FFT_CHECK_TOL * scale:
         raise NumericalError(

@@ -28,6 +28,7 @@ ORDER_CAP = 2048
 REFINE_CELL_CAP = 8192
 TINY_CELL_FLOOR = 1e-30
 MAX_KERNEL_ORDER = 12
+CELLS_PER_BLOCK = 1 << 15  # output cells per block of _cell_integrals
 
 
 def bspline_eval(n: int, x) -> np.ndarray:
@@ -102,30 +103,53 @@ def _cell_integrals(p: LatticePmf, n: int, order: int) -> np.ndarray:
     """Per-cell integral of -f_n log f_n at a tensor Gauss-Legendre order.
 
     Every unit cell shares the same local nodes, so each node contributes one
-    shifted multiply-add of the whole mass array; accumulation order is fixed.
+    shifted multiply-add of the mass array.  The output is built in blocks of
+    about ``CELLS_PER_BLOCK`` cells, whole rows of axis 0: each block runs the
+    whole node loop on its own input rows plus an n - 1 row halo, in buffers
+    that stay in cache.  Every cell sees the same node and kernel-offset order
+    in any blocking, so the result does not depend on it, bit for bit.
     """
     d = p.dim
+    vals = p.values
     nodes, weights = gauss_legendre_01(order)
     kernel = _kernel_node_weights(n, nodes)
-    big_shape = tuple(s + n - 1 for s in p.values.shape)
-    acc = np.zeros(big_shape)
-    fbuf = np.empty(big_shape)
-    gbuf = np.empty(big_shape)
+    steps = []
     for node in product(range(order), repeat=d):
         w = 1.0
         for axis in range(d):
             w *= weights[node[axis]]
-        fbuf.fill(0.0)
+        terms = []
         for j in product(range(n), repeat=d):
             c = 1.0
             for axis in range(d):
                 c *= kernel[j[axis]][node[axis]]
-            if c <= 0.0:
-                continue
-            sl = tuple(slice(ji, ji + s) for ji, s in zip(j, p.values.shape))
-            fbuf[sl] += c * p.values
-        np.multiply(fbuf, _log_where_positive(fbuf, gbuf), out=gbuf)
-        acc -= w * gbuf
+            if c > 0.0:
+                terms.append((c, j))
+        steps.append((w, terms))
+    big_shape = tuple(s + n - 1 for s in vals.shape)
+    acc = np.zeros(big_shape)
+    rows = max(1, CELLS_PER_BLOCK // math.prod(big_shape[1:]))
+    for r0 in range(0, big_shape[0], rows):
+        r1 = min(r0 + rows, big_shape[0])
+        block = acc[r0:r1]
+        fbuf = np.empty(block.shape)
+        gbuf = np.empty(block.shape)
+        # Offset j sends input row i to output row i + j[0]; keep the rows of
+        # that band that fall in [r0, r1).
+        bands = []
+        for j0 in range(n):
+            lo, hi = max(r0, j0), min(r1, j0 + vals.shape[0])
+            bands.append((slice(lo - r0, hi - r0), slice(lo - j0, hi - j0)) if lo < hi else None)
+        for w, terms in steps:
+            fbuf.fill(0.0)
+            for c, j in terms:
+                band = bands[j[0]]
+                if band is None:
+                    continue
+                sl = (band[0],) + tuple(slice(ji, ji + s) for ji, s in zip(j[1:], vals.shape[1:]))
+                fbuf[sl] += c * vals[band[1]]
+            np.multiply(fbuf, _log_where_positive(fbuf, gbuf), out=gbuf)
+            block -= w * gbuf
     return acc
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -217,6 +218,22 @@ def test_cli_verify_and_exit_code(tmp_path, capsys):
     assert run_cli("verify", "--config", str(cpath), "--out", str(rpath)) == 0
     capsys.readouterr()
     assert rpath.exists() and (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_csv_path_replaces_only_the_file_suffix(tmp_path, capsys, monkeypatch, command):
+    # A dot in a directory name is not the report's suffix.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    if command == "verify":
+        cfg = dataclasses.replace(tiny_config(["max_pmf_1d"]), output="run.v2/report")
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_doc()))
+        assert run_cli("verify", "--config", "cfg.json") == 0
+    else:
+        assert run_cli("sweep", "--out", "run.v2/report", "--checks", "max_pmf_1d") == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "run.v2").iterdir()) == ["report", "report.csv"]
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_cli_sweep_subset(tmp_path, capsys):
@@ -578,9 +595,6 @@ UNSET_KNOBS = {
     "numerics.rate_envelope_ok(rel_slack)",
     "simplex.solve_lp(max_iter)",
     "smoothing.differential_entropy(quad_order)",
-    # tolerances of test oracles that no caller sets
-    "convexity.is_log_concave_1d(tol)",
-    "convexity.is_log_concave_extensible_bruteforce(tol)",
 }
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lce import families
-from lce.densities import gaussian
+from lce.densities import ContinuousDensity, TailBound, gaussian
 from lce.errors import BoxTooLargeError, DimensionMismatchError, LceError, NumericalError, TailToleranceError
 from lce.lattice import (
     Box,
     LatticePmf,
     LatticeSet,
     convolve,
+    lattice_tail_sum_bound,
     load_pmf,
     make_product,
     make_uniform_on_set,
@@ -28,7 +30,7 @@ from lce.lattice import (
     support_set,
 )
 from lce.moments import discrete_moments
-from lce.numerics import stable_sum
+from lce.numerics import next_pow2, stable_sum
 
 
 def small_pmf(values, lo=(0,)):
@@ -65,6 +67,53 @@ def test_quantize_gaussian_2d_symmetric():
 def test_quantize_rejects_tiny_box():
     with pytest.raises(TailToleranceError):
         quantize_density(gaussian(1.0, 1), radius_multiplier=3.0)
+
+
+def shell_loop(d, rate, m0):
+    """The shell-by-shell tail sum to its stopping test: the running total,
+    the exact sum of its terms, and the number of shells."""
+    terms, total, m = [], 0.0, m0
+    while True:
+        term = float((2 * m + 1) ** d - (2 * m - 1) ** d) * 1.5 * math.exp(-rate * m)
+        terms.append(term)
+        total += term
+        if term < 1e-300 or term < 1e-18 * max(total, 1e-300):
+            return total, math.fsum(terms), len(terms)
+        m += 1
+
+
+def tail_density(d, rate):
+    return ContinuousDensity(d, lambda x: np.ones(x.shape[:-1]), tail_bound=TailBound(1.5, rate, 0.0))
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.1, 0.01, 0.005])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tail_bound_keeps_the_shell_loop_bit_for_bit(d, rate):
+    total, _, shells = shell_loop(d, rate, 11)
+    assert shells <= 10_000
+    assert lattice_tail_sum_bound(tail_density(d, rate), (0,) * d, 10) == total
+
+
+@pytest.mark.parametrize("d,rate", [(d, r) for d in (1, 2, 3) for r in (0.0035, 1e-3, 1e-4)] + [(2, 1e-5)])
+def test_tail_bound_closed_form_matches_the_shell_sum(d, rate):
+    # Beyond 10,000 shells the loop gives way to the closed form: wholly, or
+    # (at rate 0.0035) for the shells after the first 10,000.  The oracle sums
+    # the loop's terms exactly; its running total drifts by up to 7e-12.
+    _, exact, shells = shell_loop(d, rate, 11)
+    assert shells > 10_000
+    got = lattice_tail_sum_bound(tail_density(d, rate), (0,) * d, 10)
+    assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_tail_bound_at_a_slow_rate_is_fast():
+    for d in (1, 2, 3):
+        dens = tail_density(d, 1e-7)
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            lattice_tail_sum_bound(dens, (0,) * d, 10)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01
 
 
 def test_quantize_product_matches_2d_quantization():
@@ -264,6 +313,21 @@ def test_fft_convolution_does_not_import_numpy_ma():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("shapes", [((300,), (41,)), ((37, 20), (15, 44)), ((9, 4, 6), (5, 12, 3))],
+                         ids=["d1", "d2", "d3"])
+def test_fft_convolution_gives_the_bytes_of_the_plain_spectrum_product(shapes):
+    rng = np.random.default_rng(len(shapes[0]))
+    p, q = (small_pmf(rng.random(s), lo=(0,) * len(s)) for s in shapes)
+    out = convolve(p, q, method="fft")
+    out_shape = tuple(a + b - 1 for a, b in zip(*shapes))
+    padded = tuple(next_pow2(s) for s in out_shape)
+    axes = tuple(range(len(padded)))
+    spectra = [np.fft.rfftn(x.values, s=padded, axes=axes) for x in (p, q)]
+    full = np.fft.irfftn(spectra[0] * spectra[1], s=padded, axes=axes)
+    expected = np.maximum(full[tuple(slice(0, s) for s in out_shape)], 0.0)
+    assert out.values.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def sparse_pmf(rng, shape):

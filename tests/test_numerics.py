@@ -1,8 +1,13 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lce import numerics
 from lce.errors import NumericalError
 from lce.moments import CovarianceMatrix, MomentSummary, isotropy_score
 from lce.numerics import (
@@ -26,6 +31,61 @@ def test_stable_sum_order_independent():
     rng = np.random.default_rng(0)
     a = rng.random(10000) * np.exp(rng.uniform(-30, 30, 10000))
     assert stable_sum(a) == stable_sum(a[::-1].copy())
+
+
+def outcome(summer, values):
+    """The result's bytes (so the sign of zero counts), or the exception type."""
+    try:
+        return struct.pack("<d", summer(values))
+    except (OverflowError, ValueError) as exc:  # fsum: overflow, or inf - inf
+        return type(exc)
+
+
+# m * 2^e with e in [-1029, 996]: magnitudes from 1e-310 to 1e300, log-uniform,
+# subnormals included.
+spread = st.builds(lambda m, e, neg: math.ldexp(-m if neg else m, e),
+                   st.floats(0.5, 1.0, exclude_max=True), st.integers(-1029, 996), st.booleans())
+edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 2.0**-53,
+                         1.7976931348623157e308, -1.7976931348623157e308, 2.0**1000])
+finite = st.one_of(spread, st.floats(allow_nan=False, allow_infinity=False), edges)
+
+
+def oracle_case(xs, cancel, rnd):
+    if cancel:  # exact cancellation: every value and its negation
+        xs = xs + [-x for x in xs]
+        rnd.shuffle(xs)
+    return np.array(xs, dtype=np.float64), xs
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(finite, max_size=60), st.booleans(), st.randoms(use_true_random=False))
+@example([-0.0, -0.0], False, random.Random(0))  # fsum decides the sign of a zero sum
+def test_stable_sum_is_bit_equal_to_fsum(xs, cancel, rnd):
+    # Huge values make fsum overflow; stable_sum must raise the same way.
+    a, xs = oracle_case(xs, cancel, rnd)
+    assert outcome(stable_sum, a) == outcome(math.fsum, xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite, max_size=20), st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1,
+                                                max_size=3), st.booleans(), st.randoms(use_true_random=False))
+def test_stable_sum_is_bit_equal_to_fsum_on_non_finite_input(xs, specials, cancel, rnd):
+    a, xs = oracle_case(xs + specials, cancel, rnd)
+    assert outcome(stable_sum, a) == outcome(math.fsum, xs)
+
+
+def test_stable_sum_takes_the_fast_path_on_large_finite_arrays(monkeypatch):
+    # The fallback for 2^26 elements or more is not run here: it needs 512 MB.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(10**5) * np.exp(rng.uniform(-300.0, 300.0, 10**5))
+    a[::7] = -a[1::7][: a[::7].size]
+    expected = math.fsum(a)
+
+    def no_fsum(values):
+        raise AssertionError("math.fsum was called")
+
+    monkeypatch.setattr(numerics.math, "fsum", no_fsum)
+    assert struct.pack("<d", stable_sum(a)) == struct.pack("<d", expected)
 
 
 def test_neg_xlogx_zero_convention():

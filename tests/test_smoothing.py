@@ -1,11 +1,12 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lce import families
+from lce import families, smoothing
 from lce.errors import LceError
 from lce.lattice import Box, LatticePmf, make_product, point_mass
 from lce.moments import shannon_entropy
@@ -217,3 +218,51 @@ def test_smoothed_density_wrapper():
     assert np.allclose(vals, [0.0, 0.0, 1.0, 0.01, 0.0], atol=1e-12)
     with pytest.raises(LceError):
         smoothed_density_eval(p, 0, [0.5])
+
+
+# ---------------------------------------------------------------------------
+# blocked cell quadrature
+
+
+def cell_integrals_unblocked(p, n, order):
+    """The node loop of ``_cell_integrals`` over the whole array at once."""
+    d = p.dim
+    nodes, weights = gauss_legendre_01(order)
+    kernel = [bspline_eval(n, nodes + j) for j in range(n)]
+    big_shape = tuple(s + n - 1 for s in p.values.shape)
+    acc = np.zeros(big_shape)
+    fbuf = np.empty(big_shape)
+    gbuf = np.empty(big_shape)
+    for node in product(range(order), repeat=d):
+        w = 1.0
+        for axis in range(d):
+            w *= weights[node[axis]]
+        fbuf.fill(0.0)
+        for j in product(range(n), repeat=d):
+            c = 1.0
+            for axis in range(d):
+                c *= kernel[j[axis]][node[axis]]
+            if c <= 0.0:
+                continue
+            sl = tuple(slice(ji, ji + s) for ji, s in zip(j, p.values.shape))
+            fbuf[sl] += c * p.values
+        gbuf.fill(0.0)
+        np.log(fbuf, out=gbuf, where=fbuf > 0.0)
+        np.multiply(fbuf, gbuf, out=gbuf)
+        acc -= w * gbuf
+    return acc
+
+
+@pytest.mark.parametrize("d,rows", [(1, 1), (1, 4), (2, 1), (2, 4), (3, 4)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [8, 16])
+def test_blocked_cell_integrals_match_the_unblocked_loop_bit_for_bit(monkeypatch, d, rows, n, order):
+    # 13 or 5 rows, plus an n - 1 row halo, leave a short last 4-row block.
+    shape = {1: (13,), 2: (13, 7), 3: (5, 3, 3)}[d]
+    rng = np.random.default_rng(10 * d + n)
+    vals = rng.random(shape) * (rng.random(shape) < 0.7)
+    p = LatticePmf(Box((0,) * d, tuple(s - 1 for s in shape)), vals)
+    big_rows = shape[0] + n - 1
+    monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * math.prod(s + n - 1 for s in shape[1:]))
+    assert rows == 1 or big_rows % rows != 0
+    assert np.array_equal(smoothing._cell_integrals(p, n, order), cell_integrals_unblocked(p, n, order))
