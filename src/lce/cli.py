@@ -204,12 +204,25 @@ def _bridge(args) -> int:
     return 0
 
 
+def _report_paths(out) -> tuple[Path, Path]:
+    """The report JSON and CSV paths, checked before a run rather than after it."""
+    paths = (Path(out), Path(out).with_suffix(".csv"))
+    if not paths[0].parent.is_dir():
+        raise LceError(f"report directory {str(paths[0].parent)!r} does not exist")
+    for p in paths:
+        if p.is_dir():
+            raise LceError(f"report path {str(p)!r} is a directory")
+    return paths
+
+
 def _verify(args) -> int:
     cfg = harness.load_config(args.config)
+    out = args.out or cfg.output
+    if out:
+        json_path, csv_path = _report_paths(out)
     doc = harness.run_config(cfg)
-    if args.out or cfg.output:
-        base = args.out or cfg.output
-        harness.emit_report(doc, base, Path(base).with_suffix(".csv"))
+    if out:
+        harness.emit_report(doc, json_path, csv_path)
     _emit(doc.to_doc())
     return doc.exit_code()
 
@@ -218,9 +231,11 @@ def _sweep(args) -> int:
     cfg = harness.default_config(output=args.out)
     if args.checks:
         cfg = dataclasses.replace(cfg, checks=args.checks.split(","))
+    if args.out:
+        json_path, csv_path = _report_paths(args.out)
     doc = harness.run_config(cfg)
     if args.out:
-        harness.emit_report(doc, args.out, Path(args.out).with_suffix(".csv"))
+        harness.emit_report(doc, json_path, csv_path)
     else:
         _emit(doc.to_doc())
     print(f"pass={doc.summary['pass']} fail={doc.summary['fail']} flagged={doc.summary['flagged']}",

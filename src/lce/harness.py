@@ -245,9 +245,9 @@ def _family_extensibility_precheck(cfg: ExperimentConfig, d: int, sigma: float) 
 
 class EntropyChain:
     """S_k = X_1 + ... + X_k for i.i.d. copies of one family member: ``H[k - 1]``
-    = H(S_k), ``sigma_hat[k - 1]`` = sigma_hat(S_k) and, for k <= ``keep``
-    only, ``sums[k - 1]`` = the p.m.f. of S_k; so it grows at most one level
-    past ``keep``."""
+    = H(S_k) and, for k <= ``keep`` only, ``sigma_hat[k - 1]`` = sigma_hat(S_k)
+    and ``sums[k - 1]`` = the p.m.f. of S_k; so it grows at most one level
+    past ``keep``, and that level gets its entropy only."""
 
     def __init__(self, base: LatticePmf, keep: int):
         self.base = base
@@ -262,7 +262,7 @@ class EntropyChain:
         while len(self.H) + len(new) < levels:
             new.append(convolve(new[-1] if new else self.sums[-1], self.base))
         self.H += [shannon_entropy(s) for s in new]
-        self.sigma_hat += [discrete_moments(s).sigma_hat for s in new]
+        self.sigma_hat += [discrete_moments(s).sigma_hat for s in new[: self.keep - len(self.sigma_hat)]]
         self.sums += new[: self.keep - len(self.sums)]
 
 
@@ -846,12 +846,15 @@ def report_csv_text(doc: ReportDocument) -> str:
 
 
 def emit_report(doc: ReportDocument, json_path, csv_path=None):
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc.to_doc(), sort_keys=True, indent=1))
-        fh.write("\n")
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(report_csv_text(doc))
+    try:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc.to_doc(), sort_keys=True, indent=1))
+            fh.write("\n")
+        if csv_path is not None:
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                fh.write(report_csv_text(doc))
+    except OSError as exc:
+        raise LceError(f"cannot write report: {exc}") from None
 
 
 def load_report(path) -> ReportDocument:

@@ -389,16 +389,24 @@ def _convolve_direct(small: np.ndarray, big: np.ndarray, out_shape) -> np.ndarra
 def _convolve_fft(p: np.ndarray, q: np.ndarray, out_shape, scale: float) -> np.ndarray:
     padded = tuple(next_pow2(s) for s in out_shape)
     axes = tuple(range(len(padded)))
+    # One spectrum for a self-convolution.  The product goes into fp, and each
+    # array is dropped after its last use, so at most two padded spectra are
+    # alive at once.
     fp = np.fft.rfftn(p, s=padded, axes=axes)
-    fq = np.fft.rfftn(q, s=padded, axes=axes)
-    # The product goes into fp, and each array is dropped after its last use,
-    # so at most two padded spectra are alive at once.
-    np.multiply(fp, fq, out=fp)
-    del fq
-    full = np.fft.irfftn(fp, s=padded, axes=axes)
+    if q is p:
+        np.multiply(fp, fp, out=fp)
+    else:
+        fq = np.fft.rfftn(q, s=padded, axes=axes)
+        np.multiply(fp, fq, out=fp)
+        del fq
+    # irfftn's own passes (ifft on each leading axis, irfft on the last), each
+    # axis cut to out_shape before the next pass: the same 1-d transforms of
+    # the rows that are kept, and no padded real array.
+    for ax in axes[:-1]:
+        kept = (slice(None),) * ax + (slice(0, out_shape[ax]),)
+        fp = np.fft.ifft(fp, n=padded[ax], axis=ax)[kept]
+    out = np.fft.irfft(fp, n=padded[-1], axis=-1)[..., : out_shape[-1]].copy()
     del fp
-    out = full[tuple(slice(0, s) for s in out_shape)].copy()
-    del full
     if float(out.min()) < -_FFT_CHECK_TOL * scale:
         raise NumericalError("FFT convolution produced a significantly negative value")
     return out

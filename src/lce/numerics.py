@@ -2,11 +2,13 @@
 adaptive tensor quadrature over boxes in R^d, and sweep-envelope helpers.
 
 All reductions in the library funnel through :func:`stable_sum`, which computes
-the correctly rounded sum of its inputs, bit-equal to ``math.fsum``: exact
-integer sums per binary exponent, rounded once (exact summation as in Zhu and
-Hayes, "Algorithm 908", ACM TOMS 2010, vectorised with numpy), and
-``math.fsum`` itself for the edge cases.  The result is therefore independent
-of accumulation order and bit-stable across runs and thread counts.
+the correctly rounded sum of its inputs, bit-equal to ``math.fsum``: each
+value is split by a bit mask into two parts whose sums per binary exponent are
+exact, and the exact total is rounded once (exact summation as in Zhu and
+Hayes, "Algorithm 908", ACM TOMS 2010, vectorised with numpy).  A nonzero
+input that cancels exactly sums to +0.0; ``math.fsum`` itself takes the edge
+cases.  The result is therefore independent of accumulation order and
+bit-stable across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import LceError, NumericalError
 
 
-# Bin sums of 27-bit integer parts stay below 2^53, so exact, under this many elements.
+# Under this many elements each bin sum of high or low parts stays below 2^53, so exact.
 _EXACT_BIN_ELEMENTS = 1 << 26
 # While the largest binary exponent plus the bit length of the element count
 # stays within this, no partial sum, fsum's or ours, can overflow.
@@ -29,33 +31,37 @@ _SAFE_SUM_EXP = 1020
 def stable_sum(values) -> float:
     """Correctly rounded sum of a float array, bit-equal to ``math.fsum``.
 
-    Each value is m * 2^e with 2^53 m an integer (``np.frexp``), split into a
-    27-bit high and a 26-bit low part.  ``np.bincount`` sums each part per
-    exponent, exactly, and the bins fold into one Python int that is divided
-    by a power of two once; int/int true division rounds correctly.  Empty or
-    non-finite input, 2^26 elements or more, a sum that could overflow and a
-    zero total (whose sign fsum decides) go to ``math.fsum``.
+    The biased exponent E of each value is read from its bits.  Clearing the
+    low 26 stored mantissa bits gives a high part that is a multiple of
+    2^(E-1049) below 2^(E-1022); the low part, the exact rest, is a multiple of
+    2^(E-1075) below 2^(E-1049).  ``np.bincount`` sums each part per exponent,
+    exactly, and the bins fold into one Python int at scale 2^-1074 that is
+    divided once; int/int true division rounds correctly.  A nonzero input
+    whose exact sum is zero gives +0.0, as round-to-nearest and fsum do.
+    Empty, all-zero or non-finite input, 2^26 elements or more and a sum that
+    could overflow go to ``math.fsum``.
     """
     a = np.ascontiguousarray(values, dtype=np.float64).ravel(order="C")
-    if not 0 < a.size < _EXACT_BIN_ELEMENTS or not np.isfinite(a).all():
+    if not 0 < a.size < _EXACT_BIN_ELEMENTS:
         return math.fsum(a)
-    m, e = np.frexp(a)
-    emin, emax = int(e.min()), int(e.max())
-    if emax + a.size.bit_length() > _SAFE_SUM_EXP:
+    bits = a.view(np.int64)
+    e = bits >> 52
+    e &= 0x7FF
+    emax = int(e.max())
+    # 0x7FF is the exponent of inf and nan; emax - 1022 is np.frexp's exponent.
+    if emax == 0x7FF or emax - 1022 + a.size.bit_length() > _SAFE_SUM_EXP:
         return math.fsum(a)
-    m *= 2.0**53
-    hi = np.floor(m * 2.0**-26)
-    m -= hi * 2.0**26
-    e -= emin
-    hi_bins = np.bincount(e, weights=hi).tolist()
-    lo_bins = np.bincount(e, weights=m).tolist()
+    hi = (bits & ~((1 << 26) - 1)).view(np.float64)
+    lo = a - hi
     total = 0
-    for h, lo in zip(reversed(hi_bins), reversed(lo_bins)):
-        total = (total << 1) + (int(h) << 26) + int(lo)
+    for part in (hi, lo):
+        bins = np.bincount(e, weights=part)
+        for v in bins[np.flatnonzero(bins)].tolist():
+            num, den = v.as_integer_ratio()
+            total += num << (1075 - den.bit_length())
     if total == 0:
-        return math.fsum(a)
-    shift = emin - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+        return 0.0 if a.any() else math.fsum(a)
+    return total / (1 << 1074)
 
 
 def neg_xlogx(a: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 from lce import harness
 from lce.cli import main
 from lce.errors import LceError
+from lce.moments import discrete_moments
 
 
 def tiny_config(checks):
@@ -236,6 +238,36 @@ def test_cli_csv_path_replaces_only_the_file_suffix(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("target", ["a_directory", "csv_directory", "missing_parent"])
+def test_cli_rejects_a_bad_report_path_before_the_run(tmp_path, capsys, monkeypatch, command, target):
+    runs = []
+    monkeypatch.setattr(harness, "run_config", runs.append)
+    out = {"a_directory": tmp_path, "csv_directory": tmp_path / "rep.json",
+           "missing_parent": tmp_path / "no_such_dir" / "rep.json"}[target]
+    if target == "csv_directory":
+        (tmp_path / "rep.csv").mkdir()
+    if command == "verify":
+        (tmp_path / "cfg.json").write_text(json.dumps(tiny_config(["max_pmf_1d"]).to_doc()))
+        code = run_cli("verify", "--config", str(tmp_path / "cfg.json"), "--out", str(out))
+    else:
+        code = run_cli("sweep", "--out", str(out), "--checks", "max_pmf_1d")
+    err = capsys.readouterr().err
+    assert (code, runs) == (2, [])
+    assert err.startswith("error: report ") and len(err.splitlines()) == 1
+
+
+def test_emit_report_turns_an_os_error_into_lce_error(tmp_path):
+    doc = harness.run_config(tiny_config(["max_pmf_1d"]))
+    with pytest.raises(LceError, match="cannot write report"):
+        harness.emit_report(doc, tmp_path)
+    with pytest.raises(LceError, match="cannot write report"):
+        harness.emit_report(doc, tmp_path / "missing" / "rep.json")
+    (tmp_path / "rep.csv").mkdir()
+    with pytest.raises(LceError, match="cannot write report"):
+        harness.emit_report(doc, tmp_path / "rep.json", tmp_path / "rep.csv")
+
+
 def test_cli_sweep_subset(tmp_path, capsys):
     rpath = tmp_path / "sweep.json"
     assert run_cli("sweep", "--out", str(rpath), "--checks", "max_pmf_1d,geom_radius") == 0
@@ -452,10 +484,28 @@ def test_shared_chains_give_the_rows_of_single_check_runs():
 def test_a_chain_is_shared_then_dropped_at_its_last_read():
     ctx = harness.RunContext(chain_config(["epi_gap", "diff_approx"]))
     first = ctx.chain(1, 2.0, 3)
-    # H and sigma_hat of S_3, but p.m.f.s only up to S_(max n) = S_2
-    assert (len(first.H), len(first.sigma_hat), len(first.sums)) == (3, 3, 2)
+    # H of S_3, but sigma_hat and p.m.f.s only up to S_(max n) = S_2
+    assert (len(first.H), len(first.sigma_hat), len(first.sums)) == (3, 2, 2)
+    for s, sig in zip(first.sums, first.sigma_hat):
+        assert struct.pack("<d", sig) == struct.pack("<d", discrete_moments(s).sigma_hat)
     assert ctx.chain(1, 2.0, 2) is first
     assert ctx.chain(1, 2.0, 2) is not first
+
+
+@pytest.mark.parametrize("steps", [[4], [2, 4], [1, 3, 4]])
+def test_a_chain_takes_moments_of_the_levels_it_keeps_only(steps, monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return discrete_moments(p)
+
+    monkeypatch.setattr(harness, "discrete_moments", counted)
+    chain = harness.EntropyChain(harness.family_pmf(chain_config([]), 1, 2.0), 3)
+    for levels in steps:
+        chain.extend(levels)
+    assert (len(chain.H), len(calls)) == (4, 3)
+    assert all(c is s for c, s in zip(calls, chain.sums, strict=True))
 
 
 @pytest.mark.parametrize("checks", [["epi_gap", "diff_approx"], ["diff_approx", "epi_gap"]])

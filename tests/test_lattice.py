@@ -330,6 +330,29 @@ def test_fft_convolution_gives_the_bytes_of_the_plain_spectrum_product(shapes):
     assert out.values.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
+# Out shapes at a power of two (33 + 32 - 1 = 64) and just above one (65),
+# with a self-convolution (q is p) in each dimension.
+@pytest.mark.parametrize(
+    "p_shape, q_shape",
+    [((33,), (32,)), ((33,), None), ((17, 9), (16, 8)), ((17, 9), None), ((9, 5, 3), (8, 4, 2)), ((5, 5, 9), None)],
+    ids=["d1-pow2", "d1-self-above", "d2-pow2", "d2-self-above", "d3-pow2", "d3-self-above"],
+)
+def test_fft_kernel_gives_the_bytes_of_irfftn(p_shape, q_shape):
+    import lce.lattice as lat
+
+    rng = np.random.default_rng(sum(p_shape))
+    p = rng.random(p_shape)
+    q = p if q_shape is None else rng.random(q_shape)
+    out_shape = tuple(a + b - 1 for a, b in zip(p.shape, q.shape))
+    padded = tuple(next_pow2(s) for s in out_shape)
+    axes = tuple(range(len(padded)))
+    product = np.fft.rfftn(p, s=padded, axes=axes) * np.fft.rfftn(q, s=padded, axes=axes)
+    expected = np.fft.irfftn(product, s=padded, axes=axes)[tuple(slice(0, s) for s in out_shape)]
+    assert (padded == out_shape) == (q_shape is not None)
+    out = lat._convolve_fft(p, q, out_shape, 1.0)
+    assert out.shape == out_shape and out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
 def sparse_pmf(rng, shape):
     vals = rng.random(shape) * (rng.random(shape) < 0.6)
     vals.flat[0] = 1.0

@@ -74,16 +74,45 @@ def test_stable_sum_is_bit_equal_to_fsum_on_non_finite_input(xs, specials, cance
     assert outcome(stable_sum, a) == outcome(math.fsum, xs)
 
 
+def no_fsum(values):
+    raise AssertionError("math.fsum was called")
+
+
+def test_stable_sum_of_an_exact_cancellation_is_plus_zero_without_fsum(monkeypatch):
+    # The first moment of a symmetric p.m.f. on 385^2 = 148,225 cells about its
+    # centre: each product has its exact negation at the mirrored cell.
+    x = np.arange(-192, 193, dtype=np.float64)
+    w = np.exp(-0.5 * (x / 16.0) ** 2)
+    pmf = np.outer(w, w)
+    pmf /= pmf.sum()
+    moment = pmf * x[:, None]
+    assert moment.size == 148_225 and struct.pack("<d", math.fsum(moment.ravel())) == struct.pack("<d", 0.0)
+    monkeypatch.setattr(numerics.math, "fsum", no_fsum)
+    assert struct.pack("<d", stable_sum(moment)) == struct.pack("<d", 0.0)
+    assert struct.pack("<d", stable_sum(-moment)) == struct.pack("<d", 0.0)
+
+
+def test_stable_sum_splits_subnormals_and_mask_boundaries_exactly(monkeypatch):
+    # Subnormals, the smallest normal and mantissas at the 26-bit split: the low
+    # 26 stored bits all ones, only bit 26 set, only bit 25 set.
+    tiny, normal = 2.0**-1074, 2.0**-1022
+    base = [tiny, 3 * tiny, normal - tiny, 2.0**-1048, 2.0**-1048 - tiny, normal, normal + 2.0**-1048,
+            1.0 + 2.0**-26, 1.0 + 2.0**-26 - 2.0**-52, 1.0 + 2.0**-27, 2.0 - 2.0**-52, 2.0**-26, 3.5e-300]
+    rng = np.random.default_rng(3)
+    a = np.array(base * 400) * rng.choice([-1.0, 1.0], len(base) * 400) * rng.integers(1, 9, len(base) * 400)
+    for values in (np.array(base), a, a[: a.size // 2] * 2.0**-40, a[np.abs(a) < 2.0**-1020]):
+        expected = struct.pack("<d", math.fsum(values))
+        with monkeypatch.context() as m:
+            m.setattr(numerics.math, "fsum", no_fsum)
+            assert struct.pack("<d", stable_sum(values)) == expected
+
+
 def test_stable_sum_takes_the_fast_path_on_large_finite_arrays(monkeypatch):
     # The fallback for 2^26 elements or more is not run here: it needs 512 MB.
     rng = np.random.default_rng(5)
     a = rng.standard_normal(10**5) * np.exp(rng.uniform(-300.0, 300.0, 10**5))
     a[::7] = -a[1::7][: a[::7].size]
     expected = math.fsum(a)
-
-    def no_fsum(values):
-        raise AssertionError("math.fsum was called")
-
     monkeypatch.setattr(numerics.math, "fsum", no_fsum)
     assert struct.pack("<d", stable_sum(a)) == struct.pack("<d", expected)
 
