@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import LceError, SizeCapError
+from .errors import LceError
 from .hull import box_points_inside, hrep, lower_envelope
 from .lattice import Box, LatticePmf, LatticeSet, support_set
 from .simplex import envelope_minimum, hull_membership
@@ -96,7 +96,7 @@ def _check_nonempty(A: LatticeSet) -> None:
 def _checked_box(S: LatticeSet) -> Box:
     box = S.bounding_box()
     if box.ncells > BOX_ENUM_CAP:
-        raise SizeCapError(f"bounding box has {box.ncells} cells, cap is {BOX_ENUM_CAP}")
+        raise LceError(f"bounding box has {box.ncells} cells, cap is {BOX_ENUM_CAP}")
     return box
 
 
@@ -257,7 +257,7 @@ def zd_convex_bruteforce(A: LatticeSet) -> ConvexityReport:
         raise LceError("convexity of the empty set is not defined here")
     box = A.bounding_box()
     if box.ncells > 100_000:
-        raise SizeCapError("bounding box too large for the brute-force oracle")
+        raise LceError("bounding box too large for the brute-force oracle")
     pts = A.array()
     candidates = [z for z in _box_points_lex(box) if z not in A]
     if A.dim == 2 and candidates:
@@ -296,7 +296,7 @@ def is_log_concave_extensible(
     if len(support) == 0:
         raise LceError("p.m.f. has empty support")
     if len(support) > SUPPORT_CAP:
-        raise SizeCapError(f"support size {len(support)} exceeds cap {SUPPORT_CAP}")
+        raise LceError(f"support size {len(support)} exceeds cap {SUPPORT_CAP}")
     conv_report = zd_convex_lp(support, exact=True) if exact else is_zd_convex(support)
     pts = support.sorted_points()
     vals = np.array([-math.log(p.value_at(k)) for k in pts])
@@ -370,7 +370,7 @@ def envelope_minimum_bruteforce(points, values, z):
     combinations drawn from every affine subset of at most d+1 points."""
     pts = np.asarray(points)
     if pts.shape[0] > BRUTEFORCE_SUPPORT_CAP:
-        raise SizeCapError("too many points for the brute-force envelope oracle")
+        raise LceError("too many points for the brute-force envelope oracle")
     d = pts.shape[1]
     z = tuple(int(round(float(x))) for x in np.asarray(z).ravel())
     tuples = [tuple(int(x) for x in row) for row in pts]
@@ -396,7 +396,7 @@ def is_log_concave_extensible_bruteforce(p: LatticePmf) -> ExtensibilityReport:
     if len(support) == 0:
         raise LceError("p.m.f. has empty support")
     if len(support) > BRUTEFORCE_SUPPORT_CAP:
-        raise SizeCapError("support too large for the brute-force extensibility oracle")
+        raise LceError("support too large for the brute-force extensibility oracle")
     conv_report = zd_convex_bruteforce(support)
     pts = support.sorted_points()
     V = np.array([-math.log(p.value_at(k)) for k in pts])

@@ -290,19 +290,22 @@ class Registry:
     kind: str
     factories: dict
 
-    def make(self, name: str, /, *args, **params):
-        """``factories[name](*args, **params)``, with the name and the keys
-        checked first and a value the factory rejects reported as an
-        :class:`LceError`."""
+    def check_call(self, name: str, /, *args, **params) -> None:
+        """Raise :class:`LceError` unless ``name`` is known and ``args`` and
+        ``params`` bind to its factory's signature."""
         if name not in self.factories:
             raise LceError(f"unknown {self.kind} {name!r}; known: {sorted(self.factories)}")
-        factory = self.factories[name]
         try:
-            inspect.signature(factory).bind(*args, **params)
+            inspect.signature(self.factories[name]).bind(*args, **params)
         except TypeError as exc:
             raise LceError(f"bad parameters for {name!r}: {exc}") from None
+
+    def make(self, name: str, /, *args, **params):
+        """``factories[name](*args, **params)``, with :meth:`check_call` first
+        and a value the factory rejects reported as an :class:`LceError`."""
+        self.check_call(name, *args, **params)
         try:
-            return factory(*args, **params)
+            return self.factories[name](*args, **params)
         except LceError:
             raise
         except (TypeError, ValueError, ArithmeticError) as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import ContinuousDensity, Registry, check_dim
-from .errors import LceError, SizeCapError
+from .errors import LceError
 from .hull import facets
 from .numerics import adaptive_quad
 from .simplex import OPTIMAL, solve_lp
@@ -197,7 +197,7 @@ def make_vpoly(vertices) -> ConvexBody:
     if V.ndim != 2 or V.shape[0] < check_dim(V.shape[1]) + 1:
         raise LceError("v-polytope needs at least d+1 vertices")
     if V.shape[0] > 64:
-        raise SizeCapError("v-polytope capped at 64 vertices")
+        raise LceError("v-polytope capped at 64 vertices")
     if not np.all(np.isfinite(V)) or np.linalg.matrix_rank(V[1:] - V[0]) < V.shape[1]:
         raise LceError("v-polytope vertices must be finite and span R^d")
     return ConvexBody("vpoly", V.shape[1], (tuple(map(tuple, V)),))

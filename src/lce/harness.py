@@ -10,10 +10,12 @@ reader first needs it, and a chain is dropped at its last read.
 Each check produces :class:`CheckResult` rows whose status is recomputable
 from the stored measured/bound pairs; sweep points whose hypotheses fail
 (degenerate covariance, non-extensible family member) are ``flagged`` rather
-than ``fail``.  A row's ``runtime_ms`` is its share of the check's wall time,
-chain builds and the extensibility precheck included.  Reports serialize to
-JSON deterministically; byte identity modulo the runtime fields is part of
-the contract.
+than ``fail``.  Every row is built by :meth:`RunContext.row`.  A row's
+``runtime_ms`` is the wall time since the check's previous row, or since the
+check began, so a chain build or the extensibility precheck lands on the first
+row that waits for it, and a check's rows add up to its wall time.  Reports
+serialize to JSON deterministically; byte identity modulo the runtime fields
+is part of the contract.
 """
 
 from __future__ import annotations
@@ -81,8 +83,12 @@ class ExperimentConfig:
     def __post_init__(self):
         fam = self.family
         if not (isinstance(fam, dict) and isinstance(fam.get("name", ""), str)
-                and isinstance(fam.get("params", {}), dict)):
+                and isinstance(fam.get("params", {}), dict) and all(isinstance(k, str) for k in fam.get("params", {}))):
             raise LceError('family must be an object {"name": string, "params": object}')
+        extra = sorted(set(fam) - {"name", "params"})
+        if extra:
+            raise LceError(f"unknown family keys: {extra}")
+        families.SWEEP.check_call(self.family_name, 1.0, 1, **fam.get("params", {}))  # placeholder sigma, d
         for key in ("dims", "n_values"):
             if not _nonempty_list(getattr(self, key), lambda v: isinstance(v, int) and v > 0):
                 raise LceError(f"{key} must be a nonempty list of positive integers")
@@ -112,6 +118,10 @@ class ExperimentConfig:
             raise LceError("seed must be a non-negative integer")
         if self.output is not None and not isinstance(self.output, str):
             raise LceError("output must be null or a string")
+
+    @property
+    def family_name(self) -> str:
+        return self.family.get("name", "gaussian")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -202,25 +212,12 @@ class ReportDocument:
         return 0 if self.summary.get("fail", 0) == 0 else 1
 
 
-def _inputs(family: str, d: int, sigma: float, n: int) -> dict:
-    return {"family": family, "d": d, "sigma": float(sigma), "n": n}
-
-
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self.t0) * 1000.0
-
-
 # ---------------------------------------------------------------------------
 # family instantiation
 
 
 def family_pmf(cfg: ExperimentConfig, d: int, sigma: float) -> LatticePmf:
-    return families.SWEEP.make(cfg.family.get("name", "gaussian"), sigma, d, **cfg.family.get("params", {}))
+    return families.SWEEP.make(cfg.family_name, sigma, d, **cfg.family.get("params", {}))
 
 
 def _family_extensibility_precheck(cfg: ExperimentConfig, d: int, sigma: float) -> bool:
@@ -271,7 +268,8 @@ CHAIN_READERS = ("epi_gap", "diff_approx")
 
 
 class RunContext:
-    """What the checks of one run share: the config and the entropy chains.
+    """What the checks of one run share: the config, the entropy chains and
+    the clock that times their rows.
 
     Each chain reader reads the chain of every (d, sigma) of the sweep once;
     a chain is built at its first read, keeps the p.m.f.s up to max(n_values)
@@ -283,6 +281,22 @@ class RunContext:
         points = Counter((d, sigma) for d in cfg.dims for sigma in cfg.sigmas)
         self._reads_left = Counter({key: count * readers for key, count in points.items()})
         self._chains: dict = {}
+        self.clock = time.perf_counter()
+
+    def row(self, check_id: str, inputs: tuple, measured: dict, bound: dict, ok: bool, rule: str,
+            flagged: bool = False) -> CheckResult:
+        """The report row of one measurement; ``inputs`` is (family, d, sigma, n).
+
+        Its status is ``flagged`` if the hypotheses fail, else ``pass`` or
+        ``fail`` by ``ok``; its ``runtime_ms`` is the wall time since
+        :attr:`clock`, which it then resets."""
+        now = time.perf_counter()
+        family, d, sigma, n = inputs
+        result = CheckResult(check_id, {"family": family, "d": d, "sigma": float(sigma), "n": n}, measured, bound,
+                             FLAGGED if flagged else PASS if ok else FAIL, (now - self.clock) * 1000.0,
+                             {"rule": rule})
+        self.clock = now
+        return result
 
     def chain(self, d: int, sigma: float, levels: int) -> EntropyChain:
         """The chain of (d, sigma), extended to at least ``levels`` levels."""
@@ -301,193 +315,118 @@ class RunContext:
 # checks
 
 
+def _rate(delta: float, sig_n: float) -> float:
+    """The rate statistic delta sigma_hat / log(sigma_hat) of a chain level."""
+    return delta * sig_n / math.log(sig_n) if sig_n > 1.0 else float("nan")
+
+
 def check_smooth_identity(ctx: RunContext) -> list:
     tol = ctx.cfg.tol("identity_tol")
-    with _Timer() as t:
-        zoo = families.assorted_pmfs_1d(16)
-        u2 = families.uniform_interval(2)
-        zoo += [point_mass((0, 0)), make_product([u2, u2]), families.product_gaussian(2.0, 2),
-                families.quantized_gaussian(2.0, 2)]
-        worst = 0.0
-        for p in zoo:
-            delta = abs(differential_entropy(p, 1) - shannon_entropy(p))
-            worst = max(worst, delta)
-    status = PASS if worst < tol else FAIL
-    return [
-        CheckResult(
-            "smooth_identity",
-            _inputs("assorted_zoo", 1, 0.0, 1),
-            {"max_abs_delta": worst, "count": float(len(zoo))},
-            {"identity_tol": tol},
-            status,
-            t.ms,
-            {"rule": "max_abs_delta < identity_tol"},
-        )
-    ]
+    zoo = families.assorted_pmfs_1d(16)
+    u2 = families.uniform_interval(2)
+    zoo += [point_mass((0, 0)), make_product([u2, u2]), families.product_gaussian(2.0, 2),
+            families.quantized_gaussian(2.0, 2)]
+    worst = 0.0
+    for p in zoo:
+        worst = max(worst, abs(differential_entropy(p, 1) - shannon_entropy(p)))
+    return [ctx.row("smooth_identity", ("assorted_zoo", 1, 0.0, 1), {"max_abs_delta": worst, "count": float(len(zoo))},
+                    {"identity_tol": tol}, worst < tol, "max_abs_delta < identity_tol")]
 
 
 def check_epi_gap(ctx: RunContext) -> list:
     cfg = ctx.cfg
     results = []
-    fam = cfg.family.get("name", "gaussian")
     floor = cfg.tol("epi_sigma_floor")
     min_delta = cfg.tol("epi_min_delta")
     dfloor = cfg.tol("deficit_floor")
     n_top = max(cfg.n_values) + 1
     for d in cfg.dims:
-        with _Timer() as pre:
-            extensible = _family_extensibility_precheck(cfg, d, min(cfg.sigmas))
+        extensible = _family_extensibility_precheck(cfg, d, min(cfg.sigmas))
         deficits: dict[int, list] = {n: [] for n in cfg.n_values}
         for sigma in cfg.sigmas:
-            with _Timer() as t:
-                chain = ctx.chain(d, sigma, n_top)
-            row_ms = (pre.ms / len(cfg.sigmas) + t.ms) / len(cfg.n_values)
+            chain = ctx.chain(d, sigma, n_top)
             for n in cfg.n_values:
                 delta = chain.H[n] - chain.H[n - 1] - 0.5 * d * math.log((n + 1) / n)
                 sig_n = chain.sigma_hat[n - 1]
-                rate = delta * sig_n / math.log(sig_n) if sig_n > 1.0 else float("nan")
                 deficit = max(0.0, -delta)
                 deficits[n].append(deficit)
-                if not extensible or sig_n <= 0.0:
-                    status = FLAGGED
-                elif sigma >= floor:
-                    status = PASS if delta >= -min_delta else FAIL
-                else:
-                    status = PASS  # below the asserted range; recorded only
-                results.append(
-                    CheckResult(
-                        "epi_gap",
-                        _inputs(fam, d, sigma, n),
-                        {"delta": delta, "sigma_hat": sig_n, "rate_stat": rate, "deficit": deficit},
-                        {"delta_min": -min_delta, "sigma_floor": floor},
-                        status,
-                        row_ms,
-                        {"rule": "delta >= bound.delta_min when sigma >= bound.sigma_floor"},
-                    )
-                )
+                # below the sigma floor a row is recorded only
+                results.append(ctx.row("epi_gap", (cfg.family_name, d, sigma, n),
+                                       {"delta": delta, "sigma_hat": sig_n, "rate_stat": _rate(delta, sig_n),
+                                        "deficit": deficit},
+                                       {"delta_min": -min_delta, "sigma_floor": floor},
+                                       sigma < floor or delta >= -min_delta,
+                                       "delta >= bound.delta_min when sigma >= bound.sigma_floor",
+                                       flagged=not extensible or sig_n <= 0.0))
         for n in cfg.n_values:
             seq = [max(x, dfloor) * (x > dfloor) for x in deficits[n]]
             mono = all(seq[i + 1] <= seq[i] + dfloor for i in range(len(seq) - 1))
-            results.append(
-                CheckResult(
-                    "epi_gap_monotone",
-                    _inputs(fam, d, 0.0, n),
-                    {"max_deficit": max(deficits[n]), "last_deficit": deficits[n][-1]},
-                    {"deficit_floor": dfloor},
-                    PASS if mono else FAIL,
-                    0.0,
-                    {"rule": "deficits non-increasing in sigma above deficit_floor"},
-                )
-            )
+            results.append(ctx.row("epi_gap_monotone", (cfg.family_name, d, 0.0, n),
+                                   {"max_deficit": max(deficits[n]), "last_deficit": deficits[n][-1]},
+                                   {"deficit_floor": dfloor}, mono,
+                                   "deficits non-increasing in sigma above deficit_floor"))
     return results
 
 
 def check_diff_approx(ctx: RunContext) -> list:
     cfg = ctx.cfg
     results = []
-    fam = cfg.family.get("name", "gaussian")
     id_tol = cfg.tol("identity_tol")
     etol = cfg.tol("entropy_tol")
     n_top = max(cfg.n_values)
     for d in cfg.dims:
         rates: dict[int, list] = {n: [] for n in cfg.n_values if n >= 2}
         for sigma in cfg.sigmas:
-            with _Timer() as tc:
-                chain = ctx.chain(d, sigma, n_top)
+            chain = ctx.chain(d, sigma, n_top)
             for n in cfg.n_values:
-                with _Timer() as t:
-                    h = differential_entropy(chain.sums[n - 1], n, tol=etol)
-                delta = abs(h - chain.H[n - 1])
+                delta = abs(differential_entropy(chain.sums[n - 1], n, tol=etol) - chain.H[n - 1])
                 sig_n = chain.sigma_hat[n - 1]
-                rate = delta * sig_n / math.log(sig_n) if sig_n > 1.0 else float("nan")
+                rate = _rate(delta, sig_n)
                 if n >= 2:
                     rates[n].append(rate)
-                status = (PASS if delta < id_tol else FAIL) if n == 1 else PASS
-                results.append(
-                    CheckResult(
-                        "diff_approx",
-                        _inputs(fam, d, sigma, n),
-                        {"delta": delta, "rate_stat": rate, "sigma_hat": sig_n},
-                        {"identity_tol": id_tol if n == 1 else float("nan")},
-                        status,
-                        t.ms + tc.ms / len(cfg.n_values),
-                        {"rule": "n=1: delta < identity_tol; n>=2: rate recorded"},
-                    )
-                )
+                results.append(ctx.row("diff_approx", (cfg.family_name, d, sigma, n),
+                                       {"delta": delta, "rate_stat": rate, "sigma_hat": sig_n},
+                                       {"identity_tol": id_tol if n == 1 else float("nan")},
+                                       n >= 2 or delta < id_tol, "n=1: delta < identity_tol; n>=2: rate recorded"))
         for n, seq in rates.items():
             if len(seq) < 3:
                 continue
-            ok = max(seq[-2], seq[-1]) <= seq[0] * (1.0 + 1e-9)
-            results.append(
-                CheckResult(
-                    "diff_approx_rate",
-                    _inputs(fam, d, 0.0, n),
-                    {"rate_smallest": seq[0], "rate_two_largest_max": max(seq[-2], seq[-1])},
-                    {"cap": seq[0]},
-                    PASS if ok else FAIL,
-                    0.0,
-                    {"rule": "rate at two largest sigmas <= rate at smallest"},
-                )
-            )
+            top = max(seq[-2], seq[-1])
+            results.append(ctx.row("diff_approx_rate", (cfg.family_name, d, 0.0, n),
+                                   {"rate_smallest": seq[0], "rate_two_largest_max": top}, {"cap": seq[0]},
+                                   top <= seq[0] * (1.0 + 1e-9), "rate at two largest sigmas <= rate at smallest"))
     return results
 
 
 def check_discrete_ub(ctx: RunContext) -> list:
     cfg = ctx.cfg
     results = []
-    fam = cfg.family.get("name", "gaussian")
     cap = cfg.tol("ub_cap")
     for d in cfg.dims:
         for sigma in cfg.sigmas:
-            with _Timer() as t:
-                p = family_pmf(cfg, d, sigma)
-                s = discrete_moments(p)
-                det = max(s.cov.det(), 0.0)
-                ratio = s.max_value * math.sqrt(det)
-                target = (2.0 * math.pi) ** (-d / 2.0)
-                try:
-                    iso = isotropy_score(s).normalized
-                except LceError:
-                    iso = float("nan")
-            if det <= 0.0:
-                status = FLAGGED
-            else:
-                status = PASS if ratio <= cap else FAIL
-            results.append(
-                CheckResult(
-                    "discrete_ub",
-                    _inputs(fam, d, sigma, 1),
-                    {"ratio_ub": ratio, "gaussian_target": target,
-                     "target_rel_err": abs(ratio - target) / target, "isotropy_normalized": iso},
-                    {"cap": cap},
-                    status,
-                    t.ms,
-                    {"rule": "ratio_ub <= bound.cap"},
-                )
-            )
+            s = discrete_moments(family_pmf(cfg, d, sigma))
+            det = max(s.cov.det(), 0.0)
+            ratio = s.max_value * math.sqrt(det)
+            target = (2.0 * math.pi) ** (-d / 2.0)
+            try:
+                iso = isotropy_score(s).normalized
+            except LceError:
+                iso = float("nan")
+            results.append(ctx.row("discrete_ub", (cfg.family_name, d, sigma, 1),
+                                   {"ratio_ub": ratio, "gaussian_target": target,
+                                    "target_rel_err": abs(ratio - target) / target, "isotropy_normalized": iso},
+                                   {"cap": cap}, ratio <= cap, "ratio_ub <= bound.cap", flagged=det <= 0.0))
     return results
 
 
 def check_max_pmf_1d(ctx: RunContext) -> list:
     cfg = ctx.cfg
     results = []
-    fam = cfg.family.get("name", "gaussian")
     cap = cfg.tol("max_width_cap")
     for sigma in cfg.sigmas:
-        with _Timer() as t:
-            p = family_pmf(cfg, 1, sigma)
-            prod = max_pmf_width_product(p)
-        results.append(
-            CheckResult(
-                "max_pmf_1d",
-                _inputs(fam, 1, sigma, 1),
-                {"max_width_product": prod},
-                {"cap": cap},
-                PASS if prod <= cap else FAIL,
-                t.ms,
-                {"rule": "max_width_product <= bound.cap"},
-            )
-        )
+        prod = max_pmf_width_product(family_pmf(cfg, 1, sigma))
+        results.append(ctx.row("max_pmf_1d", (cfg.family_name, 1, sigma, 1), {"max_width_product": prod},
+                               {"cap": cap}, prod <= cap, "max_width_product <= bound.cap"))
     return results
 
 
@@ -496,56 +435,29 @@ def check_bridge_gaps(ctx: RunContext) -> list:
     for d in ctx.cfg.dims:
         det_stats = []
         for sigma in BRIDGE_SIGMAS:
-            with _Timer() as t:
-                f = gaussian(sigma, d)
-                rep = lattice_vs_integral_gaps(f)
-                det_stat = abs(rep.det_gap) / sigma ** (2 * d - 1)
-                det_stats.append(det_stat)
-                ok = abs(rep.mass_gap) <= rep.max_lattice_value + 1e-12
-            results.append(
-                CheckResult(
-                    "bridge_gaps",
-                    _inputs("gaussian", d, sigma, 1),
-                    {"mass_gap": rep.mass_gap, "det_gap": rep.det_gap, "det_stat": det_stat,
-                     "max_lattice": rep.max_lattice_value},
-                    {"mass_gap_cap": rep.max_lattice_value},
-                    PASS if ok else FAIL,
-                    t.ms,
-                    {"rule": "|mass_gap| <= max lattice value (quasi-concave bound)"},
-                )
-            )
+            rep = lattice_vs_integral_gaps(gaussian(sigma, d))
+            det_stats.append(abs(rep.det_gap) / sigma ** (2 * d - 1))
+            results.append(ctx.row("bridge_gaps", ("gaussian", d, sigma, 1),
+                                   {"mass_gap": rep.mass_gap, "det_gap": rep.det_gap, "det_stat": det_stats[-1],
+                                    "max_lattice": rep.max_lattice_value},
+                                   {"mass_gap_cap": rep.max_lattice_value},
+                                   abs(rep.mass_gap) <= rep.max_lattice_value + 1e-12,
+                                   "|mass_gap| <= max lattice value (quasi-concave bound)"))
         floor = 1e-9
         cap = max(det_stats[0], floor)
-        ok = all(v <= cap * (1 + 1e-9) + floor for v in det_stats)
-        results.append(
-            CheckResult(
-                "bridge_det_envelope",
-                _inputs("gaussian", d, 0.0, 1),
-                {"det_stat_smallest": det_stats[0], "det_stat_max": max(det_stats)},
-                {"cap": cap, "floor": floor},
-                PASS if ok else FAIL,
-                0.0,
-                {"rule": "det_gap / sigma^(2d-1) bounded by its value at the smallest sigma"},
-            )
-        )
-    with _Timer() as t:
-        densities_1d = [gaussian(1.0, 1), gaussian(2.0, 1), laplace_product(1.0, 1), laplace_product(0.5, 1),
-                        asym_exponential(0.7, 2.0), asym_exponential(2.0, 0.5)]
-        worst = 0.0
-        for f in densities_1d:
-            chk = covdis_check_1d(f)
-            worst = max(worst, chk.gap / chk.bound)
-    results.append(
-        CheckResult(
-            "bridge_covdis",
-            _inputs("logconcave_1d_zoo", 1, 0.0, 1),
-            {"worst_gap_over_bound": worst, "count": float(len(densities_1d))},
-            {"cap": 1.0},
-            PASS if worst <= 1.0 else FAIL,
-            t.ms,
-            {"rule": "|int x f - sum k f| <= (e+1) sum f on every density"},
-        )
-    )
+        results.append(ctx.row("bridge_det_envelope", ("gaussian", d, 0.0, 1),
+                               {"det_stat_smallest": det_stats[0], "det_stat_max": max(det_stats)},
+                               {"cap": cap, "floor": floor}, all(v <= cap * (1 + 1e-9) + floor for v in det_stats),
+                               "det_gap / sigma^(2d-1) bounded by its value at the smallest sigma"))
+    densities_1d = [gaussian(1.0, 1), gaussian(2.0, 1), laplace_product(1.0, 1), laplace_product(0.5, 1),
+                    asym_exponential(0.7, 2.0), asym_exponential(2.0, 0.5)]
+    worst = 0.0
+    for f in densities_1d:
+        chk = covdis_check_1d(f)
+        worst = max(worst, chk.gap / chk.bound)
+    results.append(ctx.row("bridge_covdis", ("logconcave_1d_zoo", 1, 0.0, 1),
+                           {"worst_gap_over_bound": worst, "count": float(len(densities_1d))}, {"cap": 1.0},
+                           worst <= 1.0, "|int x f - sum k f| <= (e+1) sum f on every density"))
     return results
 
 
@@ -571,23 +483,13 @@ def check_self_sum_convex(ctx: RunContext) -> list:
     for d, count, span in plans:
         if count <= 0:
             continue
-        with _Timer() as t:
-            failures = 0
-            for _ in range(count):
-                A = _random_convex_set(rng, d, span)
-                reports = convexity.check_self_sum_convexity(A, n_max)
-                failures += sum(0 if r.is_convex else 1 for r in reports)
-        results.append(
-            CheckResult(
-                "self_sum_convex",
-                _inputs("random_convex_sets", d, 0.0, n_max),
-                {"sets": float(count), "nonconvex_sums": float(failures)},
-                {"max_failures": 0.0},
-                PASS if failures == 0 else FAIL,
-                t.ms,
-                {"rule": "every n-fold self-sum of a convex set stays convex"},
-            )
-        )
+        failures = 0
+        for _ in range(count):
+            reports = convexity.check_self_sum_convexity(_random_convex_set(rng, d, span), n_max)
+            failures += sum(0 if r.is_convex else 1 for r in reports)
+        results.append(ctx.row("self_sum_convex", ("random_convex_sets", d, 0.0, n_max),
+                               {"sets": float(count), "nonconvex_sums": float(failures)}, {"max_failures": 0.0},
+                               failures == 0, "every n-fold self-sum of a convex set stays convex"))
     return results
 
 
@@ -622,77 +524,51 @@ def check_explore_conv(ctx: RunContext) -> list:
     samples = cfg.tol("explore_samples")
     tol = cfg.tol("envelope_tol")
     counterexamples = []
-    with _Timer() as t:
-        fail2 = fail3 = 0
-        for _ in range(samples):
-            p = _random_extensible_pmf(rng)
-            p2 = convolve(p, p)
-            p3 = convolve(p2, p)
-            r2 = convexity.is_log_concave_extensible(p2, tol=tol)
-            r3 = convexity.is_log_concave_extensible(p3, tol=tol)
-            if not r2.is_extensible:
-                fail2 += 1
-                counterexamples.append(pmf_to_doc(p))
-            elif not r3.is_extensible:
-                fail3 += 1
-                counterexamples.append(pmf_to_doc(p))
-    status = PASS if not counterexamples else FLAGGED
-    notes = {"rule": "closure of extensibility under self-convolution is an open question; "
-                     "failures are reported, never asserted"}
+    fail2 = fail3 = 0
+    for _ in range(samples):
+        p = _random_extensible_pmf(rng)
+        p2 = convolve(p, p)
+        p3 = convolve(p2, p)
+        r2 = convexity.is_log_concave_extensible(p2, tol=tol)
+        r3 = convexity.is_log_concave_extensible(p3, tol=tol)
+        if not r2.is_extensible:
+            fail2 += 1
+            counterexamples.append(pmf_to_doc(p))
+        elif not r3.is_extensible:
+            fail3 += 1
+            counterexamples.append(pmf_to_doc(p))
+    row = ctx.row("explore_conv", ("random_extensible", 2, 0.0, 3),
+                  {"samples": float(samples), "fail_twofold": float(fail2), "fail_threefold": float(fail3)}, {},
+                  True, "closure of extensibility under self-convolution is an open question; "
+                        "failures are reported, never asserted", flagged=bool(counterexamples))
     if counterexamples:
-        notes["counterexamples"] = counterexamples
-    return [
-        CheckResult(
-            "explore_conv",
-            _inputs("random_extensible", 2, 0.0, 3),
-            {"samples": float(samples), "fail_twofold": float(fail2), "fail_threefold": float(fail3)},
-            {},
-            status,
-            t.ms,
-            notes,
-        )
-    ]
+        row.notes["counterexamples"] = counterexamples
+    return [row]
 
 
 def check_geom_ballbody(ctx: RunContext) -> list:
-    with _Timer() as t:
-        dirs = unit_directions(2, 64)
-        prof1 = geometry.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
-        err_value = float(np.abs(prof1.radii - math.sqrt(2.0)).max())
-        spread = float(prof1.radii.max() / prof1.radii.min() - 1.0)
-        prof2 = geometry.ball_body_radial(gaussian(2.0, 2), 2.0, dirs)
-        scale_err = float(np.abs(prof2.radii / prof1.radii - 2.0).max())
-    ok = err_value < 1e-6 and spread < 1e-8 and scale_err < 1e-6
-    return [
-        CheckResult(
-            "geom_ballbody",
-            _inputs("gaussian", 2, 1.0, 1),
-            {"radial_err": err_value, "direction_spread": spread, "scaling_err": scale_err},
-            {"radial_tol": 1e-6, "spread_tol": 1e-8, "scaling_tol": 1e-6},
-            PASS if ok else FAIL,
-            t.ms,
-            {"rule": "rho_K2 = sqrt(2) sigma, direction-independent, homogeneous"},
-        )
-    ]
+    dirs = unit_directions(2, 64)
+    prof1 = geometry.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
+    err_value = float(np.abs(prof1.radii - math.sqrt(2.0)).max())
+    spread = float(prof1.radii.max() / prof1.radii.min() - 1.0)
+    prof2 = geometry.ball_body_radial(gaussian(2.0, 2), 2.0, dirs)
+    scale_err = float(np.abs(prof2.radii / prof1.radii - 2.0).max())
+    return [ctx.row("geom_ballbody", ("gaussian", 2, 1.0, 1),
+                    {"radial_err": err_value, "direction_spread": spread, "scaling_err": scale_err},
+                    {"radial_tol": 1e-6, "spread_tol": 1e-8, "scaling_tol": 1e-6},
+                    err_value < 1e-6 and spread < 1e-8 and scale_err < 1e-6,
+                    "rho_K2 = sqrt(2) sigma, direction-independent, homogeneous")]
 
 
 def check_geom_inclusions(ctx: RunContext) -> list:
     results = []
     dirs = unit_directions(2, 64)
     for (p, q) in ((2.0, 3.0), (3.0, 4.0)):
-        with _Timer() as t:
-            chk = geometry.check_inclusions(gaussian(1.0, 2), p, q, dirs)
-        results.append(
-            CheckResult(
-                "geom_inclusions",
-                _inputs("gaussian", 2, 1.0, 1),
-                {"min_ratio": chk.min_ratio, "max_ratio": chk.max_ratio, "p": p, "q": q},
-                {"lower": chk.lower, "upper": chk.upper},
-                PASS if chk.passed else FAIL,
-                t.ms,
-                {"rule": "lower <= rho_p/rho_q <= upper on all directions"},
-            )
-        )
+        chk = geometry.check_inclusions(gaussian(1.0, 2), p, q, dirs)
+        results.append(ctx.row("geom_inclusions", ("gaussian", 2, 1.0, 1),
+                               {"min_ratio": chk.min_ratio, "max_ratio": chk.max_ratio, "p": p, "q": q},
+                               {"lower": chk.lower, "upper": chk.upper}, chk.passed,
+                               "lower <= rho_p/rho_q <= upper on all directions"))
     return results
 
 
@@ -723,24 +599,14 @@ def check_geom_kls(ctx: RunContext) -> list:
     rng = np.random.default_rng(cfg.seed + 4)
     for name, K in _geom_bodies(cfg):
         dirs = [np.eye(K.dim)[0], np.ones(K.dim), rng.normal(size=K.dim)]
-        with _Timer() as t:
-            ok = True
-            worst = 0.0
-            for rep in geometry.kls_second_moment_check(K, dirs):
-                ok = ok and rep.chain_holds(tol=1e-6)
-                span = max(rep.rhs - rep.lhs, 1e-300)
-                worst = max(worst, (rep.lhs - rep.mid) / span, (rep.mid - rep.rhs) / span)
-        results.append(
-            CheckResult(
-                "geom_kls",
-                _inputs(name, K.dim, 0.0, 1),
-                {"worst_violation": worst},
-                {"cap": 0.0},
-                PASS if ok else FAIL,
-                t.ms,
-                {"rule": "h^2/(d(d+2)) <= mean <x,u>^2 <= d h^2/(d+2), MC within 3 SE"},
-            )
-        )
+        ok = True
+        worst = 0.0
+        for rep in geometry.kls_second_moment_check(K, dirs):
+            ok = ok and rep.chain_holds(tol=1e-6)
+            span = max(rep.rhs - rep.lhs, 1e-300)
+            worst = max(worst, (rep.lhs - rep.mid) / span, (rep.mid - rep.rhs) / span)
+        results.append(ctx.row("geom_kls", (name, K.dim, 0.0, 1), {"worst_violation": worst}, {"cap": 0.0}, ok,
+                               "h^2/(d(d+2)) <= mean <x,u>^2 <= d h^2/(d+2), MC within 3 SE"))
     return results
 
 
@@ -754,19 +620,11 @@ def check_geom_radius(ctx: RunContext) -> list:
         ("ellipsoid2", geometry.scale_to_unit_volume(geometry.make_ellipsoid([1.0, 2.0]))),
     ]
     for name, K in bodies:
-        with _Timer() as t:
-            rep = geometry.radius_bounds_check(K)
-        results.append(
-            CheckResult(
-                "geom_radius",
-                _inputs(name, K.dim, 0.0, 1),
-                {"inradius_margin": rep.inradius_margin, "circum_margin": rep.circum_margin},
-                {"min_margin": 0.0},
-                PASS if rep.holds() else FAIL,
-                t.ms,
-                {"rule": "R <= (d+1) sqrt(lambda_max) and r >= sqrt((d+2)/d) sqrt(lambda_min)"},
-            )
-        )
+        rep = geometry.radius_bounds_check(K)
+        results.append(ctx.row("geom_radius", (name, K.dim, 0.0, 1),
+                               {"inradius_margin": rep.inradius_margin, "circum_margin": rep.circum_margin},
+                               {"min_margin": 0.0}, rep.holds(),
+                               "R <= (d+1) sqrt(lambda_max) and r >= sqrt((d+2)/d) sqrt(lambda_min)"))
     return results
 
 
@@ -774,33 +632,24 @@ def check_elementary(ctx: RunContext) -> list:
     cfg = ctx.cfg
     rng = np.random.default_rng(cfg.seed + 5)
     n = cfg.tol("elementary_samples")
-    with _Timer() as t:
-        M = np.exp(rng.uniform(0.0, 8.0, n))
-        D = np.exp(rng.uniform(0.0, 8.0, n))
-        hi = D / M
-        a = hi * rng.random(n)
-        b = hi * rng.random(n)
-        mu = rng.uniform(1e-12, 1.0 / math.e - 1e-12, n)
-        viol = 0
-        worst = -np.inf
-        for i in range(n):
-            g = abs(entropy_like(float(b[i]), float(M[i])) - entropy_like(float(a[i]), float(M[i])))
-            bound = elementary_estimate(float(a[i]), float(b[i]), float(mu[i]), float(D[i]), float(M[i]))
-            margin = g - bound
-            worst = max(worst, margin)
-            if margin > 1e-12 * max(1.0, bound):
-                viol += 1
-    return [
-        CheckResult(
-            "elementary_estimate",
-            _inputs("random_domain", 1, 0.0, 1),
-            {"samples": float(n), "violations": float(viol), "worst_margin": float(worst)},
-            {"max_violations": 0.0},
-            PASS if viol == 0 else FAIL,
-            t.ms,
-            {"rule": "|G(b) - G(a)| <= (2 mu/M) log(1/mu) + |b-a| log(e D/mu)"},
-        )
-    ]
+    M = np.exp(rng.uniform(0.0, 8.0, n))
+    D = np.exp(rng.uniform(0.0, 8.0, n))
+    hi = D / M
+    a = hi * rng.random(n)
+    b = hi * rng.random(n)
+    mu = rng.uniform(1e-12, 1.0 / math.e - 1e-12, n)
+    viol = 0
+    worst = -np.inf
+    for i in range(n):
+        g = abs(entropy_like(float(b[i]), float(M[i])) - entropy_like(float(a[i]), float(M[i])))
+        bound = elementary_estimate(float(a[i]), float(b[i]), float(mu[i]), float(D[i]), float(M[i]))
+        margin = g - bound
+        worst = max(worst, margin)
+        if margin > 1e-12 * max(1.0, bound):
+            viol += 1
+    return [ctx.row("elementary_estimate", ("random_domain", 1, 0.0, 1),
+                    {"samples": float(n), "violations": float(viol), "worst_margin": float(worst)},
+                    {"max_violations": 0.0}, viol == 0, "|G(b) - G(a)| <= (2 mu/M) log(1/mu) + |b-a| log(e D/mu)")]
 
 
 CHECKS = {
@@ -824,6 +673,7 @@ def run_config(cfg: ExperimentConfig) -> ReportDocument:
     ctx = RunContext(cfg)
     results = []
     for check_id in cfg.checks:
+        ctx.clock = time.perf_counter()
         results.extend(CHECKS[check_id](ctx))
     counts = Counter(r.status for r in results)
     summary = {"pass": counts[PASS], "fail": counts[FAIL], "flagged": counts[FLAGGED], "total": len(results)}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LceError, SizeCapError
+from .errors import LceError
 
 # |coordinate| bound under which every orientation determinant and facet
 # offset of :func:`facets` and :func:`hrep` fits in int64 (a 3x3 determinant
@@ -70,7 +70,7 @@ def facets(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exact = P.dtype.kind in "iu"
     P = P.astype(np.int64 if exact else np.float64)
     if exact and int(np.abs(P).max()) > COORD_CAP:
-        raise SizeCapError(f"coordinates exceed {COORD_CAP}; translate the set towards the origin")
+        raise LceError(f"coordinates exceed {COORD_CAP}; translate the set towards the origin")
     if not exact and not np.all(np.isfinite(P)):
         raise LceError("hull facets need finite points")
     d = P.shape[1]
@@ -112,7 +112,7 @@ def hrep(points) -> tuple[np.ndarray, np.ndarray]:
     if d not in (1, 2, 3):
         raise LceError(f"hrep is implemented for d <= 3, got d = {d}")
     if int(np.abs(P).max()) > COORD_CAP:
-        raise SizeCapError(f"coordinates exceed {COORD_CAP}; translate the set towards the origin")
+        raise LceError(f"coordinates exceed {COORD_CAP}; translate the set towards the origin")
     frame = _frame(_pad3(P), 0.0)
     k = len(frame) - 1
     if k == d:

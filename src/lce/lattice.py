@@ -24,14 +24,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .densities import ContinuousDensity
-from .errors import (
-    BoxTooLargeError,
-    DimensionMismatchError,
-    LceError,
-    NotNormalizedError,
-    NumericalError,
-    TailToleranceError,
-)
+from .errors import LceError, NumericalError
 from .numerics import next_pow2, stable_sum
 
 # Hard cap on dense cells for any single array (memory guard).
@@ -91,7 +84,7 @@ class Box:
 
     def minkowski(self, other: "Box") -> "Box":
         if self.dim != other.dim:
-            raise DimensionMismatchError("box dimensions differ")
+            raise LceError("box dimensions differ")
         return Box(
             tuple(a + b for a, b in zip(self.lo, other.lo)),
             tuple(a + b for a, b in zip(self.hi, other.hi)),
@@ -100,7 +93,7 @@ class Box:
 
 def _check_cells(box: Box):
     if box.ncells > CELL_CAP:
-        raise BoxTooLargeError(f"box with {box.ncells} cells exceeds cap {CELL_CAP}")
+        raise LceError(f"box with {box.ncells} cells exceeds cap {CELL_CAP}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,7 @@ class LatticePmf:
 
     def assert_normalized(self):
         if abs(self.mass + self.deficit - 1.0) > 1e-9:
-            raise NotNormalizedError(f"mass {self.mass} + deficit {self.deficit} differs from 1 by more than 1e-9")
+            raise LceError(f"mass {self.mass} + deficit {self.deficit} differs from 1 by more than 1e-9")
 
     def shifted(self, vec) -> "LatticePmf":
         return LatticePmf(self.box.translate(vec), self.values, self.deficit, dict(self.meta))
@@ -157,13 +150,13 @@ class LatticeSet:
     def __post_init__(self):
         for p in self.points:
             if len(p) != self.dim:
-                raise DimensionMismatchError(f"point {p} does not have dimension {self.dim}")
+                raise LceError(f"point {p} does not have dimension {self.dim}")
 
     @classmethod
     def from_iterable(cls, dim: int, pts) -> "LatticeSet":
         arr = np.asarray(pts, dtype=np.int64)
         if arr.size and (arr.ndim != 2 or arr.shape[1] != dim):
-            raise DimensionMismatchError(f"points of shape {arr.shape} do not have dimension {dim}")
+            raise LceError(f"points of shape {arr.shape} do not have dimension {dim}")
         return cls(dim, frozenset(map(tuple, arr.reshape(-1, dim).tolist())))
 
     def __len__(self) -> int:
@@ -223,7 +216,7 @@ def make_product(factors: list[LatticePmf]) -> LatticePmf:
         raise LceError("need at least one factor")
     for f in factors:
         if f.dim != 1:
-            raise DimensionMismatchError("make_product expects 1-d factors")
+            raise LceError("make_product expects 1-d factors")
         f.assert_normalized()
     lo = tuple(f.box.lo[0] for f in factors)
     hi = tuple(f.box.hi[0] for f in factors)
@@ -244,10 +237,10 @@ def lattice_tail_sum_bound(density: ContinuousDensity, center, inf_radius: int) 
     """
     tb = density.tail_bound
     if tb is None:
-        raise TailToleranceError("density has no tail bound; cannot certify truncation")
+        raise LceError("density has no tail bound; cannot certify truncation")
     m0 = int(inf_radius) + 1
     if m0 < tb.radius:
-        raise TailToleranceError(
+        raise LceError(
             f"truncation box (inradius {inf_radius}) lies inside the tail-bound radius {tb.radius}; "
             "increase radius_multiplier"
         )
@@ -283,7 +276,7 @@ def _shell_series(d: int, rate: float, start: int) -> float:
     With x = exp(-rate), Q(k) = shell(start + k) is a polynomial of degree
     d - 1, so Q(k) = sum_j Delta^j Q(0) C(k, j), and sum_k C(k, j) x^k =
     x^j / (1 - x)^(j + 1).  Every term is nonnegative.  Raises
-    :class:`TailToleranceError` if the sum overflows.
+    :class:`LceError` if the sum overflows.
     """
     diffs = [_shell(d, start + k) for k in range(d)]
     x, one_minus_x = math.exp(-rate), -math.expm1(-rate)
@@ -293,7 +286,7 @@ def _shell_series(d: int, rate: float, start: int) -> float:
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     total = math.exp(-rate * start) * math.fsum(terms)
     if not math.isfinite(total):
-        raise TailToleranceError("tail bound sum overflows")
+        raise LceError("tail bound sum overflows")
     return total
 
 
@@ -334,7 +327,7 @@ def quantize_density(f: ContinuousDensity, radius_multiplier: float = DEFAULT_RA
     normalizer = retained + outside
     deficit = outside / normalizer
     if deficit > DEFAULT_TAIL_TOLERANCE:
-        raise TailToleranceError(
+        raise LceError(
             f"deficit bound {deficit:.3e} exceeds tail tolerance {DEFAULT_TAIL_TOLERANCE:.3e}; "
             "increase radius_multiplier"
         )
@@ -355,7 +348,7 @@ def convolve(p: LatticePmf, q: LatticePmf, method: str = "auto") -> LatticePmf:
     q, exact up to its one rounding, so no order of the products can change it.
     """
     if p.dim != q.dim:
-        raise DimensionMismatchError("convolution operands have different dimensions")
+        raise LceError("convolution operands have different dimensions")
     out_box = p.box.minkowski(q.box)
     _check_cells(out_box)
     if method not in ("auto", "direct", "fft"):

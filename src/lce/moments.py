@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCovarianceError, LceError
+from .errors import LceError
 from .lattice import LatticePmf
 from .numerics import neg_xlogx, stable_sum
 
@@ -102,7 +102,7 @@ def isotropy_score(p: LatticePmf | MomentSummary) -> IsotropyScore:
     """Operator-norm deviation of Cov from sigma_hat^2 * I, absolute and per sigma_hat."""
     summary = p if isinstance(p, MomentSummary) else discrete_moments(p)
     if summary.sigma_hat <= 0.0 or summary.cov.det() <= 0.0:
-        raise DegenerateCovarianceError("degenerate covariance: isotropy score undefined")
+        raise LceError("degenerate covariance: isotropy score undefined")
     d = summary.cov.dim
     dev = summary.cov.entries - summary.sigma_hat**2 * np.eye(d)
     eig = np.linalg.eigvalsh(dev)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericalError, SizeCapError
+from .errors import LceError, NumericalError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -46,7 +46,7 @@ def solve_lp(c, A, b, *, exact: bool = False, max_iter: int | None = None) -> LP
     if A.ndim != 2 or A.shape != (b.size, c.size):
         raise ValueError("inconsistent LP shapes")
     if c.size > MAX_COLUMNS:
-        raise SizeCapError(f"LP has {c.size} columns, cap is {MAX_COLUMNS}")
+        raise LceError(f"LP has {c.size} columns, cap is {MAX_COLUMNS}")
     if exact:
         return _solve_exact(c, A, b)
     return _solve_float(c, A, b, max_iter)

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .densities import as_points
-from .errors import LceError, QuadratureError
+from .errors import LceError, NumericalError
 from .lattice import LatticePmf
 from .numerics import gauss_legendre_01, neg_xlogx, stable_sum
 
@@ -189,7 +189,7 @@ def _refine_cell(p, n, cell, start_order, tol_cell) -> float:
             return cur
         prev = cur
         order *= 2
-    raise QuadratureError(
+    raise NumericalError(
         f"cell {cell} did not converge below {tol_cell:.2e} at order cap {ORDER_CAP}"
     )
 
@@ -224,7 +224,7 @@ def smoothed_entropy_detail(
         k = int(np.searchsorted(cum, total - 0.5 * tol, side="left")) + 1
         k = min(k, flat.size)
         if k > REFINE_CELL_CAP:
-            raise QuadratureError(f"{k} cells need refinement, cap is {REFINE_CELL_CAP}")
+            raise NumericalError(f"{k} cells need refinement, cap is {REFINE_CELL_CAP}")
         chosen = np.sort(order_desc[:k])  # lexicographic processing order
         tol_each = 0.5 * tol / k
         for flat_idx in chosen:

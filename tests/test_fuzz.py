@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lce.densities import DENSITIES, parse_param_spec
+from lce.families import SWEEP
 from lce.errors import LceError
 from lce.geometry import BODIES
 from lce.harness import CHECKS, COUNT_TOLERANCES, DEFAULT_TOLERANCES, load_config
@@ -152,6 +153,7 @@ def test_load_config_accepts_only_valid_field_values(tmp_path, doc):
     assert cfg.sigmas and all(type(v) in (int, float) and 0 < v < math.inf for v in cfg.sigmas)
     assert isinstance(cfg.checks, list) and set(cfg.checks) <= set(CHECKS)
     assert isinstance(cfg.family.get("name", ""), str) and isinstance(cfg.family.get("params", {}), dict)
+    assert cfg.family_name in SWEEP.factories and set(cfg.family) <= {"name", "params"}
     assert set(cfg.tolerances) <= set(DEFAULT_TOLERANCES)
     assert all(type(v) in (int, float) for v in cfg.tolerances.values())
     for key in set(cfg.tolerances) & set(COUNT_TOLERANCES):

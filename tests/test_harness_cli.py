@@ -70,6 +70,12 @@ def test_unknown_check_id_rejected():
         ("tolerances", [["ub_cap", 0.5]], "tolerances must be an object"),
         ("tolerance", {"ub_cap": 0.5}, r"unknown keys \['tolerance'\]"),
         ("output", 5, "output must be null or a string"),
+        ("family", {"name": "bogus", "params": {}}, "unknown sweep family 'bogus'"),
+        ("family", {"name": "gaussian", "params": {}, "extra": 1}, r"unknown family keys: \['extra'\]"),
+        ("family", {"name": "gaussian", "params": {"foo": 1}}, "bad parameters for 'gaussian'"),
+        ("family", {"name": "gaussian", "params": {"sigma": 2.0}}, "bad parameters for 'gaussian'"),
+        ("family", {"name": "point_mass", "params": {"radius_multiplier": 8.0}}, "bad parameters for 'point_mass'"),
+        ("family", {"name": "gaussian", "params": {1: 2}}, "family must be"),
     ],
 )
 def test_config_fields_are_validated(field, value, message):
@@ -298,6 +304,9 @@ def test_cli_error_paths(tmp_path, capsys):
 BAD_INPUT_REASONS = {
     "zero_dim_vpoly": "dimension must be an integer in [1, ",
     "config_output_not_a_string": "output must be null or a string",
+    "config_family_unknown_name": "unknown sweep family 'bogus'",
+    "config_family_extra_key": "unknown family keys: ['extra']",
+    "config_family_bad_params": "bad parameters for 'uniform'",
 }
 
 
@@ -341,6 +350,9 @@ BAD_INPUT_REASONS = {
         ["geom", "--check", "ballbody", "--dirs", "-2", "--density", "gaussian{sigma=1,dim=3}"],
         ["geom", "--body", "vpoly{vertices=[[]]}", "--check", "kls"],
         ["verify", "--config", "{tmp}/output_int.json"],
+        ["verify", "--config", "{tmp}/family_bogus.json"],
+        ["verify", "--config", "{tmp}/family_extra.json"],
+        ["verify", "--config", "{tmp}/family_params.json"],
     ],
     ids=[
         "unknown_family",
@@ -380,6 +392,9 @@ BAD_INPUT_REASONS = {
         "ballbody_negative_directions",
         "zero_dim_vpoly",
         "config_output_not_a_string",
+        "config_family_unknown_name",
+        "config_family_extra_key",
+        "config_family_bad_params",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
@@ -398,6 +413,10 @@ def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
         ("tol_nan", {"tolerances": {"identity_tol": float("nan")}}),
         ("tol_infinite", {"tolerances": {"entropy_tol": float("inf")}}),
         ("output_int", {"output": 5}),
+        # checks that never build a family member, so only the config load can catch the family
+        ("family_bogus", {"family": {"name": "bogus", "params": {}}, "checks": ["geom_radius"]}),
+        ("family_extra", {"family": {"name": "gaussian", "params": {}, "extra": 1}, "checks": ["geom_radius"]}),
+        ("family_params", {"family": {"name": "uniform", "params": {"m": 3}}, "checks": ["geom_radius"]}),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, **change}))
     assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
@@ -536,6 +555,37 @@ def test_rows_carry_chain_builds_and_the_precheck(checks, monkeypatch):
         assert total_ms >= 50.0 * pmf_calls[c]
 
 
+@pytest.mark.parametrize(
+    "ok, flagged, status",
+    [(True, False, "pass"), (False, False, "fail"), (True, True, "flagged"), (False, True, "flagged")],
+)
+def test_row_status_is_flagged_first_then_pass_by_ok(ok, flagged, status):
+    ctx = harness.RunContext(tiny_config([]))
+    row = ctx.row("max_pmf_1d", ("gaussian", 1, 2, 1), {"max_width_product": 0.5}, {"cap": 1.0}, ok, "a rule",
+                  flagged=flagged)
+    assert row.status == status
+    assert row.inputs == {"family": "gaussian", "d": 1, "sigma": 2.0, "n": 1} and type(row.inputs["sigma"]) is float
+    assert row.notes == {"rule": "a rule"}
+
+
+def test_rows_add_up_to_the_wall_time_and_each_carries_what_it_waited_on(monkeypatch):
+    family_pmf = harness.family_pmf
+
+    def slow_family_pmf(*args):
+        time.sleep(0.05)
+        return family_pmf(*args)
+
+    monkeypatch.setattr(harness, "family_pmf", slow_family_pmf)
+    t0 = time.perf_counter()
+    doc = harness.run_config(chain_config(["epi_gap", "diff_approx"]))
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    assert 0.95 * wall_ms <= sum(r.runtime_ms for r in doc.results) <= wall_ms
+    # the precheck and the sigma = 2 chain land on its n = 1 row, none on its n = 2 row
+    first, second = [r for r in doc.results if r.check_id == "epi_gap"][:2]
+    assert (first.inputs["n"], second.inputs["n"]) == (1, 2)
+    assert first.runtime_ms >= 100.0 and second.runtime_ms < 50.0
+
+
 def test_diff_approx_envelope_sigma8():
     # generous a-priori envelope: delta <= 5 log(sigma_hat)/sigma_hat
     import math
@@ -669,3 +719,17 @@ def test_every_defaulted_parameter_is_passed_or_a_listed_knob():
         unset |= {f"{qualname}({arg.arg})" for i, arg in defaulted
                   if (node.name, arg.arg) not in passed and most_positional.get(node.name, 0) <= i}
     assert unset == UNSET_KNOBS
+
+
+def test_rows_are_built_by_run_context_row_only():
+    # CheckResult.from_doc calls cls(...); every other row comes from RunContext.row
+    trees = source_trees()
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "CheckResult" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    builders = set()
+    for qualname, node, method in lce_functions(trees):
+        names = {"CheckResult", "cls"} if qualname.startswith("harness.CheckResult.") else {"CheckResult"}
+        if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) in names for call in ast.walk(node)):
+            builders.add(qualname)
+    assert len(calls) == 1
+    assert builders == {"harness.RunContext.row", "harness.CheckResult.from_doc"}

@@ -5,7 +5,7 @@ import pytest
 
 from lce import convexity as cx
 from lce import hull
-from lce.errors import LceError, SizeCapError
+from lce.errors import LceError
 from lce.lattice import Box, LatticePmf, LatticeSet
 from lce.simplex import envelope_minimum
 
@@ -82,7 +82,7 @@ def test_hrep_rejects_what_it_cannot_decide():
         hull.hrep(np.zeros((3, 4), dtype=np.int64))
     with pytest.raises(LceError):
         hull.hrep(np.array([[0.5, 0.0]]))
-    with pytest.raises(SizeCapError):
+    with pytest.raises(LceError, match="coordinates exceed"):
         hull.hrep(np.array([[0, 0], [hull.COORD_CAP + 1, 0]]))
 
 

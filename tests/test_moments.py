@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lce import families
 from lce.convexity import is_log_concave_1d
-from lce.errors import DegenerateCovarianceError, LceError
+from lce.errors import LceError
 from lce.lattice import (
     Box,
     LatticePmf,
@@ -125,7 +125,7 @@ def test_isotropy_flags_anisotropic_product():
 
 
 def test_isotropy_degenerate_rejected():
-    with pytest.raises(DegenerateCovarianceError):
+    with pytest.raises(LceError, match="degenerate covariance"):
         isotropy_score(point_mass((0, 0)))
 
 
