@@ -4,13 +4,12 @@ A set A is Z^d-convex when A equals conv(A) intersected with Z^d.  A p.m.f. p
 is log-concave extensible when its support is Z^d-convex and V = -log p lies
 on the lower convex envelope of its own lifted support points.
 
-Both decisions come from :mod:`lce.hull` for d <= 3: an exact integer
-H-representation of conv(A) tested against every bounding-box point in one
-matrix product, and for d <= 2 the lower hull of the lifted points
-(k, V(k)).  The per-point LPs of :mod:`lce.simplex` remain as the rational
-reference (``exact=True``, :func:`zd_convex_lp`), as the route for d >= 4,
-which has no hull, and as test oracles beside the brute-force Caratheodory
-checks below.
+Both decisions come from :mod:`lce.hull` in every dimension: an exact
+integer H-representation of conv(A) tested against every bounding-box point
+in one matrix product, and the lower hull of the lifted points (k, V(k)).
+The per-point LPs of :mod:`lce.simplex` remain only as the rational reference
+(``exact=True``) and as test oracles (:func:`zd_convex_lp`), beside the
+brute-force Caratheodory checks below.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ DEFAULT_ENVELOPE_TOL = 1e-9
 BOX_ENUM_CAP = 500_000
 SUPPORT_CAP = 4096
 BRUTEFORCE_SUPPORT_CAP = 16
-HULL_MAX_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -70,13 +68,10 @@ def is_zd_convex(A: LatticeSet) -> ConvexityReport:
     """Decide A = conv(A) cap Z^d; the witnesses are the lattice points of
     conv(A) that A misses, in lexicographic order.
 
-    For d <= 3 every bounding-box point is tested against the exact integer
-    H-representation of conv(A); for d >= 4 each one costs a hull-membership
-    LP (:func:`zd_convex_lp`).
+    Every bounding-box point is tested against the exact integer
+    H-representation of conv(A).
     """
     _check_nonempty(A)
-    if A.dim > HULL_MAX_DIM:
-        return zd_convex_lp(A)
     box = _checked_box(A)
     return _hull_report(A, box, *_hrep_from_corner(A, box))
 
@@ -85,7 +80,13 @@ def zd_convex_lp(A: LatticeSet, *, exact: bool = False) -> ConvexityReport:
     """LP reference for :func:`is_zd_convex`: one hull-membership LP per
     bounding-box point outside A, in rational arithmetic when ``exact``."""
     _check_nonempty(A)
-    return _lp_report(A, _checked_box(A), A.array(), exact)
+    generators = A.array()
+    witnesses = [
+        z
+        for z in _box_points_lex(_checked_box(A))
+        if z not in A and hull_membership(generators, np.array(z, dtype=np.float64), exact=exact)
+    ]
+    return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
 
 
 def _check_nonempty(A: LatticeSet) -> None:
@@ -114,17 +115,6 @@ def _hull_report(S: LatticeSet, box: Box, A: np.ndarray, b: np.ndarray) -> Conve
     member = np.zeros(box.shape, dtype=bool)
     member[tuple((S.array() - lo).T)] = True
     witnesses = [tuple(z) for z in (inside[~member[tuple(inside.T)]] + lo).tolist()]
-    return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
-
-
-def _lp_report(S: LatticeSet, box: Box, generators: np.ndarray, exact: bool) -> ConvexityReport:
-    """Witnesses of S against conv(generators), one LP per point of ``box``
-    (the bounding box of S) outside S."""
-    witnesses = [
-        z
-        for z in _box_points_lex(box)
-        if z not in S and hull_membership(generators, np.array(z, dtype=np.float64), exact=exact)
-    ]
     return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
 
 
@@ -284,11 +274,11 @@ def is_log_concave_extensible(
     envelope, and 0 at points outside the hull of the others (envelope
     vertices: a convex extension can always bend upward there).
 
-    In float arithmetic with d <= 2 the envelope is the lower hull of all
-    lifted support points (:func:`lce.hull.lower_envelope`), and the gap is
-    ``max(0, V - envelope)``.  Otherwise each point costs one envelope LP; with
-    ``exact=True`` the LPs, including those of the convexity test, run in
-    rational arithmetic over the exact float inputs.
+    The envelope is the lower hull of all lifted support points
+    (:func:`lce.hull.lower_envelope`), and the gap is ``max(0, V - envelope)``.
+    With ``exact=True`` each point costs one envelope LP instead, and these
+    LPs, like those of the convexity test, run in rational arithmetic over the
+    exact float inputs.
     """
     if not 0.0 <= tol < math.inf:
         raise LceError(f"tol must be a finite non-negative number, got {tol!r}")
@@ -302,11 +292,11 @@ def is_log_concave_extensible(
     vals = np.array([-math.log(p.value_at(k)) for k in pts])
     if not np.all(np.isfinite(vals)):
         raise LceError("non-finite log-mass value")
-    if not exact and p.dim <= 2:
+    if exact:
+        gaps = _envelope_gaps(pts, vals, lambda o, ov, z: envelope_minimum(o, ov, z, exact=True))
+    else:
         env = lower_envelope(np.array(pts, dtype=np.int64), vals)
         gaps = {k: max(0.0, float(v - e)) for k, v, e in zip(pts, vals, env)}
-    else:
-        gaps = _envelope_gaps(pts, vals, lambda o, ov, z: envelope_minimum(o, ov, z, exact=exact))
     ok = conv_report.is_convex and max(gaps.values()) <= tol
     return ExtensibilityReport(
         is_extensible=ok,
@@ -416,27 +406,19 @@ def check_self_sum_convexity(A: LatticeSet, n_max: int) -> list[ConvexityReport]
 
     Requires A itself to be Z^d-convex.  Since conv(A + ... + A) = n conv(A),
     the H-representation of conv(A) is built once and each sum is tested
-    against it with the offsets multiplied by n (for d >= 4, LPs against the
-    scaled copy {n a : a in A}).
+    against it with the offsets multiplied by n.
     """
     if n_max < 2:
         raise LceError("n_max must be at least 2")
-    if A.dim <= HULL_MAX_DIM:
-        box = _checked_box(A)
-        H, b = _hrep_from_corner(A, box)
-        base = _hull_report(A, box, H, b)
-    else:
-        base = zd_convex_lp(A)
+    box = _checked_box(A)
+    H, b = _hrep_from_corner(A, box)
+    base = _hull_report(A, box, H, b)
     if not base.is_convex:
         raise LceError("A must be Z^d-convex (witnesses: %s)" % base.witnesses[:5])
     reports = []
     current = A
     for n in range(2, n_max + 1):
         current = minkowski_sum(current, A)
-        box = _checked_box(current)
-        if A.dim <= HULL_MAX_DIM:
-            # The box of the n-fold sum starts at n times the corner of A's box.
-            reports.append(_hull_report(current, box, H, n * b))
-        else:
-            reports.append(_lp_report(current, box, n * A.array(), exact=False))
+        # The box of the n-fold sum starts at n times the corner of A's box.
+        reports.append(_hull_report(current, _checked_box(current), H, n * b))
     return reports

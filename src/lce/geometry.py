@@ -9,9 +9,9 @@ eigenvalues.
 Convex bodies come in five kinds: box, ellipsoid, simplex, h-polytope and
 v-polytope.  ``cube`` and ``ball`` are constructors of a box and an ellipsoid,
 and a scaled simplex is a v-polytope.  Boxes, ellipsoids and the centred
-standard simplex use closed-form moments; a v-polytope in d <= 3 cones each
-facet of its hull (:func:`lce.hull.facets`) from the vertex mean into a
-simplex and sums the simplices' closed-form moments; h-polytopes fall back to
+standard simplex use closed-form moments; a v-polytope cones each facet of
+its hull (:func:`lce.hull.facets`) from the vertex mean into a simplex and
+sums the simplices' closed-form moments; h-polytopes fall back to
 seeded rejection-sampling Monte Carlo with reported standard errors.  Every
 polytope tests membership and measures its inradius on the facet rows
 ``A x <= b``: an h-polytope's own, or the unit-normalized hull facets of a
@@ -241,7 +241,7 @@ def body_contains(K: ConvexBody, pts) -> np.ndarray:
 def _facets(K: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """Facet rows ``(A, b)`` with K = {x : A x <= b} for a polytope: an
     h-polytope's own data; for a simplex or v-polytope the unit outward
-    normals and offsets of its hull (:func:`lce.hull.facets`, d <= 3)."""
+    normals and offsets of its hull (:func:`lce.hull.facets`)."""
     if K.kind == "hpoly":
         return np.asarray(K.data[0]), np.asarray(K.data[1])
     _, N, off = facets(np.asarray(K.data[0], dtype=np.float64))
@@ -349,7 +349,7 @@ def _hpoly_mc(K: ConvexBody, n: int):
 
 
 def _vpoly_moments(K: ConvexBody) -> BodyMoments:
-    """Exact moments for d <= 3: the hull is coned from the vertex mean c into
+    """Exact moments: the hull is coned from the vertex mean c into
     one simplex S per facet.  With v_0 = c, v_1..v_d the facet's vertices and
     s = sum v_i, S has volume |S| = (off - N c)/d! and the closed-form moments
     int_S x dx = |S| s/(d+1) and

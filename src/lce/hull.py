@@ -1,36 +1,31 @@
 """Exact convex hulls of small point sets and lower envelopes of lifted
-points.
+points, in any dimension.
 
 :func:`facets` is the one hull routine: the simplicial facets, outward normals
-and offsets of the hull of a full-dimensional point set in d <= 3.  In the
-plane it runs Andrew's monotone chain, whose half-chain loop
-(:func:`_half_chain`) is shared with the 1-d lower envelope; in space it runs
-an incremental hull (the beneath-beyond step of Barber, Dobkin and Huhdanpaa,
-"The Quickhull algorithm for convex hulls", ACM TOMS 1996).  Integer input is
-decided exactly, every orientation test on Python ints.
+and offsets of the hull of a full-dimensional point set.  The plane takes
+Andrew's monotone chain (:func:`_half_chain`, shared with the 1-d lower
+envelope); d >= 3 takes an incremental beneath-beyond hull (Clarkson and Shor,
+DCG 1989; Barber, Dobkin and Huhdanpaa, ACM TOMS 1996) whose normals are
+generalized cross products.  Integer input is decided exactly, in int64 under
+a bound read from the set's own extents (:func:`_check_int64`).
 
-:func:`hrep` turns integer points in d <= 3 into a primitive integer
-H-representation ``A x <= b`` of their convex hull, from :func:`facets` for a
-full-dimensional set.  Sets of lower affine dimension are described by their
-affine-hull equalities, each written as a pair of opposite inequalities, plus
-the hull inside that affine hull.
-
+:func:`hrep` turns integer points into a primitive integer H-representation
+``A x <= b`` of their hull.  A set of lower affine dimension is read in a
+chart: its affine-hull equalities, each as a pair of opposite inequalities,
+plus the hull of a coordinate projection that is one-to-one on it.
 :func:`lower_envelope` evaluates the lower convex envelope of lifted points
-``(k, V(k))`` at the points themselves for d <= 2.  The heights are floats, so
-the lifted hull decides "outside" with a tolerance relative to the coordinate
-span; the envelope is then the maximum over the lower facet planes.
+``(k, V(k))`` at the points themselves, in the same chart.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from itertools import combinations
+
 import numpy as np
 
 from .errors import LceError
-
-# |coordinate| bound under which every orientation determinant and facet
-# offset of :func:`facets` and :func:`hrep` fits in int64 (a 3x3 determinant
-# of differences up to 2^20 stays below 6 * 2^60).
-COORD_CAP = 2**19
 
 # Lifted points closer than this times the coordinate span to the current
 # hull are treated as on it.  Small enough that the envelope error it allows
@@ -38,7 +33,7 @@ COORD_CAP = 2**19
 # rounding in the orientation tests.
 ENVELOPE_REL_TOL = 1e-13
 
-# Float points in 3-d closer than this times the coordinate span to a facet
+# Float points in d >= 3 closer than this times the coordinate span to a facet
 # plane of :func:`facets` count as on it, so that rounding cannot split a flat
 # face of a v-polytope into slivers.
 _FACET_REL_TOL = 1e-9
@@ -49,29 +44,28 @@ _BLOCK = 1 << 20
 
 def facets(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simplicial facets ``(F, N, off)`` of the hull of a full-dimensional
-    point set in d = 1, 2, 3, with conv(points) = {x : N x <= off}.
+    point set in R^d, with conv(points) = {x : N x <= off}.
 
     ``F`` (m, d) holds the row indices of each facet's vertices: the vertex
     itself in d = 1, the edges counterclockwise from the lexicographically
-    smallest vertex in d = 2, triangles counterclockwise seen from outside in
-    d = 3.  ``N`` is the outward normal, not unit length: its length is
-    (d - 1)! times the facet's (d - 1)-volume, so ``off - N @ c`` is d! times
-    the volume of the cone from an inner point ``c`` over the facet.
+    smallest vertex in d = 2, in d >= 3 simplices ordered so that ``N x - off``
+    is det[P[F[:, 1:]] - P[F[:, 0]]; x - P[F[:, 0]]].  ``N`` is the outward
+    normal, of length (d - 1)! times the facet's volume, so ``off - N @ c`` is
+    d! times the volume of the cone from an inner point ``c`` over the facet.
 
-    Integer input (``|x| <= COORD_CAP``) is decided exactly.  Float input
-    takes the exact turn test in the plane; in space a point counts as
-    outside a facet, or off the affine hull of the points picked so far, only
-    when it lies more than ``_FACET_REL_TOL`` times the coordinate span away,
-    so a flat face comes back as several triangles.
+    Integer input is decided exactly.  Float input takes the exact turn test
+    in the plane; in d >= 3 a point counts as off a facet plane or affine hull
+    only beyond ``_FACET_REL_TOL`` times the coordinate span, so a flat face
+    comes back as several simplices.
     """
     P = np.asarray(points)
-    if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] not in (1, 2, 3):
-        raise LceError(f"hull facets need a nonempty (n, d) point array with d <= 3, got shape {P.shape}")
+    if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] == 0:
+        raise LceError(f"hull facets need a nonempty (n, d) point array, got shape {P.shape}")
     exact = P.dtype.kind in "iu"
     P = P.astype(np.int64 if exact else np.float64)
-    if exact and int(np.abs(P).max()) > COORD_CAP:
-        raise LceError(f"coordinates exceed {COORD_CAP}; translate the set towards the origin")
-    if not exact and not np.all(np.isfinite(P)):
+    if exact:
+        _check_int64(P)
+    elif not np.all(np.isfinite(P)):
         raise LceError("hull facets need finite points")
     d = P.shape[1]
     # frame: the counterclockwise vertex ring in the plane, else up to d + 1
@@ -80,11 +74,11 @@ def facets(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows, order = P.tolist(), np.lexsort(P.T[::-1]).tolist()
         frame = _half_chain(rows, order)[:-1] + _half_chain(rows, order[::-1])[:-1]
     else:
-        frame = _frame(_pad3(P), _FACET_REL_TOL)
+        frame = _frame(P, _FACET_REL_TOL)
     if len(frame) <= d:
         raise LceError("points are not full-dimensional: their hull has no facets")
-    if d == 3:
-        return _hull3(P, frame, _FACET_REL_TOL)
+    if d >= 3:
+        return _hull(P, frame, _FACET_REL_TOL)
     if d == 1:
         lo, hi = frame
         return np.array([[hi], [lo]]), np.array([[1], [-1]], dtype=P.dtype), np.array([P[hi, 0], -P[lo, 0]])
@@ -95,52 +89,23 @@ def facets(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def hrep(points) -> tuple[np.ndarray, np.ndarray]:
-    """Integer ``(A, b)`` with conv(points) = {x : A x <= b}, for d = 1, 2, 3.
-
-    Rows are primitive (gcd 1) and distinct.  A set of affine dimension k < d
-    gets one opposite pair of rows per affine-hull equality, plus the rows of
-    its k-dimensional hull lifted from a coordinate projection that is
-    one-to-one on the affine hull.  No LP is involved at any dimension.
-    """
+    """Integer ``(A, b)`` with conv(points) = {x : A x <= b}, rows primitive
+    (gcd 1) and distinct; a set of lower affine dimension is read in its chart
+    (see the module docstring).  No LP is involved at any dimension."""
     P = np.asarray(points)
-    if P.ndim != 2 or P.shape[0] == 0:
+    if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] == 0:
         raise LceError("hrep needs a nonempty (n, d) point array")
     if P.dtype.kind not in "iu" and not np.array_equal(P, np.round(P)):
         raise LceError("hrep needs integer points")
     P = P.astype(np.int64)
-    n, d = P.shape
-    if d not in (1, 2, 3):
-        raise LceError(f"hrep is implemented for d <= 3, got d = {d}")
-    if int(np.abs(P).max()) > COORD_CAP:
-        raise LceError(f"coordinates exceed {COORD_CAP}; translate the set towards the origin")
-    frame = _frame(_pad3(P), 0.0)
-    k = len(frame) - 1
-    if k == d:
+    keep, eqs, rhs = _chart(P)
+    if len(keep) == P.shape[1]:
         return _normalize(*facets(P)[1:])
-    # Lower-dimensional: equalities of the affine hull, then the hull of a
-    # one-to-one coordinate projection.
-    D = P[frame[1:]] - P[frame[0]]
-    if k == 0:
-        eqs = np.eye(d, dtype=np.int64)
-        keep = []
-    elif d == 2:  # a line in the plane
-        eqs = np.array([[-D[0, 1], D[0, 0]]])
-        keep = [int(np.argmax(np.abs(D[0])))]
-    elif k == 1:  # a line in space: two normals independent of each other
-        m = int(np.argmax(np.abs(D[0])))
-        eqs = np.stack([np.cross(D[0], np.eye(3, dtype=np.int64)[j]) for j in range(3) if j != m])
-        keep = [m]
-    else:  # a plane in space
-        nrm = np.cross(D[0], D[1])
-        eqs = nrm[None, :]
-        drop = int(np.argmax(np.abs(nrm)))
-        keep = [j for j in range(3) if j != drop]
-    rhs = eqs @ P[frame[0]]
     A = np.concatenate([eqs, -eqs])
     b = np.concatenate([rhs, -rhs])
     if keep:
         Ak, bk = hrep(P[:, keep])
-        lifted = np.zeros((len(Ak), d), dtype=np.int64)
+        lifted = np.zeros((len(Ak), P.shape[1]), dtype=np.int64)
         lifted[:, keep] = Ak
         A, b = np.concatenate([A, lifted]), np.concatenate([b, bk])
     return _normalize(A, b)
@@ -160,43 +125,40 @@ def box_points_inside(A: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
 def lower_envelope(points, heights) -> np.ndarray:
     """Height of the lower convex envelope of the lifted points
     ``(points[i], heights[i])`` at each ``points[i]``, for integer points in
-    d = 1 or 2.
+    any dimension.
 
-    Envelope vertices get their own height exactly.  A planar set on one line
-    is treated as the 1-d problem along that line; lifted points that lie on
-    one plane get that plane.
+    Envelope vertices get their own height exactly.  A set of lower affine
+    dimension is read in the coordinates of its chart (see :func:`hrep`), an
+    affine bijection that leaves the envelope unchanged; lifted points on one
+    hyperplane are all on the envelope.
     """
     P = np.asarray(points)
     h = np.asarray(heights, dtype=np.float64).ravel()
-    if P.ndim != 2 or P.shape[0] != h.size or P.shape[1] not in (1, 2):
-        raise LceError("lower_envelope needs (n, 1) or (n, 2) points and n heights")
+    if P.ndim != 2 or P.shape[0] != h.size or P.shape[1] == 0:
+        raise LceError("lower_envelope needs (n, d) points and n heights")
     if not np.all(np.isfinite(h)):
         raise LceError("lower_envelope needs finite heights")
     P = P.astype(np.int64)
-    frame = _frame(_pad3(P), 0.0)
-    if len(frame) == 1:
+    keep = _chart(P)[0]
+    k = len(keep)
+    if k == 0:
         return h.copy()
-    if len(frame) == 2:
-        # Collinear: parametrize the line by an affine coordinate.
-        t = (P - P[frame[0]]) @ (P[frame[1]] - P[frame[0]])
-        return _lower_envelope_1d(t.astype(np.float64), h)
-    L = np.column_stack([P.astype(np.float64), h])
+    if k == 1:
+        return _lower_envelope_1d(P[:, keep[0]].astype(np.float64), h)
+    L = np.column_stack([P[:, keep].astype(np.float64), h])
     lframe = _frame(L, ENVELOPE_REL_TOL)
-    if len(lframe) == 3:  # all lifted points on one (non-vertical) plane
-        N = np.cross(L[lframe[1]] - L[lframe[0]], L[lframe[2]] - L[lframe[0]])[None, :]
-        off = N @ L[lframe[0]]
-        vertices = np.array(lframe)
-    else:
-        F, N, off = _hull3(L, lframe, ENVELOPE_REL_TOL)
-        lower = N[:, 2] < 0  # exact: N[:, 2] is an integer computed from integer x, y
-        F, N, off = F[lower], N[lower], off[lower]
-        vertices = np.zeros(len(h), dtype=bool)
-        vertices[F.ravel()] = True
+    if len(lframe) == k + 1:  # all lifted points on one (non-vertical) hyperplane
+        return h.copy()
+    F, N, off = _hull(L, lframe, ENVELOPE_REL_TOL)
+    lower = N[:, k] < 0  # exact: N[:, k] is an integer minor of the integer points
+    F, N, off = F[lower], N[lower], off[lower]
+    vertices = np.zeros(len(h), dtype=bool)
+    vertices[F.ravel()] = True
     env = np.empty_like(h)
     step = max(1, _BLOCK // len(off))
     for s in range(0, len(h), step):
-        xy = L[s : s + step, :2]
-        env[s : s + step] = np.max((off - xy @ N[:, :2].T) / N[:, 2], axis=1)
+        x = L[s : s + step, :k]
+        env[s : s + step] = np.max((off - x @ N[:, :k].T) / N[:, k], axis=1)
     env[vertices] = h[vertices]
     return env
 
@@ -229,145 +191,202 @@ def _lower_envelope_1d(t: np.ndarray, h: np.ndarray) -> np.ndarray:
     return env
 
 
-def _pad3(P: np.ndarray) -> np.ndarray:
-    return np.pad(P, ((0, 0), (0, 3 - P.shape[1])))
+def _check_int64(P: np.ndarray) -> None:
+    """Raise unless every minor and product the exact routines form from
+    the integer points ``P`` (n, d) fits in int64.  A k x k minor of
+    difference vectors, and each partial sum of its Leibniz terms, is at most
+    k! e_k, e_k the k-th elementary symmetric sum of the coordinate extents; a
+    normal's entries are k-minors, k < d, so a point's product with it, less
+    an offset, is at most 2 X k! e_k, X the largest |coordinate|."""
+    hi, lo = P.max(axis=0).tolist(), P.min(axis=0).tolist()
+    e = [1] + [0] * len(hi)  # elementary symmetric sums of the extents
+    for x in (a - b for a, b in zip(hi, lo)):
+        for k in range(len(e) - 1, 0, -1):
+            e[k] += e[k - 1] * x
+    minors = [math.factorial(k) * ek for k, ek in enumerate(e)]
+    bound = max(max(minors[1:]), 2 * max(max(hi), -min(lo)) * max(minors[:-1]))
+    if bound > np.iinfo(np.int64).max:
+        raise LceError(f"coordinates exceed the exact int64 range (bound {bound}); translate or shrink the set")
+
+
+@lru_cache(maxsize=None)
+def _cofactors(m: int):
+    """Compiled ``f(rows, V) -> (N, off)`` for the m points r_t = rows[V[t]]
+    in R^m, with N x - off = det[r1 - r0; ...; r_{m-1} - r0; x - r0]: N is the
+    generalized cross product of the difference rows.  Its minors are written
+    out once per m by Laplace expansion, each minor of the lower rows once, and
+    run on the rows' own numbers (exact for Python ints); m = 3 gives the
+    cross product term for term."""
+    lines = ["".join(f"r{i}, " for i in range(m)) + "= " + "".join(f"rows[V[{i}]], " for i in range(m))]
+    lines += [f"u{i}_{c} = r{i}[{c}] - r0[{c}]" for i in range(1, m) for c in range(m)]
+    minor = {(c,): f"u{m - 1}_{c}" for c in range(m)}
+
+    def expand(i, cols, negate):
+        # along row i; a negated minor flips its terms' signs, not the sum's,
+        # so -(a d - b c) is b c - a d down to the sign of a zero
+        out = ""
+        for t, c in enumerate(cols):
+            rest = cols[:t] + cols[t + 1 :]
+            term = f"u{i}_{c} * {minor[rest]}" if rest else f"u{i}_{c}"
+            minus = (t % 2 == 1) != negate
+            out += ("-" if minus else "") + term if t == 0 else (" - " if minus else " + ") + term
+        return out
+
+    for i in range(m - 2, 1, -1):  # minors of rows i..m-1 from those of rows i+1..m-1
+        for cols in combinations(range(m), m - i):
+            minor[cols] = "m" + "_".join(map(str, cols))
+            lines.append(f"{minor[cols]} = {expand(i, cols, False)}")
+    full = tuple(range(m))
+    N = [expand(1, full[:c] + full[c + 1 :], (m - 1 + c) % 2 == 1) for c in range(m)] if m > 1 else ["1"]
+    off = " + ".join(f"N[{c}] * r0[{c}]" for c in range(m))
+    src = "def cofactors(rows, V):\n" + "".join(f"    {s}\n" for s in lines)
+    src += f"    N = [{', '.join(N)}]\n    return N, {off}\n"
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["cofactors"]
 
 
 def _frame(P: np.ndarray, tol: float) -> list[int]:
-    """Indices of up to four affinely independent rows of ``P`` (n, 3), picked
-    greedily far apart.  Integer input is decided exactly; for float input a
-    point counts as off the current affine hull only when its distance exceeds
-    ``tol`` times the coordinate span."""
+    """Indices of up to d + 1 affinely independent rows of ``P`` (n, d),
+    picked greedily far apart: each next row maximizes the minors of its
+    difference vector against those picked (their wedge), summed in absolute
+    value for integer input; for float input their norm over the picked
+    wedge's, the distance to the picked affine hull, beyond ``tol`` times the
+    coordinate span."""
     exact = P.dtype.kind in "iu"
-    eps = 0.0 if exact else tol * _span(P)
+    n, d = P.shape
+    eps = 0.0 if exact else tol * float(np.ptp(P, axis=0).max())
     i0 = int(np.lexsort(P.T[::-1])[0])
     D = P - P[i0]
     frame = [i0]
-
-    def pick(score):
+    W, scale = D, 1.0  # wedge of each difference vector with the picked ones
+    while len(frame) <= d:
+        score = np.abs(W).sum(axis=1) if exact else np.linalg.norm(W, axis=1) / scale
         i = int(np.argmax(score))
-        if score[i] > eps:
-            frame.append(i)
-            return True
-        return False
-
-    if not pick(np.abs(D).sum(axis=1) if exact else np.linalg.norm(D, axis=1)):
-        return frame
-    u = D[frame[1]]
-    C = np.cross(u, D)
-    if not pick(np.abs(C).sum(axis=1) if exact else np.linalg.norm(C, axis=1) / np.linalg.norm(u)):
-        return frame
-    nrm = C[frame[2]]
-    s = np.abs(D @ nrm)
-    pick(s if exact else s / np.linalg.norm(nrm))
+        if not score[i] > eps:
+            break
+        scale = float(np.linalg.norm(W[i]))  # the picked rows' wedge, for float scores
+        frame.append(i)
+        k = len(frame)
+        picked = P[frame].tolist()
+        W = np.empty((n, math.comb(d, k)), dtype=P.dtype)
+        for s, cols in enumerate(reversed(list(combinations(range(d), k)))):
+            N, _ = _cofactors(k)([[r[c] for c in cols] for r in picked], range(k))
+            W[:, s] = D[:, cols[0]] * N[0]
+            for c, x in zip(cols[1:], N[1:]):
+                W[:, s] += D[:, c] * x
     return frame
 
 
-def _span(P: np.ndarray) -> float:
-    return float(np.max(P.max(axis=0) - P.min(axis=0)))
+def _chart(P: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Chart ``(keep, eqs, rhs)`` of integer points ``P`` (n, d) whose affine
+    hull the k + 1 rows of :func:`_frame` span: the k coordinates with the
+    largest minor of the frame's difference vectors, a one-to-one projection,
+    and the affine hull ``eqs x = rhs``, one row per other coordinate c, the
+    cofactor normal of the frame over ``keep`` and c."""
+    _check_int64(P)
+    frame = _frame(P, 0.0)
+    d, k = P.shape[1], len(frame) - 1
+    rows = P[frame].tolist()
+
+    def det(cols):  # of the differences over cols: bordered by a unit column
+        N, off = _cofactors(k + 1)([[r[c] for c in cols] + [0] for r in rows], range(k + 1))
+        return N[-1] - off
+
+    keep = tuple(range(d)) if k == d else max(combinations(range(d), k), key=lambda cols: abs(det(cols)))
+    eqs = np.zeros((d - k, d), dtype=np.int64)
+    rhs = np.zeros(d - k, dtype=np.int64)
+    for row, c in enumerate(j for j in range(d) if j not in keep):
+        cols = sorted(keep + (c,))
+        N, rhs[row] = _cofactors(k + 1)([[r[j] for j in cols] for r in rows], range(k + 1))
+        eqs[row, cols] = N
+    return list(keep), eqs, rhs
 
 
-def _hull3(P: np.ndarray, frame: list[int], tol: float):
-    """Triangular facets of conv(P) for full-dimensional P (n, 3).
+def _hull(P: np.ndarray, frame: list[int], tol: float):
+    """Simplicial facets ``(F, N, off)`` of conv(P), P (n, d) full-dimensional
+    with d >= 3, as :func:`facets` returns them: grown from the simplex on
+    ``frame`` by inserting one point at a time.  The facets it sees form one
+    region, grown across neighbours from the facet it sees best (beyond
+    ``tol`` times the coordinate span for float input), and give way to the
+    cone from the point over the region's horizon."""
+    d = P.shape[1]
+    rows, cofactors = P.tolist(), _cofactors(d)
+    eps = tol * float(np.ptp(P, axis=0).max()) if P.dtype.kind == "f" else 0.0
+    F, nb = [], []  # vertex tuples; nb[f][t] is the facet across the ridge omitting F[f][t]
+    # normals, offsets, normal lengths and alive flags, doubled when full
+    arrays = [np.zeros((16, d), dtype=P.dtype), np.zeros(16, dtype=P.dtype), np.ones(16), np.zeros(16, dtype=bool)]
 
-    Returns ``(F, N, off)``: vertex index triples ordered so that
-    ``N = (P[b] - P[a]) x (P[c] - P[a])`` is the outward normal, and every
-    point satisfies ``N @ x <= off``.  Points are inserted one at a time; the
-    facets a point sees are grown as one connected region from the facet it
-    sees best, and are replaced by the cone from the point to their horizon.
-    Integer input is exact; for float input a point must lie more than
-    ``tol`` times the coordinate span outside a facet to see it.
-    """
-    h = _Hull3(P, tol * _span(P) if P.dtype.kind == "f" else 0.0)
-    a, b, c, e = frame
-    for tri, inward in (((a, b, c), e), ((a, c, e), b), ((a, e, b), c), ((b, e, c), a)):
-        h.add(*tri, inward=inward)
-    live = np.nonzero(h.alive[: h.m])[0]
-    outside = (P @ h.N[live].T - h.off[live] > h.thr[live]).any(axis=1)
-    outside[list(frame)] = False
-    for i in np.nonzero(outside)[0].tolist():
-        h.insert(i)
-    keep = h.alive[: h.m]
-    return np.array(h.F, dtype=np.int64)[keep], h.N[: h.m][keep], h.off[: h.m][keep]
+    def add(V, links, normal):
+        f = len(F)
+        if f == len(arrays[3]):
+            arrays[:] = [np.concatenate([a, np.zeros_like(a)]) for a in arrays]
+        N, off, nrm, alive = arrays
+        N[f], off[f], nrm[f], alive[f] = *normal, math.sqrt(sum(n * n for n in normal[0])), True
+        F.append(V)
+        nb.append(links)
 
-
-class _Hull3:
-    """Facet list of an incremental 3-d hull: outward normals and offsets in
-    growable arrays, and a map from each directed edge to its facet."""
-
-    def __init__(self, P: np.ndarray, eps: float):
-        self.P = P
-        self.rows = P.tolist()  # Python numbers: exact integer cross products
-        self.eps = eps
-        self.F: list[tuple[int, int, int]] = []
-        cap = 16
-        self.N = np.zeros((cap, 3), dtype=P.dtype)
-        self.off = np.zeros(cap, dtype=P.dtype)
-        self.thr = np.zeros(cap)
-        self.nrm = np.ones(cap)
-        self.alive = np.zeros(cap, dtype=bool)
-        self.m = 0
-        self.edge: dict[tuple[int, int], int] = {}
-
-    def add(self, a: int, b: int, c: int, inward: int | None = None) -> None:
-        pa, pb, pc = self.rows[a], self.rows[b], self.rows[c]
-        u = [pb[k] - pa[k] for k in range(3)]
-        v = [pc[k] - pa[k] for k in range(3)]
-        N = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-        off = N[0] * pa[0] + N[1] * pa[1] + N[2] * pa[2]
-        if inward is not None and sum(n * x for n, x in zip(N, self.rows[inward])) > off:
-            b, c, N, off = c, b, [-n for n in N], -off
-        if self.m == len(self.alive):
-            grow = len(self.alive)
-            self.N = np.concatenate([self.N, np.zeros_like(self.N[:grow])])
-            self.off = np.concatenate([self.off, np.zeros_like(self.off[:grow])])
-            self.thr = np.concatenate([self.thr, np.zeros(grow)])
-            self.nrm = np.concatenate([self.nrm, np.ones(grow)])
-            self.alive = np.concatenate([self.alive, np.zeros(grow, dtype=bool)])
-        f = self.m
-        nrm = float(np.sqrt(N[0] * N[0] + N[1] * N[1] + N[2] * N[2]))
-        self.N[f], self.off[f], self.nrm[f] = N, off, nrm
-        self.thr[f] = self.eps * nrm
-        self.alive[f] = True
-        self.F.append((a, b, c))
-        for u, v in ((a, b), (b, c), (c, a)):
-            self.edge[(u, v)] = f
-        self.m += 1
-
-    def insert(self, i: int) -> None:
-        m = self.m
-        dist = self.N[:m] @ self.P[i] - self.off[:m]
-        seen = self.alive[:m] & (dist > self.thr[:m])
+    # The facet omitting frame position j lists the others in frame order,
+    # its last two swapped when d - j is odd (one orientation for all), and
+    # once more, its normal negated, when the frame's vertex sum is outside.
+    inner = [sum(col) for col in zip(*(rows[v] for v in frame))]
+    for j in range(d, -1, -1):
+        V = [v for t, v in enumerate(frame) if t != j]
+        if (d - j) % 2:
+            V[-2], V[-1] = V[-1], V[-2]
+        N, off = cofactors(rows, V)
+        if sum(n * x for n, x in zip(N, inner)) > (d + 1) * off:
+            V[-2], V[-1], N, off = V[-1], V[-2], [-n for n in N], -off
+        add(tuple(V), [d - frame.index(v) for v in V], (N, off))
+    N, off, nrm, alive = (a[: d + 1] for a in arrays)
+    outside = (P @ N.T - off > eps * nrm).any(axis=1)
+    outside[frame] = False
+    for i in np.flatnonzero(outside).tolist():
+        N, off, nrm, alive = (a[: len(F)] for a in arrays)
+        dist = N @ P[i] - off
+        seen = alive & (dist > eps * nrm)
         if not seen.any():
-            return
-        start = int(np.argmax(np.where(seen, dist / self.nrm[:m], -np.inf)))
-        region = {start}
-        stack = [start]
+            continue
+        start = int(np.argmax(np.where(seen, dist / nrm, -np.inf)))
+        region, stack = {start}, [start]
         while stack:
-            a, b, c = self.F[stack.pop()]
-            for u, v in ((a, b), (b, c), (c, a)):
-                g = self.edge[(v, u)]
-                if seen[g] and g not in region:
+            for g in nb[stack.pop()]:
+                if g not in region and seen[g]:
                     region.add(g)
                     stack.append(g)
-        horizon = []
+        alive[list(region)] = False
+        # A cone facet lists its horizon ridge in the dead facet's cyclic
+        # order from the vertex after the omitted one, then i: the same
+        # orientation for odd d, and for even d when the omitted vertex sits at
+        # an odd position, else two ridge vertices swap.  The two cone facets
+        # on a ridge through i meet in pending, keyed by its other vertices.
+        pending = {}
         for f in region:
-            a, b, c = self.F[f]
-            for u, v in ((a, b), (b, c), (c, a)):
-                if self.edge[(v, u)] not in region:
-                    horizon.append((u, v))
-        for f in region:
-            a, b, c = self.F[f]
-            self.alive[f] = False
-            for u, v in ((a, b), (b, c), (c, a)):
-                del self.edge[(u, v)]
-        for u, v in horizon:
-            self.add(u, v, i)
+            for j, g in enumerate(nb[f]):
+                if g in region:
+                    continue
+                ridge = F[f][j + 1 :] + F[f][:j]
+                if d % 2 == 0 and j % 2 == 0:
+                    ridge = (ridge[1], ridge[0]) + ridge[2:]
+                h = len(F)
+                nb[g][nb[g].index(f)] = h
+                links = [-1] * (d - 1) + [g]
+                for t in range(d - 1):
+                    key = frozenset(ridge[:t] + ridge[t + 1 :])
+                    other = pending.pop(key, None)
+                    if other is None:
+                        pending[key] = (h, t)
+                    else:
+                        links[t] = other[0]
+                        nb[other[0]][other[1]] = h
+                add(ridge + (i,), links, cofactors(rows, ridge + (i,)))
+    N, off, nrm, alive = (a[: len(F)] for a in arrays)
+    return np.array(F, dtype=np.int64)[alive], N[alive], off[alive]
 
 
 def _normalize(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Divide each row of ``[A | b]`` by the gcd of its ``A`` part and drop
-    repeated rows (coplanar triangles of one face)."""
+    repeated rows (coplanar simplices of one face)."""
     A = np.asarray(A, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     g = np.gcd.reduce(A, axis=1)
@@ -375,4 +394,3 @@ def _normalize(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # A set of row tuples, not np.unique(axis=0), which imports numpy.ma.
     rows = np.array(sorted(set(map(tuple, np.column_stack([A // g[:, None], b // g]).tolist()))), dtype=np.int64)
     return rows[:, :-1], rows[:, -1]
-

@@ -163,7 +163,7 @@ def test_vpoly_fan_moments_match_the_simplex_closed_form():
     # M to A M A^T.  A is a rotation times axis scales in [0.5, 2], so that
     # rounding the mapped vertices stays far below the tolerance.
     rng = np.random.default_rng(12)
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         S = geo.make_simplex(d)
         ref = geo.body_moments(S)
         V = np.asarray(S.data[0])
@@ -188,9 +188,20 @@ def test_vpoly_of_dimension_zero_is_rejected():
 
 
 def test_vpoly_membership_beyond_d3_raises():
-    K = geo.make_vpoly(np.vstack([np.zeros(4), np.eye(4)]))
-    with pytest.raises(LceError):
-        geo.body_contains(K, np.zeros((1, 4)))
+    # d = 4 membership reads the hull facets as d <= 3 does, and nothing
+    # raises: the LP oracle must agree on convex combinations of the
+    # vertices, the same pushed out from the vertex mean, the vertices and
+    # the facet centroids.
+    rng = np.random.default_rng(4)
+    V = np.vstack([np.zeros(4), np.eye(4), 0.4 * rng.normal(size=(6, 4)) + 0.2])
+    K = geo.make_vpoly(V)
+    F = facets(V)[0]
+    inner = rng.dirichlet(np.ones(len(V)), size=30) @ V
+    c = V.mean(axis=0)
+    Z = np.vstack([inner, c + 2.0 * (inner - c), V, V[F].mean(axis=1)])
+    got = geo.body_contains(K, Z)
+    assert np.array_equal(got, [hull_membership(V, z) for z in Z])
+    assert got[:30].all() and not got[30:60].all() and got[60:].all()
 
 
 def test_scaled_simplex_is_vpoly_with_scaled_moments():

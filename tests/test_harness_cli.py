@@ -450,6 +450,13 @@ def test_cli_geom_radius_on_polytopes(body, capsys):
     assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
+@pytest.mark.parametrize("check, verdict", [("kls", "chain_holds"), ("radius", "holds")])
+def test_cli_geom_on_a_4d_vpoly(check, verdict, capsys):
+    body = "vpoly{vertices=[[-1,-1,-1,-1],[4,-1,-1,-1],[-1,4,-1,-1],[-1,-1,4,-1],[-1,-1,-1,4]]}"
+    assert run_cli("geom", "--body", body, "--check", check) == 0
+    assert json.loads(capsys.readouterr().out)[verdict] is True
+
+
 def test_point_mass_family_is_flagged_not_failed():
     cfg = tiny_config(["epi_gap", "discrete_ub"])
     cfg.family = {"name": "point_mass", "params": {}}

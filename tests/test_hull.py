@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,25 +29,27 @@ def random_point_sets(rng, d, count, span):
             yield rng.integers(0, span + 1, size=(k, d))
 
 
-@pytest.mark.parametrize("d,count,span", [(1, 40, 8), (2, 120, 5), (3, 40, 2)])
+@pytest.mark.parametrize("d,count,span", [(1, 40, 8), (2, 120, 5), (3, 40, 2), (4, 12, 2)])
 def test_hull_witnesses_match_bruteforce_and_lp(d, count, span):
     rng = np.random.default_rng(100 + d)
     for pts in random_point_sets(rng, d, count, span):
         A = LatticeSet.from_iterable(d, pts)
         rep = cx.is_zd_convex(A)
-        assert rep.witnesses == cx.zd_convex_bruteforce(A).witnesses, pts.tolist()
+        if A.bounding_box().ncells <= 1000:  # the Caratheodory oracle's cost grows with the box
+            assert rep.witnesses == cx.zd_convex_bruteforce(A).witnesses, pts.tolist()
         assert rep.witnesses == cx.zd_convex_lp(A).witnesses, pts.tolist()
 
 
 def test_d4_lp_route_matches_bruteforce():
-    # d >= 4 has no hull route: is_zd_convex solves one membership LP per
-    # bounding-box point outside A
+    # The hull route serves d = 4 as it serves d <= 3; the rational LP
+    # reference (exact=True) and the Caratheodory oracle must agree with it.
     rng = np.random.default_rng(44)
     outcomes = set()
     for _ in range(8):
         A = LatticeSet.from_iterable(4, rng.integers(0, 3, size=(int(rng.integers(2, 6)), 4)))
         rep = cx.is_zd_convex(A)
         assert rep == cx.zd_convex_bruteforce(A)
+        assert rep == cx.zd_convex_lp(A, exact=True)
         outcomes.add(rep.is_convex)
     assert outcomes == {True, False}
 
@@ -79,11 +83,31 @@ def test_hrep_degenerate_sets_give_equalities():
 
 def test_hrep_rejects_what_it_cannot_decide():
     with pytest.raises(LceError):
-        hull.hrep(np.zeros((3, 4), dtype=np.int64))
-    with pytest.raises(LceError):
         hull.hrep(np.array([[0.5, 0.0]]))
     with pytest.raises(LceError, match="coordinates exceed"):
-        hull.hrep(np.array([[0, 0], [hull.COORD_CAP + 1, 0]]))
+        hull.hrep(np.array([[0, 0], [2**31, 2**31]]))
+
+
+def test_int64_bound_holds_exactly_at_its_edge():
+    # For the 4-simplex scaled by s the bound of hull._check_int64 is
+    # 2 X 3! e_3 = 48 s^4 (X = s, extents s): the largest s under 2^63 is
+    # decided exactly, the next one is refused with an LceError, not an
+    # OverflowError from deep inside the hull.
+    simplex = np.vstack([np.zeros(4, dtype=np.int64), np.eye(4, dtype=np.int64)])
+    s = math.isqrt(math.isqrt((2**63 - 1) // 48))
+    assert 48 * s**4 < 2**63 <= 48 * (s + 1) ** 4
+    A, b = hull.hrep(s * simplex)
+    want = np.column_stack([np.vstack([-np.eye(4, dtype=np.int64), np.ones(4, dtype=np.int64)]), [0, 0, 0, 0, s]])
+    assert sorted(np.column_stack([A, b]).tolist()) == sorted(want.tolist())
+    for P in ((s + 1) * simplex, 2**17 * simplex):
+        with pytest.raises(LceError, match="coordinates exceed"):
+            hull.hrep(P)
+        with pytest.raises(LceError, match="coordinates exceed"):
+            hull.facets(P)
+    # an elongated set within BOX_ENUM_CAP stays decidable: the bound reads
+    # each coordinate's own extent
+    long = np.vstack([np.zeros(4, dtype=np.int64), np.diag([18_000, 2, 2, 2])])
+    assert cx.is_zd_convex(LatticeSet.from_iterable(4, long)).is_convex is False
 
 
 def test_monotone_chain_counterclockwise_without_collinear_points():
@@ -94,13 +118,14 @@ def test_monotone_chain_counterclockwise_without_collinear_points():
 
 
 def test_facets3_bound_the_hull_as_a_closed_surface():
-    # Outward facets that pair up every edge (d >= 2) and have every point
+    # Outward facets that pair up every ridge (d >= 2) and have every point
     # beneath their planes bound conv(points); flat faces must not break
     # either.  Integer input is decided exactly.
     rng = np.random.default_rng(7)
     th = 0.4
     R = np.array([[math.cos(th), -math.sin(th), 0.0], [math.sin(th), math.cos(th), 0.0], [0.0, 0.0, 1.0]])
     cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=np.float64)
+    cube4 = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
     square = np.array([[0, 0], [3, 0], [3, 3], [0, 3], [1, 0], [1, 1], [3, 2]])
     cases = [
         (rng.normal(size=(9, 1)), None),
@@ -115,6 +140,11 @@ def test_facets3_bound_the_hull_as_a_closed_surface():
         (cube @ R.T, 8.0),
         (np.vstack([cube, 0.3 * cube, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]]), 8.0),
         (np.vstack([cube, [[0, 0, 1], [1, 0, 0], [0, 0, 0]]]).astype(np.int64), 8.0),
+        (rng.normal(size=(30, 4)), None),
+        (rng.integers(-2, 3, size=(40, 4)), None),
+        (cube4, 16.0),
+        (np.vstack([cube4, 0.5 * cube4]) @ np.linalg.qr(rng.normal(size=(4, 4)))[0].T, 16.0),
+        (np.vstack([cube4, [[0, 0, 0, 1], [0, 0, 0, 0]]]).astype(np.int64), 16.0),
     ]
     for P, volume in cases:
         F, N, off = hull.facets(P)
@@ -126,6 +156,9 @@ def test_facets3_bound_the_hull_as_a_closed_surface():
         if d == 3:  # each directed edge once, and its reverse in the next triangle
             edges = [(a, b) for t in F.tolist() for a, b in zip(t, t[1:] + t[:1])]
             assert len(set(edges)) == len(edges) and set(edges) == {(b, a) for a, b in edges}
+        if d >= 4:  # each ridge in exactly two facets
+            ridges = Counter(frozenset(t[:j] + t[j + 1 :]) for t in F.tolist() for j in range(d))
+            assert set(ridges.values()) == {2}
         height = P @ N.T - off
         if P.dtype.kind == "i":
             assert N.dtype == off.dtype == np.int64
@@ -158,14 +191,14 @@ def reference_gaps(pts, heights, minimum):
     return np.array(out)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_lifted_envelope_gaps_match_lp_and_caratheodory(d):
     rng = np.random.default_rng(7 + d)
-    for trial in range(60):
+    for trial in range(60 if d < 3 else 24):  # the d = 3 Caratheodory oracle takes about 0.2 s a set
         k = int(rng.integers(1, 13))
         pts = np.unique(rng.integers(0, 4, size=(k, d)), axis=0)
-        if d == 2 and trial % 6 == 0:
-            pts = np.unique(degenerate_points(rng, 2, k, rank=1), axis=0)
+        if d >= 2 and trial % 6 == 0:  # collinear, and in d = 3 coplanar every other time
+            pts = np.unique(degenerate_points(rng, d, k, rank=1 if trial % 12 else d - 1), axis=0)
         heights = rng.uniform(0.0, 3.0, len(pts))
         if trial % 4 == 0:  # convex quadratic: many exact ties on the envelope
             heights = 0.25 * np.sum(pts * pts, axis=1) + pts @ rng.normal(size=d)
@@ -180,6 +213,19 @@ def test_lower_envelope_of_coplanar_lifted_points_is_the_plane():
     pts = np.array([(a, b) for a in range(3) for b in range(3)])
     heights = 0.5 + 0.25 * pts[:, 0] - 1.5 * pts[:, 1]
     assert np.allclose(hull.lower_envelope(pts, heights), heights, rtol=0, atol=1e-13)
+
+
+def test_envelope_of_a_coplanar_support_is_that_of_its_chart():
+    # Points on a plane of Z^3 are read in the coordinates of their chart, an
+    # affine bijection onto a planar set: the envelope must be the 2-d
+    # envelope of the same heights over the plane's own coordinates.
+    rng = np.random.default_rng(3)
+    uv = np.array([(a, b) for a in range(4) for b in range(3)])
+    for M in ([[1, 0], [0, 1], [2, -1]], [[1, 1], [1, -1], [0, 1]]):
+        pts = uv @ np.array(M).T + [1, -2, 3]
+        for heights in (rng.uniform(0.0, 3.0, len(uv)), 0.25 * np.sum(uv * uv, axis=1)):
+            want = hull.lower_envelope(uv, heights)
+            assert np.allclose(hull.lower_envelope(pts, heights), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tilt", [0.0, 40.0])
@@ -222,3 +268,28 @@ def test_extensibility_hull_route_matches_exact_lp_route():
         assert fast.convexity_witnesses == exact.convexity_witnesses
         for k, g in fast.envelope_gaps.items():
             assert math.isclose(g, exact.envelope_gaps[k], abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_3d_extensibility_hull_route_matches_exact_lp_route(n):
+    # A convex quadratic log-mass on the n^3 box is extensible; noise that
+    # bends it, or a hole in its support, makes it not.
+    rng = np.random.default_rng(40 + n)
+    grid = np.indices((n, n, n)).reshape(3, -1).T
+    B = rng.normal(size=(3, 3))
+    V = 0.5 * np.einsum("ni,ij,nj->n", grid, B.T @ B / 4.0 + 0.1 * np.eye(3), grid)
+    outcomes = set()
+    cases = [(0.0, False), (0.3, False)] + ([(0.0, True)] if n == 3 else [])  # an exact 4^3 decision takes ~3 s
+    for noise, hole in cases:
+        vals = np.exp(-(V + noise * rng.random(len(grid)) - V.min()))
+        if hole:
+            vals[n * n + n + 1] = 0.0  # the inner cell (1, 1, 1)
+        p = LatticePmf(Box((0, 0, 0), (n - 1,) * 3), vals.reshape(n, n, n) / vals.sum())
+        fast = cx.is_log_concave_extensible(p)
+        exact = cx.is_log_concave_extensible(p, exact=True)
+        assert fast.is_extensible == exact.is_extensible
+        assert fast.convexity_witnesses == exact.convexity_witnesses == ([(1, 1, 1)] if hole else [])
+        for k, g in fast.envelope_gaps.items():
+            assert math.isclose(g, exact.envelope_gaps[k], abs_tol=1e-9)
+        outcomes.add(fast.is_extensible)
+    assert outcomes == {True, False}
