@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -119,8 +119,6 @@ def _hull_report(S: LatticeSet, box: Box, A: np.ndarray, b: np.ndarray) -> Conve
 
 
 def _box_points_lex(box: Box):
-    from itertools import product
-
     ranges = [range(l, h + 1) for l, h in zip(box.lo, box.hi)]
     return product(*ranges)
 
@@ -139,6 +137,8 @@ def hull_membership_bruteforce(points: np.ndarray, z) -> bool:
     tuples = [tuple(int(x) for x in row) for row in pts]
     if z in tuples:
         return True
+    if _exact_affine_combination(tuples, z) is None:
+        return False  # z is off the affine hull of the points
     for size in range(2, d + 2):
         for subset in combinations(tuples, size):
             lam = _exact_affine_combination(subset, z)
@@ -241,21 +241,26 @@ def zd_convex_bruteforce(A: LatticeSet) -> ConvexityReport:
     """Definitional convexity check: exact hull membership of every box point.
 
     d=2 runs vectorized integer orientation tests; other dimensions fall back
-    to exact rational Caratheodory solves.
+    to exact rational Caratheodory solves once integer support bounds and the
+    affine hull of A (both exact) have not ruled the point out.
     """
     if len(A) == 0:
         raise LceError("convexity of the empty set is not defined here")
     box = A.bounding_box()
     if box.ncells > 100_000:
         raise LceError("bounding box too large for the brute-force oracle")
-    pts = A.array()
+    pts = A.array() - box.lo
     candidates = [z for z in _box_points_lex(box) if z not in A]
-    if A.dim == 2 and candidates:
-        zs = np.array(candidates, dtype=np.int64)
+    zs = np.array(candidates, dtype=np.int64).reshape(-1, A.dim) - box.lo
+    if A.dim == 2:
         mask = _membership_2d_integer(pts, zs)
-        witnesses = [z for z, inc in zip(candidates, mask) if inc]
     else:
-        witnesses = [z for z in candidates if hull_membership_bruteforce(pts, z)]
+        # z is outside if u . z > max(u . A) for some u = +-e_i +- e_j (exact on box offsets).
+        pairs = combinations(np.eye(A.dim, dtype=np.int64), 2)
+        U = np.array([s * a + t * b for a, b in pairs for s in (1, -1) for t in (1, -1)]).reshape(-1, A.dim).T
+        near = np.all(zs @ U <= (pts @ U).max(axis=0), axis=1)
+        mask = [ok and hull_membership_bruteforce(pts, z) for z, ok in zip(zs, near)]
+    witnesses = [z for z, inc in zip(candidates, mask) if inc]
     return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
 
 

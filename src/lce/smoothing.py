@@ -6,7 +6,8 @@ density of S + U_1 + ... + U_n.  Differential entropy is integrated cell by
 cell with tensor Gauss-Legendre rules, refined by order doubling per cell
 until the contribution errors sum below the requested tolerance.  Only the
 kernel makes the integrand non-smooth (at cells where the mass steps to
-zero), so refinement touches a handful of cells in practice.
+zero), so refinement touches a handful of cells in practice.  Nodes with one
+kernel stencil share one f log f: n = 1 takes one log per block of cells.
 """
 
 from __future__ import annotations
@@ -102,12 +103,14 @@ def _kernel_node_weights(n: int, nodes: np.ndarray) -> list[np.ndarray]:
 def _cell_integrals(p: LatticePmf, n: int, order: int) -> np.ndarray:
     """Per-cell integral of -f_n log f_n at a tensor Gauss-Legendre order.
 
-    Every unit cell shares the same local nodes, so each node contributes one
-    shifted multiply-add of the mass array.  The output is built in blocks of
-    about ``CELLS_PER_BLOCK`` cells, whole rows of axis 0: each block runs the
-    whole node loop on its own input rows plus an n - 1 row halo, in buffers
-    that stay in cache.  Every cell sees the same node and kernel-offset order
-    in any blocking, so the result does not depend on it, bit for bit.
+    Every unit cell shares the same local nodes, so each node is one shifted
+    multiply-add of the mass array per kernel term, run on blocks of about
+    ``CELLS_PER_BLOCK`` cells (whole rows of axis 0 plus an n - 1 row halo) in
+    buffers that stay in cache.  Each cell's operations are the same in any
+    blocking, and bit-equal to zero-filled adds and a masked log: a node with
+    the previous node's terms has its f and reuses its f log f; the first term
+    is written (0.0 + x == x for x >= +0); ``_xlogx`` differs only at f = +-0,
+    giving -+0.0, and subtracting a zero leaves each sum (from +0, never -0.0).
     """
     d = p.dim
     vals = p.values
@@ -115,14 +118,10 @@ def _cell_integrals(p: LatticePmf, n: int, order: int) -> np.ndarray:
     kernel = _kernel_node_weights(n, nodes)
     steps = []
     for node in product(range(order), repeat=d):
-        w = 1.0
-        for axis in range(d):
-            w *= weights[node[axis]]
+        w = math.prod(weights[a] for a in node)
         terms = []
         for j in product(range(n), repeat=d):
-            c = 1.0
-            for axis in range(d):
-                c *= kernel[j[axis]][node[axis]]
+            c = math.prod(kernel[ji][a] for ji, a in zip(j, node))
             if c > 0.0:
                 terms.append((c, j))
         steps.append((w, terms))
@@ -133,30 +132,35 @@ def _cell_integrals(p: LatticePmf, n: int, order: int) -> np.ndarray:
         r1 = min(r0 + rows, big_shape[0])
         block = acc[r0:r1]
         fbuf = np.empty(block.shape)
-        gbuf = np.empty(block.shape)
         # Offset j sends input row i to output row i + j[0]; keep the rows of
         # that band that fall in [r0, r1).
         bands = []
         for j0 in range(n):
             lo, hi = max(r0, j0), min(r1, j0 + vals.shape[0])
             bands.append((slice(lo - r0, hi - r0), slice(lo - j0, hi - j0)) if lo < hi else None)
+        last = None
         for w, terms in steps:
-            fbuf.fill(0.0)
-            for c, j in terms:
-                band = bands[j[0]]
-                if band is None:
-                    continue
-                sl = (band[0],) + tuple(slice(ji, ji + s) for ji, s in zip(j[1:], vals.shape[1:]))
-                fbuf[sl] += c * vals[band[1]]
-            np.multiply(fbuf, _log_where_positive(fbuf, gbuf), out=gbuf)
-            block -= w * gbuf
+            if terms != last:
+                last = terms
+                fbuf.fill(0.0)
+                for k, (c, j) in enumerate(terms):
+                    band = bands[j[0]]
+                    if band is None:
+                        continue
+                    sl = (band[0],) + tuple(slice(ji, ji + s) for ji, s in zip(j[1:], vals.shape[1:]))
+                    if k:
+                        fbuf[sl] += c * vals[band[1]]
+                    else:
+                        np.multiply(vals[band[1]], c, out=fbuf[sl])
+                g = _xlogx(fbuf)
+            block -= w * g
     return acc
 
 
-def _log_where_positive(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    out.fill(0.0)
-    np.log(a, out=out, where=a > 0.0)
-    return out
+def _xlogx(f: np.ndarray) -> np.ndarray:
+    """f log f, except -0.0 at f = +0 and +0.0 at f = -0."""
+    g = np.maximum(f, 5e-324)
+    return np.multiply(f, np.log(g, out=g), out=g)
 
 
 def _stencil_values(p: LatticePmf, cell: tuple[int, ...], n: int) -> np.ndarray:
@@ -200,15 +204,15 @@ def smoothed_entropy_detail(
     quad_order: int = DEFAULT_QUAD_ORDER,
     tol: float = DEFAULT_ENTROPY_TOL,
 ) -> SmoothedEntropyDetail:
-    if n < 1:
-        raise LceError("n must be >= 1")
+    for name, k in (("n", n), ("quad_order", quad_order)):
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise LceError(f"{name} must be an integer >= 1, got {k!r}")
     if not 0.0 < tol < math.inf:
         raise LceError(f"tol must be a finite positive number, got {tol!r}")
     I1 = _cell_integrals(p, n, quad_order)
     I2 = _cell_integrals(p, n, 2 * quad_order)
     diff = np.abs(I2 - I1)
     ncells = I2.size
-    final = I2.copy()
     lo = p.box.lo
     refined = 0
     err_accepted = stable_sum(diff)
@@ -230,7 +234,7 @@ def smoothed_entropy_detail(
         for flat_idx in chosen:
             idx = np.unravel_index(int(flat_idx), I2.shape)
             cell = tuple(int(a) + l for a, l in zip(idx, lo))
-            final[idx] = _refine_cell(p, n, cell, 4 * quad_order, tol_each)
+            I2[idx] = _refine_cell(p, n, cell, 4 * quad_order, tol_each)
         refined = k
         err_accepted = stable_sum(np.delete(flat, chosen)) + k * tol_each
 
@@ -243,7 +247,7 @@ def smoothed_entropy_detail(
         cover[sl] += p.values
     tiny = (cover > 0.0) & (cover < TINY_CELL_FLOOR)
     tiny_bound = stable_sum(neg_xlogx(np.where(tiny, cover, 0.0)))
-    value = stable_sum(final)
+    value = stable_sum(I2)
     return SmoothedEntropyDetail(
         value=value,
         cells=int(ncells),

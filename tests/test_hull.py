@@ -35,8 +35,7 @@ def test_hull_witnesses_match_bruteforce_and_lp(d, count, span):
     for pts in random_point_sets(rng, d, count, span):
         A = LatticeSet.from_iterable(d, pts)
         rep = cx.is_zd_convex(A)
-        if A.bounding_box().ncells <= 1000:  # the Caratheodory oracle's cost grows with the box
-            assert rep.witnesses == cx.zd_convex_bruteforce(A).witnesses, pts.tolist()
+        assert rep.witnesses == cx.zd_convex_bruteforce(A).witnesses, pts.tolist()
         assert rep.witnesses == cx.zd_convex_lp(A).witnesses, pts.tolist()
 
 

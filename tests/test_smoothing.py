@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lce import families, smoothing
 from lce.errors import LceError
-from lce.lattice import Box, LatticePmf, make_product, point_mass
+from lce.lattice import Box, LatticePmf, convolve, make_product, point_mass
 from lce.moments import shannon_entropy
 from lce.numerics import gauss_legendre_01
 from lce.smoothing import (
@@ -265,4 +265,62 @@ def test_blocked_cell_integrals_match_the_unblocked_loop_bit_for_bit(monkeypatch
     big_rows = shape[0] + n - 1
     monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * math.prod(s + n - 1 for s in shape[1:]))
     assert rows == 1 or big_rows % rows != 0
-    assert np.array_equal(smoothing._cell_integrals(p, n, order), cell_integrals_unblocked(p, n, order))
+    assert smoothing._cell_integrals(p, n, order).tobytes() == cell_integrals_unblocked(p, n, order).tobytes()
+
+
+def edge_pmf(case):
+    """Masses at the edges of the clamped log: signed zeros, subnormals, 1.0."""
+    rng = np.random.default_rng(3)
+    vals = rng.random((11, 6))
+    if case == "negative_zeros":
+        vals[vals < 0.4] = -0.0
+        vals[4] = -0.0
+    elif case == "subnormals":
+        vals[:, ::2] = 1e-310
+        vals[1] = 5e-324
+    elif case == "zero_rows":
+        vals[[0, 5, 6, 10]] = 0.0
+    elif case == "point_mass":
+        return point_mass((2, -1))
+    elif case == "chain_level":
+        q = families.quantized_gaussian(4.0, 2)
+        return convolve(q, q)
+    return LatticePmf(Box((0, 0), (10, 5)), vals)
+
+
+@pytest.mark.parametrize("case", ["negative_zeros", "subnormals", "zero_rows", "point_mass", "chain_level"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [8, 16])
+def test_cell_integrals_match_the_unblocked_loop_at_signed_zeros_and_subnormals(monkeypatch, case, n, order):
+    p = edge_pmf(case)
+    if case == "negative_zeros":
+        assert np.signbit(p.values[p.values == 0.0]).all()
+    if case == "chain_level":  # FFT noise clipped to zero
+        assert (p.values == 0.0).any()
+    monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", 3 * math.prod(s + n - 1 for s in p.values.shape[1:]))
+    got = smoothing._cell_integrals(p, n, order)
+    assert got.tobytes() == cell_integrals_unblocked(p, n, order).tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_xlogx_runs_once_per_block_and_distinct_stencil(monkeypatch, n):
+    calls = []
+    xlogx = smoothing._xlogx
+    monkeypatch.setattr(smoothing, "_xlogx", lambda f: calls.append(f.shape) or xlogx(f))
+    p = families.quantized_gaussian(3.0, 2)
+    rows, order = 4, 8
+    monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * (p.values.shape[1] + n - 1))
+    blocks = math.ceil((p.values.shape[0] + n - 1) / rows)
+    assert blocks > 1
+    smoothing._cell_integrals(p, n, order)
+    # n = 1: every node's stencil is (1.0, (0, 0)); n = 2: the nodes' stencils differ.
+    assert len(calls) == blocks * (1 if n == 1 else order**2)
+
+
+@pytest.mark.parametrize("name", ["n", "quad_order"])
+@pytest.mark.parametrize("bad", [0, -2, 2.5, True, None])
+def test_bad_n_or_quad_order_is_an_lce_error(name, bad):
+    kwargs = {"n": 2, "quad_order": 8, name: bad}
+    with pytest.raises(LceError, match=f"^{name} must be an integer >= 1"):
+        smoothed_entropy_detail(point_mass((0,)), **kwargs)
