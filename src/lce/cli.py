@@ -87,7 +87,7 @@ def _check(args) -> int:
     p = load_pmf(args.pmf)
     if args.mode == "zconvex":
         S = support_set(p)
-        rep = convexity.zd_convex_lp(S, exact=True) if args.exact else convexity.is_zd_convex(S)
+        rep = convexity.zd_convex_lp(S) if args.exact else convexity.is_zd_convex(S)
         _emit({"is_convex": rep.is_convex, "witnesses": [list(w) for w in rep.witnesses]})
         return 0
     if args.mode == "extensible":

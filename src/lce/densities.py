@@ -70,27 +70,6 @@ class ContinuousDensity:
             raise LceError(f"density {self.name} has no covariance metadata")
         return np.sqrt(np.diag(np.asarray(self.known_cov, dtype=np.float64)))
 
-    def spot_check_tail(self) -> float:
-        """Worst ratio f(x)/bound(x) at 8 radii on 16 random rays, from the
-        tail radius out to 4 (1 + radius) beyond it (<= 1 means valid)."""
-        if self.tail_bound is None:
-            raise LceError("density has no tail bound")
-        tb = self.tail_bound
-        c = self.center if self.center is not None else np.zeros(self.dim)
-        rng = np.random.default_rng(7)
-        dirs = rng.standard_normal((16, self.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = tb.radius + np.linspace(0.0, 4.0 * (1.0 + tb.radius), 8)
-        worst = 0.0
-        for r in radii:
-            pts = c + r * dirs
-            fv = self(pts)
-            bound = tb.amplitude * math.exp(-tb.rate * r)
-            if bound > 0:
-                worst = max(worst, float(np.max(fv)) / bound)
-        return worst
-
-
 def as_points(pts, dim: int) -> np.ndarray:
     """Normalize input to shape (..., dim)."""
     a = np.asarray(pts, dtype=np.float64)

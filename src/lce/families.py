@@ -95,27 +95,6 @@ def assorted_pmfs_1d(count: int = 20) -> list[LatticePmf]:
     return pool[:count]
 
 
-def extensible_zoo_1d(count: int = 50) -> list[LatticePmf]:
-    """At least ``count`` log-concave 1-d p.m.f.s: geometric-type, binomial-type,
-    uniform, and quantized-Gaussian instances."""
-    zoo: list[LatticePmf] = []
-    for m in (1, 2, 3, 5, 8, 13, 25, 40):
-        zoo.append(uniform_interval(m))
-    for n in (1, 2, 4, 8, 16, 32, 64):
-        for prob in (0.5, 0.3):
-            zoo.append(binomial_pmf(n, prob))
-    for q in (0.1, 0.25, 0.4, 0.5, 0.65, 0.8, 0.9, 0.95):
-        zoo.append(one_sided_geometric(q))
-        zoo.append(two_sided_geometric(q))
-    for sigma in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-        zoo.append(quantized_gaussian(sigma))
-    i = 0
-    while len(zoo) < count:
-        zoo.append(binomial_pmf(10 + i, 0.5))
-        i += 1
-    return zoo
-
-
 def product_gaussian(sigma: float, dim: int, radius_multiplier: float = 12.0) -> LatticePmf:
     """Product of 1-d quantized Gaussians (coordinates independent)."""
     factor = quantized_gaussian(sigma, 1, radius_multiplier)

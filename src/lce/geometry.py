@@ -286,7 +286,7 @@ class BodyMoments:
     stderr: np.ndarray  # standard errors of second_moment; zero for closed forms
 
 
-def body_moments(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES) -> BodyMoments:
+def body_moments(K: ConvexBody) -> BodyMoments:
     """Volume, barycenter and normalized second moment matrix of K."""
     d = K.dim
     if K.kind == "box":
@@ -310,7 +310,7 @@ def body_moments(K: ConvexBody, mc_samples: int = MC_DEFAULT_SAMPLES) -> BodyMom
     if K.kind == "vpoly":
         return _vpoly_moments(K)
     if K.kind == "hpoly":
-        vol, mean, M, se = _hpoly_mc(K, mc_samples)
+        vol, mean, M, se = _hpoly_mc(K, MC_DEFAULT_SAMPLES)
         return BodyMoments(vol, np.zeros(d) if _hpoly_is_symmetric(K) else mean, M, se)
     raise LceError(f"moments not implemented for {K.kind}")
 
@@ -398,10 +398,10 @@ class KlsReport:
     rhs: float  # d h_K(u)^2 / (d+2)
     mid_stderr: float
 
-    def chain_holds(self, tol: float = 1e-9, se_mult: float = 3.0) -> bool:
+    def chain_holds(self, tol: float = 1e-9) -> bool:
         # The chain admits equality cases (e.g. simplices along vertex
-        # directions), so allow a relative epsilon plus the MC error band.
-        widen = se_mult * max(self.mid_stderr, 0.0) + tol * max(self.lhs, self.mid, self.rhs)
+        # directions), so allow a relative epsilon plus a 3-sigma MC band.
+        widen = 3.0 * max(self.mid_stderr, 0.0) + tol * max(self.lhs, self.mid, self.rhs)
         return self.lhs <= self.mid + widen and self.mid - widen <= self.rhs
 
 

@@ -707,11 +707,6 @@ def emit_report(doc: ReportDocument, json_path, csv_path=None):
         raise LceError(f"cannot write report: {exc}") from None
 
 
-def load_report(path) -> ReportDocument:
-    with open(path, encoding="utf-8") as fh:
-        return ReportDocument.from_doc(json.load(fh))
-
-
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:

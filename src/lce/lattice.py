@@ -78,10 +78,6 @@ class Box:
         axes = [self.axis_coords(i) for i in range(self.dim)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).astype(np.float64)
 
-    def translate(self, vec) -> "Box":
-        v = tuple(int(x) for x in vec)
-        return Box(tuple(l + x for l, x in zip(self.lo, v)), tuple(h + x for h, x in zip(self.hi, v)))
-
     def minkowski(self, other: "Box") -> "Box":
         if self.dim != other.dim:
             raise LceError("box dimensions differ")
@@ -135,10 +131,6 @@ class LatticePmf:
     def assert_normalized(self):
         if abs(self.mass + self.deficit - 1.0) > 1e-9:
             raise LceError(f"mass {self.mass} + deficit {self.deficit} differs from 1 by more than 1e-9")
-
-    def shifted(self, vec) -> "LatticePmf":
-        return LatticePmf(self.box.translate(vec), self.values, self.deficit, dict(self.meta))
-
 
 @dataclass(frozen=True)
 class LatticeSet:
@@ -194,20 +186,6 @@ def point_mass(point) -> LatticePmf:
     pt = tuple(int(x) for x in (point if hasattr(point, "__len__") else [point]))
     box = Box(pt, pt)
     return LatticePmf(box, np.ones(box.shape), 0.0, {"family": "point_mass"})
-
-
-def make_uniform_on_set(S: LatticeSet) -> LatticePmf:
-    """Uniform mass 1/|S| on each point of S; zero deficit."""
-    if len(S) == 0:
-        raise LceError("cannot build a uniform p.m.f. on the empty set")
-    box = S.bounding_box()
-    _check_cells(box)
-    vals = np.zeros(box.shape)
-    w = 1.0 / len(S)
-    lo = np.array(box.lo, dtype=np.int64)
-    for pt in S.sorted_points():
-        vals[tuple(np.array(pt, dtype=np.int64) - lo)] = w
-    return LatticePmf(box, vals, 0.0, {"family": "uniform_on_set", "support_size": len(S)})
 
 
 def make_product(factors: list[LatticePmf]) -> LatticePmf:
@@ -428,16 +406,6 @@ def _verify_fft_subsample(p: np.ndarray, q: np.ndarray, out: np.ndarray, scale: 
         raise NumericalError(
             f"FFT/direct subsample discrepancy {worst:.3e} exceeds {_FFT_CHECK_TOL * scale:.3e}"
         )
-
-
-def self_convolve(p: LatticePmf, n: int) -> LatticePmf:
-    """n-fold convolution power of p; n = 1 returns p unchanged."""
-    if n < 1:
-        raise LceError("n must be a positive integer")
-    out = p
-    for _ in range(n - 1):
-        out = convolve(out, p)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared numerical kernels: exact summation, Gauss-Legendre node caches, one
-adaptive tensor quadrature over boxes in R^d, and sweep-envelope helpers.
+adaptive tensor quadrature over boxes in R^d, and sweep directions.
 
 All reductions in the library funnel through :func:`stable_sum`, which computes
 the correctly rounded sum of its inputs, bit-equal to ``math.fsum``: each
@@ -173,21 +173,3 @@ def unit_directions(dim: int, count: int) -> np.ndarray:
     rng = np.random.default_rng(11)
     v = rng.standard_normal((count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def rate_envelope_ok(values, *, noise_floor: float = 0.0, rel_slack: float = 1e-6) -> bool:
-    """Sweep-envelope test for quantities expected to be O(1) along a sweep.
-
-    ``values`` are the rate statistics at increasing sweep parameters.  The
-    test fits the admissible constant at the smallest parameter and requires
-    (a) every later value to stay below it, and (b) no increase at the largest
-    parameter.  ``noise_floor`` absorbs floating-point noise when the true
-    quantity has decayed to rounding level.
-    """
-    vals = [float(v) for v in values]
-    if len(vals) < 2:
-        return True
-    cap = max(vals[0], noise_floor) * (1.0 + rel_slack) + noise_floor
-    if any(v > cap for v in vals[1:]):
-        return False
-    return vals[-1] <= max(vals[-2] * (1.0 + rel_slack), noise_floor)

@@ -8,6 +8,8 @@ until the contribution errors sum below the requested tolerance.  Only the
 kernel makes the integrand non-smooth (at cells where the mass steps to
 zero), so refinement touches a handful of cells in practice.  Nodes with one
 kernel stencil share one f log f: n = 1 takes one log per block of cells.
+The density is never evaluated point by point here; the pointwise sum that
+checks the cell quadrature is a test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from itertools import product
 
 import numpy as np
 
-from .densities import as_points
 from .errors import LceError, NumericalError
 from .lattice import LatticePmf
 from .numerics import gauss_legendre_01, neg_xlogx, stable_sum
@@ -38,10 +39,8 @@ def bspline_eval(n: int, x) -> np.ndarray:
     Supported on [0, n]; evaluated by the two-term recursion
     B_n(x) = (x B_{n-1}(x) + (n - x) B_{n-1}(x - 1)) / (n - 1).
     """
-    if n < 1:
-        raise LceError("B-spline order must be >= 1")
-    if n > MAX_KERNEL_ORDER:
-        raise LceError(f"B-spline order capped at {MAX_KERNEL_ORDER}")
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_KERNEL_ORDER:
+        raise LceError(f"B-spline order must be an integer in 1..{MAX_KERNEL_ORDER}, got {n!r}")
     xa = np.asarray(x, dtype=np.float64)
     out = _bspline_rec(n, xa)
     return out if out.shape else float(out)
@@ -53,34 +52,6 @@ def _bspline_rec(n: int, x: np.ndarray) -> np.ndarray:
     prev = _bspline_rec(n - 1, x)
     prev_shift = _bspline_rec(n - 1, x - 1.0)
     return (x * prev + (n - x) * prev_shift) / (n - 1)
-
-
-def smoothed_density_eval(p: LatticePmf, n: int, x) -> np.ndarray | float:
-    """Density of S + U_1 + ... + U_n at x: sum_s p(s) prod_i B_n(x_i - s_i).
-
-    For n = 1 this is exactly p(floor(x)).
-    """
-    if n < 1:
-        raise LceError("n must be >= 1")
-    pts = as_points(x, p.dim)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    k = np.floor(pts).astype(np.int64)
-    t = pts - k
-    lo = np.array(p.box.lo, dtype=np.int64)
-    shape = np.array(p.values.shape, dtype=np.int64)
-    out = np.zeros(pts.shape[0])
-    for j in product(range(n), repeat=p.dim):
-        coeff = np.ones(pts.shape[0])
-        for axis, ji in enumerate(j):
-            coeff *= bspline_eval(n, t[:, axis] + ji)
-        idx = k - np.array(j, dtype=np.int64) - lo
-        valid = np.all((idx >= 0) & (idx < shape), axis=1)
-        if valid.any():
-            gathered = np.zeros(pts.shape[0])
-            gathered[valid] = p.values[tuple(idx[valid].T)]
-            out += coeff * gathered
-    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

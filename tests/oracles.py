@@ -1,0 +1,407 @@
+"""Test oracles and fixtures: definitional references for the fast routes of
+:mod:`lce`, and the helpers that only the tests use.
+
+- Caratheodory oracles for Z^d-convexity and log-concave extensibility: exact
+  convex combinations of at most d + 1 points, in rational arithmetic.  They
+  check the integer hulls of :mod:`lce.hull` and so never import that module
+  (``test_harness_cli`` enforces it).
+- A float-LP reference over :func:`lce.simplex.hull_membership`, and the d = 1
+  local-concavity test p(k)^2 >= p(k-1) p(k+1).
+- The pointwise smoothed density, which checks the blocked cell quadrature of
+  :mod:`lce.smoothing`.
+- Fixtures: a zoo of 1-d log-concave p.m.f.s, uniform p.m.f.s on sets,
+  convolution powers, translates, a tail-bound spot check, a sweep-envelope
+  test and a report loader.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from fractions import Fraction
+from itertools import combinations, product
+
+import numpy as np
+
+from lce.convexity import (
+    DEFAULT_ENVELOPE_TOL,
+    ConvexityReport,
+    ExtensibilityReport,
+    _box_points_lex,
+    _envelope_gaps,
+)
+from lce.densities import ContinuousDensity, as_points
+from lce.errors import LceError
+from lce.families import (
+    binomial_pmf,
+    one_sided_geometric,
+    quantized_gaussian,
+    two_sided_geometric,
+    uniform_interval,
+)
+from lce.harness import ReportDocument
+from lce.lattice import Box, LatticePmf, LatticeSet, _check_cells, convolve, support_set
+from lce.simplex import hull_membership
+from lce.smoothing import bspline_eval
+
+BRUTEFORCE_SUPPORT_CAP = 16
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles (independent of the LP route)
+
+
+def hull_membership_bruteforce(points: np.ndarray, z) -> bool:
+    """Definitional hull membership: z is an exact convex combination of at
+    most d+1 of the given integer points (Caratheodory), decided in rational
+    arithmetic."""
+    pts = np.asarray(points)
+    z = tuple(int(x) for x in z)
+    d = pts.shape[1]
+    tuples = [tuple(int(x) for x in row) for row in pts]
+    if z in tuples:
+        return True
+    if _exact_affine_combination(tuples, z) is None:
+        return False  # z is off the affine hull of the points
+    for size in range(2, d + 2):
+        for subset in combinations(tuples, size):
+            lam = _exact_affine_combination(subset, z)
+            if lam is not None and all(l >= 0 for l in lam):
+                return True
+    return False
+
+
+def _exact_affine_combination(points, z):
+    """Solve sum lam_i p_i = z, sum lam_i = 1 exactly; None if inconsistent."""
+    pts = list(points)
+    m = len(pts)
+    d = len(z)
+    rows = [[Fraction(p[i]) for p in pts] + [Fraction(z[i])] for i in range(d)]
+    rows.append([Fraction(1)] * m + [Fraction(1)])
+    # Gaussian elimination with exact pivots.
+    pivots = []
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    for i in range(r, len(rows)):
+        if rows[i][-1] != 0:
+            return None  # inconsistent
+    if r < m:
+        # Underdetermined: free variables set to zero.
+        lam = [Fraction(0)] * m
+        for i, c in enumerate(pivots):
+            lam[c] = rows[i][-1]
+        # Verify (free-variable choice may violate nothing: system was consistent).
+        if any(sum(Fraction(p[k]) * lam[j] for j, p in enumerate(pts)) != z[k] for k in range(d)):
+            return None
+        if sum(lam) != 1:
+            return None
+        return lam
+    return [rows[i][-1] for i in range(m)]
+
+
+def _membership_2d_integer(points: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Exact hull membership for integer points in d=2, vectorized: z lies in
+    conv(points) iff it coincides with a point, lies on a segment, or lies in a
+    triangle (Caratheodory); orientation tests in integer arithmetic."""
+    pts = points.astype(np.int64)
+    zs = zs.astype(np.int64)
+    inside = np.zeros(len(zs), dtype=bool)
+    ptset = {tuple(p) for p in pts}
+    for i, z in enumerate(zs):
+        if tuple(z) in ptset:
+            inside[i] = True
+    m = len(pts)
+    if m >= 2:
+        ii, jj = np.triu_indices(m, k=1)
+        a, b = pts[ii], pts[jj]
+        ab = b - a
+        for i, z in enumerate(zs):
+            if inside[i]:
+                continue
+            az = z - a
+            colinear = ab[:, 0] * az[:, 1] - ab[:, 1] * az[:, 0] == 0
+            dot = np.sum(az * ab, axis=1)
+            within = (dot >= 0) & (dot <= np.sum(ab * ab, axis=1))
+            inside[i] = bool(np.any(colinear & within))
+    if m >= 3:
+        combo = np.array(list(combinations(range(m), 3)), dtype=np.int64)
+        a, b, c = pts[combo[:, 0]], pts[combo[:, 1]], pts[combo[:, 2]]
+
+        def cross(u, v):
+            return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+        # Degenerate (collinear) triples hull to segments, handled above; the
+        # all-signs test would wrongly accept any collinear query point.
+        keep = cross(b - a, c - a) != 0
+        a, b, c = a[keep], b[keep], c[keep]
+        if len(a):
+            for i, z in enumerate(zs):
+                if inside[i]:
+                    continue
+                s1 = cross(b - a, z - a)
+                s2 = cross(c - b, z - b)
+                s3 = cross(a - c, z - c)
+                inside[i] = bool(
+                    np.any(((s1 >= 0) & (s2 >= 0) & (s3 >= 0)) | ((s1 <= 0) & (s2 <= 0) & (s3 <= 0)))
+                )
+    return inside
+
+
+def zd_convex_bruteforce(A: LatticeSet) -> ConvexityReport:
+    """Definitional convexity check: exact hull membership of every box point.
+
+    d=2 runs vectorized integer orientation tests; other dimensions fall back
+    to exact rational Caratheodory solves once integer support bounds and the
+    affine hull of A (both exact) have not ruled the point out.
+    """
+    if len(A) == 0:
+        raise LceError("convexity of the empty set is not defined here")
+    box = A.bounding_box()
+    if box.ncells > 100_000:
+        raise LceError("bounding box too large for the brute-force oracle")
+    pts = A.array() - box.lo
+    candidates = [z for z in _box_points_lex(box) if z not in A]
+    zs = np.array(candidates, dtype=np.int64).reshape(-1, A.dim) - box.lo
+    if A.dim == 2:
+        mask = _membership_2d_integer(pts, zs)
+    else:
+        # z is outside if u . z > max(u . A) for some u = +-e_i +- e_j (exact on box offsets).
+        pairs = combinations(np.eye(A.dim, dtype=np.int64), 2)
+        U = np.array([s * a + t * b for a, b in pairs for s in (1, -1) for t in (1, -1)]).reshape(-1, A.dim).T
+        near = np.all(zs @ U <= (pts @ U).max(axis=0), axis=1)
+        mask = [ok and hull_membership_bruteforce(pts, z) for z, ok in zip(zs, near)]
+    witnesses = [z for z, inc in zip(candidates, mask) if inc]
+    return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
+
+
+def zd_convex_float_lp(A: LatticeSet) -> list:
+    """Witnesses of A by one float hull-membership LP per bounding-box point
+    outside A, in lexicographic order."""
+    generators = A.array()
+    return [z for z in _box_points_lex(A.bounding_box())
+            if z not in A and hull_membership(generators, np.array(z, dtype=np.float64))]
+
+
+def is_log_concave_1d(p: LatticePmf) -> ExtensibilityReport:
+    """Fast d=1 test: interval support plus p(k)^2 >= p(k-1) p(k+1).
+
+    Equivalent to the envelope procedure on interval supports; the reported
+    gaps are the local midpoint-convexity violations of V.
+    """
+    if p.dim != 1:
+        raise LceError("fast path is for d = 1")
+    support = support_set(p)
+    if len(support) == 0:
+        raise LceError("p.m.f. has empty support")
+    pts = support.sorted_points()
+    ks = [k[0] for k in pts]
+    interval = ks == list(range(ks[0], ks[-1] + 1))
+    witnesses = [] if interval else [(k,) for k in range(ks[0], ks[-1] + 1) if (k,) not in support]
+    gaps = {}
+    for k in pts:
+        gaps[k] = 0.0
+    if interval:
+        logs = np.log([p.value_at((k,)) for k in ks])
+        for j in range(1, len(ks) - 1):
+            gap = -logs[j] - 0.5 * (-logs[j - 1] - logs[j + 1])
+            gaps[(ks[j],)] = max(0.0, float(gap))
+    ok = interval and max(gaps.values()) <= DEFAULT_ENVELOPE_TOL
+    return ExtensibilityReport(
+        is_extensible=ok,
+        support_convex=interval,
+        envelope_gaps=gaps,
+        tolerance_used=DEFAULT_ENVELOPE_TOL,
+        convexity_witnesses=witnesses,
+    )
+
+
+def envelope_minimum_bruteforce(points, values, z):
+    """Caratheodory oracle: minimize the interpolated value over exact convex
+    combinations drawn from every affine subset of at most d+1 points."""
+    pts = np.asarray(points)
+    if pts.shape[0] > BRUTEFORCE_SUPPORT_CAP:
+        raise LceError("too many points for the brute-force envelope oracle")
+    d = pts.shape[1]
+    z = tuple(int(round(float(x))) for x in np.asarray(z).ravel())
+    tuples = [tuple(int(x) for x in row) for row in pts]
+    vals = [Fraction(float(v)) for v in np.asarray(values, dtype=np.float64)]
+    best = None
+    for size in range(1, d + 2):
+        for subset_idx in combinations(range(len(tuples)), size):
+            sub = [tuples[i] for i in subset_idx]
+            lam = _exact_affine_combination(sub, z)
+            if lam is None or any(l < 0 for l in lam):
+                continue
+            val = sum(l * vals[i] for l, i in zip(lam, subset_idx))
+            if best is None or val < best:
+                best = val
+    if best is None:
+        return False, None
+    return True, float(best)
+
+
+def is_log_concave_extensible_bruteforce(p: LatticePmf) -> ExtensibilityReport:
+    """Envelope decision via the Caratheodory oracle (small supports only)."""
+    support = support_set(p)
+    if len(support) == 0:
+        raise LceError("p.m.f. has empty support")
+    if len(support) > BRUTEFORCE_SUPPORT_CAP:
+        raise LceError("support too large for the brute-force extensibility oracle")
+    conv_report = zd_convex_bruteforce(support)
+    pts = support.sorted_points()
+    V = np.array([-math.log(p.value_at(k)) for k in pts])
+    gaps = _envelope_gaps(pts, V, envelope_minimum_bruteforce)
+    ok = conv_report.is_convex and max(gaps.values()) <= DEFAULT_ENVELOPE_TOL
+    return ExtensibilityReport(
+        is_extensible=ok,
+        support_convex=conv_report.is_convex,
+        envelope_gaps=gaps,
+        tolerance_used=DEFAULT_ENVELOPE_TOL,
+        convexity_witnesses=conv_report.witnesses,
+    )
+
+
+# ---------------------------------------------------------------------------
+# pointwise smoothed density
+
+
+def smoothed_density_eval(p: LatticePmf, n: int, x) -> np.ndarray | float:
+    """Density of S + U_1 + ... + U_n at x: sum_s p(s) prod_i B_n(x_i - s_i).
+
+    For n = 1 this is exactly p(floor(x)).
+    """
+    if n < 1:
+        raise LceError("n must be >= 1")
+    pts = as_points(x, p.dim)
+    scalar = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    k = np.floor(pts).astype(np.int64)
+    t = pts - k
+    lo = np.array(p.box.lo, dtype=np.int64)
+    shape = np.array(p.values.shape, dtype=np.int64)
+    out = np.zeros(pts.shape[0])
+    for j in product(range(n), repeat=p.dim):
+        coeff = np.ones(pts.shape[0])
+        for axis, ji in enumerate(j):
+            coeff *= bspline_eval(n, t[:, axis] + ji)
+        idx = k - np.array(j, dtype=np.int64) - lo
+        valid = np.all((idx >= 0) & (idx < shape), axis=1)
+        if valid.any():
+            gathered = np.zeros(pts.shape[0])
+            gathered[valid] = p.values[tuple(idx[valid].T)]
+            out += coeff * gathered
+    return float(out[0]) if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# fixtures and helpers
+
+
+def extensible_zoo_1d(count: int = 50) -> list[LatticePmf]:
+    """At least ``count`` log-concave 1-d p.m.f.s: geometric-type, binomial-type,
+    uniform, and quantized-Gaussian instances."""
+    zoo: list[LatticePmf] = []
+    for m in (1, 2, 3, 5, 8, 13, 25, 40):
+        zoo.append(uniform_interval(m))
+    for n in (1, 2, 4, 8, 16, 32, 64):
+        for prob in (0.5, 0.3):
+            zoo.append(binomial_pmf(n, prob))
+    for q in (0.1, 0.25, 0.4, 0.5, 0.65, 0.8, 0.9, 0.95):
+        zoo.append(one_sided_geometric(q))
+        zoo.append(two_sided_geometric(q))
+    for sigma in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
+        zoo.append(quantized_gaussian(sigma))
+    i = 0
+    while len(zoo) < count:
+        zoo.append(binomial_pmf(10 + i, 0.5))
+        i += 1
+    return zoo
+
+
+def make_uniform_on_set(S: LatticeSet) -> LatticePmf:
+    """Uniform mass 1/|S| on each point of S; zero deficit."""
+    if len(S) == 0:
+        raise LceError("cannot build a uniform p.m.f. on the empty set")
+    box = S.bounding_box()
+    _check_cells(box)
+    vals = np.zeros(box.shape)
+    w = 1.0 / len(S)
+    lo = np.array(box.lo, dtype=np.int64)
+    for pt in S.sorted_points():
+        vals[tuple(np.array(pt, dtype=np.int64) - lo)] = w
+    return LatticePmf(box, vals, 0.0, {"family": "uniform_on_set", "support_size": len(S)})
+
+
+def self_convolve(p: LatticePmf, n: int) -> LatticePmf:
+    """n-fold convolution power of p; n = 1 returns p unchanged."""
+    if n < 1:
+        raise LceError("n must be a positive integer")
+    out = p
+    for _ in range(n - 1):
+        out = convolve(out, p)
+    return out
+
+
+def shifted(p: LatticePmf, vec) -> LatticePmf:
+    """p translated by the integer vector ``vec``."""
+    v = tuple(int(x) for x in vec)
+    box = Box(tuple(l + x for l, x in zip(p.box.lo, v)), tuple(h + x for h, x in zip(p.box.hi, v)))
+    return LatticePmf(box, p.values, p.deficit, dict(p.meta))
+
+
+def spot_check_tail(f: ContinuousDensity) -> float:
+    """Worst ratio f(x)/bound(x) at 8 radii on 16 random rays, from the
+    tail radius out to 4 (1 + radius) beyond it (<= 1 means valid)."""
+    if f.tail_bound is None:
+        raise LceError("density has no tail bound")
+    tb = f.tail_bound
+    c = f.center if f.center is not None else np.zeros(f.dim)
+    rng = np.random.default_rng(7)
+    dirs = rng.standard_normal((16, f.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = tb.radius + np.linspace(0.0, 4.0 * (1.0 + tb.radius), 8)
+    worst = 0.0
+    for r in radii:
+        pts = c + r * dirs
+        fv = f(pts)
+        bound = tb.amplitude * math.exp(-tb.rate * r)
+        if bound > 0:
+            worst = max(worst, float(np.max(fv)) / bound)
+    return worst
+
+
+def rate_envelope_ok(values, *, noise_floor: float = 0.0, rel_slack: float = 1e-6) -> bool:
+    """Sweep-envelope test for quantities expected to be O(1) along a sweep.
+
+    ``values`` are the rate statistics at increasing sweep parameters.  The
+    test fits the admissible constant at the smallest parameter and requires
+    (a) every later value to stay below it, and (b) no increase at the largest
+    parameter.  ``noise_floor`` absorbs floating-point noise when the true
+    quantity has decayed to rounding level.
+    """
+    vals = [float(v) for v in values]
+    if len(vals) < 2:
+        return True
+    cap = max(vals[0], noise_floor) * (1.0 + rel_slack) + noise_floor
+    if any(v > cap for v in vals[1:]):
+        return False
+    return vals[-1] <= max(vals[-2] * (1.0 + rel_slack), noise_floor)
+
+
+def load_report(path) -> ReportDocument:
+    with open(path, encoding="utf-8") as fh:
+        return ReportDocument.from_doc(json.load(fh))

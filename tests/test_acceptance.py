@@ -20,12 +20,18 @@ import numpy as np
 import pytest
 
 from lce import bridge, convexity as cx, families, geometry as geo, harness
-from lce.convexity import is_log_concave_1d
 from lce.densities import asym_exponential, gaussian, laplace_product
 from lce.lattice import LatticeSet, convolve, point_mass
 from lce.moments import discrete_moments, max_pmf_width_product, shannon_entropy
 from lce.numerics import unit_directions
 from lce.smoothing import differential_entropy, elementary_estimate, entropy_like
+
+from oracles import (
+    extensible_zoo_1d,
+    is_log_concave_1d,
+    is_log_concave_extensible_bruteforce,
+    zd_convex_bruteforce,
+)
 
 SIGMAS = (4.0, 8.0, 16.0, 32.0)
 DIMS = (1, 2)
@@ -95,7 +101,7 @@ def test_criterion_03_max_mass_vs_covariance_determinant():
     "sharp-bound companion test",
 )
 def test_criterion_04_max_mass_width_bound():
-    zoo = families.extensible_zoo_1d(50)
+    zoo = extensible_zoo_1d(50)
     assert len(zoo) >= 50
     worst, worst_name = 0.0, ""
     for p in zoo:
@@ -110,7 +116,7 @@ def test_criterion_04_max_mass_width_bound():
 
 
 def test_criterion_04_companion_sharp_bound():
-    zoo = families.extensible_zoo_1d(50)
+    zoo = extensible_zoo_1d(50)
     worst = 0.0
     for p in zoo:
         s = discrete_moments(p)
@@ -183,7 +189,7 @@ def test_criterion_08_convexity_oracles():
         pts = rng.integers(0, 6, size=(int(rng.integers(1, 10)), 2))
         A = LatticeSet.from_iterable(2, pts)
         lp = cx.is_zd_convex(A)
-        bf = cx.zd_convex_bruteforce(A)
+        bf = zd_convex_bruteforce(A)
         mismatches += int(lp.is_convex != bf.is_convex or lp.witnesses != bf.witnesses)
     assert report("8a", mismatches == 0, f"LP vs definitional convexity: {mismatches} mismatches in 200 sets")
 
@@ -203,7 +209,7 @@ def test_criterion_08_extensibility_oracles_and_witness():
 
         p = LatticePmf(Box((0, 0), (span, span)), vals / vals.sum())
         lp = cx.is_log_concave_extensible(p)
-        bf = cx.is_log_concave_extensible_bruteforce(p)
+        bf = is_log_concave_extensible_bruteforce(p)
         agree = lp.is_extensible == bf.is_extensible and all(
             abs(lp.envelope_gaps[k2] - bf.envelope_gaps[k2]) < 1e-7 for k2 in lp.envelope_gaps
         )
@@ -246,7 +252,7 @@ def test_criterion_09_self_sum_convexity_d3():
 
 def test_criterion_09_companion_reeve_witness():
     R = LatticeSet.from_iterable(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
-    assert cx.zd_convex_bruteforce(R).is_convex
+    assert zd_convex_bruteforce(R).is_convex
     rep = cx.check_self_sum_convexity(R, 2)[0]
     assert report("9b", (not rep.is_convex) and rep.witnesses == [(1, 1, 1)],
                   f"Reeve simplex twofold sum misses {rep.witnesses}")
@@ -269,7 +275,7 @@ def test_criterion_10_ball_geometry():
         b = rng.uniform(0.5, 1.5, size=3 * d)
         K = geo.make_hpoly(np.vstack([A, -A]), np.concatenate([b, b]))
         (rep,) = geo.kls_second_moment_check(K, rng.normal(size=d))
-        kls_ok = kls_ok and rep.chain_holds(se_mult=3.0)
+        kls_ok = kls_ok and rep.chain_holds()
     radius_ok = (geo.radius_bounds_check(geo.make_cube(2)).holds()
                  and geo.radius_bounds_check(geo.make_cube(3)).holds()
                  and geo.radius_bounds_check(geo.scale_to_unit_volume(geo.make_ball(2))).holds()

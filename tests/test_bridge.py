@@ -14,7 +14,8 @@ from lce.densities import (
     sheared_gaussian,
 )
 from lce.errors import LceError
-from lce.numerics import rate_envelope_ok
+
+from oracles import rate_envelope_ok, spot_check_tail
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +43,7 @@ def test_registry_families_normalized():
         rep = bridge.lattice_vs_integral_gaps(f, radius_multiplier=14.0)
         # lattice mass should be close to the unit continuous mass
         assert abs(rep.lattice_mass - 1.0) < 0.2
-        assert f.spot_check_tail() <= 1.0 + 1e-12
+        assert spot_check_tail(f) <= 1.0 + 1e-12
 
 
 def test_density_from_spec_unknown():

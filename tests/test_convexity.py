@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from lce import convexity as cx
 from lce.errors import LceError
-from lce.lattice import Box, LatticePmf, LatticeSet, make_uniform_on_set, support_set
+from lce.lattice import Box, LatticePmf, LatticeSet, support_set
+
+from oracles import (
+    is_log_concave_1d,
+    is_log_concave_extensible_bruteforce,
+    make_uniform_on_set,
+    zd_convex_bruteforce,
+)
 
 
 def pmf_from_masses(masses, lo):
@@ -87,7 +94,7 @@ def test_lp_route_agrees_with_bruteforce_on_random_subsets():
         pts = rng.integers(0, 6, size=(k, 2))
         A = LatticeSet.from_iterable(2, pts)
         lp = cx.is_zd_convex(A)
-        bf = cx.zd_convex_bruteforce(A)
+        bf = zd_convex_bruteforce(A)
         assert lp.is_convex == bf.is_convex
         assert lp.witnesses == bf.witnesses
 
@@ -95,11 +102,11 @@ def test_lp_route_agrees_with_bruteforce_on_random_subsets():
 def test_exact_mode_agrees():
     # hull witnesses against the exact-rational LP route
     A = LatticeSet.from_iterable(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
-    exact = cx.zd_convex_lp(A, exact=True)
+    exact = cx.zd_convex_lp(A)
     assert not exact.is_convex
     assert cx.is_zd_convex(A).witnesses == exact.witnesses
     R = LatticeSet.from_iterable(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 4)])
-    assert cx.is_zd_convex(R).witnesses == cx.zd_convex_lp(R, exact=True).witnesses
+    assert cx.is_zd_convex(R).witnesses == cx.zd_convex_lp(R).witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +142,7 @@ def test_fast_1d_path_equivalent():
         masses = rng.uniform(0.05, 1.0, m)
         p = pmf_from_masses(masses, (int(rng.integers(-3, 3)),))
         full = cx.is_log_concave_extensible(p)
-        fast = cx.is_log_concave_1d(p)
+        fast = is_log_concave_1d(p)
         assert full.is_extensible == fast.is_extensible
 
 
@@ -144,7 +151,7 @@ def test_lp_agrees_with_caratheodory_oracle():
     for _ in range(100):
         p = random_subset_pmf(rng)
         lp = cx.is_log_concave_extensible(p)
-        bf = cx.is_log_concave_extensible_bruteforce(p)
+        bf = is_log_concave_extensible_bruteforce(p)
         assert lp.is_extensible == bf.is_extensible
         assert lp.support_convex == bf.support_convex
         for k, g in lp.envelope_gaps.items():
@@ -248,7 +255,7 @@ def test_reeve_simplex_self_sum_has_a_hole():
     # Z^3-convex set whose twofold sum misses (1,1,1): hole-freeness is NOT
     # closed under Minkowski self-sums in d >= 3.
     R = LatticeSet.from_iterable(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
-    assert cx.zd_convex_bruteforce(R).is_convex
+    assert zd_convex_bruteforce(R).is_convex
     rep = cx.check_self_sum_convexity(R, 2)[0]
     assert not rep.is_convex
     assert rep.witnesses == [(1, 1, 1)]

@@ -17,6 +17,8 @@ from lce.cli import main
 from lce.errors import LceError
 from lce.moments import discrete_moments
 
+from oracles import load_report
+
 
 def tiny_config(checks):
     return harness.ExperimentConfig(
@@ -90,7 +92,7 @@ def test_report_round_trip(tmp_path):
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
     harness.emit_report(doc, jpath, cpath)
-    loaded = harness.load_report(jpath)
+    loaded = load_report(jpath)
     assert loaded.canonical_bytes() == doc.canonical_bytes()
     header = cpath.read_text().splitlines()[0]
     assert header == "check_id,family,d,sigma,n,measured,bound,status,runtime_ms"
@@ -200,6 +202,28 @@ def test_cli_convolve_and_check(tmp_path, capsys):
     assert run_cli("check", "--pmf", str(out), "--mode", "selfsum", "--nmax", "2") == 0
 
 
+CORNERS_3X3 = {"dim": 2, "lo": [0, 0], "hi": [2, 2], "values": [0.25, 0, 0.25, 0, 0, 0, 0.25, 0, 0.25]}
+DIP_1D = {"dim": 1, "lo": [0], "hi": [2], "values": [0.4, 0.1, 0.5]}  # convex support, log-mass dips at 1
+
+
+@pytest.mark.parametrize("pmf, mode, verdict", [
+    (CORNERS_3X3, "zconvex", {"is_convex": False, "witnesses": [[0, 1], [1, 0], [1, 1], [1, 2], [2, 1]]}),
+    (CORNERS_3X3, "extensible", {"is_extensible": False, "support_convex": False}),
+    (DIP_1D, "zconvex", {"is_convex": True, "witnesses": []}),
+    (DIP_1D, "extensible", {"is_extensible": False, "support_convex": True}),
+], ids=["corners-zconvex", "corners-extensible", "dip-zconvex", "dip-extensible"])
+def test_cli_check_exact_prints_what_the_hull_route_prints(pmf, mode, verdict, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(pmf, deficit=0.0, meta={})))
+    outs = []
+    for extra in ((), ("--exact",)):
+        assert run_cli("check", "--pmf", str(path), "--mode", mode, *extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert {k: doc[k] for k in verdict} == verdict
+
+
 def test_cli_smooth_entropy(tmp_path, capsys):
     pmf = tmp_path / "p.json"
     run_cli("gen", "--family", "point_mass{at=[0]}", "--out", str(pmf))
@@ -278,7 +302,7 @@ def test_cli_sweep_subset(tmp_path, capsys):
     rpath = tmp_path / "sweep.json"
     assert run_cli("sweep", "--out", str(rpath), "--checks", "max_pmf_1d,geom_radius") == 0
     capsys.readouterr()
-    doc = harness.load_report(rpath)
+    doc = load_report(rpath)
     assert doc.summary["fail"] == 0
     assert {r.check_id for r in doc.results} == {"max_pmf_1d", "geom_radius"}
 
@@ -628,24 +652,8 @@ def test_scripts_run_to_exit_0(argv, tmp_path):
     assert out.stdout.strip()
 
 
-# Public functions that only tests call: reference oracles and fixtures.
-TEST_ONLY_API = {
-    "convexity.is_log_concave_1d",
-    "convexity.is_log_concave_extensible_bruteforce",
-    "families.extensible_zoo_1d",
-    "harness.load_report",
-    "lattice.make_uniform_on_set",
-    "lattice.self_convolve",
-    "numerics.rate_envelope_ok",
-    "smoothing.smoothed_density_eval",
-}
-
-# Public methods that only tests or the benchmark call.
-TEST_ONLY_METHODS = {
-    "densities.ContinuousDensity.spot_check_tail",
-    "harness.ReportDocument.canonical_bytes",
-    "lattice.LatticePmf.shifted",
-}
+# Public methods that only the benchmark calls.
+TEST_ONLY_METHODS = {"harness.ReportDocument.canonical_bytes"}
 
 
 def source_trees():
@@ -669,9 +677,9 @@ def lce_functions(trees):
                         yield f"{path.stem}.{node.name}.{m.name}", m, True
 
 
-def test_every_public_function_is_reached_or_a_test_oracle():
+def test_every_public_function_is_reached():
     # A public function or method counts as reached when some name in
-    # src/lce or scripts uses it.
+    # src/lce or scripts uses it; oracles and fixtures live in tests/oracles.py.
     trees = source_trees()
     named = set()
     for tree in trees.values():
@@ -682,8 +690,26 @@ def test_every_public_function_is_reached_or_a_test_oracle():
                 named.add(node.attr)
     unreached = {(name, method) for name, node, method in lce_functions(trees)
                  if not node.name.startswith("_") and node.name not in named}
-    assert {name for name, method in unreached if not method} == TEST_ONLY_API
+    assert {name for name, method in unreached if not method} == set()
     assert {name for name, method in unreached if method} == TEST_ONLY_METHODS
+
+
+def test_oracles_stay_apart_from_the_routes_they_check():
+    # The oracles check the integer hulls, so they must not reach lce.hull;
+    # and the library must not reach the tests.
+    def imported(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                yield base
+                yield from (f"{base}.{a.name}" for a in node.names)
+
+    oracle_imports = set(imported(ast.parse((REPO / "tests" / "oracles.py").read_text())))
+    assert "lce.hull" not in oracle_imports
+    for path, tree in source_trees().items():
+        assert not {m for m in imported(tree) if m.split(".")[0] in ("oracles", "tests")}, path
 
 
 # Defaulted parameters that no call in src/lce or scripts passes.
@@ -695,11 +721,6 @@ UNSET_KNOBS = {
     "bridge.lattice_vs_integral_gaps(box)",
     "bridge.lattice_vs_integral_gaps(radius_multiplier)",
     "cli.main(argv)",
-    "families.extensible_zoo_1d(count)",
-    "geometry.KlsReport.chain_holds(se_mult)",
-    "geometry.body_moments(mc_samples)",
-    "numerics.rate_envelope_ok(noise_floor)",
-    "numerics.rate_envelope_ok(rel_slack)",
     "simplex.solve_lp(max_iter)",
     "smoothing.differential_entropy(quad_order)",
 }

@@ -20,17 +20,17 @@ from lce.lattice import (
     lattice_tail_sum_bound,
     load_pmf,
     make_product,
-    make_uniform_on_set,
     pmf_from_doc,
     pmf_to_doc,
     point_mass,
     quantize_density,
     save_pmf,
-    self_convolve,
     support_set,
 )
 from lce.moments import discrete_moments
 from lce.numerics import next_pow2, stable_sum
+
+from oracles import make_uniform_on_set, self_convolve
 
 
 def small_pmf(values, lo=(0,)):

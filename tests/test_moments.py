@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lce import families
-from lce.convexity import is_log_concave_1d
 from lce.errors import LceError
 from lce.lattice import (
     Box,
@@ -14,7 +13,6 @@ from lce.lattice import (
     convolve,
     make_product,
     point_mass,
-    self_convolve,
 )
 from lce.moments import (
     CovarianceMatrix,
@@ -25,7 +23,8 @@ from lce.moments import (
     sum_of_maxima,
     variation_sum,
 )
-from lce.numerics import rate_envelope_ok
+
+from oracles import extensible_zoo_1d, is_log_concave_1d, rate_envelope_ok, shifted
 
 
 def pmf(masses, lo=(0,)):
@@ -62,7 +61,7 @@ def test_entropy_gaussian_sigma10_against_direct_oracle():
 
 def test_entropy_shift_invariant():
     p = families.binomial_pmf(12)
-    assert shannon_entropy(p.shifted((7,))) == shannon_entropy(p)
+    assert shannon_entropy(shifted(p, (7,))) == shannon_entropy(p)
 
 
 def test_entropy_never_decreases_under_convolution():
@@ -205,14 +204,14 @@ def test_uniform_m25_ub_ratio():
     "Var <= (1 - max p)/(max p)^2, i.e. max p <= 2/(1 + sqrt(1 + 4 Var))",
 )
 def test_max_width_product_capped_at_one_for_all_extensible():
-    for p in families.extensible_zoo_1d(50):
+    for p in extensible_zoo_1d(50):
         assert is_log_concave_1d(p).is_extensible
         assert max_pmf_width_product(p) <= 1.0 + 1e-9
 
 
 def test_sharp_variance_bound_for_all_extensible():
     # Var <= (1 - M)/M^2 with equality approached by geometric tails
-    for p in families.extensible_zoo_1d(50):
+    for p in extensible_zoo_1d(50):
         s = discrete_moments(p)
         M = s.max_value
         var = float(s.cov.entries[0, 0])

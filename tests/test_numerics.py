@@ -15,10 +15,11 @@ from lce.numerics import (
     gauss_legendre_01,
     neg_xlogx,
     next_pow2,
-    rate_envelope_ok,
     stable_sum,
     unit_directions,
 )
+
+from oracles import rate_envelope_ok
 
 
 def test_stable_sum_is_exactly_rounded():

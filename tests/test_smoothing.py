@@ -16,9 +16,10 @@ from lce.smoothing import (
     differential_entropy,
     elementary_estimate,
     entropy_like,
-    smoothed_density_eval,
     smoothed_entropy_detail,
 )
+
+from oracles import shifted, smoothed_density_eval
 
 
 def pmf(masses, lo=(0,)):
@@ -62,8 +63,10 @@ def test_kernel_bounded_by_one():
 
 
 def test_order_validation():
-    with pytest.raises(LceError):
-        bspline_eval(0, 0.5)
+    # a fraction once recursed past order 1, and True passed as order 1
+    for n in (0, 2.5, True, 13):
+        with pytest.raises(LceError):
+            bspline_eval(n, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,7 @@ def test_tensor_additivity_n3():
 def test_entropy_shift_invariance():
     p = families.binomial_pmf(5)
     h = differential_entropy(p, 2)
-    assert differential_entropy(p.shifted((-3,)), 2) == pytest.approx(h, abs=1e-10)
+    assert differential_entropy(shifted(p, (-3,)), 2) == pytest.approx(h, abs=1e-10)
 
 
 def test_detail_reports_refinement():
