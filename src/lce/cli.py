@@ -47,8 +47,9 @@ def _gen(args) -> int:
 
 
 def _convolve(args) -> int:
-    p = load_pmf(args.pmf[0])
-    q = load_pmf(args.pmf[1])
+    if len(args.pmf) != 2:
+        raise LceError(f"convolve takes exactly two --pmf inputs, got {len(args.pmf)}")
+    p, q = (load_pmf(path) for path in args.pmf)
     r = convolve(p, q, method=args.method)
     save_pmf(r, args.out)
     _emit({"written": args.out, "method": r.meta.get("method"), "deficit": r.deficit})
@@ -86,8 +87,7 @@ def _moments(args) -> int:
 def _check(args) -> int:
     p = load_pmf(args.pmf)
     if args.mode == "zconvex":
-        S = support_set(p)
-        rep = convexity.zd_convex_lp(S) if args.exact else convexity.is_zd_convex(S)
+        rep = convexity.is_zd_convex(support_set(p))  # exact already: --exact changes nothing
         _emit({"is_convex": rep.is_convex, "witnesses": [list(w) for w in rep.witnesses]})
         return 0
     if args.mode == "extensible":
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=_gen)
 
     c = sub.add_parser("convolve", help="convolve two p.m.f. files")
-    c.add_argument("--pmf", action="append", required=True, help="input file (give twice)")
+    c.add_argument("--pmf", action="append", required=True, help="input file (give exactly twice)")
     c.add_argument("--out", required=True)
     c.add_argument("--method", default="auto", choices=["auto", "direct", "fft"])
     c.set_defaults(fn=_convolve)
@@ -273,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--pmf", required=True)
     k.add_argument("--mode", required=True, choices=["zconvex", "extensible", "selfsum"])
     k.add_argument("--tol", type=float, default=1e-9)
-    k.add_argument("--exact", action="store_true", help="decide with rational-arithmetic LPs (reference route)")
+    k.add_argument("--exact", action="store_true",
+                   help="decide extensibility on the hull in rational arithmetic, with no float tolerance "
+                        "(the integer hull of zconvex is exact already)")
     k.add_argument("--nmax", type=int, default=3)
     k.set_defaults(fn=_check)
 

@@ -7,24 +7,24 @@ on the lower convex envelope of its own lifted support points.
 Both decisions come from :mod:`lce.hull` in every dimension: an exact
 integer H-representation of conv(A) tested against every bounding-box point
 in one matrix product, and the lower hull of the lifted points (k, V(k)).
-The per-point LPs of :mod:`lce.simplex` remain only as the exact mode
-(``exact=True``, the CLI's ``--exact``): :func:`zd_convex_lp` and the
-envelope LPs, in rational arithmetic.  The brute-force Caratheodory oracles
-that check both routes live with the tests.
+The convexity decision is exact as it stands; the exact mode
+(``exact=True``, the CLI's ``--exact``) runs the same lower hull on the
+rationals that the float log-masses represent, with no float tolerance.
+The Caratheodory and rational-LP oracles that check both routes live with
+the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import LceError
 from .hull import box_points_inside, hrep, lower_envelope
 from .lattice import Box, LatticePmf, LatticeSet, support_set
-from .simplex import envelope_minimum, hull_membership
 
 DEFAULT_ENVELOPE_TOL = 1e-9
 BOX_ENUM_CAP = 500_000
@@ -75,19 +75,6 @@ def is_zd_convex(A: LatticeSet) -> ConvexityReport:
     return _hull_report(A, box, *_hrep_from_corner(A, box))
 
 
-def zd_convex_lp(A: LatticeSet) -> ConvexityReport:
-    """Exact reference for :func:`is_zd_convex`: one rational hull-membership
-    LP per bounding-box point outside A."""
-    _check_nonempty(A)
-    generators = A.array()
-    witnesses = [
-        z
-        for z in _box_points_lex(_checked_box(A))
-        if z not in A and hull_membership(generators, np.array(z, dtype=np.float64), exact=True)
-    ]
-    return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
-
-
 def _check_nonempty(A: LatticeSet) -> None:
     if len(A) == 0:
         raise LceError("convexity of the empty set is not defined here")
@@ -117,11 +104,6 @@ def _hull_report(S: LatticeSet, box: Box, A: np.ndarray, b: np.ndarray) -> Conve
     return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
 
 
-def _box_points_lex(box: Box):
-    ranges = [range(l, h + 1) for l, h in zip(box.lo, box.hi)]
-    return product(*ranges)
-
-
 # ---------------------------------------------------------------------------
 # log-concave extensibility
 
@@ -139,9 +121,8 @@ def is_log_concave_extensible(
 
     The envelope is the lower hull of all lifted support points
     (:func:`lce.hull.lower_envelope`), and the gap is ``max(0, V - envelope)``.
-    With ``exact=True`` each point costs one envelope LP instead, and these
-    LPs, like those of the convexity test, run in rational arithmetic over the
-    exact float inputs.
+    With ``exact=True`` the hull runs on the exact rationals of the float
+    values V, and the gap is V less the envelope rounded once to a float.
     """
     if not 0.0 <= tol < math.inf:
         raise LceError(f"tol must be a finite non-negative number, got {tol!r}")
@@ -150,16 +131,13 @@ def is_log_concave_extensible(
         raise LceError("p.m.f. has empty support")
     if len(support) > SUPPORT_CAP:
         raise LceError(f"support size {len(support)} exceeds cap {SUPPORT_CAP}")
-    conv_report = zd_convex_lp(support) if exact else is_zd_convex(support)
+    conv_report = is_zd_convex(support)
     pts = support.sorted_points()
     vals = np.array([-math.log(p.value_at(k)) for k in pts])
     if not np.all(np.isfinite(vals)):
         raise LceError("non-finite log-mass value")
-    if exact:
-        gaps = _envelope_gaps(pts, vals, lambda o, ov, z: envelope_minimum(o, ov, z, exact=True))
-    else:
-        env = lower_envelope(np.array(pts, dtype=np.int64), vals)
-        gaps = {k: max(0.0, float(v - e)) for k, v, e in zip(pts, vals, env)}
+    env = lower_envelope(np.array(pts, dtype=np.int64), [Fraction(v) for v in vals] if exact else vals)
+    gaps = {k: max(0.0, float(v) - float(e)) for k, v, e in zip(pts, vals, env)}
     ok = conv_report.is_convex and max(gaps.values()) <= tol
     return ExtensibilityReport(
         is_extensible=ok,
@@ -168,21 +146,6 @@ def is_log_concave_extensible(
         tolerance_used=tol,
         convexity_witnesses=conv_report.witnesses,
     )
-
-
-def _envelope_gaps(pts: list, vals: np.ndarray, minimum) -> dict:
-    """Gap V(k) - min at every point k, where ``minimum(others, values, k)``
-    returns ``(feasible, min)`` for the cheapest convex combination of the
-    other lifted points above k; 0 where infeasible."""
-    arr = np.array(pts, dtype=np.float64)
-    gaps = {}
-    for idx, k in enumerate(pts):
-        if len(pts) == 1:
-            gaps[k] = 0.0
-            continue
-        feasible, mn = minimum(np.delete(arr, idx, axis=0), np.delete(vals, idx), arr[idx])
-        gaps[k] = max(0.0, float(vals[idx]) - mn) if feasible else 0.0
-    return gaps
 
 
 def check_self_sum_convexity(A: LatticeSet, n_max: int) -> list[ConvexityReport]:

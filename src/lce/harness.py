@@ -170,18 +170,6 @@ class CheckResult:
     def to_doc(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "CheckResult":
-        return cls(
-            check_id=doc["check_id"],
-            inputs=dict(doc["inputs"]),
-            measured=dict(doc["measured"]),
-            bound=dict(doc["bound"]),
-            status=doc["status"],
-            runtime_ms=float(doc["runtime_ms"]),
-            notes=dict(doc.get("notes", {})),
-        )
-
 
 @dataclass
 class ReportDocument:
@@ -192,15 +180,6 @@ class ReportDocument:
 
     def to_doc(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ReportDocument":
-        return cls(
-            config=dict(doc["config"]),
-            results=[CheckResult.from_doc(r) for r in doc["results"]],
-            summary=dict(doc["summary"]),
-            tool_version=doc["tool_version"],
-        )
 
     def canonical_bytes(self) -> bytes:
         doc = self.to_doc()

@@ -14,7 +14,9 @@ a bound read from the set's own extents (:func:`_check_int64`).
 chart: its affine-hull equalities, each as a pair of opposite inequalities,
 plus the hull of a coordinate projection that is one-to-one on it.
 :func:`lower_envelope` evaluates the lower convex envelope of lifted points
-``(k, V(k))`` at the points themselves, in the same chart.
+``(k, V(k))`` at the points themselves, in the same chart.  Float heights
+take a scale-relative tolerance; ``Fraction`` heights (an object array) are
+decided exactly, as the routines compute on the rows' own numbers.
 """
 
 from __future__ import annotations
@@ -130,22 +132,28 @@ def lower_envelope(points, heights) -> np.ndarray:
     Envelope vertices get their own height exactly.  A set of lower affine
     dimension is read in the coordinates of its chart (see :func:`hrep`), an
     affine bijection that leaves the envelope unchanged; lifted points on one
-    hyperplane are all on the envelope.
+    hyperplane are all on the envelope.  Heights given as an object array of
+    ``Fraction`` values are decided with no tolerance, and the envelope comes
+    back in the same exact numbers.
     """
     P = np.asarray(points)
-    h = np.asarray(heights, dtype=np.float64).ravel()
+    h = np.asarray(heights).ravel()
+    exact = h.dtype == object
+    if not exact:
+        h = h.astype(np.float64)
     if P.ndim != 2 or P.shape[0] != h.size or P.shape[1] == 0:
         raise LceError("lower_envelope needs (n, d) points and n heights")
-    if not np.all(np.isfinite(h)):
+    if not exact and not np.all(np.isfinite(h)):
         raise LceError("lower_envelope needs finite heights")
     P = P.astype(np.int64)
     keep = _chart(P)[0]
     k = len(keep)
     if k == 0:
         return h.copy()
+    P = P[:, keep].astype(object if exact else np.float64)
     if k == 1:
-        return _lower_envelope_1d(P[:, keep[0]].astype(np.float64), h)
-    L = np.column_stack([P[:, keep].astype(np.float64), h])
+        return _lower_envelope_1d(P[:, 0], h)
+    L = np.column_stack([P, h])
     lframe = _frame(L, ENVELOPE_REL_TOL)
     if len(lframe) == k + 1:  # all lifted points on one (non-vertical) hyperplane
         return h.copy()
@@ -186,7 +194,13 @@ def _half_chain(rows: list, order: list) -> list[int]:
 
 def _lower_envelope_1d(t: np.ndarray, h: np.ndarray) -> np.ndarray:
     chain = _half_chain(np.column_stack([t, h]).tolist(), np.argsort(t, kind="stable").tolist())
-    env = np.interp(t, t[chain], h[chain])
+    if h.dtype == object:  # exact heights: each t on its chain segment, in their own numbers
+        c = np.array(chain)
+        s = np.clip(np.searchsorted(t[c].astype(np.int64), t.astype(np.int64)), 1, len(c) - 1)
+        a, b = c[s - 1], c[s]
+        env = h[a] + (h[b] - h[a]) * (t - t[a]) / (t[b] - t[a])
+    else:
+        env = np.interp(t, t[chain], h[chain])
     env[chain] = h[chain]
     return env
 
@@ -252,8 +266,8 @@ def _frame(P: np.ndarray, tol: float) -> list[int]:
     difference vector against those picked (their wedge), summed in absolute
     value for integer input; for float input their norm over the picked
     wedge's, the distance to the picked affine hull, beyond ``tol`` times the
-    coordinate span."""
-    exact = P.dtype.kind in "iu"
+    coordinate span.  Object rows (``Fraction`` values) count as exact."""
+    exact = P.dtype.kind in "iuO"
     n, d = P.shape
     eps = 0.0 if exact else tol * float(np.ptp(P, axis=0).max())
     i0 = int(np.lexsort(P.T[::-1])[0])
@@ -265,7 +279,8 @@ def _frame(P: np.ndarray, tol: float) -> list[int]:
         i = int(np.argmax(score))
         if not score[i] > eps:
             break
-        scale = float(np.linalg.norm(W[i]))  # the picked rows' wedge, for float scores
+        if not exact:
+            scale = float(np.linalg.norm(W[i]))  # the picked rows' wedge, for float scores
         frame.append(i)
         k = len(frame)
         picked = P[frame].tolist()

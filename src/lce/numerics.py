@@ -127,22 +127,23 @@ def adaptive_quad(fun, lo, hi, *, rel_tol: float = 1e-10, abs_tol: float = 0.0):
 
     total_width = hi - lo
     total_vol = float(total_width.prod())
-    whole = abs(panel(lo, total_width, total_vol, 2 * QUAD_ORDER))
-    scale = max(abs_tol, rel_tol * max(whole, 1e-300))
+    whole = panel(lo, total_width, total_vol, 2 * QUAD_ORDER)
+    scale = max(abs_tol, rel_tol * max(abs(whole), 1e-300))
     floor = QUAD_WIDTH_FLOOR * total_width
-    stack = [(lo, hi)]
+    stack = [(lo, hi, whole)]  # a panel's order-2m value, once known
     accepted = []
     errors = []
     panels = 0
     while stack:
-        plo, phi = stack.pop()
+        plo, phi, i2 = stack.pop()
         panels += 1
         if panels > QUAD_MAX_PANELS:
             raise NumericalError("adaptive quadrature exceeded panel budget")
         width = phi - plo
         vol = float(width.prod())
         i1 = panel(plo, width, vol, QUAD_ORDER)
-        i2 = panel(plo, width, vol, 2 * QUAD_ORDER)
+        if i2 is None:
+            i2 = panel(plo, width, vol, 2 * QUAD_ORDER)
         err = abs(i2 - i1)
         if err <= scale * vol / total_vol or (width < floor).all():
             accepted.append(i2)
@@ -154,8 +155,8 @@ def adaptive_quad(fun, lo, hi, *, rel_tol: float = 1e-10, abs_tol: float = 0.0):
             hi1[axis] = mid
             lo2 = plo.copy()
             lo2[axis] = mid
-            stack.append((lo2, phi))
-            stack.append((plo, hi1))
+            stack.append((lo2, phi, None))
+            stack.append((plo, hi1, None))
     return math.fsum(accepted), math.fsum(errors)
 
 

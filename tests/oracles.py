@@ -5,7 +5,10 @@
   convex combinations of at most d + 1 points, in rational arithmetic.  They
   check the integer hulls of :mod:`lce.hull` and so never import that module
   (``test_harness_cli`` enforces it).
-- A float-LP reference over :func:`lce.simplex.hull_membership`, and the d = 1
+- LP references: a rational twin of :func:`lce.simplex.solve_lp` (its
+  ``Fraction`` tableau), hull-membership and envelope LPs over either, and
+  the per-point LP decisions of convexity and extensibility built on them,
+  which check the exact mode of :mod:`lce.convexity`.  And the d = 1
   local-concavity test p(k)^2 >= p(k-1) p(k+1).
 - The pointwise smoothed density, which checks the blocked cell quadrature of
   :mod:`lce.smoothing`.
@@ -23,15 +26,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from lce.convexity import (
-    DEFAULT_ENVELOPE_TOL,
-    ConvexityReport,
-    ExtensibilityReport,
-    _box_points_lex,
-    _envelope_gaps,
-)
+from lce.convexity import DEFAULT_ENVELOPE_TOL, ConvexityReport, ExtensibilityReport
 from lce.densities import ContinuousDensity, as_points
-from lce.errors import LceError
+from lce.errors import LceError, NumericalError
 from lce.families import (
     binomial_pmf,
     one_sided_geometric,
@@ -39,9 +36,9 @@ from lce.families import (
     two_sided_geometric,
     uniform_interval,
 )
-from lce.harness import ReportDocument
+from lce.harness import CheckResult, ReportDocument
 from lce.lattice import Box, LatticePmf, LatticeSet, _check_cells, convolve, support_set
-from lce.simplex import hull_membership
+from lce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 from lce.smoothing import bspline_eval
 
 BRUTEFORCE_SUPPORT_CAP = 16
@@ -188,12 +185,20 @@ def zd_convex_bruteforce(A: LatticeSet) -> ConvexityReport:
     return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
 
 
-def zd_convex_float_lp(A: LatticeSet) -> list:
-    """Witnesses of A by one float hull-membership LP per bounding-box point
-    outside A, in lexicographic order."""
+def zd_convex_lp(A: LatticeSet, *, exact: bool = True) -> ConvexityReport:
+    """Convexity by one hull-membership LP per bounding-box point outside A,
+    rational unless ``exact`` is False; witnesses in lexicographic order."""
+    if len(A) == 0:
+        raise LceError("convexity of the empty set is not defined here")
     generators = A.array()
-    return [z for z in _box_points_lex(A.bounding_box())
-            if z not in A and hull_membership(generators, np.array(z, dtype=np.float64))]
+    witnesses = [z for z in _box_points_lex(A.bounding_box())
+                 if z not in A and hull_membership(generators, np.array(z, dtype=np.float64), exact=exact)]
+    return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
+
+
+def _box_points_lex(box: Box):
+    ranges = [range(l, h + 1) for l, h in zip(box.lo, box.hi)]
+    return product(*ranges)
 
 
 def is_log_concave_1d(p: LatticePmf) -> ExtensibilityReport:
@@ -256,15 +261,25 @@ def envelope_minimum_bruteforce(points, values, z):
 
 def is_log_concave_extensible_bruteforce(p: LatticePmf) -> ExtensibilityReport:
     """Envelope decision via the Caratheodory oracle (small supports only)."""
+    if len(support_set(p)) > BRUTEFORCE_SUPPORT_CAP:
+        raise LceError("support too large for the brute-force extensibility oracle")
+    return _extensibility_report(p, zd_convex_bruteforce, envelope_minimum_bruteforce)
+
+
+def is_log_concave_extensible_lp(p: LatticePmf) -> ExtensibilityReport:
+    """Envelope decision by rational LPs: one hull-membership LP per box point
+    outside the support and one envelope LP per support point."""
+    return _extensibility_report(p, zd_convex_lp, lambda o, ov, z: envelope_minimum(o, ov, z, exact=True))
+
+
+def _extensibility_report(p: LatticePmf, convexity, minimum) -> ExtensibilityReport:
     support = support_set(p)
     if len(support) == 0:
         raise LceError("p.m.f. has empty support")
-    if len(support) > BRUTEFORCE_SUPPORT_CAP:
-        raise LceError("support too large for the brute-force extensibility oracle")
-    conv_report = zd_convex_bruteforce(support)
+    conv_report = convexity(support)
     pts = support.sorted_points()
     V = np.array([-math.log(p.value_at(k)) for k in pts])
-    gaps = _envelope_gaps(pts, V, envelope_minimum_bruteforce)
+    gaps = _envelope_gaps(pts, V, minimum)
     ok = conv_report.is_convex and max(gaps.values()) <= DEFAULT_ENVELOPE_TOL
     return ExtensibilityReport(
         is_extensible=ok,
@@ -273,6 +288,142 @@ def is_log_concave_extensible_bruteforce(p: LatticePmf) -> ExtensibilityReport:
         tolerance_used=DEFAULT_ENVELOPE_TOL,
         convexity_witnesses=conv_report.witnesses,
     )
+
+
+def _envelope_gaps(pts: list, vals: np.ndarray, minimum) -> dict:
+    """Gap V(k) - min at every point k, where ``minimum(others, values, k)``
+    returns ``(feasible, min)`` for the cheapest convex combination of the
+    other lifted points above k; 0 where infeasible."""
+    arr = np.array(pts, dtype=np.float64)
+    gaps = {}
+    for idx, k in enumerate(pts):
+        if len(pts) == 1:
+            gaps[k] = 0.0
+            continue
+        feasible, mn = minimum(np.delete(arr, idx, axis=0), np.delete(vals, idx), arr[idx])
+        gaps[k] = max(0.0, float(vals[idx]) - mn) if feasible else 0.0
+    return gaps
+
+
+# ---------------------------------------------------------------------------
+# rational twin of the float simplex, and its geometric wrappers
+
+
+def _solve_exact(c, A, b):
+    m, n = A.shape
+    Af = [[Fraction(x) for x in row] for row in A.tolist()]
+    bf = [Fraction(x) for x in b.tolist()]
+    cf = [Fraction(x) for x in c.tolist()]
+    for i in range(m):
+        if bf[i] < 0:
+            Af[i] = [-x for x in Af[i]]
+            bf[i] = -bf[i]
+
+    rows = [Af[i] + [Fraction(int(i == k)) for k in range(m)] + [bf[i]] for i in range(m)]
+    basis = list(range(n, n + m))
+    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
+    obj1 = _run_exact(rows, basis, cost1)
+    if obj1 is None or obj1 > 0:
+        return LPResult(INFEASIBLE, None, None)
+
+    keep = []
+    for i in range(len(basis)):
+        if basis[i] < n:
+            keep.append(i)
+            continue
+        j = next((k for k in range(n) if rows[i][k] != 0), None)
+        if j is not None:
+            _pivot_exact(rows, i, j)
+            basis[i] = j
+            keep.append(i)
+    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    obj2 = _run_exact(rows, basis, cf)
+    if obj2 is None:
+        return LPResult(UNBOUNDED, None, None)
+    x = np.zeros(n)
+    for i, bi in enumerate(basis):
+        x[bi] = float(rows[i][-1])
+    return LPResult(OPTIMAL, float(obj2), x)
+
+
+def _run_exact(rows, basis, cost):
+    m = len(rows)
+    if m == 0:
+        return None if any(c < 0 for c in cost) else Fraction(0)
+    ncols = len(rows[0]) - 1
+    # Bland's rule in exact arithmetic terminates; cap is a safety net only.
+    for _ in range(100000):
+        reduced = list(cost[:ncols])
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb != 0:
+                ri = rows[i]
+                for j in range(ncols):
+                    if ri[j] != 0:
+                        reduced[j] -= cb * ri[j]
+        j = next((k for k in range(ncols) if reduced[k] < 0), None)
+        if j is None:
+            return sum(cost[basis[i]] * rows[i][-1] for i in range(m))
+        candidates = [(rows[i][-1] / rows[i][j], basis[i], i) for i in range(m) if rows[i][j] > 0]
+        if not candidates:
+            return None
+        _, _, i = min(candidates)
+        _pivot_exact(rows, i, j)
+        basis[i] = j
+    raise NumericalError("exact simplex iteration cap")
+
+
+def _pivot_exact(rows, row, col):
+    piv = rows[row][col]
+    rows[row] = [x / piv for x in rows[row]]
+    for i in range(len(rows)):
+        if i == row:
+            continue
+        f = rows[i][col]
+        if f != 0:
+            rows[i] = [a - f * p for a, p in zip(rows[i], rows[row])]
+
+
+def solve_lp_exact(c, A, b) -> LPResult:
+    """:func:`lce.simplex.solve_lp` in rational arithmetic, over the rationals
+    that the float inputs represent."""
+    return _solve_exact(*(np.asarray(x, dtype=np.float64) for x in (c, A, b)))
+
+
+def hull_membership(points, z, *, exact: bool = False) -> bool:
+    """Is ``z`` a convex combination of the rows of ``points``?"""
+    pts = np.asarray(points, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64).ravel()
+    if pts.ndim != 2 or pts.shape[1] != z.size:
+        raise ValueError("points and target have mismatched dimension")
+    mpts = pts.shape[0]
+    A = np.vstack([pts.T, np.ones((1, mpts))])
+    b = np.concatenate([z, [1.0]])
+    res = (solve_lp_exact if exact else solve_lp)(np.zeros(mpts), A, b)
+    return res.status == OPTIMAL
+
+
+def envelope_minimum(points, values, z, *, exact: bool = False):
+    """Minimize ``sum(lam * values)`` over convex combinations of ``points`` hitting ``z``.
+
+    Returns ``(feasible, minimum)``; ``minimum`` is None when infeasible.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    z = np.asarray(z, dtype=np.float64).ravel()
+    if pts.shape[0] != vals.size or pts.shape[1] != z.size:
+        raise ValueError("inconsistent envelope LP inputs")
+    mpts = pts.shape[0]
+    if mpts == 0:
+        return False, None
+    A = np.vstack([pts.T, np.ones((1, mpts))])
+    b = np.concatenate([z, [1.0]])
+    res = (solve_lp_exact if exact else solve_lp)(vals, A, b)
+    if res.status != OPTIMAL:
+        return False, None
+    return True, res.objective
 
 
 # ---------------------------------------------------------------------------
@@ -404,4 +555,19 @@ def rate_envelope_ok(values, *, noise_floor: float = 0.0, rel_slack: float = 1e-
 
 def load_report(path) -> ReportDocument:
     with open(path, encoding="utf-8") as fh:
-        return ReportDocument.from_doc(json.load(fh))
+        doc = json.load(fh)
+    results = [
+        CheckResult(
+            check_id=r["check_id"],
+            inputs=dict(r["inputs"]),
+            measured=dict(r["measured"]),
+            bound=dict(r["bound"]),
+            status=r["status"],
+            runtime_ms=float(r["runtime_ms"]),
+            notes=dict(r.get("notes", {})),
+        )
+        for r in doc["results"]
+    ]
+    return ReportDocument(
+        config=dict(doc["config"]), results=results, summary=dict(doc["summary"]), tool_version=doc["tool_version"]
+    )

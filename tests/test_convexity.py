@@ -14,6 +14,7 @@ from oracles import (
     is_log_concave_extensible_bruteforce,
     make_uniform_on_set,
     zd_convex_bruteforce,
+    zd_convex_lp,
 )
 
 
@@ -102,11 +103,11 @@ def test_lp_route_agrees_with_bruteforce_on_random_subsets():
 def test_exact_mode_agrees():
     # hull witnesses against the exact-rational LP route
     A = LatticeSet.from_iterable(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
-    exact = cx.zd_convex_lp(A)
+    exact = zd_convex_lp(A)
     assert not exact.is_convex
     assert cx.is_zd_convex(A).witnesses == exact.witnesses
     R = LatticeSet.from_iterable(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 4)])
-    assert cx.is_zd_convex(R).witnesses == cx.zd_convex_lp(R).witnesses
+    assert cx.is_zd_convex(R).witnesses == zd_convex_lp(R).witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from lce.densities import gaussian
 from lce.errors import LceError
 from lce.hull import facets
 from lce.numerics import unit_directions
-from lce.simplex import hull_membership
+
+from oracles import hull_membership
 
 
 # ---------------------------------------------------------------------------

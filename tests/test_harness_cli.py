@@ -202,6 +202,16 @@ def test_cli_convolve_and_check(tmp_path, capsys):
     assert run_cli("check", "--pmf", str(out), "--mode", "selfsum", "--nmax", "2") == 0
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_cli_convolve_takes_exactly_two_inputs(count, tmp_path, capsys):
+    a = tmp_path / "u.json"
+    run_cli("gen", "--family", "uniform{m=2}", "--out", str(a))
+    out = tmp_path / "c.json"
+    assert run_cli("convolve", *(["--pmf", str(a)] * count), "--out", str(out)) == 2
+    assert f"exactly two --pmf inputs, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 CORNERS_3X3 = {"dim": 2, "lo": [0, 0], "hi": [2, 2], "values": [0.25, 0, 0.25, 0, 0, 0, 0.25, 0, 0.25]}
 DIP_1D = {"dim": 1, "lo": [0], "hi": [2], "values": [0.4, 0.1, 0.5]}  # convex support, log-mass dips at 1
 
@@ -750,7 +760,7 @@ def test_every_defaulted_parameter_is_passed_or_a_listed_knob():
 
 
 def test_rows_are_built_by_run_context_row_only():
-    # CheckResult.from_doc calls cls(...); every other row comes from RunContext.row
+    # a CheckResult method that calls cls(...) builds rows too
     trees = source_trees()
     calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)
              and "CheckResult" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
@@ -760,4 +770,4 @@ def test_rows_are_built_by_run_context_row_only():
         if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) in names for call in ast.walk(node)):
             builders.add(qualname)
     assert len(calls) == 1
-    assert builders == {"harness.RunContext.row", "harness.CheckResult.from_doc"}
+    assert builders == {"harness.RunContext.row"}

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,14 @@ from lce import convexity as cx
 from lce import hull
 from lce.errors import LceError
 from lce.lattice import Box, LatticePmf, LatticeSet
-from lce.simplex import envelope_minimum
 
-from oracles import envelope_minimum_bruteforce, zd_convex_bruteforce, zd_convex_float_lp
+from oracles import (
+    envelope_minimum,
+    envelope_minimum_bruteforce,
+    is_log_concave_extensible_lp,
+    zd_convex_bruteforce,
+    zd_convex_lp,
+)
 
 
 def degenerate_points(rng, d, k, rank):
@@ -38,19 +44,19 @@ def test_hull_witnesses_match_bruteforce_and_lp(d, count, span):
         A = LatticeSet.from_iterable(d, pts)
         rep = cx.is_zd_convex(A)
         assert rep.witnesses == zd_convex_bruteforce(A).witnesses, pts.tolist()
-        assert rep.witnesses == zd_convex_float_lp(A), pts.tolist()
+        assert rep.witnesses == zd_convex_lp(A, exact=False).witnesses, pts.tolist()
 
 
 def test_d4_lp_route_matches_bruteforce():
     # The hull route serves d = 4 as it serves d <= 3; the rational LP
-    # reference (exact=True) and the Caratheodory oracle must agree with it.
+    # reference and the Caratheodory oracle must agree with it.
     rng = np.random.default_rng(44)
     outcomes = set()
     for _ in range(8):
         A = LatticeSet.from_iterable(4, rng.integers(0, 3, size=(int(rng.integers(2, 6)), 4)))
         rep = cx.is_zd_convex(A)
         assert rep == zd_convex_bruteforce(A)
-        assert rep == cx.zd_convex_lp(A)
+        assert rep == zd_convex_lp(A)
         outcomes.add(rep.is_convex)
     assert outcomes == {True, False}
 
@@ -204,16 +210,32 @@ def test_lifted_envelope_gaps_match_lp_and_caratheodory(d):
         if trial % 4 == 0:  # convex quadratic: many exact ties on the envelope
             heights = 0.25 * np.sum(pts * pts, axis=1) + pts @ rng.normal(size=d)
         gaps = np.maximum(0.0, heights - hull.lower_envelope(pts, heights))
+        exact = hull.lower_envelope(pts, [Fraction(h) for h in heights])
         lp = reference_gaps(pts.astype(np.float64), heights, envelope_minimum)
         bf = reference_gaps(pts, heights, envelope_minimum_bruteforce)
         assert np.max(np.abs(gaps - lp)) <= 1e-9
         assert np.max(np.abs(gaps - bf)) <= 1e-9
+        # The Caratheodory minimum is exact and rounded once, as the exact envelope is.
+        assert np.array_equal(np.maximum(0.0, heights - exact.astype(np.float64)), bf)
 
 
 def test_lower_envelope_of_coplanar_lifted_points_is_the_plane():
     pts = np.array([(a, b) for a in range(3) for b in range(3)])
     heights = 0.5 + 0.25 * pts[:, 0] - 1.5 * pts[:, 1]
     assert np.allclose(hull.lower_envelope(pts, heights), heights, rtol=0, atol=1e-13)
+    exact = [Fraction(1, 2) + Fraction(1, 4) * a - Fraction(3, 2) * b for a, b in pts.tolist()]
+    assert hull.lower_envelope(pts, exact).tolist() == exact
+
+
+def test_exact_lower_envelope_takes_chords_and_facets_in_rationals():
+    # Thirds, which no float represents: on the chord of a 1-d chart, and on
+    # a facet plane in d = 2.
+    t = np.array([[0], [1], [2], [3]])
+    env = hull.lower_envelope(t, [Fraction(0), Fraction(1), Fraction(1), Fraction(1)])
+    assert env.tolist() == [0, Fraction(1, 3), Fraction(2, 3), 1]
+    sq = np.array([(0, 0), (0, 3), (3, 0), (3, 3), (2, 2)])
+    env = hull.lower_envelope(sq, [Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(1)])
+    assert env.tolist() == [0, 0, 0, 1, Fraction(1, 3)]
 
 
 def test_envelope_of_a_coplanar_support_is_that_of_its_chart():
@@ -265,10 +287,26 @@ def test_extensibility_hull_route_matches_exact_lp_route():
         p = LatticePmf(Box((0, 0), (2, 2)), vals / vals.sum())
         fast = cx.is_log_concave_extensible(p)
         exact = cx.is_log_concave_extensible(p, exact=True)
+        assert exact == is_log_concave_extensible_lp(p)  # verdicts, witnesses, gaps to the bit
         assert fast.is_extensible == exact.is_extensible
         assert fast.convexity_witnesses == exact.convexity_witnesses
         for k, g in fast.envelope_gaps.items():
             assert math.isclose(g, exact.envelope_gaps[k], abs_tol=1e-9)
+
+
+def test_exact_route_matches_exact_lp_route_on_degenerate_supports():
+    # A 1-d support, a collinear 2-d support (chart dimension 1), lifted
+    # points on one plane (a uniform p.m.f.) and a single point.
+    rng = np.random.default_rng(32)
+    line = rng.uniform(0.05, 1.0, 9)
+    diagonal = np.diag(rng.uniform(0.05, 1.0, 5))
+    uniform = np.ones((3, 4))
+    for vals, lo in ((line, (0,)), (diagonal, (0, 0)), (uniform, (-1, 2)), (np.ones((1, 1, 1)), (2, 0, 1))):
+        p = LatticePmf(Box(lo, tuple(l + s - 1 for l, s in zip(lo, vals.shape))), vals / vals.sum())
+        exact = cx.is_log_concave_extensible(p, exact=True)
+        assert exact == is_log_concave_extensible_lp(p)
+        assert exact.support_convex
+    assert not cx.is_log_concave_extensible(LatticePmf(Box((0,), (8,)), line / line.sum()), exact=True).is_extensible
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -280,14 +318,15 @@ def test_3d_extensibility_hull_route_matches_exact_lp_route(n):
     B = rng.normal(size=(3, 3))
     V = 0.5 * np.einsum("ni,ij,nj->n", grid, B.T @ B / 4.0 + 0.1 * np.eye(3), grid)
     outcomes = set()
-    cases = [(0.0, False), (0.3, False)] + ([(0.0, True)] if n == 3 else [])  # an exact 4^3 decision takes ~3 s
-    for noise, hole in cases:
+    for noise, hole in [(0.0, False), (0.3, False), (0.0, True)]:
         vals = np.exp(-(V + noise * rng.random(len(grid)) - V.min()))
         if hole:
             vals[n * n + n + 1] = 0.0  # the inner cell (1, 1, 1)
         p = LatticePmf(Box((0, 0, 0), (n - 1,) * 3), vals.reshape(n, n, n) / vals.sum())
         fast = cx.is_log_concave_extensible(p)
         exact = cx.is_log_concave_extensible(p, exact=True)
+        if n == 3 or not hole:  # the rational-LP oracle takes about 3 s on the 4^3 hole case
+            assert exact == is_log_concave_extensible_lp(p)
         assert fast.is_extensible == exact.is_extensible
         assert fast.convexity_witnesses == exact.convexity_witnesses == ([(1, 1, 1)] if hole else [])
         for k, g in fast.envelope_gaps.items():

@@ -181,6 +181,20 @@ def test_adaptive_quad_3d_polynomial_and_empty_box():
     assert adaptive_quad(lambda x: np.ones(x.shape[:-1]), [0, 1], [1, 0]) == (0.0, 0.0)
 
 
+def test_adaptive_quad_takes_the_first_panel_at_two_evaluations():
+    # The whole-box order-2m value that sets the error scale is that panel's
+    # own; a quadratic, exact at order m, is accepted on its first panel.
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return x[..., 0] ** 2 + x[..., 1]
+
+    val, err = adaptive_quad(f, [0.0, 0.0], [1.0, 2.0])
+    assert val == pytest.approx(2.0 / 3.0 + 2.0, rel=1e-14) and err <= 1e-14
+    assert len(calls) == 2
+
+
 def test_adaptive_quad_panel_budget_raises_numerical_error():
     with pytest.raises(NumericalError):
         adaptive_quad(lambda x: np.sin(1e7 * x[..., 0]) + 2.0, 0.0, 1.0, rel_tol=1e-14)

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lce.errors import LceError, NumericalError
-from lce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, envelope_minimum, hull_membership, solve_lp
+from lce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+
+from oracles import envelope_minimum, hull_membership, solve_lp_exact
 
 
 def test_basic_minimum():
@@ -44,7 +46,7 @@ def test_exact_mode_agrees():
     A = [[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]
     b = [1.0, 0.5]
     rf = solve_lp(c, A, b)
-    rx = solve_lp(c, A, b, exact=True)
+    rx = solve_lp_exact(c, A, b)
     assert rf.status == rx.status == OPTIMAL
     assert rf.objective == pytest.approx(rx.objective, abs=1e-12)
 
