@@ -4,9 +4,10 @@ Implements the discrete-vs-continuous comparisons: mass, mean, second-moment
 and covariance-determinant gaps, with the largest lattice value for the
 quasi-concave bound |integral - lattice sum| <= max f that the ``bridge_gaps``
 check asserts; and the one-dimensional first-moment bound with constant
-(e + 1).  Integrals without a closed form, in any dimension, come
-from :func:`lce.numerics.adaptive_quad`; covariance determinants are products
-of ``np.linalg.eigvalsh`` eigenvalues.
+(e + 1).  The integrals are the closed forms every density declares (mass 1,
+mean 0 and its covariance); the lattice sums run over the density's
+truncation box around the origin.  Covariance determinants are products of
+``np.linalg.eigvalsh`` eigenvalues.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .densities import ContinuousDensity
 from .errors import LceError
 from .lattice import Box, truncation_box
-from .numerics import adaptive_quad, stable_sum
+from .numerics import stable_sum
 
 
 @dataclass(frozen=True)
@@ -53,53 +54,16 @@ def _lattice_raw_moments(f: ContinuousDensity, box: Box):
     return s0, s1, s2, float(vals.max())
 
 
-def _continuous_raw_moments(f: ContinuousDensity, box: Box, rel_tol: float):
-    if f.known_mass is not None and f.known_mean is not None and f.known_cov is not None:
-        m0 = float(f.known_mass)
-        mean = np.asarray(f.known_mean, dtype=np.float64)
-        cov = np.asarray(f.known_cov, dtype=np.float64)
-        raw2 = m0 * (cov + np.outer(mean, mean))
-        return m0, m0 * mean, raw2
-    lo = np.array(box.lo, dtype=np.float64) - 0.5
-    hi = np.array(box.hi, dtype=np.float64) + 0.5
-    d = f.dim
-    m0, _ = adaptive_quad(f.evaluate, lo, hi, rel_tol=rel_tol)
-    # Odd moments can vanish by symmetry; anchor their tolerance to the mass
-    # scale so the splitter cannot chase a zero target.
-    W = float(np.max(np.abs(np.stack([lo, hi]))))
-    m1 = np.zeros(d)
-    raw2 = np.zeros((d, d))
-    for i in range(d):
-        m1[i], _ = adaptive_quad(
-            lambda x, i=i: x[..., i] * f.evaluate(x), lo, hi,
-            rel_tol=rel_tol, abs_tol=rel_tol * m0 * W,
-        )
-        for j in range(i, d):
-            val, _ = adaptive_quad(
-                lambda x, i=i, j=j: x[..., i] * x[..., j] * f.evaluate(x), lo, hi,
-                rel_tol=rel_tol, abs_tol=rel_tol * m0 * W * W,
-            )
-            raw2[i, j] = raw2[j, i] = val
-    return m0, m1, raw2
+def lattice_vs_integral_gaps(f: ContinuousDensity) -> GapReport:
+    """Compare lattice sums of f over its truncation box with its integrals.
 
-
-def lattice_vs_integral_gaps(
-    f: ContinuousDensity,
-    box: Box | None = None,
-    radius_multiplier: float = 12.0,
-) -> GapReport:
-    """Compare lattice sums of f over a truncation box with its integrals.
-
-    Continuous moments come from the family's closed forms when declared and
-    from :func:`lce.numerics.adaptive_quad` over the box otherwise.  The
-    discrete covariance is normalized by the lattice mass, mirroring the
+    The discrete covariance is normalized by the lattice mass, mirroring the
     continuous normalization.
     """
-    if box is None:
-        box, _ = truncation_box(f, radius_multiplier=radius_multiplier)
-    s0, s1, s2, vmax = _lattice_raw_moments(f, box)
-    m0, m1, raw2 = _continuous_raw_moments(f, box, 1e-8)
+    s0, s1, s2, vmax = _lattice_raw_moments(f, truncation_box(f))
     d = f.dim
+    m0, m1 = 1.0, np.zeros(d)
+    raw2 = m0 * (np.asarray(f.known_cov, dtype=np.float64) + np.outer(m1, m1))
     if s0 <= 0:
         raise LceError("density carries no lattice mass on the box")
     cov_lattice = s2 / s0 - np.outer(s1 / s0, s1 / s0)
@@ -142,17 +106,12 @@ def covdis_check_1d(f: ContinuousDensity) -> FirstMomentCheck:
     centered log-concave f."""
     if f.dim != 1:
         raise LceError("covdis_check_1d is for d = 1")
-    box, _ = truncation_box(f)
+    box = truncation_box(f)
     ks = np.arange(box.lo[0], box.hi[0] + 1, dtype=np.float64)
     vals = f.evaluate(ks[:, None])
     skf = stable_sum(vals * ks)
     sf = stable_sum(vals)
-    if f.known_mean is not None and f.known_mass is not None:
-        int_xf = float(f.known_mass * np.asarray(f.known_mean).ravel()[0])
-    else:
-        int_xf, _ = adaptive_quad(
-            lambda x: x[..., 0] * f.evaluate(x), float(box.lo[0]) - 0.5, float(box.hi[0]) + 0.5
-        )
+    int_xf = 0.0  # f is centred
     gap = abs(int_xf - skf)
     bound = (math.e + 1.0) * sf
     return FirstMomentCheck(int_xf, skf, sf, gap, bound, gap <= bound + 1e-12)

@@ -4,7 +4,9 @@ Subcommands: gen, convolve, entropy, moments, check, smooth-entropy, geom,
 bridge, verify, sweep.  P.m.f.s, configs and reports are JSON documents;
 results print to stdout as JSON.  Exit code 1 means a verification run
 contains a failing check, 2 bad input and 3 a numerical failure (a routine
-that did not converge); errors are reported on one ``error:`` line.
+that did not converge); errors are reported on one ``error:`` line.  A reader
+that closes stdout early (``lce ... | head``) ends the command with exit code
+141 (128 + SIGPIPE) and no message.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -142,6 +145,8 @@ def _geom(args) -> int:
                "chain_holds": rep.chain_holds(tol=1e-9)})
         return 0
     if args.check == "radius":
+        if K.kind == "hpoly":  # its circumradius needs the vertices: refuse before sampling its volume
+            raise LceError("--check radius does not support bodies of kind 'hpoly'")
         rep = geometry.radius_bounds_check(geometry.scale_to_unit_volume(K))
         _emit(
             {
@@ -314,10 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except LceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NumericalError) else 2
+    except BrokenPipeError:
+        # Point stdout at os.devnull, so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Log-concave densities on R^d with declared moments and tail majorants.
 
-Each density carries whatever closed-form knowledge its family provides
-(mass, mean, covariance) plus a certified exponential tail bound
-``f(x) <= amplitude * exp(-rate * |x - center|_2)`` valid for
-``|x - center|_2 >= radius``.  The tail bound is what makes box truncation
-auditable: every truncated constructor converts it into a deficit bound.
+Each density is centred at the origin and of mass 1, and declares its
+covariance and a certified exponential tail bound
+``f(x) <= amplitude * exp(-rate * |x|_2)`` valid for ``|x|_2 >= radius``.
+The tail bound is what makes box truncation auditable: every truncated
+constructor converts it into a deficit bound.
 
 The module also holds the spec-string parser and :class:`Registry`, the one
 name-to-factory table that ``lce`` uses for every named object: the lattice
@@ -29,7 +29,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -49,25 +49,21 @@ class TailBound:
 
 @dataclass(frozen=True)
 class ContinuousDensity:
-    """Evaluator plus metadata for a nonnegative function on R^d."""
+    """Evaluator of a probability density on R^d with mean 0, its covariance
+    ``known_cov`` and its tail bound (about the origin)."""
 
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    known_mass: Optional[float] = None
-    known_mean: Optional[np.ndarray] = None
-    known_cov: Optional[np.ndarray] = None
-    tail_bound: Optional[TailBound] = None
+    known_cov: np.ndarray
+    tail_bound: TailBound
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    center: Optional[np.ndarray] = None
 
     def __call__(self, pts) -> np.ndarray:
         return self.evaluate(as_points(pts, self.dim))
 
     def axis_scales(self) -> np.ndarray:
         """Per-axis standard deviations, used to size truncation boxes."""
-        if self.known_cov is None:
-            raise LceError(f"density {self.name} has no covariance metadata")
         return np.sqrt(np.diag(np.asarray(self.known_cov, dtype=np.float64)))
 
 def as_points(pts, dim: int) -> np.ndarray:
@@ -113,13 +109,10 @@ def gaussian(sigma: float, dim: int = 1) -> ContinuousDensity:
     return ContinuousDensity(
         dim=dim,
         evaluate=evaluate,
-        known_mass=1.0,
-        known_mean=np.zeros(dim),
         known_cov=sigma * sigma * np.eye(dim),
         tail_bound=tb,
         name="gaussian",
         params={"sigma": sigma, "dim": dim},
-        center=np.zeros(dim),
     )
 
 
@@ -138,13 +131,10 @@ def laplace_product(rate: float, dim: int = 1) -> ContinuousDensity:
     return ContinuousDensity(
         dim=dim,
         evaluate=evaluate,
-        known_mass=1.0,
-        known_mean=np.zeros(dim),
         known_cov=(2.0 / (lam * lam)) * np.eye(dim),
         tail_bound=tb,
         name="laplace_product",
         params={"rate": lam, "dim": dim},
-        center=np.zeros(dim),
     )
 
 
@@ -181,13 +171,10 @@ def sheared_gaussian(sigma: float, rho: float) -> ContinuousDensity:
     return ContinuousDensity(
         dim=2,
         evaluate=evaluate,
-        known_mass=1.0,
-        known_mean=np.zeros(2),
         known_cov=cov,
         tail_bound=tb,
         name="sheared_gaussian",
         params={"sigma": sigma, "rho": rho},
-        center=np.zeros(2),
     )
 
 
@@ -211,13 +198,10 @@ def asym_exponential(left_rate: float, right_rate: float) -> ContinuousDensity:
     return ContinuousDensity(
         dim=1,
         evaluate=evaluate,
-        known_mass=1.0,
-        known_mean=np.zeros(1),
         known_cov=np.array([[var]]),
         tail_bound=tb,
         name="asym_exponential",
         params={"left_rate": l, "right_rate": r},
-        center=np.zeros(1),
     )
 
 

@@ -82,8 +82,6 @@ class RadialProfile:
 def _radial_moment(f: ContinuousDensity, theta: np.ndarray, p: float) -> float:
     """integral of p r^(p-1) f(r theta) dr over (0, inf) with certified tail cut."""
     tb = f.tail_bound
-    if tb is None:
-        raise LceError("density needs a tail bound for radial integration")
     R = max(tb.radius, 2.0 * (p + f.dim) / tb.rate, 1.0)
     # Grow R until the exponential remainder bound is negligible.
     for _ in range(200):

@@ -2,12 +2,12 @@
 points, in any dimension.
 
 :func:`facets` is the one hull routine: the simplicial facets, outward normals
-and offsets of the hull of a full-dimensional point set.  The plane takes
-Andrew's monotone chain (:func:`_half_chain`, shared with the 1-d lower
-envelope); d >= 3 takes an incremental beneath-beyond hull (Clarkson and Shor,
-DCG 1989; Barber, Dobkin and Huhdanpaa, ACM TOMS 1996) whose normals are
-generalized cross products.  Integer input is decided exactly, in int64 under
-a bound read from the set's own extents (:func:`_check_int64`).
+and offsets of the hull of a full-dimensional point set.  Every d >= 2 takes
+one incremental beneath-beyond hull (:func:`_hull`; Clarkson and Shor, DCG
+1989; Barber, Dobkin and Huhdanpaa, ACM TOMS 1996) whose normals are
+generalized cross products; d = 1 takes the two endpoints.  Integer input is
+decided exactly, in int64 under a bound read from the set's own extents
+(:func:`_check_int64`).
 
 :func:`hrep` turns integer points into a primitive integer H-representation
 ``A x <= b`` of their hull.  A set of lower affine dimension is read in a
@@ -35,7 +35,7 @@ from .errors import LceError
 # rounding in the orientation tests.
 ENVELOPE_REL_TOL = 1e-13
 
-# Float points in d >= 3 closer than this times the coordinate span to a facet
+# Float points closer than this times the coordinate span to a facet
 # plane of :func:`facets` count as on it, so that rounding cannot split a flat
 # face of a v-polytope into slivers.
 _FACET_REL_TOL = 1e-9
@@ -49,16 +49,16 @@ def facets(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     point set in R^d, with conv(points) = {x : N x <= off}.
 
     ``F`` (m, d) holds the row indices of each facet's vertices: the vertex
-    itself in d = 1, the edges counterclockwise from the lexicographically
-    smallest vertex in d = 2, in d >= 3 simplices ordered so that ``N x - off``
-    is det[P[F[:, 1:]] - P[F[:, 0]]; x - P[F[:, 0]]].  ``N`` is the outward
-    normal, of length (d - 1)! times the facet's volume, so ``off - N @ c`` is
-    d! times the volume of the cone from an inner point ``c`` over the facet.
+    itself in d = 1, in d >= 2 simplices ordered so that ``N x - off`` is
+    det[P[F[:, 1:]] - P[F[:, 0]]; x - P[F[:, 0]]].  The facets come in the
+    hull's insertion order: in d = 2 the edges are not sorted around the
+    polygon.  ``N`` is the outward normal, of length (d - 1)! times the
+    facet's volume, so ``off - N @ c`` is d! times the volume of the cone from
+    an inner point ``c`` over the facet.
 
-    Integer input is decided exactly.  Float input takes the exact turn test
-    in the plane; in d >= 3 a point counts as off a facet plane or affine hull
-    only beyond ``_FACET_REL_TOL`` times the coordinate span, so a flat face
-    comes back as several simplices.
+    Integer input is decided exactly.  For float input a point counts as off a
+    facet plane or affine hull only beyond ``_FACET_REL_TOL`` times the
+    coordinate span, so a flat face comes back as several simplices.
     """
     P = np.asarray(points)
     if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] == 0:
@@ -69,25 +69,10 @@ def facets(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _check_int64(P)
     elif not np.all(np.isfinite(P)):
         raise LceError("hull facets need finite points")
-    d = P.shape[1]
-    # frame: the counterclockwise vertex ring in the plane, else up to d + 1
-    # affinely independent points
-    if d == 2:
-        rows, order = P.tolist(), np.lexsort(P.T[::-1]).tolist()
-        frame = _half_chain(rows, order)[:-1] + _half_chain(rows, order[::-1])[:-1]
-    else:
-        frame = _frame(P, _FACET_REL_TOL)
-    if len(frame) <= d:
+    frame = _frame(P, _FACET_REL_TOL)
+    if len(frame) <= P.shape[1]:
         raise LceError("points are not full-dimensional: their hull has no facets")
-    if d >= 3:
-        return _hull(P, frame, _FACET_REL_TOL)
-    if d == 1:
-        lo, hi = frame
-        return np.array([[hi], [lo]]), np.array([[1], [-1]], dtype=P.dtype), np.array([P[hi, 0], -P[lo, 0]])
-    F = np.column_stack([frame, np.roll(frame, -1)])
-    E = P[F[:, 1]] - P[F[:, 0]]
-    N = np.stack([E[:, 1], -E[:, 0]], axis=1)
-    return F, N, np.einsum("ij,ij->i", N, P[F[:, 0]])
+    return _hull(P, frame, _FACET_REL_TOL)
 
 
 def hrep(points) -> tuple[np.ndarray, np.ndarray]:
@@ -100,9 +85,9 @@ def hrep(points) -> tuple[np.ndarray, np.ndarray]:
     if P.dtype.kind not in "iu" and not np.array_equal(P, np.round(P)):
         raise LceError("hrep needs integer points")
     P = P.astype(np.int64)
-    keep, eqs, rhs = _chart(P)
+    frame, keep, eqs, rhs = _chart(P)
     if len(keep) == P.shape[1]:
-        return _normalize(*facets(P)[1:])
+        return _normalize(*_hull(P, frame, 0.0)[1:])
     A = np.concatenate([eqs, -eqs])
     b = np.concatenate([rhs, -rhs])
     if keep:
@@ -146,13 +131,11 @@ def lower_envelope(points, heights) -> np.ndarray:
     if not exact and not np.all(np.isfinite(h)):
         raise LceError("lower_envelope needs finite heights")
     P = P.astype(np.int64)
-    keep = _chart(P)[0]
+    keep = _chart(P)[1]
     k = len(keep)
     if k == 0:
         return h.copy()
     P = P[:, keep].astype(object if exact else np.float64)
-    if k == 1:
-        return _lower_envelope_1d(P[:, 0], h)
     L = np.column_stack([P, h])
     lframe = _frame(L, ENVELOPE_REL_TOL)
     if len(lframe) == k + 1:  # all lifted points on one (non-vertical) hyperplane
@@ -173,36 +156,6 @@ def lower_envelope(points, heights) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # internals
-
-
-def _half_chain(rows: list, order: list) -> list[int]:
-    """Indices of the chain over ``rows[order]`` (2-vectors) that turns
-    strictly left at every inner vertex: Andrew's monotone chain, one half.
-    Points on a straight stretch are dropped.  The turn is computed on the
-    rows' own numbers, so Python ints make it exact."""
-    chain: list[int] = []
-    for i in order:
-        p = rows[i]
-        while len(chain) >= 2:
-            o, a = rows[chain[-2]], rows[chain[-1]]
-            if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0:
-                break
-            chain.pop()
-        chain.append(i)
-    return chain
-
-
-def _lower_envelope_1d(t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    chain = _half_chain(np.column_stack([t, h]).tolist(), np.argsort(t, kind="stable").tolist())
-    if h.dtype == object:  # exact heights: each t on its chain segment, in their own numbers
-        c = np.array(chain)
-        s = np.clip(np.searchsorted(t[c].astype(np.int64), t.astype(np.int64)), 1, len(c) - 1)
-        a, b = c[s - 1], c[s]
-        env = h[a] + (h[b] - h[a]) * (t - t[a]) / (t[b] - t[a])
-    else:
-        env = np.interp(t, t[chain], h[chain])
-    env[chain] = h[chain]
-    return env
 
 
 def _check_int64(P: np.ndarray) -> None:
@@ -293,12 +246,12 @@ def _frame(P: np.ndarray, tol: float) -> list[int]:
     return frame
 
 
-def _chart(P: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Chart ``(keep, eqs, rhs)`` of integer points ``P`` (n, d) whose affine
-    hull the k + 1 rows of :func:`_frame` span: the k coordinates with the
-    largest minor of the frame's difference vectors, a one-to-one projection,
-    and the affine hull ``eqs x = rhs``, one row per other coordinate c, the
-    cofactor normal of the frame over ``keep`` and c."""
+def _chart(P: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    """Chart ``(frame, keep, eqs, rhs)`` of integer points ``P`` (n, d) whose
+    affine hull the k + 1 rows ``frame`` of :func:`_frame` span: the k
+    coordinates with the largest minor of the frame's difference vectors, a
+    one-to-one projection, and the affine hull ``eqs x = rhs``, one row per
+    other coordinate c, the cofactor normal of the frame over ``keep`` and c."""
     _check_int64(P)
     frame = _frame(P, 0.0)
     d, k = P.shape[1], len(frame) - 1
@@ -315,17 +268,21 @@ def _chart(P: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
         cols = sorted(keep + (c,))
         N, rhs[row] = _cofactors(k + 1)([[r[j] for j in cols] for r in rows], range(k + 1))
         eqs[row, cols] = N
-    return list(keep), eqs, rhs
+    return frame, list(keep), eqs, rhs
 
 
 def _hull(P: np.ndarray, frame: list[int], tol: float):
-    """Simplicial facets ``(F, N, off)`` of conv(P), P (n, d) full-dimensional
-    with d >= 3, as :func:`facets` returns them: grown from the simplex on
-    ``frame`` by inserting one point at a time.  The facets it sees form one
-    region, grown across neighbours from the facet it sees best (beyond
-    ``tol`` times the coordinate span for float input), and give way to the
-    cone from the point over the region's horizon."""
+    """Simplicial facets ``(F, N, off)`` of conv(P), P (n, d) full-dimensional,
+    as :func:`facets` returns them: in d = 1 the two endpoints ``frame``, in
+    d >= 2 grown from the simplex on ``frame`` by inserting one point at a
+    time.  The facets it sees form one region, grown across neighbours from
+    the facet it sees best (beyond ``tol`` times the coordinate span for float
+    input), and give way to the cone from the point over the region's
+    horizon."""
     d = P.shape[1]
+    if d == 1:
+        lo, hi = frame
+        return np.array([[hi], [lo]]), np.array([[1], [-1]], dtype=P.dtype), np.array([P[hi, 0], -P[lo, 0]])
     rows, cofactors = P.tolist(), _cofactors(d)
     eps = tol * float(np.ptp(P, axis=0).max()) if P.dtype.kind == "f" else 0.0
     F, nb = [], []  # vertex tuples; nb[f][t] is the facet across the ridge omitting F[f][t]
@@ -373,28 +330,37 @@ def _hull(P: np.ndarray, frame: list[int], tol: float):
         # A cone facet lists its horizon ridge in the dead facet's cyclic
         # order from the vertex after the omitted one, then i: the same
         # orientation for odd d, and for even d when the omitted vertex sits at
-        # an odd position, else two ridge vertices swap.  The two cone facets
-        # on a ridge through i meet in pending, keyed by its other vertices.
+        # an odd position, else two vertices swap: two ridge vertices, or in
+        # d = 2, where the ridge is one vertex, that vertex and i.  The two
+        # cone facets on a ridge through i meet in pending, keyed by its
+        # vertices.
         pending = {}
         for f in region:
             for j, g in enumerate(nb[f]):
                 if g in region:
                     continue
                 ridge = F[f][j + 1 :] + F[f][:j]
+                V, at = ridge + (i,), d - 1  # at: the position of i
                 if d % 2 == 0 and j % 2 == 0:
-                    ridge = (ridge[1], ridge[0]) + ridge[2:]
+                    if d == 2:
+                        V, at = (i,) + ridge, 0
+                    else:
+                        V = (ridge[1], ridge[0]) + ridge[2:] + (i,)
                 h = len(F)
                 nb[g][nb[g].index(f)] = h
-                links = [-1] * (d - 1) + [g]
-                for t in range(d - 1):
-                    key = frozenset(ridge[:t] + ridge[t + 1 :])
+                links = [-1] * d
+                links[at] = g
+                for t in range(d):
+                    if t == at:
+                        continue
+                    key = frozenset(V[:t] + V[t + 1 :])
                     other = pending.pop(key, None)
                     if other is None:
                         pending[key] = (h, t)
                     else:
                         links[t] = other[0]
                         nb[other[0]][other[1]] = h
-                add(ridge + (i,), links, cofactors(rows, ridge + (i,)))
+                add(V, links, cofactors(rows, V))
     N, off, nrm, alive = (a[: len(F)] for a in arrays)
     return np.array(F, dtype=np.int64)[alive], N[alive], off[alive]
 

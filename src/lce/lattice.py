@@ -205,17 +205,15 @@ def make_product(factors: list[LatticePmf]) -> LatticePmf:
     return LatticePmf(box, vals, deficit, {"family": "product"})
 
 
-def lattice_tail_sum_bound(density: ContinuousDensity, center, inf_radius: int) -> float:
-    """Upper bound on sum of f over lattice points at L-inf distance > inf_radius from center.
+def lattice_tail_sum_bound(density: ContinuousDensity, inf_radius: int) -> float:
+    """Upper bound on sum of f over lattice points at L-inf distance > inf_radius from the origin.
 
     Uses the declared exponential tail majorant over L-inf shells; valid because
-    |k - c|_2 >= |k - c|_inf.  Requires the shells to start beyond the majorant's
+    |k|_2 >= |k|_inf.  Requires the shells to start beyond the majorant's
     validity radius.  Sums shell by shell when that stops within
     ``_TAIL_LOOP_SHELLS`` shells, and in closed form beyond them.
     """
     tb = density.tail_bound
-    if tb is None:
-        raise LceError("density has no tail bound; cannot certify truncation")
     m0 = int(inf_radius) + 1
     if m0 < tb.radius:
         raise LceError(
@@ -268,29 +266,23 @@ def _shell_series(d: int, rate: float, start: int) -> float:
     return total
 
 
-def truncation_box(
-    f: ContinuousDensity, radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER
-) -> tuple[Box, tuple[int, ...]]:
-    """Integer box [center +- ceil(radius_multiplier * axis scale)] around
-    the rounded center of f (the origin if f declares none), and that center."""
+def truncation_box(f: ContinuousDensity, radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER) -> Box:
+    """Integer box [-h, h] per axis around the origin, h = ceil(radius_multiplier
+    * axis scale) and at least 1."""
     if radius_multiplier <= 0:
         raise LceError("radius_multiplier must be positive")
-    c = f.center if f.center is not None else np.zeros(f.dim)
-    center = tuple(int(round(x)) for x in c)
-    scales = f.axis_scales()
-    half = tuple(max(1, int(math.ceil(radius_multiplier * s))) for s in scales)
-    box = Box(tuple(c - h for c, h in zip(center, half)), tuple(c + h for c, h in zip(center, half)))
-    return box, center
+    half = tuple(max(1, int(math.ceil(radius_multiplier * s))) for s in f.axis_scales())
+    return Box(tuple(-h for h in half), half)
 
 
 def quantize_density(f: ContinuousDensity, radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER) -> LatticePmf:
-    """Sample f at lattice points of [center +- radius_multiplier * scale] and normalize.
+    """Sample f at the lattice points of :func:`truncation_box` and normalize.
 
     The retained values are scaled so that retained mass plus the certified
     out-of-box bound equals one; the bound (divided by the same normalizer)
     becomes the deficit.  Mass ratios inside the box are those of f exactly.
     """
-    box, center = truncation_box(f, radius_multiplier)
+    box = truncation_box(f, radius_multiplier)
     _check_cells(box)
     vals = f.evaluate(box.grid())
     if not np.all(np.isfinite(vals)):
@@ -300,8 +292,7 @@ def quantize_density(f: ContinuousDensity, radius_multiplier: float = DEFAULT_RA
     retained = stable_sum(vals)
     if retained <= 0:
         raise LceError("density carries no mass on the box")
-    inradius = min(min(h - c, c - l) for l, c, h in zip(box.lo, center, box.hi))
-    outside = lattice_tail_sum_bound(f, center, inradius)
+    outside = lattice_tail_sum_bound(f, min(box.hi))
     normalizer = retained + outside
     deficit = outside / normalizer
     if deficit > DEFAULT_TAIL_TOLERANCE:

@@ -11,7 +11,8 @@
   which check the exact mode of :mod:`lce.convexity`.  And the d = 1
   local-concavity test p(k)^2 >= p(k-1) p(k+1).
 - The pointwise smoothed density, which checks the blocked cell quadrature of
-  :mod:`lce.smoothing`.
+  :mod:`lce.smoothing`; and quadrature moments of a continuous density, which
+  check the closed forms each :mod:`lce.densities` family declares.
 - Fixtures: a zoo of 1-d log-concave p.m.f.s, uniform p.m.f.s on sets,
   convolution powers, translates, a tail-bound spot check, a sweep-envelope
   test and a report loader.
@@ -38,6 +39,7 @@ from lce.families import (
 )
 from lce.harness import CheckResult, ReportDocument
 from lce.lattice import Box, LatticePmf, LatticeSet, _check_cells, convolve, support_set
+from lce.numerics import adaptive_quad
 from lce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 from lce.smoothing import bspline_eval
 
@@ -458,6 +460,32 @@ def smoothed_density_eval(p: LatticePmf, n: int, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
+def quadrature_moments(f: ContinuousDensity, box: Box):
+    """Mass, first moments and uncentered second moments of ``f`` over the
+    cells of ``box`` (each lattice point +- 1/2), by adaptive quadrature."""
+    rel_tol = 1e-8
+    lo = np.array(box.lo, dtype=np.float64) - 0.5
+    hi = np.array(box.hi, dtype=np.float64) + 0.5
+    d = f.dim
+    m0, _ = adaptive_quad(f.evaluate, lo, hi, rel_tol=rel_tol)
+    # Odd moments can vanish by symmetry; anchor their tolerance to the mass
+    # scale so the splitter cannot chase a zero target.
+    W = float(np.max(np.abs(np.stack([lo, hi]))))
+    m1 = np.zeros(d)
+    raw2 = np.zeros((d, d))
+    for i in range(d):
+        m1[i], _ = adaptive_quad(
+            lambda x, i=i: x[..., i] * f.evaluate(x), lo, hi, rel_tol=rel_tol, abs_tol=rel_tol * m0 * W
+        )
+        for j in range(i, d):
+            val, _ = adaptive_quad(
+                lambda x, i=i, j=j: x[..., i] * x[..., j] * f.evaluate(x), lo, hi,
+                rel_tol=rel_tol, abs_tol=rel_tol * m0 * W * W,
+            )
+            raw2[i, j] = raw2[j, i] = val
+    return m0, m1, raw2
+
+
 # ---------------------------------------------------------------------------
 # fixtures and helpers
 
@@ -517,17 +545,14 @@ def shifted(p: LatticePmf, vec) -> LatticePmf:
 def spot_check_tail(f: ContinuousDensity) -> float:
     """Worst ratio f(x)/bound(x) at 8 radii on 16 random rays, from the
     tail radius out to 4 (1 + radius) beyond it (<= 1 means valid)."""
-    if f.tail_bound is None:
-        raise LceError("density has no tail bound")
     tb = f.tail_bound
-    c = f.center if f.center is not None else np.zeros(f.dim)
     rng = np.random.default_rng(7)
     dirs = rng.standard_normal((16, f.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = tb.radius + np.linspace(0.0, 4.0 * (1.0 + tb.radius), 8)
     worst = 0.0
     for r in radii:
-        pts = c + r * dirs
+        pts = r * dirs
         fv = f(pts)
         bound = tb.amplitude * math.exp(-tb.rate * r)
         if bound > 0:

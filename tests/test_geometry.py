@@ -139,22 +139,32 @@ def test_membership_closed_forms():
 
 def test_vpoly_membership_matches_lp_oracle():
     rng = np.random.default_rng(2024)
+
+    def check(V):
+        d = V.shape[1]
+        K = geo.make_vpoly(V)
+        # random points, the vertices, and boundary points that are not
+        # vertices: edge midpoints and (in 3-d) facet centroids
+        F = facets(V)[0]
+        if d == 2:
+            on_face = V[F].mean(axis=1)
+        else:
+            on_face = np.vstack([V[F].mean(axis=1), (V[F[:, 0]] + V[F[:, 1]]) / 2.0])
+        Z = np.vstack([1.5 * rng.normal(size=(40, d)), V, on_face])
+        got = geo.body_contains(K, Z)
+        want = np.array([hull_membership(V, z) for z in Z])
+        assert np.array_equal(got, want)
+        assert got[-len(on_face):].all()
+
     for d in (2, 3):
         for trial in range(6):
-            V = rng.normal(size=(rng.integers(d + 2, 16), d))
-            K = geo.make_vpoly(V)
-            # random points, the vertices, and boundary points that are not
-            # vertices: edge midpoints and (in 3-d) facet centroids
-            F = facets(V)[0]
-            if d == 2:
-                on_face = V[F].mean(axis=1)
-            else:
-                on_face = np.vstack([V[F].mean(axis=1), (V[F[:, 0]] + V[F[:, 1]]) / 2.0])
-            Z = np.vstack([1.5 * rng.normal(size=(40, d)), V, on_face])
-            got = geo.body_contains(K, Z)
-            want = np.array([hull_membership(V, z) for z in Z])
-            assert np.array_equal(got, want)
-            assert got[-len(on_face):].all()
+            check(rng.normal(size=(rng.integers(d + 2, 16), d)))
+    # a rotated square with points between its corners on every edge, and
+    # two corners repeated
+    th = 0.3
+    R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    ring = [[-1, -1], [0, -1], [1, -1], [1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [1, 1]]
+    check(0.8 * np.array(ring, dtype=np.float64) @ R.T + 0.1)
 
 
 def test_vpoly_fan_moments_match_the_simplex_closed_form():

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lce import harness
+from lce import geometry, harness
 from lce.cli import main
 from lce.errors import LceError
+from lce.lattice import Box, LatticePmf, save_pmf
 from lce.moments import discrete_moments
 
 from oracles import load_report
@@ -341,6 +342,8 @@ BAD_INPUT_REASONS = {
     "config_family_unknown_name": "unknown sweep family 'bogus'",
     "config_family_extra_key": "unknown family keys: ['extra']",
     "config_family_bad_params": "bad parameters for 'uniform'",
+    "radius_box_hpoly": "does not support bodies of kind 'hpoly'",
+    "radius_triangle_hpoly": "does not support bodies of kind 'hpoly'",
 }
 
 
@@ -355,6 +358,8 @@ BAD_INPUT_REASONS = {
         ["geom", "--body", "vpoly{vertices=[[0,0],[1,1],[2,2]]}", "--check", "radius"],
         ["geom", "--body", "vpoly{vertices=[[0,0],[1,1],[2,2.5]]}", "--check", "radius"],
         ["geom", "--body", "box{lo=[0,0],hi=[1,1]}", "--check", "radius"],
+        ["geom", "--body", "hpoly{A=[[1,0],[-1,0],[0,1],[0,-1]],b=[1,1,1,1]}", "--check", "radius"],
+        ["geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,-1]],b=[1,1,1]}", "--check", "radius"],
         ["entropy", "--pmf", "{tmp}/missing.json"],
         ["verify", "--config", "{tmp}/missing.json"],
         ["entropy", "--pmf", "{tmp}/short.json"],
@@ -397,6 +402,8 @@ BAD_INPUT_REASONS = {
         "flat_vpoly",
         "origin_vertex_vpoly",
         "origin_corner_box",
+        "radius_box_hpoly",
+        "radius_triangle_hpoly",
         "missing_pmf",
         "missing_config",
         "short_values",
@@ -457,6 +464,31 @@ def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert BAD_INPUT_REASONS.get(request.node.callspec.id, "") in err
+
+
+def test_cli_radius_check_refuses_hpoly_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("Monte Carlo sampling ran")
+
+    monkeypatch.setattr(geometry, "_hpoly_mc", no_sampling)
+    assert run_cli("geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,-1]],b=[1,1,1]}", "--check", "radius") == 2
+    assert capsys.readouterr().err == "error: --check radius does not support bodies of kind 'hpoly'\n"
+
+
+def test_cli_closed_stdout_exits_141_without_traceback(tmp_path):
+    # 99,999 witnesses print as about 1.8 MB of JSON, more than a pipe holds,
+    # so the write fails once the reader has gone.
+    vals = np.zeros(100_001)
+    vals[[0, -1]] = 0.5
+    save_pmf(LatticePmf(Box((0,), (100_000,)), vals), tmp_path / "gap.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "lce.cli", "check", "--pmf", str(tmp_path / "gap.json"), "--mode", "zconvex"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 141
 
 
 # sigma=2 fails at the per-cell order cap; sigma=6 in d=2 has more cells to
@@ -728,9 +760,8 @@ UNSET_KNOBS = {
     "families.product_gaussian(radius_multiplier)",
     "geometry.make_cube(side)",
     # knobs that only tests or the benchmark set
-    "bridge.lattice_vs_integral_gaps(box)",
-    "bridge.lattice_vs_integral_gaps(radius_multiplier)",
     "cli.main(argv)",
+    "numerics.adaptive_quad(abs_tol)",
     "simplex.solve_lp(max_iter)",
     "smoothing.differential_entropy(quad_order)",
 }

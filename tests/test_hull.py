@@ -14,6 +14,7 @@ from lce.lattice import Box, LatticePmf, LatticeSet
 from oracles import (
     envelope_minimum,
     envelope_minimum_bruteforce,
+    hull_membership_bruteforce,
     is_log_concave_extensible_lp,
     zd_convex_bruteforce,
     zd_convex_lp,
@@ -67,15 +68,32 @@ def test_self_sums_of_the_4_simplex_are_convex():
     assert [r.is_convex for r in reps] == [True, True]
 
 
+# Planar sets the random draws seldom give: points between the vertices on
+# every edge, repeated points, and a collinear set with repeats.
+PLANAR_EXTRAS = [
+    [[0, 0], [1, 0], [2, 0], [3, 0], [3, 1], [3, 3], [1, 3], [0, 3], [0, 1], [2, 2]],
+    [[0, 0], [0, 0], [4, 1], [4, 1], [4, 1], [1, 3], [2, 2], [1, 3], [2, 1]],
+    [[1, 1], [1, 1], [3, 2], [5, 3], [3, 2]],
+]
+
+
 def test_hrep_is_conv_of_its_points():
     rng = np.random.default_rng(5)
     for d in (1, 2, 3):
-        for pts in random_point_sets(rng, d, 30, 4):
+        sets = list(random_point_sets(rng, d, 30, 4))
+        if d == 2:
+            sets += [np.array(pts) for pts in PLANAR_EXTRAS]
+        for pts in sets:
             A, b = hull.hrep(pts)
             assert np.all(pts @ A.T <= b)  # every point inside
             # every row is tight at some point: no redundant slack rows
             assert np.all((pts @ A.T == b).any(axis=0))
             assert np.all(np.gcd.reduce(A, axis=1) == 1)
+            if d == 2:  # the box points inside are those the Caratheodory oracle finds
+                lo, shape = pts.min(axis=0), np.ptp(pts, axis=0) + 1
+                inside = hull.box_points_inside(A, b - A @ lo, shape) + lo
+                box = np.indices(shape).reshape(2, -1).T + lo
+                assert inside.tolist() == [z for z in box.tolist() if hull_membership_bruteforce(pts, z)]
 
 
 def test_hrep_degenerate_sets_give_equalities():
@@ -117,11 +135,13 @@ def test_int64_bound_holds_exactly_at_its_edge():
     assert cx.is_zd_convex(LatticeSet.from_iterable(4, long)).is_convex is False
 
 
-def test_monotone_chain_counterclockwise_without_collinear_points():
+def test_square_hull_has_four_edges_without_collinear_points():
+    # The facets come in the hull's own order; the point (1, 0) on the edge
+    # from (0, 0) to (2, 0) and the inner point (1, 1) are no vertices.
     pts = np.array([[0, 0], [2, 0], [1, 0], [2, 2], [0, 2], [1, 1]])
     F, N, off = hull.facets(pts)
-    assert pts[F[:, 0]].tolist() == [[0, 0], [2, 0], [2, 2], [0, 2]]
-    assert np.array_equal(pts[F[:, 1]], np.roll(pts[F[:, 0]], -1, axis=0))
+    assert len(F) == 4
+    assert sorted(F.ravel().tolist()) == [0, 0, 1, 1, 3, 3, 4, 4]
 
 
 def test_facets3_bound_the_hull_as_a_closed_surface():

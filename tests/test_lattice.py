@@ -83,7 +83,7 @@ def shell_loop(d, rate, m0):
 
 
 def tail_density(d, rate):
-    return ContinuousDensity(d, lambda x: np.ones(x.shape[:-1]), tail_bound=TailBound(1.5, rate, 0.0))
+    return ContinuousDensity(d, lambda x: np.ones(x.shape[:-1]), np.eye(d), TailBound(1.5, rate, 0.0))
 
 
 @pytest.mark.parametrize("rate", [1.0, 0.1, 0.01, 0.005])
@@ -91,7 +91,7 @@ def tail_density(d, rate):
 def test_tail_bound_keeps_the_shell_loop_bit_for_bit(d, rate):
     total, _, shells = shell_loop(d, rate, 11)
     assert shells <= 10_000
-    assert lattice_tail_sum_bound(tail_density(d, rate), (0,) * d, 10) == total
+    assert lattice_tail_sum_bound(tail_density(d, rate), 10) == total
 
 
 @pytest.mark.parametrize("d,rate", [(d, r) for d in (1, 2, 3) for r in (0.0035, 1e-3, 1e-4)] + [(2, 1e-5)])
@@ -101,7 +101,7 @@ def test_tail_bound_closed_form_matches_the_shell_sum(d, rate):
     # the loop's terms exactly; its running total drifts by up to 7e-12.
     _, exact, shells = shell_loop(d, rate, 11)
     assert shells > 10_000
-    got = lattice_tail_sum_bound(tail_density(d, rate), (0,) * d, 10)
+    got = lattice_tail_sum_bound(tail_density(d, rate), 10)
     assert abs(got - exact) <= 1e-12 * exact
 
 
@@ -111,7 +111,7 @@ def test_tail_bound_at_a_slow_rate_is_fast():
         best = math.inf
         for _ in range(5):
             start = time.perf_counter()
-            lattice_tail_sum_bound(dens, (0,) * d, 10)
+            lattice_tail_sum_bound(dens, 10)
             best = min(best, time.perf_counter() - start)
         assert best < 0.01
 
