@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -141,12 +142,9 @@ def _geom(args) -> int:
     K = geometry.BODIES.from_spec(args.body)
     if args.check == "kls":
         (rep,) = geometry.kls_second_moment_check(K, np.ones(K.dim))
-        _emit({"lhs": rep.lhs, "mid": rep.mid, "rhs": rep.rhs, "mid_stderr": rep.mid_stderr,
-               "chain_holds": rep.chain_holds(tol=1e-9)})
+        _emit({"lhs": rep.lhs, "mid": rep.mid, "rhs": rep.rhs, "chain_holds": rep.chain_holds(tol=1e-9)})
         return 0
     if args.check == "radius":
-        if K.kind == "hpoly":  # its circumradius needs the vertices: refuse before sampling its volume
-            raise LceError("--check radius does not support bodies of kind 'hpoly'")
         rep = geometry.radius_bounds_check(geometry.scale_to_unit_volume(K))
         _emit(
             {
@@ -185,6 +183,9 @@ def _bridge(args) -> int:
     name, params = parse_param_spec(args.density)
     sigmas = [None]
     if args.sweep:
+        factory = DENSITIES.factories.get(name)
+        if factory is not None and "sigma" not in inspect.signature(factory).parameters:
+            raise LceError(f"--sweep sets sigma, which {name!r} does not take")
         try:
             sigmas = [float(s) for s in args.sweep.split(",")]
         except ValueError:
@@ -301,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bridge", help="lattice-vs-integral gap reports")
     b.add_argument("--density", required=True, help="e.g. gaussian{sigma=4,dim=2}")
-    b.add_argument("--sweep", default=None, help="comma-separated sigmas")
+    b.add_argument("--sweep", default=None, help="comma-separated sigmas, each set as the density's sigma "
+                   "(so only for gaussian and sheared_gaussian)")
     b.set_defaults(fn=_bridge)
 
     v = sub.add_parser("verify", help="run a verification config file")

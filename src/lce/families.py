@@ -107,19 +107,24 @@ def _uniform_family(sigma: float, d: int) -> LatticePmf:
     return make_product([one] * d) if d > 1 else one
 
 
+def _integer(name: str, value) -> int:
+    """``value`` if it is an int; a bool or a fraction is refused, as in a p.m.f. file."""
+    if type(value) is not int:
+        raise LceError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # ``lce gen`` families; each signature holds the keys a spec may set and
 # their defaults.
 GENERATORS = densities.Registry(
     "generator family",
     {
-        "gaussian": lambda sigma=4.0, dim=1, radius_multiplier=12.0: quantized_gaussian(
-            sigma, int(dim), radius_multiplier
-        ),
-        "uniform": lambda m=5, lo=0: uniform_interval(int(m), int(lo)),
-        "binomial": lambda n=10, prob=0.5: binomial_pmf(int(n), prob),
+        "gaussian": lambda sigma=4.0, dim=1, radius_multiplier=12.0: quantized_gaussian(sigma, dim, radius_multiplier),
+        "uniform": lambda m=5, lo=0: uniform_interval(_integer("m", m), _integer("lo", lo)),
+        "binomial": lambda n=10, prob=0.5: binomial_pmf(_integer("n", n), prob),
         "geometric": lambda q=0.5: one_sided_geometric(q),
         "two_sided_geometric": lambda q=0.5: two_sided_geometric(q),
-        "point_mass": lambda at=(0,): point_mass(tuple(at)),
+        "point_mass": lambda at=(0,): point_mass(tuple(_integer("each entry of at", x) for x in at)),
     },
 )
 

@@ -9,20 +9,19 @@ eigenvalues.
 Convex bodies come in five kinds: box, ellipsoid, simplex, h-polytope and
 v-polytope.  ``cube`` and ``ball`` are constructors of a box and an ellipsoid,
 and a scaled simplex is a v-polytope.  Boxes, ellipsoids and the centred
-standard simplex use closed-form moments; a v-polytope cones each facet of
-its hull (:func:`lce.hull.facets`) from the vertex mean into a simplex and
-sums the simplices' closed-form moments; h-polytopes fall back to
-seeded rejection-sampling Monte Carlo with reported standard errors.  Every
-polytope tests membership and measures its inradius on the facet rows
-``A x <= b``: an h-polytope's own, or the unit-normalized hull facets of a
+standard simplex use closed-form moments.  Every other polytope has exact
+moments from its vertices: the hull (:func:`lce.hull.facets`) is coned from
+the vertex mean into one simplex per facet, and the simplices' closed-form
+moments are summed.  A v-polytope stores its vertices; an h-polytope
+{x : A x <= b} with b > 0 takes them from the facets of its polar body
+conv(a_i / b_i), one vertex per facet.  Every polytope measures its inradius
+on facet rows ``A x <= b``: an h-polytope's own, or the hull facets of a
 simplex or v-polytope.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,6 @@ from .errors import LceError
 from .hull import facets
 from .numerics import adaptive_quad
 from .simplex import OPTIMAL, solve_lp
-
-MC_DEFAULT_SAMPLES = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +144,8 @@ def make_box(lo, hi) -> ConvexBody:
     lo = tuple(float(x) for x in lo)
     hi = tuple(float(x) for x in hi)
     check_dim(len(lo))
+    if not all(map(math.isfinite, lo + hi)):
+        raise LceError("box bounds must be finite")
     if len(lo) != len(hi) or any(h <= l for l, h in zip(lo, hi)):
         raise LceError("box needs hi > lo per axis")
     return ConvexBody("box", len(lo), (lo, hi))
@@ -165,8 +164,8 @@ def make_ball(d: int, radius: float = 1.0) -> ConvexBody:
 def make_ellipsoid(axes) -> ConvexBody:
     ax = tuple(float(a) for a in axes)
     check_dim(len(ax))
-    if any(a <= 0 for a in ax):
-        raise LceError("semi-axes must be positive")
+    if not all(0 < a < math.inf for a in ax):
+        raise LceError("semi-axes must be finite and positive")
     return ConvexBody("ellipsoid", len(ax), (ax,))
 
 
@@ -185,6 +184,10 @@ def make_hpoly(A, b) -> ConvexBody:
     if A.ndim != 2 or A.shape[0] != b.size:
         raise LceError("h-polytope needs A (m, d) and b (m,)")
     check_dim(A.shape[1])
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise LceError("h-polytope needs finite A and b")
+    if not np.all(np.any(A != 0.0, axis=1)):
+        raise LceError("h-polytope rows of A must be nonzero")
     if np.any(b <= 0):
         raise LceError("origin must be interior: need b > 0")
     return ConvexBody("hpoly", A.shape[1], (tuple(map(tuple, A)), tuple(b)))
@@ -215,36 +218,8 @@ BODIES = Registry(
 )
 
 
-def _body_seed(K: ConvexBody, purpose: str) -> int:
-    blob = json.dumps([K.kind, K.dim, K.data, purpose], default=str).encode()
-    return zlib.crc32(blob)
-
-
 def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-def body_contains(K: ConvexBody, pts) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    if K.kind == "box":
-        lo, hi = (np.asarray(a) for a in K.data)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
-    if K.kind == "ellipsoid":
-        ax = np.asarray(K.data[0])
-        return np.sum((pts / ax) ** 2, axis=1) <= 1.0 + 1e-12
-    A, b = _facets(K)
-    return np.all(pts @ A.T <= b + 1e-12, axis=1)
-
-
-def _facets(K: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
-    """Facet rows ``(A, b)`` with K = {x : A x <= b} for a polytope: an
-    h-polytope's own data; for a simplex or v-polytope the unit outward
-    normals and offsets of its hull (:func:`lce.hull.facets`)."""
-    if K.kind == "hpoly":
-        return np.asarray(K.data[0]), np.asarray(K.data[1])
-    _, N, off = facets(np.asarray(K.data[0], dtype=np.float64))
-    nrm = np.linalg.norm(N, axis=1)
-    return N / nrm[:, None], off / nrm
 
 
 def body_support(K: ConvexBody, u) -> float:
@@ -281,7 +256,6 @@ class BodyMoments:
     volume: float
     barycenter: np.ndarray  # (1/|K|) int_K x dx
     second_moment: np.ndarray  # (1/|K|) int_K x x^T dx
-    stderr: np.ndarray  # standard errors of second_moment; zero for closed forms
 
 
 def body_moments(K: ConvexBody) -> BodyMoments:
@@ -292,11 +266,11 @@ def body_moments(K: ConvexBody) -> BodyMoments:
         c = (lo + hi) / 2.0
         M = np.outer(c, c)
         M[np.diag_indices(d)] += (hi - lo) ** 2 / 12.0
-        return BodyMoments(float(np.prod(hi - lo)), c, M, np.zeros((d, d)))
+        return BodyMoments(float(np.prod(hi - lo)), c, M)
     if K.kind == "ellipsoid":
         ax = np.asarray(K.data[0])
         vol = _unit_ball_volume(d) * float(np.prod(ax))
-        return BodyMoments(vol, np.zeros(d), np.diag(ax**2 / (d + 2.0)), np.zeros((d, d)))
+        return BodyMoments(vol, np.zeros(d), np.diag(ax**2 / (d + 2.0)))
     if K.kind == "simplex":
         # Dirichlet moments of the standard simplex, then recentered.
         raw = np.full((d, d), 1.0) + np.eye(d)
@@ -304,56 +278,36 @@ def body_moments(K: ConvexBody) -> BodyMoments:
         b = np.full(d, 1.0 / (d + 1.0))
         M0 = raw - np.outer(b, b)  # centered moments of the standard simplex
         bary = np.asarray(K.data[0]).mean(axis=0)
-        return BodyMoments(1.0 / math.factorial(d), bary, M0, np.zeros((d, d)))
-    if K.kind == "vpoly":
-        return _vpoly_moments(K)
-    if K.kind == "hpoly":
-        vol, mean, M, se = _hpoly_mc(K, MC_DEFAULT_SAMPLES)
-        return BodyMoments(vol, np.zeros(d) if _hpoly_is_symmetric(K) else mean, M, se)
+        return BodyMoments(1.0 / math.factorial(d), bary, M0)
+    if K.kind in ("vpoly", "hpoly"):
+        return _vpoly_moments(_vertices(K))
     raise LceError(f"moments not implemented for {K.kind}")
 
 
-def _hpoly_is_symmetric(K: ConvexBody) -> bool:
+def _vertices(K: ConvexBody) -> np.ndarray:
+    """The vertices of a polytope: those a simplex or v-polytope stores, or
+    for an h-polytope {x : A x <= b} one per facet {y : N y = off} of its polar
+    body conv(a_i / b_i), namely N / off.  A facet with off <= 0, or polar
+    points that span no full-dimensional hull, mean that K is unbounded."""
+    if K.kind != "hpoly":
+        return np.asarray(K.data[0], dtype=np.float64)
     A, b = (np.asarray(a) for a in K.data)
-    rows = {(tuple(np.round(r / n, 12)), round(float(bb / n), 12)) for r, bb, n in
-            zip(A, b, np.linalg.norm(A, axis=1))}
-    return all((tuple(np.round(-np.asarray(r), 12)), bb) in rows for r, bb in rows)
+    try:
+        _, N, off = facets(A / b[:, None])
+    except LceError:
+        raise LceError("h-polytope is unbounded") from None
+    if np.any(off <= 0.0):
+        raise LceError("h-polytope is unbounded")
+    return N / off[:, None]
 
 
-def _hpoly_bounding_box(K: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
-    d = K.dim
-    lo = np.array([-_hpoly_support(K, -e) for e in np.eye(d)])
-    hi = np.array([_hpoly_support(K, e) for e in np.eye(d)])
-    return lo, hi
-
-
-def _hpoly_mc(K: ConvexBody, n: int):
-    """Rejection-sampled volume, mean, normalized second moment, and moment SEs."""
-    lo, hi = _hpoly_bounding_box(K)
-    rng = np.random.default_rng(_body_seed(K, "mc"))
-    pts = lo + (hi - lo) * rng.random((n, K.dim))
-    inside = body_contains(K, pts)
-    cnt = int(inside.sum())
-    if cnt < 100:
-        raise LceError("rejection sampling found too few interior points")
-    boxvol = float(np.prod(hi - lo))
-    vol = boxvol * cnt / n
-    sel = pts[inside]
-    mean = sel.mean(axis=0)
-    prods = sel[:, :, None] * sel[:, None, :]
-    M = prods.mean(axis=0)
-    se = prods.std(axis=0, ddof=1) / math.sqrt(cnt)
-    return vol, mean, M, se
-
-
-def _vpoly_moments(K: ConvexBody) -> BodyMoments:
-    """Exact moments: the hull is coned from the vertex mean c into
+def _vpoly_moments(V: np.ndarray) -> BodyMoments:
+    """Exact moments of conv(V): the hull is coned from the vertex mean c into
     one simplex S per facet.  With v_0 = c, v_1..v_d the facet's vertices and
     s = sum v_i, S has volume |S| = (off - N c)/d! and the closed-form moments
     int_S x dx = |S| s/(d+1) and
     int_S x x^T dx = |S| (sum v_i v_i^T + s s^T)/((d+1)(d+2))."""
-    V = np.asarray(K.data[0], dtype=np.float64)
-    d = K.dim
+    d = V.shape[1]
     F, N, off = facets(V)
     c = V.mean(axis=0)
     S = np.concatenate([np.broadcast_to(c, (len(F), 1, d)), V[F]], axis=1)  # (m, d+1, d)
@@ -362,7 +316,7 @@ def _vpoly_moments(K: ConvexBody) -> BodyMoments:
     vol = float(w.sum())
     first = w @ s / (d + 1.0)
     second = (np.einsum("k,kij,kil->jl", w, S, S) + np.einsum("k,kj,kl->jl", w, s, s)) / ((d + 1.0) * (d + 2.0))
-    return BodyMoments(vol, first / vol, second / vol, np.zeros((d, d)))
+    return BodyMoments(vol, first / vol, second / vol)
 
 
 def scale_body(K: ConvexBody, t: float) -> ConvexBody:
@@ -394,19 +348,16 @@ class KlsReport:
     lhs: float  # h_K(u)^2 / (d (d+2))
     mid: float  # (1/|K|) int_K <x,u>^2 dx
     rhs: float  # d h_K(u)^2 / (d+2)
-    mid_stderr: float
 
     def chain_holds(self, tol: float = 1e-9) -> bool:
         # The chain admits equality cases (e.g. simplices along vertex
-        # directions), so allow a relative epsilon plus a 3-sigma MC band.
-        widen = 3.0 * max(self.mid_stderr, 0.0) + tol * max(self.lhs, self.mid, self.rhs)
+        # directions), so allow a relative epsilon.
+        widen = tol * max(self.lhs, self.mid, self.rhs)
         return self.lhs <= self.mid + widen and self.mid - widen <= self.rhs
 
 
 def kls_second_moment_check(K: ConvexBody, dirs) -> list[KlsReport]:
     """Second-moment chain for a centered convex body along each row of ``dirs``."""
-    if K.kind == "hpoly" and not _hpoly_is_symmetric(K):
-        raise LceError("h-polytope must be origin-symmetric for the centered chain")
     d = K.dim
     mom = body_moments(K)
     reports = []
@@ -415,9 +366,8 @@ def kls_second_moment_check(K: ConvexBody, dirs) -> list[KlsReport]:
         h = body_support(K, u)
         if float(np.linalg.norm(mom.barycenter)) > 1e-9 * (1.0 + h):
             raise LceError(f"body is not centered: barycenter {mom.barycenter}")
-        mid_se = float(np.sqrt(u**2 @ mom.stderr**2 @ u**2))
         reports.append(KlsReport(lhs=h * h / (d * (d + 2.0)), mid=float(u @ mom.second_moment @ u),
-                                 rhs=d / (d + 2.0) * h * h, mid_stderr=mid_se))
+                                 rhs=d / (d + 2.0) * h * h))
     return reports
 
 
@@ -442,7 +392,10 @@ def body_inradius(K: ConvexBody) -> float:
         return float(min(np.min(-lo), np.min(hi)))
     if K.kind == "ellipsoid":
         return float(np.min(K.data[0]))
-    A, b = _facets(K)
+    if K.kind == "hpoly":
+        A, b = (np.asarray(a) for a in K.data)
+    else:
+        _, A, b = facets(_vertices(K))
     return float(np.min(b / np.linalg.norm(A, axis=1)))
 
 
@@ -452,8 +405,8 @@ def body_circumradius(K: ConvexBody) -> float:
         return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
     if K.kind == "ellipsoid":
         return float(np.max(K.data[0]))
-    if K.kind in ("simplex", "vpoly"):
-        return float(np.max(np.linalg.norm(np.asarray(K.data[0]), axis=1)))
+    if K.kind in ("simplex", "vpoly", "hpoly"):
+        return float(np.max(np.linalg.norm(_vertices(K), axis=1)))
     raise LceError(f"circumradius not implemented for {K.kind}")
 
 

@@ -11,8 +11,11 @@
   which check the exact mode of :mod:`lce.convexity`.  And the d = 1
   local-concavity test p(k)^2 >= p(k-1) p(k+1).
 - The pointwise smoothed density, which checks the blocked cell quadrature of
-  :mod:`lce.smoothing`; and quadrature moments of a continuous density, which
-  check the closed forms each :mod:`lce.densities` family declares.
+  :mod:`lce.smoothing`; quadrature moments of a continuous density, which
+  check the closed forms each :mod:`lce.densities` family declares; and
+  rejection-sampled moments of an h-polytope, read from its rows
+  ``A x <= b`` alone, which check the polar-hull moments of
+  :mod:`lce.geometry`.
 - Fixtures: a zoo of 1-d log-concave p.m.f.s, uniform p.m.f.s on sets,
   convolution powers, translates, a tail-bound spot check, a sweep-envelope
   test and a report loader.
@@ -484,6 +487,32 @@ def quadrature_moments(f: ContinuousDensity, box: Box):
             )
             raw2[i, j] = raw2[j, i] = val
     return m0, m1, raw2
+
+
+def hpoly_moments_mc(A, b, n: int = 200_000, seed: int = 0):
+    """Volume, barycenter and normalized second moment of the bounded
+    h-polytope {x : A x <= b} by rejection sampling from its bounding box (2d
+    float LPs), each as a ``(value, standard error)`` pair."""
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m, d = A.shape
+
+    def support(u):  # max u.x st A x <= b, with x = xp - xm and slacks
+        res = solve_lp(np.concatenate([-u, u, np.zeros(m)]), np.hstack([A, -A, np.eye(m)]), b)
+        assert res.status == OPTIMAL
+        return -res.objective
+
+    lo = np.array([-support(-e) for e in np.eye(d)])
+    hi = np.array([support(e) for e in np.eye(d)])
+    pts = lo + (hi - lo) * np.random.default_rng(seed).random((n, d))
+    sel = pts[np.all(pts @ A.T <= b, axis=1)]
+    share = len(sel) / n
+    boxvol = float(np.prod(hi - lo))
+    prods = sel[:, :, None] * sel[:, None, :]
+    root = math.sqrt(len(sel))
+    return ((boxvol * share, boxvol * math.sqrt(share * (1.0 - share) / n)),
+            (sel.mean(axis=0), sel.std(axis=0, ddof=1) / root),
+            (prods.mean(axis=0), prods.std(axis=0, ddof=1) / root))
 
 
 # ---------------------------------------------------------------------------

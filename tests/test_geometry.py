@@ -10,7 +10,7 @@ from lce.errors import LceError
 from lce.hull import facets
 from lce.numerics import unit_directions
 
-from oracles import hull_membership
+from oracles import hpoly_moments_mc, hull_membership
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,6 @@ def test_vpoly_volume_and_moments_match_closed_forms():
     mom = geo.body_moments(sq)
     assert mom.volume == pytest.approx(4.0)
     assert np.allclose(mom.second_moment, np.eye(2) / 3.0, atol=1e-12)
-    assert not mom.stderr.any()
     cube = geo.make_vpoly([[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)])
     mom3 = geo.body_moments(cube)
     assert mom3.volume == pytest.approx(1.0)
@@ -118,22 +117,70 @@ def test_vpoly_rotation_invariance():
     assert rep.lambda_min == pytest.approx(ref.lambda_min, abs=1e-12)
 
 
-def test_hpoly_support_and_mc_moments():
-    # symmetric box as an h-polytope: MC second moment near s^2/12
+def test_hpoly_support_and_exact_moments():
+    # the square [-1, 1]^2 as an h-polytope: volume 4, second moment I/3
     A = np.vstack([np.eye(2), -np.eye(2)])
     b = np.array([1.0, 1.0, 1.0, 1.0])
     K = geo.make_hpoly(A, b)
     assert geo.body_support(K, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
     mom = geo.body_moments(K)
-    assert abs(mom.second_moment[0, 0] - 1.0 / 3.0) < 4 * mom.stderr[0, 0] + 1e-3
-    assert mom.volume == pytest.approx(4.0, rel=0.05)
-    assert not mom.barycenter.any()  # symmetric: exact zero, not the MC mean
+    assert abs(mom.volume - 4.0) <= 1e-12
+    assert np.abs(mom.barycenter).max() <= 1e-12
+    assert np.abs(mom.second_moment - np.eye(2) / 3.0).max() <= 1e-12
+    # the unit cube [-1/2, 1/2]^3 with a redundant row x + y + z <= 2, and
+    # with a row x + y + z <= 3/2 that touches the corner (1/2, 1/2, 1/2)
+    for extra in (2.0, 1.5):
+        A = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
+        mom = geo.body_moments(geo.make_hpoly(A, [0.5] * 6 + [extra]))
+        assert abs(mom.volume - 1.0) <= 1e-12
+        assert np.abs(mom.barycenter).max() <= 1e-12
+        assert np.abs(mom.second_moment - np.eye(3) / 12.0).max() <= 1e-12
+
+
+def test_hpoly_moments_match_the_monte_carlo_oracle():
+    # random h-polytopes in d = 2 and 3: origin-symmetric ones, and
+    # asymmetric ones that a box of side 4 keeps bounded; volume, barycenter
+    # and second moment within 4 standard errors of rejection sampling
+    rng = np.random.default_rng(19)
+    for d in (2, 3):
+        for symmetric in (True, False):
+            A = rng.normal(size=(3 * d, d))
+            A /= np.linalg.norm(A, axis=1, keepdims=True)
+            b = rng.uniform(0.5, 1.5, size=3 * d)
+            if symmetric:
+                A, b = np.vstack([A, -A]), np.concatenate([b, b])
+            else:
+                A, b = np.vstack([A, np.eye(d), -np.eye(d)]), np.concatenate([b, np.full(2 * d, 2.0)])
+            mom = geo.body_moments(geo.make_hpoly(A, b))
+            (vol, vol_se), (mean, mean_se), (M, M_se) = hpoly_moments_mc(A, b, seed=d)
+            assert abs(mom.volume - vol) <= 4.0 * vol_se
+            assert np.all(np.abs(mom.barycenter - mean) <= 4.0 * mean_se)
+            assert np.all(np.abs(mom.second_moment - M) <= 4.0 * M_se)
+
+
+def test_unbounded_hpoly_is_refused():
+    # a strip open downwards (the polar points have the origin on an edge),
+    # and a slab whose rows span a line only
+    for A, b in (([[1, 0], [0, 1], [-1, 0]], [1, 1, 1]), ([[1, 0], [-1, 0]], [1, 1])):
+        K = geo.make_hpoly(A, b)
+        with pytest.raises(LceError, match="h-polytope is unbounded"):
+            geo.body_moments(K)
+        with pytest.raises(LceError, match="h-polytope is unbounded"):
+            geo.body_circumradius(K)
+
+
+def facet_membership(K, pts) -> np.ndarray:
+    """Membership in a simplex or v-polytope K by the unit-normalized rows
+    ``A x <= b`` of its hull facets, which its inradius reads."""
+    _, N, off = facets(np.asarray(K.data[0], dtype=np.float64))
+    nrm = np.linalg.norm(N, axis=1)
+    return np.all(np.atleast_2d(pts) @ (N / nrm[:, None]).T <= off / nrm + 1e-12, axis=1)
 
 
 def test_membership_closed_forms():
     K = geo.make_simplex(2)
     assert np.allclose(geo.body_moments(K).barycenter, 0.0, atol=1e-15)
-    inside = geo.body_contains(K, np.array([[0.0, 0.0]]))
+    inside = facet_membership(K, np.array([[0.0, 0.0]]))
     assert bool(inside[0])
 
 
@@ -151,7 +198,7 @@ def test_vpoly_membership_matches_lp_oracle():
         else:
             on_face = np.vstack([V[F].mean(axis=1), (V[F[:, 0]] + V[F[:, 1]]) / 2.0])
         Z = np.vstack([1.5 * rng.normal(size=(40, d)), V, on_face])
-        got = geo.body_contains(K, Z)
+        got = facet_membership(K, Z)
         want = np.array([hull_membership(V, z) for z in Z])
         assert np.array_equal(got, want)
         assert got[-len(on_face):].all()
@@ -190,7 +237,6 @@ def test_vpoly_fan_moments_match_the_simplex_closed_form():
             assert np.abs(mom.barycenter - bary).max() <= 1e-14 * (1.0 + np.abs(bary).max())
             centred = mom.second_moment - np.outer(mom.barycenter, mom.barycenter)
             assert np.abs(centred - cov).max() <= 1e-14 * (1.0 + np.abs(bary).max() ** 2)
-            assert not mom.stderr.any()
 
 
 def test_vpoly_of_dimension_zero_is_rejected():
@@ -210,7 +256,7 @@ def test_vpoly_membership_beyond_d3_raises():
     inner = rng.dirichlet(np.ones(len(V)), size=30) @ V
     c = V.mean(axis=0)
     Z = np.vstack([inner, c + 2.0 * (inner - c), V, V[F].mean(axis=1)])
-    got = geo.body_contains(K, Z)
+    got = facet_membership(K, Z)
     assert np.array_equal(got, [hull_membership(V, z) for z in Z])
     assert got[:30].all() and not got[30:60].all() and got[60:].all()
 
@@ -265,7 +311,7 @@ def test_kls_simplex_exact_including_equality_direction():
         assert all(rep.chain_holds(tol=1e-9) for rep in reps)
 
 
-def test_kls_random_symmetric_hpoly_mc():
+def test_kls_random_hpoly_holds_if_symmetric_and_is_refused_if_not_centered():
     rng = np.random.default_rng(123)
     for d in (2, 3):
         m = 3 * d
@@ -274,8 +320,10 @@ def test_kls_random_symmetric_hpoly_mc():
         b = rng.uniform(0.5, 1.5, size=m)
         K = geo.make_hpoly(np.vstack([A, -A]), np.concatenate([b, b]))
         (rep,) = geo.kls_second_moment_check(K, rng.normal(size=d))
-        assert rep.mid_stderr > 0.0
         assert rep.chain_holds(tol=1e-9)
+        shifted = geo.make_hpoly(np.vstack([A, -A]), np.concatenate([b, 0.5 * b]))
+        with pytest.raises(LceError, match="body is not centered"):
+            geo.kls_second_moment_check(shifted, rng.normal(size=d))
 
 
 def test_kls_rejects_uncentered():
@@ -285,7 +333,7 @@ def test_kls_rejects_uncentered():
 
 
 def test_geom_kls_computes_moments_once_per_body(monkeypatch):
-    calls = {"_hpoly_mc": 0, "_hpoly_support": 0}
+    calls = {"_vertices": 0, "_hpoly_support": 0}
 
     def counted(name):
         fn = getattr(geo, name)
@@ -296,13 +344,13 @@ def test_geom_kls_computes_moments_once_per_body(monkeypatch):
 
         monkeypatch.setattr(geo, name, wrapper)
 
-    counted("_hpoly_mc")
+    counted("_vertices")
     counted("_hpoly_support")
     rows = harness.check_geom_kls(harness.RunContext(harness.default_config()))
     assert all(r.status == harness.PASS for r in rows)
-    # two h-polytopes, in d = 2 and d = 3: one Monte Carlo run each, and one
-    # support LP per direction (3 each) besides the 2d of each bounding box
-    assert calls == {"_hpoly_mc": 2, "_hpoly_support": (3 + 4) + (3 + 6)}
+    # two h-polytopes, in d = 2 and d = 3: one vertex computation each, and
+    # one support LP per direction (3 each)
+    assert calls == {"_vertices": 2, "_hpoly_support": 3 + 3}
 
 
 # ---------------------------------------------------------------------------

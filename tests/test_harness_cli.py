@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lce import geometry, harness
+from lce import harness
 from lce.cli import main
 from lce.errors import LceError
 from lce.lattice import Box, LatticePmf, save_pmf
@@ -342,8 +342,22 @@ BAD_INPUT_REASONS = {
     "config_family_unknown_name": "unknown sweep family 'bogus'",
     "config_family_extra_key": "unknown family keys: ['extra']",
     "config_family_bad_params": "bad parameters for 'uniform'",
-    "radius_box_hpoly": "does not support bodies of kind 'hpoly'",
-    "radius_triangle_hpoly": "does not support bodies of kind 'hpoly'",
+    "box_infinite_bound": "box bounds must be finite",
+    "cube_nan_side": "box bounds must be finite",
+    "ellipsoid_infinite_axis": "semi-axes must be finite and positive",
+    "ball_infinite_radius": "semi-axes must be finite and positive",
+    "hpoly_nan_in_A": "h-polytope needs finite A and b",
+    "hpoly_infinite_b": "h-polytope needs finite A and b",
+    "hpoly_zero_row": "h-polytope rows of A must be nonzero",
+    "hpoly_unbounded_strip": "h-polytope is unbounded",
+    "hpoly_rank_deficient": "h-polytope is unbounded",
+    "gen_uniform_fractional_m": "m must be an integer, got 2.5",
+    "gen_gaussian_fractional_dim": "dimension must be an integer in [1, 64], got 1.5",
+    "gen_binomial_fractional_n": "n must be an integer, got 3.7",
+    "gen_uniform_bool_m": "m must be an integer, got True",
+    "gen_point_mass_fractional_at": "each entry of at must be an integer, got 0.5",
+    "bridge_sweep_laplace_product": "--sweep sets sigma, which 'laplace_product' does not take",
+    "bridge_sweep_asym_exponential": "--sweep sets sigma, which 'asym_exponential' does not take",
 }
 
 
@@ -358,8 +372,6 @@ BAD_INPUT_REASONS = {
         ["geom", "--body", "vpoly{vertices=[[0,0],[1,1],[2,2]]}", "--check", "radius"],
         ["geom", "--body", "vpoly{vertices=[[0,0],[1,1],[2,2.5]]}", "--check", "radius"],
         ["geom", "--body", "box{lo=[0,0],hi=[1,1]}", "--check", "radius"],
-        ["geom", "--body", "hpoly{A=[[1,0],[-1,0],[0,1],[0,-1]],b=[1,1,1,1]}", "--check", "radius"],
-        ["geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,-1]],b=[1,1,1]}", "--check", "radius"],
         ["entropy", "--pmf", "{tmp}/missing.json"],
         ["verify", "--config", "{tmp}/missing.json"],
         ["entropy", "--pmf", "{tmp}/short.json"],
@@ -392,6 +404,22 @@ BAD_INPUT_REASONS = {
         ["verify", "--config", "{tmp}/family_bogus.json"],
         ["verify", "--config", "{tmp}/family_extra.json"],
         ["verify", "--config", "{tmp}/family_params.json"],
+        ["geom", "--body", "box{lo=[-1,-1],hi=[1,1e400]}", "--check", "kls"],
+        ["geom", "--body", "cube{d=2,side=NaN}", "--check", "kls"],
+        ["geom", "--body", "ellipsoid{axes=[1,1e400]}", "--check", "kls"],
+        ["geom", "--body", "ball{d=2,radius=1e400}", "--check", "kls"],
+        ["geom", "--body", "hpoly{A=[[NaN,0],[-1,0],[0,1],[0,-1]],b=[1,1,1,1]}", "--check", "kls"],
+        ["geom", "--body", "hpoly{A=[[1,0],[-1,0],[0,1],[0,-1]],b=[1,1,1,Infinity]}", "--check", "kls"],
+        ["geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,-1],[0,0]],b=[1,1,1,1]}", "--check", "radius"],
+        ["geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,0]],b=[1,1,1]}", "--check", "radius"],
+        ["geom", "--body", "hpoly{A=[[1,0],[-1,0]],b=[1,1]}", "--check", "kls"],
+        ["gen", "--family", "uniform{m=2.5}", "--out", "{tmp}/x.json"],
+        ["gen", "--family", "gaussian{sigma=2,dim=1.5}", "--out", "{tmp}/x.json"],
+        ["gen", "--family", "binomial{n=3.7}", "--out", "{tmp}/x.json"],
+        ["gen", "--family", "uniform{m=true}", "--out", "{tmp}/x.json"],
+        ["gen", "--family", "point_mass{at=[0.5]}", "--out", "{tmp}/x.json"],
+        ["bridge", "--density", "laplace_product{rate=1,dim=1}", "--sweep", "1,2"],
+        ["bridge", "--density", "asym_exponential{left_rate=1,right_rate=2}", "--sweep", "1"],
     ],
     ids=[
         "unknown_family",
@@ -402,8 +430,6 @@ BAD_INPUT_REASONS = {
         "flat_vpoly",
         "origin_vertex_vpoly",
         "origin_corner_box",
-        "radius_box_hpoly",
-        "radius_triangle_hpoly",
         "missing_pmf",
         "missing_config",
         "short_values",
@@ -436,6 +462,22 @@ BAD_INPUT_REASONS = {
         "config_family_unknown_name",
         "config_family_extra_key",
         "config_family_bad_params",
+        "box_infinite_bound",
+        "cube_nan_side",
+        "ellipsoid_infinite_axis",
+        "ball_infinite_radius",
+        "hpoly_nan_in_A",
+        "hpoly_infinite_b",
+        "hpoly_zero_row",
+        "hpoly_unbounded_strip",
+        "hpoly_rank_deficient",
+        "gen_uniform_fractional_m",
+        "gen_gaussian_fractional_dim",
+        "gen_binomial_fractional_n",
+        "gen_uniform_bool_m",
+        "gen_point_mass_fractional_at",
+        "bridge_sweep_laplace_product",
+        "bridge_sweep_asym_exponential",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
@@ -466,13 +508,26 @@ def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
     assert BAD_INPUT_REASONS.get(request.node.callspec.id, "") in err
 
 
-def test_cli_radius_check_refuses_hpoly_before_sampling(monkeypatch, capsys):
-    def no_sampling(*args):
-        raise AssertionError("Monte Carlo sampling ran")
+@pytest.mark.parametrize("hpoly, twin", [
+    ("hpoly{A=[[1,0],[-1,0],[0,1],[0,-1]],b=[1,1,1,1]}", "cube{d=2,side=2}"),
+    ("hpoly{A=[[1,0],[0,1],[-1,-1]],b=[1,1,1]}", "vpoly{vertices=[[1,1],[1,-2],[-2,1]]}"),
+], ids=["square", "triangle"])
+def test_cli_radius_check_of_hpoly_matches_its_twin(hpoly, twin, capsys):
+    docs = []
+    for body in (hpoly, twin):
+        assert run_cli("geom", "--body", body, "--check", "radius") == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0]["holds"] is docs[1]["holds"] is True
+    for key in ("inradius", "circumradius", "lambda_min", "lambda_max"):
+        assert docs[0][key] == pytest.approx(docs[1][key], abs=1e-12)
 
-    monkeypatch.setattr(geometry, "_hpoly_mc", no_sampling)
-    assert run_cli("geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,-1]],b=[1,1,1]}", "--check", "radius") == 2
-    assert capsys.readouterr().err == "error: --check radius does not support bodies of kind 'hpoly'\n"
+
+def test_cli_kls_check_of_square_hpoly_reads_one_third(capsys):
+    assert run_cli("geom", "--body", "hpoly{A=[[1,0],[-1,0],[0,1],[0,-1]],b=[1,1,1,1]}", "--check", "kls") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["mid"] - 1.0 / 3.0) <= 1e-12
+    assert doc["chain_holds"] is True
+    assert "mid_stderr" not in doc
 
 
 def test_cli_closed_stdout_exits_141_without_traceback(tmp_path):
