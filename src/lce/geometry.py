@@ -140,7 +140,17 @@ class ConvexBody:
     data: tuple  # kind-specific payload, hashable
 
 
+def _numeric(name: str, values) -> None:
+    """Refuse a bool where a number belongs, as ``families._integer`` and the
+    config checks do; ``float(True)`` would pass it as 1.0."""
+    for v in np.asarray(values, dtype=object).flat:
+        if isinstance(v, (bool, np.bool_)):
+            raise LceError(f"{name} must be numeric, got {v!r}")
+
+
 def make_box(lo, hi) -> ConvexBody:
+    _numeric("lo", lo)
+    _numeric("hi", hi)
     lo = tuple(float(x) for x in lo)
     hi = tuple(float(x) for x in hi)
     check_dim(len(lo))
@@ -153,15 +163,18 @@ def make_box(lo, hi) -> ConvexBody:
 
 def make_cube(d: int, side: float = 1.0) -> ConvexBody:
     d = check_dim(d)
+    _numeric("side", side)
     h = side / 2.0
     return make_box([-h] * d, [h] * d)
 
 
 def make_ball(d: int, radius: float = 1.0) -> ConvexBody:
+    _numeric("radius", radius)
     return make_ellipsoid([radius] * check_dim(d))
 
 
 def make_ellipsoid(axes) -> ConvexBody:
+    _numeric("axes", axes)
     ax = tuple(float(a) for a in axes)
     check_dim(len(ax))
     if not all(0 < a < math.inf for a in ax):
@@ -179,6 +192,8 @@ def make_simplex(d: int) -> ConvexBody:
 
 
 def make_hpoly(A, b) -> ConvexBody:
+    _numeric("A", A)
+    _numeric("b", b)
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).ravel()
     if A.ndim != 2 or A.shape[0] != b.size:
@@ -194,6 +209,7 @@ def make_hpoly(A, b) -> ConvexBody:
 
 
 def make_vpoly(vertices) -> ConvexBody:
+    _numeric("vertices", vertices)
     V = np.asarray(vertices, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] < check_dim(V.shape[1]) + 1:
         raise LceError("v-polytope needs at least d+1 vertices")
@@ -406,14 +422,22 @@ def body_circumradius(K: ConvexBody) -> float:
     if K.kind == "ellipsoid":
         return float(np.max(K.data[0]))
     if K.kind in ("simplex", "vpoly", "hpoly"):
-        return float(np.max(np.linalg.norm(_vertices(K), axis=1)))
+        return _max_norm(_vertices(K))
     raise LceError(f"circumradius not implemented for {K.kind}")
+
+
+def _max_norm(V: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(V, axis=1)))
 
 
 def radius_bounds_check(K: ConvexBody) -> RadiusReport:
     """Inradius/circumradius bounds via covariance eigenvalues; requires |K| = 1
     and the origin in the interior."""
-    mom = body_moments(K)
+    if K.kind in ("vpoly", "hpoly"):  # one vertex set for the moments and R
+        V = _vertices(K)
+        mom, R = _vpoly_moments(V), _max_norm(V)
+    else:
+        mom, R = body_moments(K), body_circumradius(K)
     if abs(mom.volume - 1.0) > 1e-9:
         raise LceError(f"body must have unit volume (got {mom.volume}); rescale first")
     r = body_inradius(K)
@@ -422,7 +446,6 @@ def radius_bounds_check(K: ConvexBody) -> RadiusReport:
     d = K.dim
     eig = np.linalg.eigvalsh(mom.second_moment)  # |K| = 1: matrix of int_K y_i y_j dy
     lam_min, lam_max = float(eig[0]), float(eig[-1])
-    R = body_circumradius(K)
     return RadiusReport(
         inradius=r,
         circumradius=R,

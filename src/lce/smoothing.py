@@ -8,6 +8,9 @@ until the contribution errors sum below the requested tolerance.  Only the
 kernel makes the integrand non-smooth (at cells where the mass steps to
 zero), so refinement touches a handful of cells in practice.  Nodes with one
 kernel stencil share one f log f: n = 1 takes one log per block of cells.
+Only cells of nonzero cover (the sum of their n^d stencil masses) are
+integrated, bit for bit: the masses are nonnegative, so any other cell has
+f = +-0 at every node and integrates to +0.0 anyway.
 The density is never evaluated point by point here; the pointwise sum that
 checks the cell quadrature is a test oracle.
 """
@@ -74,14 +77,17 @@ def _kernel_node_weights(n: int, nodes: np.ndarray) -> list[np.ndarray]:
 def _cell_integrals(p: LatticePmf, n: int, order: int) -> np.ndarray:
     """Per-cell integral of -f_n log f_n at a tensor Gauss-Legendre order.
 
-    Every unit cell shares the same local nodes, so each node is one shifted
-    multiply-add of the mass array per kernel term, run on blocks of about
-    ``CELLS_PER_BLOCK`` cells (whole rows of axis 0 plus an n - 1 row halo) in
-    buffers that stay in cache.  Each cell's operations are the same in any
-    blocking, and bit-equal to zero-filled adds and a masked log: a node with
-    the previous node's terms has its f and reuses its f log f; the first term
-    is written (0.0 + x == x for x >= +0); ``_xlogx`` differs only at f = +-0,
-    giving -+0.0, and subtracting a zero leaves each sum (from +0, never -0.0).
+    Every unit cell shares the same local nodes; each node is one multiply-add
+    per kernel term of a cell's stencil masses.  Blocks of about
+    ``CELLS_PER_BLOCK`` cells (whole rows of axis 0) gather the n^d masses of
+    their nonzero-cover cells (:func:`_cover`) once, run the node loop on
+    them, and scatter the sums into a zeroed output.  This is bit-equal to a
+    zero-filled loop over all cells: a zero-cover cell has f = +-0 at every
+    node and ends at +0.0 there too; in a kept cell, writing the first term
+    and adding c * +0.0 for a mass outside the array change only the sign of
+    a zero f, where ``_xlogx`` gives -+0.0, and subtracting a zero leaves each
+    sum (from +0, never -0.0).  A node with the previous node's terms reuses
+    its f log f.
     """
     d = p.dim
     vals = p.values
@@ -96,36 +102,45 @@ def _cell_integrals(p: LatticePmf, n: int, order: int) -> np.ndarray:
             if c > 0.0:
                 terms.append((c, j))
         steps.append((w, terms))
-    big_shape = tuple(s + n - 1 for s in vals.shape)
-    acc = np.zeros(big_shape)
-    rows = max(1, CELLS_PER_BLOCK // math.prod(big_shape[1:]))
-    for r0 in range(0, big_shape[0], rows):
-        r1 = min(r0 + rows, big_shape[0])
-        block = acc[r0:r1]
-        fbuf = np.empty(block.shape)
-        # Offset j sends input row i to output row i + j[0]; keep the rows of
-        # that band that fall in [r0, r1).
-        bands = []
-        for j0 in range(n):
-            lo, hi = max(r0, j0), min(r1, j0 + vals.shape[0])
-            bands.append((slice(lo - r0, hi - r0), slice(lo - j0, hi - j0)) if lo < hi else None)
+    cover = _cover(p, n)
+    acc = np.zeros(cover.shape)
+    rows = max(1, CELLS_PER_BLOCK // math.prod(cover.shape[1:]))
+    inner = tuple(slice(n - 1, n - 1 + s) for s in vals.shape[1:])
+    for r0 in range(0, cover.shape[0], rows):
+        block = acc[r0:r0 + rows]
+        kept = np.flatnonzero(cover[r0:r0 + rows])
+        if not kept.size:
+            continue
+        # The masses from input row r0 - n + 1 on, zero-padded by n - 1 cells:
+        # p(k - j) of block cell k sits at piece[k + n - 1 - j].
+        piece = np.zeros(tuple(s + n - 1 for s in block.shape))
+        lo, hi = max(r0 - n + 1, 0), min(r0 + len(block), vals.shape[0])
+        piece[(slice(lo - r0 + n - 1, hi - r0 + n - 1),) + inner] = vals[lo:hi]
+        at = np.ravel_multi_index([i + n - 1 for i in np.unravel_index(kept, block.shape)], piece.shape)
+        masses = {j: piece.take(at - np.ravel_multi_index(j, piece.shape)) for j in product(range(n), repeat=d)}
+        f = np.empty(kept.size)
+        total = np.zeros(kept.size)
         last = None
         for w, terms in steps:
             if terms != last:
                 last = terms
-                fbuf.fill(0.0)
                 for k, (c, j) in enumerate(terms):
-                    band = bands[j[0]]
-                    if band is None:
-                        continue
-                    sl = (band[0],) + tuple(slice(ji, ji + s) for ji, s in zip(j[1:], vals.shape[1:]))
                     if k:
-                        fbuf[sl] += c * vals[band[1]]
+                        f += c * masses[j]
                     else:
-                        np.multiply(vals[band[1]], c, out=fbuf[sl])
-                g = _xlogx(fbuf)
-            block -= w * g
+                        np.multiply(masses[j], c, out=f)
+                g = _xlogx(f)
+            total -= w * g
+        block.reshape(-1)[kept] = total
     return acc
+
+
+def _cover(p: LatticePmf, n: int) -> np.ndarray:
+    """Sum of the n^d stencil masses p(k - j) at each cell k of the smoothed support."""
+    cover = np.zeros(tuple(s + n - 1 for s in p.values.shape))
+    for j in product(range(n), repeat=p.dim):
+        cover[tuple(slice(ji, ji + s) for ji, s in zip(j, p.values.shape))] += p.values
+    return cover
 
 
 def _xlogx(f: np.ndarray) -> np.ndarray:
@@ -212,10 +227,7 @@ def smoothed_entropy_detail(
     # Certified bound on the contribution of cells whose covering mass is tiny:
     # f_n <= sum of stencil masses (the kernel peaks below 1), and -x log x is
     # increasing there, so such cells are negligible regardless of quadrature.
-    cover = np.zeros(I2.shape)
-    for j in product(range(n), repeat=p.dim):
-        sl = tuple(slice(ji, ji + s) for ji, s in zip(j, p.values.shape))
-        cover[sl] += p.values
+    cover = _cover(p, n)
     tiny = (cover > 0.0) & (cover < TINY_CELL_FLOOR)
     tiny_bound = stable_sum(neg_xlogx(np.where(tiny, cover, 0.0)))
     value = stable_sum(I2)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lce import harness
+from lce import geometry, harness
 from lce.cli import main
 from lce.errors import LceError
 from lce.lattice import Box, LatticePmf, save_pmf
@@ -358,6 +358,10 @@ BAD_INPUT_REASONS = {
     "gen_point_mass_fractional_at": "each entry of at must be an integer, got 0.5",
     "bridge_sweep_laplace_product": "--sweep sets sigma, which 'laplace_product' does not take",
     "bridge_sweep_asym_exponential": "--sweep sets sigma, which 'asym_exponential' does not take",
+    "cube_bool_side": "side must be numeric, got True",
+    "ball_bool_radius": "radius must be numeric, got True",
+    "ellipsoid_bool_axis": "axes must be numeric, got True",
+    "hpoly_bool_b": "b must be numeric, got True",
 }
 
 
@@ -420,6 +424,10 @@ BAD_INPUT_REASONS = {
         ["gen", "--family", "point_mass{at=[0.5]}", "--out", "{tmp}/x.json"],
         ["bridge", "--density", "laplace_product{rate=1,dim=1}", "--sweep", "1,2"],
         ["bridge", "--density", "asym_exponential{left_rate=1,right_rate=2}", "--sweep", "1"],
+        ["geom", "--body", "cube{d=2,side=true}", "--check", "kls"],
+        ["geom", "--body", "ball{d=2,radius=true}", "--check", "kls"],
+        ["geom", "--body", "ellipsoid{axes=[true,2]}", "--check", "kls"],
+        ["geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,-1]],b=[true,1,1]}", "--check", "kls"],
     ],
     ids=[
         "unknown_family",
@@ -478,6 +486,10 @@ BAD_INPUT_REASONS = {
         "gen_point_mass_fractional_at",
         "bridge_sweep_laplace_product",
         "bridge_sweep_asym_exponential",
+        "cube_bool_side",
+        "ball_bool_radius",
+        "ellipsoid_bool_axis",
+        "hpoly_bool_b",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
@@ -520,6 +532,16 @@ def test_cli_radius_check_of_hpoly_matches_its_twin(hpoly, twin, capsys):
     assert docs[0]["holds"] is docs[1]["holds"] is True
     for key in ("inradius", "circumradius", "lambda_min", "lambda_max"):
         assert docs[0][key] == pytest.approx(docs[1][key], abs=1e-12)
+
+
+def test_cli_radius_check_of_hpoly_takes_its_vertices_once_per_body(monkeypatch, capsys):
+    calls = []
+    vertices = geometry._vertices
+    monkeypatch.setattr(geometry, "_vertices", lambda K: calls.append(K) or vertices(K))
+    assert run_cli("geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,-1]],b=[1,1,1]}", "--check", "radius") == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+    # the body, to rescale it to unit volume, then the rescaled body
+    assert len(calls) == 2 and calls[0] != calls[1]
 
 
 def test_cli_kls_check_of_square_hpoly_reads_one_third(capsys):

@@ -288,10 +288,15 @@ def edge_pmf(case):
     elif case == "chain_level":
         q = families.quantized_gaussian(4.0, 2)
         return convolve(q, q)
+    elif case == "clipped_negative_zeros":  # the chain level, its clipped zeros made -0.0
+        p = edge_pmf("chain_level")
+        return LatticePmf(p.box, np.where(p.values == 0.0, -0.0, p.values))
     return LatticePmf(Box((0, 0), (10, 5)), vals)
 
 
-@pytest.mark.parametrize("case", ["negative_zeros", "subnormals", "zero_rows", "point_mass", "chain_level"])
+@pytest.mark.parametrize(
+    "case", ["negative_zeros", "subnormals", "zero_rows", "point_mass", "chain_level", "clipped_negative_zeros"]
+)
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("order", [8, 16])
 def test_cell_integrals_match_the_unblocked_loop_at_signed_zeros_and_subnormals(monkeypatch, case, n, order):
@@ -304,6 +309,28 @@ def test_cell_integrals_match_the_unblocked_loop_at_signed_zeros_and_subnormals(
     got = smoothing._cell_integrals(p, n, order)
     assert got.tobytes() == cell_integrals_unblocked(p, n, order).tobytes()
     assert not np.signbit(got[got == 0.0]).any()
+
+
+@pytest.mark.parametrize("case", ["zero_rows", "chain_level", "clipped_negative_zeros"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_node_loop_runs_on_the_nonzero_cover_cells_of_each_block(monkeypatch, case, n):
+    p = edge_pmf(case)
+    if case == "clipped_negative_zeros":
+        assert (p.values == 0.0).any() and np.signbit(p.values[p.values == 0.0]).all()
+    sizes = []
+    xlogx = smoothing._xlogx
+    monkeypatch.setattr(smoothing, "_xlogx", lambda f: sizes.append(f.size) or xlogx(f))
+    rows, order = 3, 8
+    monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * math.prod(s + n - 1 for s in p.values.shape[1:]))
+    got = smoothing._cell_integrals(p, n, order)
+    cover = smoothing._cover(p, n)
+    kept = [np.count_nonzero(cover[r0:r0 + rows]) for r0 in range(0, cover.shape[0], rows)]
+    # n >= 2: every node's stencil differs from the previous node's
+    assert sizes == [k for k in kept if k for _ in range(order**2)]
+    skipped = got[cover == 0.0]
+    assert (skipped == 0.0).all() and not np.signbit(skipped).any()
+    if case == "zero_rows" and n == 3:  # the last block, row 12, covers zero input row 10 only
+        assert kept[-1] == 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
