@@ -296,7 +296,8 @@ def body_moments(K: ConvexBody) -> BodyMoments:
         bary = np.asarray(K.data[0]).mean(axis=0)
         return BodyMoments(1.0 / math.factorial(d), bary, M0)
     if K.kind in ("vpoly", "hpoly"):
-        return _vpoly_moments(_vertices(K))
+        V = _vertices(K)
+        return _vpoly_moments(V, facets(V))
     raise LceError(f"moments not implemented for {K.kind}")
 
 
@@ -317,14 +318,14 @@ def _vertices(K: ConvexBody) -> np.ndarray:
     return N / off[:, None]
 
 
-def _vpoly_moments(V: np.ndarray) -> BodyMoments:
-    """Exact moments of conv(V): the hull is coned from the vertex mean c into
-    one simplex S per facet.  With v_0 = c, v_1..v_d the facet's vertices and
-    s = sum v_i, S has volume |S| = (off - N c)/d! and the closed-form moments
-    int_S x dx = |S| s/(d+1) and
-    int_S x x^T dx = |S| (sum v_i v_i^T + s s^T)/((d+1)(d+2))."""
+def _vpoly_moments(V: np.ndarray, hull) -> BodyMoments:
+    """Exact moments of conv(V) from its hull ``facets(V)``: the hull is coned
+    from the vertex mean c into one simplex S per facet.  With v_0 = c,
+    v_1..v_d the facet's vertices and s = sum v_i, S has volume
+    |S| = (off - N c)/d! and the closed-form moments int_S x dx = |S| s/(d+1)
+    and int_S x x^T dx = |S| (sum v_i v_i^T + s s^T)/((d+1)(d+2))."""
     d = V.shape[1]
-    F, N, off = facets(V)
+    F, N, off = hull
     c = V.mean(axis=0)
     S = np.concatenate([np.broadcast_to(c, (len(F), 1, d)), V[F]], axis=1)  # (m, d+1, d)
     s = S.sum(axis=1)
@@ -412,6 +413,11 @@ def body_inradius(K: ConvexBody) -> float:
         A, b = (np.asarray(a) for a in K.data)
     else:
         _, A, b = facets(_vertices(K))
+    return _facet_distance(A, b)
+
+
+def _facet_distance(A: np.ndarray, b: np.ndarray) -> float:
+    """Distance from the origin to the nearest facet plane A_i x = b_i."""
     return float(np.min(b / np.linalg.norm(A, axis=1)))
 
 
@@ -433,14 +439,16 @@ def _max_norm(V: np.ndarray) -> float:
 def radius_bounds_check(K: ConvexBody) -> RadiusReport:
     """Inradius/circumradius bounds via covariance eigenvalues; requires |K| = 1
     and the origin in the interior."""
-    if K.kind in ("vpoly", "hpoly"):  # one vertex set for the moments and R
+    if K.kind in ("vpoly", "hpoly"):  # one vertex set and one hull for the moments, R and r
         V = _vertices(K)
-        mom, R = _vpoly_moments(V), _max_norm(V)
+        hull = facets(V)
+        mom, R = _vpoly_moments(V, hull), _max_norm(V)
     else:
         mom, R = body_moments(K), body_circumradius(K)
     if abs(mom.volume - 1.0) > 1e-9:
         raise LceError(f"body must have unit volume (got {mom.volume}); rescale first")
-    r = body_inradius(K)
+    # An h-polytope's own rows A x <= b give r, as body_inradius reads them.
+    r = _facet_distance(*hull[1:]) if K.kind == "vpoly" else body_inradius(K)
     if r <= 0.0:
         raise LceError("origin must lie in the interior")
     d = K.dim

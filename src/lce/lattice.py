@@ -8,7 +8,10 @@ error budget of any downstream quantity remains auditable.
 
 Every FFT convolution is checked at sample cells against direct summation:
 :func:`~lce.numerics.stable_sum`, exact up to one rounding, of a window of one
-operand times the flipped window of the other.
+operand times the flipped window of the other.  It never holds a whole
+padded spectrum: besides the operands and the output it holds their rfft along
+the last axis, one complex array of the output's leading shape by the rfft's
+width, and one panel of about ``_FFT_PANEL_BYTES`` per operand at a time.
 
 All values are immutable after construction and operations are pure, so
 everything here is safe to share across threads.
@@ -40,6 +43,9 @@ DEFAULT_RADIUS_MULTIPLIER = 12.0
 
 _FFT_CHECK_SAMPLES = 64
 _FFT_CHECK_TOL = 1e-10
+# Bytes of one panel of padded spectrum columns, and output rows per irfft block.
+_FFT_PANEL_BYTES = 1 << 20
+_IRFFT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -350,25 +356,34 @@ def _convolve_direct(small: np.ndarray, big: np.ndarray, out_shape) -> np.ndarra
 
 def _convolve_fft(p: np.ndarray, q: np.ndarray, out_shape, scale: float) -> np.ndarray:
     padded = tuple(next_pow2(s) for s in out_shape)
-    axes = tuple(range(len(padded)))
-    # One spectrum for a self-convolution.  The product goes into fp, and each
-    # array is dropped after its last use, so at most two padded spectra are
-    # alive at once.
-    fp = np.fft.rfftn(p, s=padded, axes=axes)
-    if q is p:
-        np.multiply(fp, fp, out=fp)
-    else:
-        fq = np.fft.rfftn(q, s=padded, axes=axes)
-        np.multiply(fp, fq, out=fp)
-        del fq
-    # irfftn's own passes (ifft on each leading axis, irfft on the last), each
-    # axis cut to out_shape before the next pass: the same 1-d transforms of
-    # the rows that are kept, and no padded real array.
-    for ax in axes[:-1]:
-        kept = (slice(None),) * ax + (slice(0, out_shape[ax]),)
-        fp = np.fft.ifft(fp, n=padded[ax], axis=ax)[kept]
-    out = np.fft.irfft(fp, n=padded[-1], axis=-1)[..., : out_shape[-1]].copy()
-    del fp
+    lead = range(len(padded) - 1)
+    # The passes of rfftn, product and irfftn, in their order: rfft on the last
+    # axis (one spectrum for a self-convolution), then per panel of frequency
+    # columns the fft on axes d-2 .. 0, the product and the ifft on axes
+    # 0 .. d-2, each cut to out_shape before the next, and last the irfft in
+    # blocks of rows.  The same 1-d transforms of the kept rows, so the same
+    # bits, and no whole padded spectrum is ever alive.
+    spectra = [np.fft.rfft(x, n=padded[-1], axis=-1) for x in ((p,) if q is p else (p, q))]
+    cols = padded[-1] // 2 + 1
+    mid = np.empty(out_shape[:-1] + (cols,), dtype=np.complex128)
+    width = max(1, _FFT_PANEL_BYTES // (16 * math.prod(padded[:-1])))
+    for c in range(0, cols, width):
+        panels = []
+        for spectrum in spectra:
+            panel = spectrum[..., c : c + width]
+            for ax in reversed(lead):
+                panel = np.fft.fft(panel, n=padded[ax], axis=ax)
+            panels.append(panel)
+        panel = panels[0] * panels[-1]
+        del panels
+        for ax in lead:
+            panel = np.fft.ifft(panel, n=padded[ax], axis=ax)[(slice(None),) * ax + (slice(0, out_shape[ax]),)]
+        mid[..., c : c + width] = panel
+    del spectra, panel
+    out = np.empty(out_shape)
+    freqs, lines = mid.reshape(-1, cols), out.reshape(-1, out_shape[-1])
+    for r in range(0, len(lines), _IRFFT_ROWS):
+        lines[r : r + _IRFFT_ROWS] = np.fft.irfft(freqs[r : r + _IRFFT_ROWS], n=padded[-1])[:, : out_shape[-1]]
     if float(out.min()) < -_FFT_CHECK_TOL * scale:
         raise NumericalError("FFT convolution produced a significantly negative value")
     return out

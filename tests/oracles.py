@@ -10,6 +10,8 @@
   the per-point LP decisions of convexity and extensibility built on them,
   which check the exact mode of :mod:`lce.convexity`.  And the d = 1
   local-concavity test p(k)^2 >= p(k-1) p(k+1).
+- The whole-spectrum FFT convolution (rfftn product, then irfftn), whose
+  bytes the column panels of :mod:`lce.lattice` must give.
 - The pointwise smoothed density, which checks the blocked cell quadrature of
   :mod:`lce.smoothing`; quadrature moments of a continuous density, which
   check the closed forms each :mod:`lce.densities` family declares; and
@@ -42,7 +44,7 @@ from lce.families import (
 )
 from lce.harness import CheckResult, ReportDocument
 from lce.lattice import Box, LatticePmf, LatticeSet, _check_cells, convolve, support_set
-from lce.numerics import adaptive_quad
+from lce.numerics import adaptive_quad, next_pow2
 from lce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 from lce.smoothing import bspline_eval
 
@@ -429,6 +431,21 @@ def envelope_minimum(points, values, z, *, exact: bool = False):
     if res.status != OPTIMAL:
         return False, None
     return True, res.objective
+
+
+# ---------------------------------------------------------------------------
+# whole-spectrum FFT convolution
+
+
+def whole_spectrum_convolution(p: np.ndarray, q: np.ndarray, out_shape) -> np.ndarray:
+    """The plain spectrum product: rfftn of each operand padded to powers of
+    two, their product, then irfftn, cut to ``out_shape``.  It holds whole
+    padded spectra and a whole padded real array at once."""
+    padded = tuple(next_pow2(s) for s in out_shape)
+    axes = tuple(range(len(padded)))
+    product = np.fft.rfftn(p, s=padded, axes=axes) * np.fft.rfftn(q, s=padded, axes=axes)
+    full = np.fft.irfftn(product, s=padded, axes=axes)
+    return np.ascontiguousarray(full[tuple(slice(0, s) for s in out_shape)])
 
 
 # ---------------------------------------------------------------------------

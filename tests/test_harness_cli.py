@@ -544,6 +544,28 @@ def test_cli_radius_check_of_hpoly_takes_its_vertices_once_per_body(monkeypatch,
     assert len(calls) == 2 and calls[0] != calls[1]
 
 
+def test_cli_radius_check_of_vpoly_builds_one_hull_per_body(monkeypatch, capsys):
+    spec = "vpoly{vertices=[[1,1],[1,-2],[-2,1]]}"
+    unit = geometry.scale_to_unit_volume(geometry.BODIES.from_spec(spec))
+    # The report as each body-level routine gives it, one hull apiece.
+    mom = geometry.body_moments(unit)
+    eig = np.linalg.eigvalsh(mom.second_moment)
+    r, R, d = geometry.body_inradius(unit), geometry.body_circumradius(unit), unit.dim
+    expected = geometry.RadiusReport(r, R, float(eig[0]), float(eig[-1]), (d + 1.0) * math.sqrt(eig[-1]) - R,
+                                     r - math.sqrt((d + 2.0) / d) * math.sqrt(eig[0]))
+    calls, reports = [], []
+    facets, check = geometry.facets, geometry.radius_bounds_check
+    monkeypatch.setattr(geometry, "facets", lambda V: calls.append(V) or facets(V))
+    monkeypatch.setattr(geometry, "radius_bounds_check", lambda K: reports.append(check(K)) or reports[-1])
+    assert run_cli("geom", "--body", spec, "--check", "radius") == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+    # the body, to rescale it to unit volume, then the rescaled body
+    assert len(calls) == 2
+    assert [struct.pack("<d", x) for x in dataclasses.astuple(reports[0])] == [
+        struct.pack("<d", x) for x in dataclasses.astuple(expected)
+    ]
+
+
 def test_cli_kls_check_of_square_hpoly_reads_one_third(capsys):
     assert run_cli("geom", "--body", "hpoly{A=[[1,0],[-1,0],[0,1],[0,-1]],b=[1,1,1,1]}", "--check", "kls") == 0
     doc = json.loads(capsys.readouterr().out)
