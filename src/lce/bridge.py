@@ -20,7 +20,7 @@ import numpy as np
 from .densities import ContinuousDensity
 from .errors import LceError
 from .lattice import Box, truncation_box
-from .numerics import stable_sum
+from .numerics import stable_sum, stable_sum_rows
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,23 @@ class GapReport:
 def _lattice_raw_moments(f: ContinuousDensity, box: Box):
     grid = box.grid()
     vals = f.evaluate(grid)
-    if not np.all(np.isfinite(vals)):
+    vmax = float(vals.max())  # min and max carry a nan
+    if not (math.isfinite(float(vals.min())) and math.isfinite(vmax)):
         raise LceError("density evaluated to a non-finite value")
     d = f.dim
-    coords = [grid[..., i] for i in range(d)]
+
+    def moment(*axes):
+        """stable_sum(vals * grid[..., axes[0]] * ...), one block of rows at a time."""
+        return stable_sum_rows(lambda rows: math.prod((grid[rows, ..., i] for i in axes), start=vals[rows]),
+                               vals.shape)
+
     s0 = stable_sum(vals)
-    s1 = np.array([stable_sum(vals * coords[i]) for i in range(d)])
+    s1 = np.array([moment(i) for i in range(d)])
     s2 = np.zeros((d, d))
     for i in range(d):
         for j in range(i, d):
-            s2[i, j] = s2[j, i] = stable_sum(vals * coords[i] * coords[j])
-    return s0, s1, s2, float(vals.max())
+            s2[i, j] = s2[j, i] = moment(i, j)
+    return s0, s1, s2, vmax
 
 
 def lattice_vs_integral_gaps(f: ContinuousDensity) -> GapReport:

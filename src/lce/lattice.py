@@ -111,9 +111,10 @@ class LatticePmf:
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         if vals.shape != self.box.shape:
             raise LceError(f"values shape {vals.shape} != box shape {self.box.shape}")
-        if not np.all(np.isfinite(vals)):
+        lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 0.0)  # min and max carry a nan
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise LceError("p.m.f. values must be finite")
-        if vals.size and float(vals.min()) < 0.0:
+        if lo < 0.0:
             raise LceError("p.m.f. values must be nonnegative")
         if not (0.0 <= self.deficit < 1.0):
             raise LceError("deficit must lie in [0, 1)")
@@ -291,9 +292,10 @@ def quantize_density(f: ContinuousDensity, radius_multiplier: float = DEFAULT_RA
     box = truncation_box(f, radius_multiplier)
     _check_cells(box)
     vals = f.evaluate(box.grid())
-    if not np.all(np.isfinite(vals)):
+    lo, hi = float(vals.min()), float(vals.max())  # min and max carry a nan
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise LceError("density evaluated to a non-finite value on the box")
-    if float(vals.min()) < 0:
+    if lo < 0:
         raise LceError("density evaluated to a negative value")
     retained = stable_sum(vals)
     if retained <= 0:

@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import LceError
 from .lattice import LatticePmf
-from .numerics import neg_xlogx, stable_sum
+from .numerics import neg_xlogx, stable_sum, stable_sum_rows
+
+_ARGMAX_BLOCK = 1 << 15  # values per block of the argmax search
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,8 @@ class IsotropyScore:
 def shannon_entropy(p: LatticePmf) -> float:
     """H(p) = -sum p log p in nats, with 0 log 0 = 0."""
     p.assert_normalized()
-    return stable_sum(neg_xlogx(p.values))
+    v = p.values.reshape(-1)
+    return stable_sum_rows(lambda rows: neg_xlogx(v[rows]), v.shape)
 
 
 def discrete_moments(p: LatticePmf) -> MomentSummary:
@@ -71,20 +74,26 @@ def discrete_moments(p: LatticePmf) -> MomentSummary:
     d = p.dim
     vals = p.values
     mass = p.mass
-    coords = []
-    for i in range(d):
-        shape = [1] * d
-        shape[i] = vals.shape[i]
-        coords.append(p.box.axis_coords(i).astype(np.float64).reshape(shape))
-    mean = np.array([stable_sum(vals * coords[i]) / mass for i in range(d)])
+    coords = [p.box.axis_coords(i).astype(np.float64).reshape([-1 if k == i else 1 for k in range(d)])
+              for i in range(d)]
+
+    def moment(*factors):
+        """stable_sum(vals * factors[0] * ...) / mass, one block of rows at a time."""
+        full = [np.broadcast_to(c, vals.shape) for c in factors]
+        return stable_sum_rows(lambda rows: math.prod((c[rows] for c in full), start=vals[rows]), vals.shape) / mass
+
+    mean = np.array([moment(coords[i]) for i in range(d)])
     cov = np.zeros((d, d))
     for i in range(d):
         ci = coords[i] - mean[i]
         for j in range(i, d):
-            cj = coords[j] - mean[j]
-            cov[i, j] = cov[j, i] = stable_sum(vals * ci * cj) / mass
-    flat_arg = int(np.argmax(vals))  # first occurrence in C order = lex smallest
-    idx = np.unravel_index(flat_arg, vals.shape)
+            cov[i, j] = cov[j, i] = moment(ci, coords[j] - mean[j])
+    # The first maximum in C order is the lexicographically smallest.  argmax
+    # copies a read-only array, so it runs on the first block that holds one.
+    vmax = float(vals.max())
+    flat = vals.reshape(-1)
+    start = next(r for r in range(0, flat.size, _ARGMAX_BLOCK) if flat[r:r + _ARGMAX_BLOCK].max() == vmax)
+    idx = np.unravel_index(start + int(flat[start:start + _ARGMAX_BLOCK].argmax()), vals.shape)
     argmax = tuple(int(a) + l for a, l in zip(idx, p.box.lo))
     det = float(np.prod(np.linalg.eigvalsh(cov)))
     sigma_hat = max(det, 0.0) ** (1.0 / (2.0 * d))
@@ -92,7 +101,7 @@ def discrete_moments(p: LatticePmf) -> MomentSummary:
         mass=mass,
         mean=mean,
         cov=CovarianceMatrix(d, cov),
-        max_value=float(vals.max()),
+        max_value=vmax,
         argmax=argmax,
         sigma_hat=sigma_hat,
     )

@@ -1,13 +1,21 @@
 """Shared numerical kernels: exact summation, Gauss-Legendre node caches, one
 adaptive tensor quadrature over boxes in R^d, and sweep directions.
 
-All reductions in the library funnel through :func:`stable_sum`, which computes
-the correctly rounded sum of its inputs, bit-equal to ``math.fsum``: each
-value is split by a bit mask into two parts whose sums per binary exponent are
-exact, and the exact total is rounded once (exact summation as in Zhu and
-Hayes, "Algorithm 908", ACM TOMS 2010, vectorised with numpy).  A nonzero
-input that cancels exactly sums to +0.0; ``math.fsum`` itself takes the edge
-cases.  The result is therefore independent of accumulation order and
+All reductions in the library funnel through :func:`stable_sum_rows` (and
+:func:`stable_sum`, the same over a plain array), which computes the correctly
+rounded sum of its inputs, bit-equal to ``math.fsum``: each value is split by
+a bit mask into two parts whose sums per binary exponent are exact, and the
+exact total is rounded once (exact summation as in Zhu and Hayes, "Algorithm
+908", ACM TOMS 2010, vectorised with numpy).  The values stream in blocks of
+about ``_SUM_BLOCK`` elements, each split and binned while it is in cache and
+added into two fixed 2048-bin accumulators; the bins fold into one integer
+once, at the end.  A caller that sums a function of an array (p log p, or
+p times coordinates) computes it one block of rows at a time, so no sum
+allocates a temporary of the array's size.  A nonzero input that cancels
+exactly sums to +0.0; ``math.fsum`` of every value, in C order, takes the
+edge cases: empty or all-zero input (it decides the sign of the zero),
+non-finite input, a sum that could overflow and 2^26 values or more.  The
+result is therefore independent of accumulation order and block size, and
 bit-stable across runs and thread counts.
 """
 
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -26,42 +35,65 @@ _EXACT_BIN_ELEMENTS = 1 << 26
 # While the largest binary exponent plus the bit length of the element count
 # stays within this, no partial sum, fsum's or ours, can overflow.
 _SAFE_SUM_EXP = 1020
+# Elements per block of an exact sum: 256 KiB of float64, so that a block and
+# its parts stay in L2 cache.
+_SUM_BLOCK = 1 << 15
 
 
 def stable_sum(values) -> float:
-    """Correctly rounded sum of a float array, bit-equal to ``math.fsum``.
+    """Correctly rounded sum of a float array, bit-equal to ``math.fsum``."""
+    a = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    return stable_sum_rows(lambda rows: a[rows], a.shape)
 
-    The biased exponent E of each value is read from its bits.  Clearing the
-    low 26 stored mantissa bits gives a high part that is a multiple of
-    2^(E-1049) below 2^(E-1022); the low part, the exact rest, is a multiple of
-    2^(E-1075) below 2^(E-1049).  ``np.bincount`` sums each part per exponent,
-    exactly, and the bins fold into one Python int at scale 2^-1074 that is
-    divided once; int/int true division rounds correctly.  A nonzero input
-    whose exact sum is zero gives +0.0, as round-to-nearest and fsum do.
-    Empty, all-zero or non-finite input, 2^26 elements or more and a sum that
-    could overflow go to ``math.fsum``.
+
+def stable_sum_rows(term, shape) -> float:
+    """Correctly rounded sum of ``term(rows)`` over the blocks of rows of an
+    array of ``shape``, bit-equal to ``math.fsum`` of all their values.
+
+    ``term`` maps a slice of axis 0 to the values of those rows, read in C
+    order; blocks hold about ``_SUM_BLOCK`` elements.  The biased exponent E of
+    each value is read from its bits.  Clearing the low 26 stored mantissa
+    bits gives a high part that is a multiple of 2^(E-1049) below 2^(E-1022);
+    the low part, the exact rest, is a multiple of 2^(E-1075) below
+    2^(E-1049).  ``np.bincount`` adds each part into one float bin per
+    exponent, exactly while there are fewer than 2^26 values, and the bins
+    fold once into a Python int at scale 2^-1126 that is divided once;
+    int/int true division rounds correctly.  A nonzero input whose exact sum
+    is zero gives +0.0, as round-to-nearest and fsum do.  Empty, all-zero or
+    non-finite input, 2^26 values or more and a sum that could overflow go to
+    ``math.fsum`` of every value of ``term``, which is called again for them.
     """
-    a = np.ascontiguousarray(values, dtype=np.float64).ravel(order="C")
-    if not 0 < a.size < _EXACT_BIN_ELEMENTS:
-        return math.fsum(a)
-    bits = a.view(np.int64)
-    e = bits >> 52
-    e &= 0x7FF
-    emax = int(e.max())
-    # 0x7FF is the exponent of inf and nan; emax - 1022 is np.frexp's exponent.
-    if emax == 0x7FF or emax - 1022 + a.size.bit_length() > _SAFE_SUM_EXP:
-        return math.fsum(a)
-    hi = (bits & ~((1 << 26) - 1)).view(np.float64)
-    lo = a - hi
-    total = 0
-    for part in (hi, lo):
-        bins = np.bincount(e, weights=part)
-        for v in bins[np.flatnonzero(bins)].tolist():
-            num, den = v.as_integer_ratio()
-            total += num << (1075 - den.bit_length())
-    if total == 0:
-        return 0.0 if a.any() else math.fsum(a)
-    return total / (1 << 1074)
+    rows = max(1, _SUM_BLOCK // max(1, math.prod(shape[1:])))
+
+    def blocks():
+        for r in range(0, shape[0], rows):
+            yield np.ascontiguousarray(term(slice(r, r + rows)), dtype=np.float64).reshape(-1)
+
+    hi_bins = lo_bins = 0.0
+    count = emax = 0
+    nonzero = False
+    for a in blocks():
+        if not a.size:
+            continue
+        count += a.size
+        bits = a.view(np.int64)
+        e = bits >> 52
+        e &= 0x7FF
+        emax = max(emax, int(e.max()))
+        # 0x7FF is the exponent of inf and nan; emax - 1022 is np.frexp's exponent.
+        if count >= _EXACT_BIN_ELEMENTS or emax == 0x7FF or emax - 1022 + count.bit_length() > _SAFE_SUM_EXP:
+            return math.fsum(chain.from_iterable(blocks()))
+        nonzero = nonzero or bool(a.any())
+        hi = (bits & ~((1 << 26) - 1)).view(np.float64)
+        hi_bins = hi_bins + np.bincount(e, weights=hi, minlength=2048)
+        lo_bins = lo_bins + np.bincount(e, weights=a - hi, minlength=2048)
+    if not nonzero:
+        return math.fsum(chain.from_iterable(blocks()))
+    # A bin m * 2^x has an integer m * 2^53 and x >= -1073, so the exact total
+    # at scale 2^-1126 is an int.
+    bins = np.concatenate((hi_bins, lo_bins))
+    m, x = np.frexp(bins[bins != 0.0])
+    return sum(map(int.__lshift__, (m * 2.0**53).astype(np.int64).tolist(), (x + 1073).tolist())) / (1 << 1126)
 
 
 def neg_xlogx(a: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import LceError, NumericalError
 from .lattice import LatticePmf
-from .numerics import gauss_legendre_01, neg_xlogx, stable_sum
+from .numerics import gauss_legendre_01, neg_xlogx, stable_sum, stable_sum_rows
 
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_ENTROPY_TOL = 1e-8
@@ -74,8 +74,9 @@ def _kernel_node_weights(n: int, nodes: np.ndarray) -> list[np.ndarray]:
     return [bspline_eval(n, nodes + j) for j in range(n)]
 
 
-def _cell_integrals(p: LatticePmf, n: int, order: int) -> np.ndarray:
-    """Per-cell integral of -f_n log f_n at a tensor Gauss-Legendre order.
+def _cell_integrals(p: LatticePmf, n: int, order: int, cover: np.ndarray) -> np.ndarray:
+    """Per-cell integral of -f_n log f_n at a tensor Gauss-Legendre order;
+    ``cover`` is ``_cover(p, n)``.
 
     Every unit cell shares the same local nodes; each node is one multiply-add
     per kernel term of a cell's stencil masses.  Blocks of about
@@ -102,7 +103,6 @@ def _cell_integrals(p: LatticePmf, n: int, order: int) -> np.ndarray:
             if c > 0.0:
                 terms.append((c, j))
         steps.append((w, terms))
-    cover = _cover(p, n)
     acc = np.zeros(cover.shape)
     rows = max(1, CELLS_PER_BLOCK // math.prod(cover.shape[1:]))
     inner = tuple(slice(n - 1, n - 1 + s) for s in vals.shape[1:])
@@ -195,8 +195,9 @@ def smoothed_entropy_detail(
             raise LceError(f"{name} must be an integer >= 1, got {k!r}")
     if not 0.0 < tol < math.inf:
         raise LceError(f"tol must be a finite positive number, got {tol!r}")
-    I1 = _cell_integrals(p, n, quad_order)
-    I2 = _cell_integrals(p, n, 2 * quad_order)
+    cover = _cover(p, n)
+    I1 = _cell_integrals(p, n, quad_order, cover)
+    I2 = _cell_integrals(p, n, 2 * quad_order, cover)
     diff = np.abs(I2 - I1)
     ncells = I2.size
     lo = p.box.lo
@@ -227,9 +228,11 @@ def smoothed_entropy_detail(
     # Certified bound on the contribution of cells whose covering mass is tiny:
     # f_n <= sum of stencil masses (the kernel peaks below 1), and -x log x is
     # increasing there, so such cells are negligible regardless of quadrature.
-    cover = _cover(p, n)
-    tiny = (cover > 0.0) & (cover < TINY_CELL_FLOOR)
-    tiny_bound = stable_sum(neg_xlogx(np.where(tiny, cover, 0.0)))
+    def tiny_terms(rows):
+        c = cover[rows]
+        return neg_xlogx(np.where((c > 0.0) & (c < TINY_CELL_FLOOR), c, 0.0))
+
+    tiny_bound = stable_sum_rows(tiny_terms, cover.shape)
     value = stable_sum(I2)
     return SmoothedEntropyDetail(
         value=value,

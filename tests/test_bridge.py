@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from lce import bridge
+from lce import bridge, numerics
 from lce.densities import (
     DENSITIES,
     asym_exponential,
@@ -148,3 +149,32 @@ def test_gaussian_gaps_tiny_at_moderate_sigma():
             for v in rep.cross_moment.values():
                 assert abs(v) < 1e-6 * sigma**2
             assert abs(rep.det_gap) < 1e-6 * sigma ** (2 * d - 1)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("f", [gaussian(1.5, 2), sheared_gaussian(2.0, 0.5), laplace_product(0.8, 3),
+                               asym_exponential(1.0, 2.0)], ids=["gauss2", "sheared", "laplace3", "asym1"])
+def test_blocked_lattice_moments_are_fsum_of_the_full_products(monkeypatch, block, f):
+    monkeypatch.setattr(numerics, "_SUM_BLOCK", block)
+    box = truncation_box(f)
+    grid = box.grid()
+    vals = f.evaluate(grid)
+    s0, s1, s2, vmax = bridge._lattice_raw_moments(f, box)
+    assert s0 == math.fsum(vals.ravel()) and vmax == vals.max()
+    for i in range(f.dim):
+        assert s1[i] == math.fsum((vals * grid[..., i]).ravel())
+        for j in range(f.dim):
+            assert s2[i, j] == math.fsum((vals * grid[..., min(i, j)] * grid[..., max(i, j)]).ravel())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lattice_moments_reject_a_non_finite_value(bad):
+    f = gaussian(1.0, 2)
+
+    def evaluate(x):
+        out = f.evaluate(x)
+        out.flat[-1] = bad
+        return out
+
+    with pytest.raises(LceError, match="density evaluated to a non-finite value"):
+        bridge._lattice_raw_moments(dataclasses.replace(f, evaluate=evaluate), truncation_box(f))

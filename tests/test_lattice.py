@@ -476,6 +476,29 @@ def test_negative_values_rejected():
         LatticePmf(Box((0,), (1,)), np.array([0.5, -0.1]))
 
 
+# Planted values and whether they are refused as non-finite: that error comes
+# before the one for a negative value.
+BAD_VALUES = [([math.nan], True), ([math.inf], True), ([-math.inf], True), ([-0.5, math.nan], True),
+              ([math.nan, -0.5], True), ([-0.5, math.inf], True), ([-0.5], False)]
+
+
+@pytest.mark.parametrize("planted,non_finite", BAD_VALUES)
+def test_non_finite_values_are_named_before_negative_ones(planted, non_finite):
+    vals = np.full((3, 4), 0.05)
+    vals.flat[[5, 10][:len(planted)]] = planted
+    with pytest.raises(LceError, match="must be finite" if non_finite else "must be nonnegative"):
+        LatticePmf(Box((0, 0), (2, 3)), vals)
+
+    def evaluate(x):
+        out = gaussian(1.0, 2).evaluate(x)
+        out.flat[[3, 7][:len(planted)]] = planted
+        return out
+
+    f = ContinuousDensity(2, evaluate, np.eye(2), gaussian(1.0, 2).tail_bound)
+    with pytest.raises(LceError, match="a non-finite value on the box" if non_finite else "a negative value"):
+        quantize_density(f)
+
+
 def test_lattice_set_from_iterable():
     pts = np.array([[0, 1], [2, -3], [0, 1]])
     s = LatticeSet.from_iterable(2, pts)

@@ -1,11 +1,13 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lce import families
+from lce import families, moments, numerics
 from lce.errors import LceError
 from lce.lattice import (
     Box,
@@ -100,6 +102,77 @@ def test_product_pmf_zero_cross_covariance():
 def test_argmax_tie_break_lexicographic():
     p = pmf([[0.25, 0.25], [0.25, 0.25]], lo=(0, 0))
     assert discrete_moments(p).argmax == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# blocked exact sums
+
+
+def fsum_moments(p):
+    """Mean and covariance from full-size products, each summed by math.fsum."""
+    d, vals = p.dim, p.values
+    mass = math.fsum(vals.ravel())
+    coords = [p.box.axis_coords(i).astype(np.float64).reshape([-1 if k == i else 1 for k in range(d)])
+              for i in range(d)]
+    mean = np.array([math.fsum((vals * coords[i]).ravel()) / mass for i in range(d)])
+    cov = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            cov[i, j] = cov[j, i] = math.fsum((vals * (coords[i] - mean[i]) * (coords[j] - mean[j])).ravel()) / mass
+    return mean, cov
+
+
+def blocked_cases():
+    rng = np.random.default_rng(4)
+    return [
+        families.quantized_gaussian(3.0, 2),
+        make_product([families.binomial_pmf(4), families.two_sided_geometric(0.5), families.uniform_interval(3)]),
+        pmf(rng.random((5, 1, 4)) * (rng.random((5, 1, 4)) < 0.7), lo=(-2, 3, 0)),
+        LatticePmf(Box((-2, -1), (2, 3)), np.where(np.arange(25).reshape(5, 5) == 7, 1.0, 0.0)),
+        pmf(np.where(np.isin(np.arange(20), [8, 14, 15]), 2.0, 1.0).reshape(4, 5), lo=(1, -2)),  # tied maxima
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, numerics._SUM_BLOCK])
+@pytest.mark.parametrize("case", range(5))
+def test_blocked_entropy_and_moments_are_fsum_of_the_full_products(monkeypatch, block, case):
+    monkeypatch.setattr(numerics, "_SUM_BLOCK", block)
+    monkeypatch.setattr(moments, "_ARGMAX_BLOCK", block)
+    p = blocked_cases()[case]
+    terms = numerics.neg_xlogx(p.values).ravel()
+    assert struct.pack("<d", shannon_entropy(p)) == struct.pack("<d", math.fsum(terms))
+    mean, cov = fsum_moments(p)
+    s = discrete_moments(p)
+    assert s.mean.tobytes() == mean.tobytes()
+    assert s.cov.entries.tobytes() == cov.tobytes()
+    first = np.unravel_index(np.argmax(p.values), p.values.shape)
+    assert s.argmax == tuple(int(i) + l for i, l in zip(first, p.box.lo))
+    assert s.max_value == p.values.max()
+
+
+def test_entropy_of_a_one_point_pmf_is_fsum_of_its_negative_zeros(monkeypatch):
+    # -0 log 0 and -1 log 1 are both -0.0; fsum decides the sign of the sum.
+    monkeypatch.setattr(numerics, "_SUM_BLOCK", 3)
+    for p in (point_mass((3, -1)), blocked_cases()[3]):
+        assert np.signbit(numerics.neg_xlogx(p.values)).all()
+        assert struct.pack("<d", shannon_entropy(p)) == struct.pack("<d", math.fsum([-0.0] * p.values.size))
+
+
+def test_entropy_and_moments_peak_far_below_the_pmf_bytes():
+    # A 1153^2 level: the sums run a block of rows at a time, with no
+    # full-size temporary (the whole-array sums took about 4x its bytes).
+    x = np.exp(-0.5 * (np.arange(-576, 577) / 150.0) ** 2)
+    vals = np.outer(x, x)
+    vals /= vals.sum()
+    for run in (shannon_entropy, discrete_moments):
+        p = LatticePmf(Box((-576, -576), (576, 576)), vals)  # fresh, so its mass is summed in the run
+        tracemalloc.start()
+        try:
+            run(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * vals.nbytes, run.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from lce.numerics import (
     neg_xlogx,
     next_pow2,
     stable_sum,
+    stable_sum_rows,
     unit_directions,
 )
 
@@ -75,8 +76,65 @@ def test_stable_sum_is_bit_equal_to_fsum_on_non_finite_input(xs, specials, cance
     assert outcome(stable_sum, a) == outcome(math.fsum, xs)
 
 
+def assert_blocked_sums_match_fsum(block, a, xs):
+    # Blocks of 1, 3 or 7 values put block boundaries everywhere.  The mapped
+    # sums (negated, and over rows of two) must fall back to fsum of the
+    # mapped values, in C order.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numerics, "_SUM_BLOCK", block)
+        assert outcome(stable_sum, a) == outcome(math.fsum, xs)
+        negated = [-x for x in xs]
+        assert outcome(lambda v: stable_sum_rows(lambda rows: -v[rows], v.shape), a) == outcome(math.fsum, negated)
+        if a.size % 2 == 0:
+            pairs = a.reshape(-1, 2)
+            assert outcome(lambda v: stable_sum_rows(lambda rows: -v[rows], v.shape), pairs) == \
+                outcome(math.fsum, negated)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(finite, max_size=60), cancel=st.booleans(), rnd=st.randoms(use_true_random=False))
+@example(xs=[-0.0, -0.0, -0.0, -0.0], cancel=False, rnd=random.Random(0))
+def test_blocked_sums_are_bit_equal_to_fsum(block, xs, cancel, rnd):
+    a, xs = oracle_case(xs, cancel, rnd)
+    assert_blocked_sums_match_fsum(block, a, xs)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@settings(max_examples=100, deadline=None)
+@given(xs=st.lists(finite, max_size=20), specials=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
+                                                           min_size=1, max_size=3),
+       cancel=st.booleans(), rnd=st.randoms(use_true_random=False))
+def test_blocked_sums_are_bit_equal_to_fsum_on_non_finite_input(block, xs, specials, cancel, rnd):
+    a, xs = oracle_case(xs + specials, cancel, rnd)
+    assert_blocked_sums_match_fsum(block, a, xs)
+
+
 def no_fsum(values):
     raise AssertionError("math.fsum was called")
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_blocked_sum_edge_cases(monkeypatch, block):
+    monkeypatch.setattr(numerics, "_SUM_BLOCK", block)
+    fsum = math.fsum
+    # All -0.0 over several blocks: fsum decides the sign of the zero.
+    assert struct.pack("<d", stable_sum(np.full(10, -0.0))) == struct.pack("<d", fsum([-0.0] * 10))
+    # Each value and its negation in different blocks: +0.0, with no fsum.
+    x = np.array([1.0, 2.0**-60, 3e10, 5e-324, 7.25])
+    with monkeypatch.context() as m:
+        m.setattr(numerics.math, "fsum", no_fsum)
+        assert struct.pack("<d", stable_sum(np.concatenate((x, -x)))) == struct.pack("<d", 0.0)
+        assert struct.pack("<d", stable_sum(np.concatenate((-x, [0.0] * 4, x)))) == struct.pack("<d", 0.0)
+    # A nan or inf in the last block only: fsum gets every value, in order.
+    for special in (math.nan, math.inf, -math.inf):
+        a = np.random.default_rng(1).random(20)
+        a[-1] = special
+        seen = []
+        monkeypatch.setattr(numerics.math, "fsum", lambda values: seen.extend(values) or fsum(seen))
+        assert outcome(stable_sum, a) == outcome(fsum, a.tolist())
+        assert np.array(seen).tobytes() == a.tobytes()
+        monkeypatch.setattr(numerics.math, "fsum", fsum)
 
 
 def test_stable_sum_of_an_exact_cancellation_is_plus_zero_without_fsum(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import struct
 from itertools import product
 
 import numpy as np
@@ -10,7 +11,7 @@ from lce import families, smoothing
 from lce.errors import LceError
 from lce.lattice import Box, LatticePmf, convolve, make_product, point_mass
 from lce.moments import shannon_entropy
-from lce.numerics import gauss_legendre_01
+from lce.numerics import gauss_legendre_01, neg_xlogx
 from lce.smoothing import (
     bspline_eval,
     differential_entropy,
@@ -268,7 +269,8 @@ def test_blocked_cell_integrals_match_the_unblocked_loop_bit_for_bit(monkeypatch
     big_rows = shape[0] + n - 1
     monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * math.prod(s + n - 1 for s in shape[1:]))
     assert rows == 1 or big_rows % rows != 0
-    assert smoothing._cell_integrals(p, n, order).tobytes() == cell_integrals_unblocked(p, n, order).tobytes()
+    got = smoothing._cell_integrals(p, n, order, smoothing._cover(p, n))
+    assert got.tobytes() == cell_integrals_unblocked(p, n, order).tobytes()
 
 
 def edge_pmf(case):
@@ -306,7 +308,7 @@ def test_cell_integrals_match_the_unblocked_loop_at_signed_zeros_and_subnormals(
     if case == "chain_level":  # FFT noise clipped to zero
         assert (p.values == 0.0).any()
     monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", 3 * math.prod(s + n - 1 for s in p.values.shape[1:]))
-    got = smoothing._cell_integrals(p, n, order)
+    got = smoothing._cell_integrals(p, n, order, smoothing._cover(p, n))
     assert got.tobytes() == cell_integrals_unblocked(p, n, order).tobytes()
     assert not np.signbit(got[got == 0.0]).any()
 
@@ -322,8 +324,8 @@ def test_node_loop_runs_on_the_nonzero_cover_cells_of_each_block(monkeypatch, ca
     monkeypatch.setattr(smoothing, "_xlogx", lambda f: sizes.append(f.size) or xlogx(f))
     rows, order = 3, 8
     monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * math.prod(s + n - 1 for s in p.values.shape[1:]))
-    got = smoothing._cell_integrals(p, n, order)
     cover = smoothing._cover(p, n)
+    got = smoothing._cell_integrals(p, n, order, cover)
     kept = [np.count_nonzero(cover[r0:r0 + rows]) for r0 in range(0, cover.shape[0], rows)]
     # n >= 2: every node's stencil differs from the previous node's
     assert sizes == [k for k in kept if k for _ in range(order**2)]
@@ -343,9 +345,25 @@ def test_xlogx_runs_once_per_block_and_distinct_stencil(monkeypatch, n):
     monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * (p.values.shape[1] + n - 1))
     blocks = math.ceil((p.values.shape[0] + n - 1) / rows)
     assert blocks > 1
-    smoothing._cell_integrals(p, n, order)
+    smoothing._cell_integrals(p, n, order, smoothing._cover(p, n))
     # n = 1: every node's stencil is (1.0, (0, 0)); n = 2: the nodes' stencils differ.
     assert len(calls) == blocks * (1 if n == 1 else order**2)
+
+
+@pytest.mark.parametrize("case", ["zero_rows", "subnormals", "point_mass"])
+def test_detail_builds_the_cover_once_and_keeps_the_tiny_bound_bytes(monkeypatch, case):
+    # The tiny-cell bound sums -c log c over every cell, with c = 0 where the
+    # cover is not tiny: with no tiny cell, the sign of the zero is fsum's.
+    p, n = edge_pmf(case), 2
+    cover = smoothing._cover(p, n)
+    tiny = (cover > 0.0) & (cover < smoothing.TINY_CELL_FLOOR)
+    assert tiny.any() == (case == "subnormals")
+    expected = math.fsum(neg_xlogx(np.where(tiny, cover, 0.0)).ravel())
+    calls = []
+    monkeypatch.setattr(smoothing, "_cover", lambda *a: calls.append(a) or cover)
+    detail = smoothed_entropy_detail(p, n)
+    assert len(calls) == 1
+    assert struct.pack("<d", detail.tiny_cell_bound) == struct.pack("<d", expected)
 
 
 @pytest.mark.parametrize("name", ["n", "quad_order"])
