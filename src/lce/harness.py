@@ -2,7 +2,8 @@
 report and CSV emission.
 
 Checks are registered by id and take the :class:`RunContext` that
-:func:`run_config` builds per run: the :class:`ExperimentConfig` and the
+:func:`run_config` builds per run: the :class:`ExperimentConfig`, the moment
+summary of the family member of each (d, sigma), taken once per run, and the
 entropy chains S_1..S_n, one per (d, sigma), which ``epi_gap`` (Delta_n) and
 ``diff_approx`` (delta_n) share.  Each chain level is convolved once, when a
 reader first needs it, and a chain is dropped at its last read.
@@ -35,7 +36,7 @@ from .bridge import covdis_check_1d, lattice_vs_integral_gaps
 from .densities import asym_exponential, gaussian, laplace_product
 from .errors import LceError
 from .lattice import Box, LatticePmf, LatticeSet, convolve, make_product, pmf_to_doc, point_mass
-from .moments import discrete_moments, isotropy_score, max_pmf_width_product, shannon_entropy
+from .moments import MomentSummary, discrete_moments, isotropy_score, max_pmf_width_product, shannon_entropy
 from .numerics import stable_sum, unit_directions
 from .smoothing import differential_entropy, elementary_estimate, entropy_like
 
@@ -225,12 +226,12 @@ class EntropyChain:
     and ``sums[k - 1]`` = the p.m.f. of S_k; so it grows at most one level
     past ``keep``, and that level gets its entropy only."""
 
-    def __init__(self, base: LatticePmf, keep: int):
+    def __init__(self, base: LatticePmf, base_moments: MomentSummary, keep: int):
         self.base = base
         self.keep = keep
         self.sums = [base]
         self.H = [shannon_entropy(base)]
-        self.sigma_hat = [discrete_moments(base).sigma_hat]
+        self.sigma_hat = [base_moments.sigma_hat]
 
     def extend(self, levels: int) -> None:
         # Convolutions first: on the default sweep this peaks lower in RSS.
@@ -247,12 +248,16 @@ CHAIN_READERS = ("epi_gap", "diff_approx")
 
 
 class RunContext:
-    """What the checks of one run share: the config, the entropy chains and
-    the clock that times their rows.
+    """What the checks of one run share: the config, the moment summaries of
+    the family members, the entropy chains and the clock that times their rows.
 
-    Each chain reader reads the chain of every (d, sigma) of the sweep once;
-    a chain is built at its first read, keeps the p.m.f.s up to max(n_values)
-    (the ones ``diff_approx`` smooths) and is dropped at its last read."""
+    The summary of each (d, sigma) is taken at its first read, of the chain
+    base if a chain is built first, and kept for the run, so a check that
+    needs only the summary builds no member; the members themselves are not
+    kept.  Each chain reader reads the chain of every (d, sigma) of the sweep
+    once; a chain is built at its first read, keeps the p.m.f.s up to
+    max(n_values) (the ones ``diff_approx`` smooths) and is dropped at its
+    last read."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -260,6 +265,7 @@ class RunContext:
         points = Counter((d, sigma) for d in cfg.dims for sigma in cfg.sigmas)
         self._reads_left = Counter({key: count * readers for key, count in points.items()})
         self._chains: dict = {}
+        self._moments: dict = {}
         self.clock = time.perf_counter()
 
     def row(self, check_id: str, inputs: tuple, measured: dict, bound: dict, ok: bool, rule: str,
@@ -277,12 +283,21 @@ class RunContext:
         self.clock = now
         return result
 
+    def member_moments(self, d: int, sigma: float, member: LatticePmf | None = None) -> MomentSummary:
+        """The moment summary of the family p.m.f. of (d, sigma), taken of
+        ``member`` if given (a chain base) and else of a member built for it."""
+        key = (d, sigma)
+        if key not in self._moments:
+            self._moments[key] = discrete_moments(family_pmf(self.cfg, d, sigma) if member is None else member)
+        return self._moments[key]
+
     def chain(self, d: int, sigma: float, levels: int) -> EntropyChain:
         """The chain of (d, sigma), extended to at least ``levels`` levels."""
         key = (d, sigma)
         chain = self._chains.pop(key, None)
         if chain is None:
-            chain = EntropyChain(family_pmf(self.cfg, d, sigma), max(self.cfg.n_values))
+            base = family_pmf(self.cfg, d, sigma)
+            chain = EntropyChain(base, self.member_moments(d, sigma, base), max(self.cfg.n_values))
         chain.extend(levels)
         self._reads_left[key] -= 1
         if self._reads_left[key] > 0:
@@ -383,7 +398,7 @@ def check_discrete_ub(ctx: RunContext) -> list:
     cap = cfg.tol("ub_cap")
     for d in cfg.dims:
         for sigma in cfg.sigmas:
-            s = discrete_moments(family_pmf(cfg, d, sigma))
+            s = ctx.member_moments(d, sigma)
             det = max(s.cov.det(), 0.0)
             ratio = s.max_value * math.sqrt(det)
             target = (2.0 * math.pi) ** (-d / 2.0)
@@ -403,7 +418,7 @@ def check_max_pmf_1d(ctx: RunContext) -> list:
     results = []
     cap = cfg.tol("max_width_cap")
     for sigma in cfg.sigmas:
-        prod = max_pmf_width_product(family_pmf(cfg, 1, sigma))
+        prod = max_pmf_width_product(ctx.member_moments(1, sigma))
         results.append(ctx.row("max_pmf_1d", (cfg.family_name, 1, sigma, 1), {"max_width_product": prod},
                                {"cap": cap}, prod <= cap, "max_width_product <= bound.cap"))
     return results
@@ -619,9 +634,9 @@ def check_elementary(ctx: RunContext) -> list:
     mu = rng.uniform(1e-12, 1.0 / math.e - 1e-12, n)
     viol = 0
     worst = -np.inf
-    for i in range(n):
-        g = abs(entropy_like(float(b[i]), float(M[i])) - entropy_like(float(a[i]), float(M[i])))
-        bound = elementary_estimate(float(a[i]), float(b[i]), float(mu[i]), float(D[i]), float(M[i]))
+    for Mi, Di, ai, bi, mui in zip(M.tolist(), D.tolist(), a.tolist(), b.tolist(), mu.tolist()):
+        g = abs(entropy_like(bi, Mi) - entropy_like(ai, Mi))
+        bound = elementary_estimate(ai, bi, mui, Di, Mi)
         margin = g - bound
         worst = max(worst, margin)
         if margin > 1e-12 * max(1.0, bound):

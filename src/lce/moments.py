@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LceError
 from .lattice import LatticePmf
-from .numerics import neg_xlogx, stable_sum, stable_sum_rows
+from .numerics import neg_xlogx, stable_sum, stable_sum_rows  # noqa: F401  bench/layers.py traces stable_sum here
 
 _ARGMAX_BLOCK = 1 << 15  # values per block of the argmax search
 
@@ -119,22 +119,38 @@ def isotropy_score(p: LatticePmf | MomentSummary) -> IsotropyScore:
     return IsotropyScore(op_norm_deviation=op, normalized=op / summary.sigma_hat)
 
 
-def max_pmf_width_product(p: LatticePmf) -> float:
-    """d=1 statistic max p * sqrt(1 + 4 Var(p))."""
-    if p.dim != 1:
+def max_pmf_width_product(p: LatticePmf | MomentSummary) -> float:
+    """d=1 statistic max p * sqrt(1 + 4 Var(p)), of a p.m.f. or of its summary."""
+    if (p.cov.dim if isinstance(p, MomentSummary) else p.dim) != 1:
         raise LceError("max_pmf_width_product is defined for d = 1 only")
-    s = discrete_moments(p)
+    s = p if isinstance(p, MomentSummary) else discrete_moments(p)
     var = float(s.cov.entries[0, 0])
     return s.max_value * math.sqrt(1.0 + 4.0 * var)
 
 
 def variation_sum(p: LatticePmf, axis: int) -> float:
-    """Total variation along one axis: sum over the enlarged box of |p(k) - p(k - e_axis)|."""
+    """Total variation along one axis: sum over the enlarged box of |p(k) - p(k - e_axis)|.
+
+    The differences of the p.m.f. padded with a zero on each side of ``axis``
+    are taken one block of rows at a time; on axis 0 a block reads the row
+    before it too."""
     if not (0 <= axis < p.dim):
         raise LceError(f"axis {axis} out of range for dimension {p.dim}")
+    vals = p.values
+    shape = list(vals.shape)
+    shape[axis] += 1
     pad = [(0, 0)] * p.dim
     pad[axis] = (1, 1)
-    return stable_sum(np.abs(np.diff(np.pad(p.values, pad), axis=axis)))
+
+    def term(rows):
+        if axis:
+            return np.abs(np.diff(np.pad(vals[rows], pad), axis=axis))
+        # differences start .. stop - 1 read rows start - 1 .. stop - 1 of the padded p.m.f.
+        start, stop = rows.start, min(rows.stop, shape[0])
+        ends = [(int(start == 0), int(stop == shape[0]))] + pad[1:]
+        return np.abs(np.diff(np.pad(vals[max(start - 1, 0):stop], ends), axis=0))
+
+    return stable_sum_rows(term, tuple(shape))
 
 
 def sum_of_maxima(p: LatticePmf, i: int, j: int) -> float:
@@ -143,7 +159,8 @@ def sum_of_maxima(p: LatticePmf, i: int, j: int) -> float:
     The first ``j`` coordinates are maximized over, the remaining ``d - j``
     summed; ``l_1`` is the first summed coordinate (axis ``j``).  ``j = 0``
     means no maximization.  Any permuted variant is obtained by permuting the
-    p.m.f.'s axes first.
+    p.m.f.'s axes first.  The weighted maxima are summed one block of rows at
+    a time.
     """
     if i not in (0, 1, 2):
         raise LceError("i must be 0, 1 or 2")
@@ -151,6 +168,5 @@ def sum_of_maxima(p: LatticePmf, i: int, j: int) -> float:
         raise LceError(f"j must lie in [0, {p.dim - 1}]")
     reduced = p.values.max(axis=tuple(range(j))) if j > 0 else p.values
     weights = np.abs(p.box.axis_coords(j).astype(np.float64)) ** i  # |0|^0 = 1
-    shape = [1] * reduced.ndim
-    shape[0] = reduced.shape[0]
-    return stable_sum(reduced * weights.reshape(shape))
+    weights = weights.reshape([-1] + [1] * (reduced.ndim - 1))
+    return stable_sum_rows(lambda rows: reduced[rows] * weights[rows], reduced.shape)

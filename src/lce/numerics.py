@@ -1,9 +1,14 @@
 """Shared numerical kernels: exact summation, Gauss-Legendre node caches, one
 adaptive tensor quadrature over boxes in R^d, and sweep directions.
 
-All reductions in the library funnel through :func:`stable_sum_rows` (and
-:func:`stable_sum`, the same over a plain array), which computes the correctly
-rounded sum of its inputs, bit-equal to ``math.fsum``: each value is split by
+Every sum over a p.m.f. that reaches a report (entropy, moments, masses) is
+correctly rounded: it funnels through :func:`stable_sum_rows` (and
+:func:`stable_sum`, the same over a plain array).  The sums that are only
+compared with a tolerance, in the sample check of an FFT convolution, first
+decides through a float sum with a certified error bound, and sums exactly
+only the cells that bound cannot decide (:mod:`lce.lattice`).
+:func:`stable_sum_rows` computes the correctly rounded sum of its inputs,
+bit-equal to ``math.fsum``: each value is split by
 a bit mask into two parts whose sums per binary exponent are exact, and the
 exact total is rounded once (exact summation as in Zhu and Hayes, "Algorithm
 908", ACM TOMS 2010, vectorised with numpy).  The values stream in blocks of

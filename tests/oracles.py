@@ -11,7 +11,9 @@
   which check the exact mode of :mod:`lce.convexity`.  And the d = 1
   local-concavity test p(k)^2 >= p(k-1) p(k+1).
 - The whole-spectrum FFT convolution (rfftn product, then irfftn), whose
-  bytes the column panels of :mod:`lce.lattice` must give.
+  bytes the column panels of :mod:`lce.lattice` must give, and the FFT
+  sample check with an exact sum at every cell, whose verdicts and messages
+  its float-filtered check must give.
 - The pointwise smoothed density, which checks the blocked cell quadrature of
   :mod:`lce.smoothing`; quadrature moments of a continuous density, which
   check the closed forms each :mod:`lce.densities` family declares; and
@@ -43,8 +45,17 @@ from lce.families import (
     uniform_interval,
 )
 from lce.harness import CheckResult, ReportDocument
-from lce.lattice import Box, LatticePmf, LatticeSet, _check_cells, convolve, support_set
-from lce.numerics import adaptive_quad, next_pow2
+from lce.lattice import (
+    _FFT_CHECK_SAMPLES,
+    _FFT_CHECK_TOL,
+    Box,
+    LatticePmf,
+    LatticeSet,
+    _check_cells,
+    convolve,
+    support_set,
+)
+from lce.numerics import adaptive_quad, next_pow2, stable_sum
 from lce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 from lce.smoothing import bspline_eval
 
@@ -434,7 +445,7 @@ def envelope_minimum(points, values, z, *, exact: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# whole-spectrum FFT convolution
+# whole-spectrum FFT convolution and the all-exact FFT sample check
 
 
 def whole_spectrum_convolution(p: np.ndarray, q: np.ndarray, out_shape) -> np.ndarray:
@@ -446,6 +457,34 @@ def whole_spectrum_convolution(p: np.ndarray, q: np.ndarray, out_shape) -> np.nd
     product = np.fft.rfftn(p, s=padded, axes=axes) * np.fft.rfftn(q, s=padded, axes=axes)
     full = np.fft.irfftn(product, s=padded, axes=axes)
     return np.ascontiguousarray(full[tuple(slice(0, s) for s in out_shape)])
+
+
+def fft_check_products(p: np.ndarray, q: np.ndarray, out: np.ndarray):
+    """(flat index, window products) at each cell that the FFT sample check
+    samples: p[lo:hi+1] times q[c-hi : c-lo+1] flipped, as :mod:`lce.lattice`
+    forms them."""
+    idx = np.linspace(0, out.size - 1, num=min(_FFT_CHECK_SAMPLES, out.size)).astype(np.int64)
+    flip = (slice(None, None, -1),) * out.ndim
+    for flat in sorted(set(idx.tolist())):
+        cell = np.unravel_index(flat, out.shape)
+        lo = [max(0, int(c) - s + 1) for c, s in zip(cell, q.shape)]
+        hi = [min(int(c), s - 1) for c, s in zip(cell, p.shape)]
+        p_win = p[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+        q_win = q[tuple(slice(c - b, c - a + 1) for c, a, b in zip(cell, lo, hi))][flip]
+        yield flat, p_win * q_win
+
+
+def verify_fft_subsample_exact(p: np.ndarray, q: np.ndarray, out: np.ndarray, scale: float):
+    """The FFT sample check with an exact sum at every sampled cell: the
+    verdict and the message that the filtered check of :mod:`lce.lattice`
+    must give."""
+    worst = 0.0
+    for flat, products in fft_check_products(p, q, out):
+        worst = max(worst, abs(stable_sum(products) - float(out.flat[flat])))
+    if worst > _FFT_CHECK_TOL * scale:
+        raise NumericalError(
+            f"FFT/direct subsample discrepancy {worst:.3e} exceeds {_FFT_CHECK_TOL * scale:.3e}"
+        )
 
 
 # ---------------------------------------------------------------------------

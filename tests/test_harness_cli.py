@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -692,11 +693,13 @@ def test_a_chain_takes_moments_of_the_levels_it_keeps_only(steps, monkeypatch):
         return discrete_moments(p)
 
     monkeypatch.setattr(harness, "discrete_moments", counted)
-    chain = harness.EntropyChain(harness.family_pmf(chain_config([]), 1, 2.0), 3)
+    base = harness.family_pmf(chain_config([]), 1, 2.0)
+    chain = harness.EntropyChain(base, discrete_moments(base), 3)
     for levels in steps:
         chain.extend(levels)
-    assert (len(chain.H), len(calls)) == (4, 3)
-    assert all(c is s for c, s in zip(calls, chain.sums, strict=True))
+    # the base comes with its summary
+    assert (len(chain.H), len(calls)) == (4, 2)
+    assert all(c is s for c, s in zip(calls, chain.sums[1:], strict=True))
 
 
 @pytest.mark.parametrize("checks", [["epi_gap", "diff_approx"], ["diff_approx", "epi_gap"]])
@@ -756,6 +759,35 @@ def test_rows_add_up_to_the_wall_time_and_each_carries_what_it_waited_on(monkeyp
     first, second = [r for r in doc.results if r.check_id == "epi_gap"][:2]
     assert (first.inputs["n"], second.inputs["n"]) == (1, 2)
     assert first.runtime_ms >= 100.0 and second.runtime_ms < 50.0
+
+
+def test_each_family_member_is_summarized_once_per_run(monkeypatch):
+    from lce import moments
+
+    running, builds, summaries = [], Counter(), Counter()
+    family_pmf, summarize = harness.family_pmf, moments.discrete_moments
+
+    def counted_family_pmf(*args):
+        builds[running[-1]] += 1
+        return family_pmf(*args)
+
+    def counted_moments(p):
+        summaries[running[-1]] += 1
+        return summarize(p)
+
+    monkeypatch.setattr(harness, "family_pmf", counted_family_pmf)
+    monkeypatch.setattr(harness, "discrete_moments", counted_moments)
+    monkeypatch.setattr(moments, "discrete_moments", counted_moments)
+    cfg = chain_config(["epi_gap", "discrete_ub", "max_pmf_1d", "diff_approx"])
+    cfg.dims = [1, 2]
+    ctx = harness.RunContext(cfg)
+    for check in cfg.checks:
+        running.append(check)
+        harness.CHECKS[check](ctx)
+    # epi_gap builds a precheck member per d and a chain base per (d, sigma),
+    # and summarizes each base and each kept level S_2; the other checks read
+    # those summaries and chains and build or summarize nothing
+    assert builds == {"epi_gap": 2 + 4} and summaries == {"epi_gap": 4 + 4}
 
 
 def test_diff_approx_envelope_sigma8():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from lce.lattice import (
 from lce.moments import discrete_moments
 from lce.numerics import next_pow2, stable_sum
 
-from oracles import make_uniform_on_set, self_convolve, whole_spectrum_convolution
+from oracles import (
+    fft_check_products,
+    make_uniform_on_set,
+    self_convolve,
+    verify_fft_subsample_exact,
+    whole_spectrum_convolution,
+)
 
 
 def small_pmf(values, lo=(0,)):
@@ -469,6 +476,118 @@ def test_fft_check_compares_sampled_cells_with_direct_sums(shapes):
         with pytest.raises(NumericalError, match="subsample discrepancy"):
             lat._verify_fft_subsample(p, q, at_sample, scale)
         lat._verify_fft_subsample(p, q, off_sample, scale)
+
+
+def check_outcome(verify, p, q, out, scale):
+    """None if ``verify`` passes, else the message of its NumericalError."""
+    try:
+        verify(p, q, out, scale)
+    except NumericalError as exc:
+        return str(exc)
+    return None
+
+
+FILTER_SHAPES = [((40,), (75,)), ((7, 12), (11, 5)), ((4, 6, 3), (5, 3, 7)), ((60, 50), (40, 70))]
+# Window products of 2^17 and many 2^-37: numpy's float sum falls short of
+# the exact sum by up to 0.87 tolerances at scale 1, and an ulp of the sums
+# is 0.29 tolerances.
+FILTER_ROUNDING = (np.array([2.0**17] + [2.0**-37] * 31), np.ones(32))
+
+
+def filter_operands(case):
+    if case == "rounding":
+        return [FILTER_ROUNDING]
+    rng = np.random.default_rng(10 + case)
+    a, b = (sparse_pmf(rng, s).values for s in FILTER_SHAPES[case])
+    return [(a, b), (b, a), (a * 1e3, b)]
+
+
+# Perturbations in tolerances: the filter accepts a cell only within half a
+# tolerance of its float sum, less the error bound, and 1 sits on the
+# boundary of the exact check.  The rounding case starts from the exact sums
+# and perturbs cells from their fft value, float sum and exact sum.
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "rounding"], ids=["d1", "d2", "d3", "d2-wide", "rounding"])
+def test_filtered_fft_check_gives_the_verdicts_and_messages_of_exact_sums(case):
+    import lce.lattice as lat
+
+    verdicts = set()
+    for p, q in filter_operands(case):
+        out_shape = tuple(x + y - 1 for x, y in zip(p.shape, q.shape))
+        # The rounding case takes the tolerance of operands of mass 1.
+        scale = 1.0 if case == "rounding" else max(1.0, float(p.sum()) * float(q.sum()))
+        out = lat._convolve_fft(p, q, out_shape, scale)
+        limit = lat._FFT_CHECK_TOL * scale
+        sums = list(fft_check_products(p, q, out))
+        if case == "rounding":  # exact sums, perturbed where the float sums fall shortest
+            for cell, products in sums:
+                out.flat[cell] = stable_sum(products)
+            picked = sorted(sums, key=lambda s: stable_sum(s[1]) - float(s[1].sum()))[-4:]
+        else:
+            picked = [sums[1], sums[len(sums) // 2]]
+        for cell, products in picked:
+            anchors = (out.flat[cell],) + ((float(products.sum()), stable_sum(products)) if case == "rounding" else ())
+            for anchor, k, sign in product(anchors, (0, 0.25, 0.49, 0.5, 0.51, 0.99, 1, 1.01, 2, 10), (1, -1)):
+                bad = out.copy()
+                bad.flat[cell] = anchor + sign * k * limit
+                want = check_outcome(verify_fft_subsample_exact, p, q, bad, scale)
+                assert check_outcome(lat._verify_fft_subsample, p, q, bad, scale) == want
+                verdicts.add(want is None)
+            bad = out.copy()
+            bad.flat[cell] = np.nan
+            want = check_outcome(verify_fft_subsample_exact, p, q, bad, scale)
+            assert check_outcome(lat._verify_fft_subsample, p, q, bad, scale) == want
+    assert verdicts == {True, False}
+
+
+def test_fft_check_sums_no_cell_exactly_on_an_entropy_fft_report(monkeypatch):
+    import lce.lattice as lat
+    from lce import harness
+
+    verify, stable = lat._verify_fft_subsample, lat.stable_sum
+    exact_sums, inside = [], []
+
+    def counted_verify(p, q, out, scale):
+        exact_sums.append(0)
+        inside.append(True)
+        try:
+            verify(p, q, out, scale)
+        finally:
+            inside.pop()
+
+    def counted_sum(values):
+        if inside:
+            exact_sums[-1] += 1
+        return stable(values)
+
+    monkeypatch.setattr(lat, "_verify_fft_subsample", counted_verify)
+    monkeypatch.setattr(lat, "stable_sum", counted_sum)
+    cfg = harness.default_config()
+    cfg.checks, cfg.sigmas = ["epi_gap", "discrete_ub", "max_pmf_1d"], [8.0, 16.0]
+    harness.run_config(cfg)
+    assert len(exact_sums) >= 4 and exact_sums == [0] * len(exact_sums)
+
+
+def test_fft_check_sums_exactly_the_cells_the_filter_leaves_open(monkeypatch):
+    import lce.lattice as lat
+
+    rng = np.random.default_rng(5)
+    p, q = (sparse_pmf(rng, s).values for s in ((9, 14), (12, 6)))
+    out_shape = tuple(x + y - 1 for x, y in zip(p.shape, q.shape))
+    out = lat._convolve_fft(p, q, out_shape, 1.0)
+    limit = lat._FFT_CHECK_TOL
+    sampled = np.linspace(0, out.size - 1, num=lat._FFT_CHECK_SAMPLES).astype(np.int64)
+    open_cells = sampled[[3, 17, 40]]
+    for cell in open_cells:
+        out.flat[cell] += 10 * limit
+    for cell in sampled[[5, 18, 41]]:
+        out.flat[cell] -= 0.25 * limit
+    summed = []
+    monkeypatch.setattr(lat, "stable_sum", lambda values: summed.append(values) or stable_sum(values))
+    with pytest.raises(NumericalError) as caught:
+        lat._verify_fft_subsample(p, q, out, 1.0)
+    assert str(caught.value) == check_outcome(verify_fft_subsample_exact, p, q, out, 1.0)
+    windows = dict(fft_check_products(p, q, out))
+    assert [v.tobytes() for v in summed] == [windows[cell].tobytes() for cell in open_cells]
 
 
 def test_negative_values_rejected():

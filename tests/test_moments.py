@@ -357,6 +357,66 @@ def test_sum_of_maxima_rate_envelope():
     assert rate_envelope_ok(stats, rel_slack=1e-6)
 
 
+def fsum_variation_sum(p, axis):
+    """The variation sum from the full-size padded differences, summed by math.fsum."""
+    pad = [(0, 0)] * p.dim
+    pad[axis] = (1, 1)
+    return math.fsum(np.abs(np.diff(np.pad(p.values, pad), axis=axis)).ravel())
+
+
+def fsum_sum_of_maxima(p, i, j):
+    """The sum of maxima from the full-size weighted maxima, summed by math.fsum."""
+    reduced = p.values.max(axis=tuple(range(j))) if j > 0 else p.values
+    weights = np.abs(p.box.axis_coords(j).astype(np.float64)) ** i
+    return math.fsum((reduced * weights.reshape([-1] + [1] * (reduced.ndim - 1))).ravel())
+
+
+def bytes_or_error(fn, *args):
+    try:
+        return struct.pack("<d", fn(*args))
+    except OverflowError as exc:
+        return repr(exc)
+
+
+def fallback_cases():
+    """P.m.f.s whose sums go to math.fsum: all zeros, all -0.0, sums at risk
+    of overflow (finite at 1e306, overflowing at 1e308)."""
+    rng = np.random.default_rng(8)
+    return [LatticePmf(Box((0, 0), (2, 3)), np.zeros((3, 4))),
+            LatticePmf(Box((-1, 0), (0, 2)), np.full((2, 3), -0.0)),
+            LatticePmf(Box((-1, -2), (1, 1)), 1e306 * rng.random((3, 4))),
+            LatticePmf(Box((0,), (5,)), np.full(6, 1e308))]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("block", [1, 3, 7, numerics._SUM_BLOCK])
+def test_streamed_variation_sums_and_sums_of_maxima_are_fsum_of_the_full_arrays(monkeypatch, block):
+    monkeypatch.setattr(numerics, "_SUM_BLOCK", block)
+    for p in blocked_cases() + fallback_cases():
+        for axis in range(p.dim):
+            assert bytes_or_error(variation_sum, p, axis) == bytes_or_error(fsum_variation_sum, p, axis)
+        for i in (0, 1, 2):
+            for j in range(p.dim):
+                assert bytes_or_error(sum_of_maxima, p, i, j) == bytes_or_error(fsum_sum_of_maxima, p, i, j)
+
+
+def test_variation_sums_and_sums_of_maxima_peak_far_below_the_pmf_bytes():
+    # The full-size padded differences took 2.0x the p.m.f.'s bytes, and the
+    # weighted values with no maximization 1.08x.
+    x = np.exp(-0.5 * (np.arange(-576, 577) / 150.0) ** 2)
+    p = LatticePmf(Box((-576, -576), (576, 576)), np.outer(x, x) / np.outer(x, x).sum())
+    runs = [(variation_sum, p, 0), (variation_sum, p, 1)]
+    runs += [(sum_of_maxima, p, i, j) for i in (0, 2) for j in (0, 1)]
+    for fn, *args in runs:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * p.values.nbytes, (fn.__name__, args[1:])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
 def test_entropy_matches_fsum_oracle(seed):
