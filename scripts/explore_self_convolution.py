@@ -2,10 +2,13 @@
 """Empirical exploration: is log-concave extensibility on Z^2 preserved by
 self-convolution?
 
-Samples random extensible p.m.f.s on small supports, convolves them with
-themselves (twice and three times), and re-runs the extensibility decision.
-Instances whose self-convolutions fail are re-verified in exact rational
-arithmetic and dumped as JSON for reproduction.
+Runs the ``explore_conv`` check of the harness with SAMPLES samples: random
+extensible p.m.f.s on small supports, convolved with themselves twice and
+three times, with the extensibility decision re-run on each.  The samples
+come from the check's own stream (``seed + 2``), so the script sees the
+p.m.f.s that ``lce sweep`` reports at that seed.  Each counterexample of the
+check is convolved again to find its fold; two-fold failures are re-verified
+in exact arithmetic.  The confirmed ones are dumped as JSON for reproduction.
 
 Usage: python scripts/explore_self_convolution.py [SAMPLES] [SEED] [OUTDIR]
 """
@@ -14,11 +17,9 @@ import json
 import pathlib
 import sys
 
-import numpy as np
-
 from lce import convexity
-from lce.harness import _random_extensible_pmf
-from lce.lattice import convolve, pmf_to_doc
+from lce.harness import ExperimentConfig, run_config
+from lce.lattice import convolve, pmf_from_doc, pmf_to_doc
 
 
 def main() -> int:
@@ -26,33 +27,27 @@ def main() -> int:
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20240810
     outdir = pathlib.Path(sys.argv[3]) if len(sys.argv) > 3 else pathlib.Path("explore_out")
     outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
+    cfg = ExperimentConfig(family={"name": "gaussian", "params": {}}, dims=[2], sigmas=[1.0], n_values=[3],
+                           checks=["explore_conv"], tolerances={"explore_samples": samples}, seed=seed)
+    row = run_config(cfg).results[0]
+    tol = cfg.tol("envelope_tol")
 
-    tallies = {"extensible_twofold": 0, "fail_twofold": 0, "fail_threefold": 0}
     dumps = []
-    for i in range(samples):
-        p = _random_extensible_pmf(rng)
+    for i, doc in enumerate(row.notes.get("counterexamples", [])):
+        p = pmf_from_doc(doc)
         p2 = convolve(p, p)
-        r2 = convexity.is_log_concave_extensible(p2)
-        if r2.is_extensible:
-            tallies["extensible_twofold"] += 1
-            p3 = convolve(p2, p)
-            if not convexity.is_log_concave_extensible(p3).is_extensible:
-                tallies["fail_threefold"] += 1
-                dumps.append((i, p, 3))
-        else:
-            tallies["fail_twofold"] += 1
-            # exact-arithmetic confirmation before calling it a counterexample
-            exact = convexity.is_log_concave_extensible(p2, exact=True)
-            if not exact.is_extensible:
-                dumps.append((i, p, 2))
+        if convexity.is_log_concave_extensible(p2, tol=tol).is_extensible:
+            dumps.append((i, p, 3))
+        elif not convexity.is_log_concave_extensible(p2, exact=True).is_extensible:
+            dumps.append((i, p, 2))  # confirmed in exact arithmetic
 
     print(f"samples={samples} seed={seed}")
-    for k, v in tallies.items():
+    fail2 = int(row.measured["fail_twofold"])
+    for k, v in (("extensible_twofold", samples - fail2), ("fail_twofold", fail2),
+                 ("fail_threefold", int(row.measured["fail_threefold"]))):
         print(f"  {k}: {v}")
     for i, p, fold in dumps:
-        path = outdir / f"counterexample_{i:04d}_fold{fold}.json"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(outdir / f"counterexample_{i:04d}_fold{fold}.json", "w", encoding="utf-8") as fh:
             json.dump({"fold": fold, "pmf": pmf_to_doc(p)}, fh, indent=1)
     if dumps:
         print(f"wrote {len(dumps)} exact-verified counterexample p.m.f.s to {outdir}/")

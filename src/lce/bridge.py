@@ -34,7 +34,6 @@ class GapReport:
     cross_moment: dict  # (i, j) -> gap, i < j
     det_gap: float  # det(Cov_Z) - det(Cov_R)
     lattice_mass: float
-    lattice_cov_det: float
     max_lattice_value: float
 
 
@@ -88,7 +87,6 @@ def lattice_vs_integral_gaps(f: ContinuousDensity) -> GapReport:
         cross_moment=cross,
         det_gap=det_l - det_c,
         lattice_mass=s0,
-        lattice_cov_det=det_l,
         max_lattice_value=vmax,
     )
 
@@ -99,8 +97,6 @@ def lattice_vs_integral_gaps(f: ContinuousDensity) -> GapReport:
 
 @dataclass(frozen=True)
 class FirstMomentCheck:
-    integral_xf: float
-    lattice_sum_kf: float
     lattice_mass: float  # sum f(k)
     gap: float
     bound: float  # (e + 1) * lattice_mass
@@ -117,7 +113,6 @@ def covdis_check_1d(f: ContinuousDensity) -> FirstMomentCheck:
     vals = f.evaluate(ks[:, None])
     skf = stable_sum(vals * ks)
     sf = stable_sum(vals)
-    int_xf = 0.0  # f is centred
-    gap = abs(int_xf - skf)
+    gap = abs(skf)  # f is centred, so int x f = 0
     bound = (math.e + 1.0) * sf
-    return FirstMomentCheck(int_xf, skf, sf, gap, bound, gap <= bound + 1e-12)
+    return FirstMomentCheck(sf, gap, bound, gap <= bound + 1e-12)

@@ -40,8 +40,6 @@ CELL_CAP = 1 << 26
 _DIRECT_COST_CAP = 1 << 22
 
 DEFAULT_TAIL_TOLERANCE = 1e-12
-# A tail sum longer than this many shells is taken in closed form.
-_TAIL_LOOP_SHELLS = 10_000
 DEFAULT_RADIUS_MULTIPLIER = 12.0
 
 _FFT_CHECK_SAMPLES = 64
@@ -220,8 +218,8 @@ def lattice_tail_sum_bound(density: ContinuousDensity, inf_radius: int) -> float
 
     Uses the declared exponential tail majorant over L-inf shells; valid because
     |k|_2 >= |k|_inf.  Requires the shells to start beyond the majorant's
-    validity radius.  Sums shell by shell when that stops within
-    ``_TAIL_LOOP_SHELLS`` shells, and in closed form beyond them.
+    validity radius.  The sum over the shells is taken in closed form at every
+    rate (:func:`_shell_series`), in d terms.
     """
     tb = density.tail_bound
     m0 = int(inf_radius) + 1
@@ -230,25 +228,7 @@ def lattice_tail_sum_bound(density: ContinuousDensity, inf_radius: int) -> float
             f"truncation box (inradius {inf_radius}) lies inside the tail-bound radius {tb.radius}; "
             "increase radius_multiplier"
         )
-    d, amplitude, rate = density.dim, tb.amplitude, tb.rate
-    # The loop stops at the first term below 1e-300 or below 1e-18 of its
-    # running total.  No term exceeds top = shell(last) exp(-rate m0), so the
-    # total stays below _TAIL_LOOP_SHELLS * top; and shell(m) exp(-rate m) is
-    # log-concave in m, so the least term is at an end.  If both ends clear
-    # that test with a margin for rounding, the loop would run all its shells,
-    # and the closed form replaces it.
-    last = m0 + _TAIL_LOOP_SHELLS - 1
-    ends = [float(_shell(d, m)) * amplitude * math.exp(-rate * m) for m in (m0, last)]
-    top = float(_shell(d, last)) * amplitude * math.exp(-rate * m0)
-    if min(ends) >= (1.0 + 1e-6) * max(1e-300, 1e-18 * _TAIL_LOOP_SHELLS * top):
-        return amplitude * _shell_series(d, rate, m0)
-    total = 0.0
-    for m in range(m0, last + 1):
-        term = float(_shell(d, m)) * amplitude * math.exp(-rate * m)
-        total += term
-        if term < 1e-300 or term < 1e-18 * max(total, 1e-300):
-            return total
-    return total + amplitude * _shell_series(d, rate, last + 1)
+    return tb.amplitude * _shell_series(density.dim, tb.rate, m0)
 
 
 def _shell(d: int, m: int) -> int:

@@ -4,7 +4,9 @@ product, variation sums and sums of maxima.
 Entropy is in nats throughout.  Moments are exact finite sums accumulated with
 the correctly rounded summation from :mod:`lce.numerics`; the argmax tie-break
 is lexicographic.  Operator norms and determinants of the small covariance
-matrices come from their eigenvalues (LAPACK, ``np.linalg.eigvalsh``).
+matrices come from their eigenvalues (LAPACK, ``np.linalg.eigvalsh``), which a
+:class:`CovarianceMatrix` takes once, in its PSD check.  The statistics take a
+:class:`MomentSummary`, so a p.m.f. is summarized once for all of them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import LceError
 from .lattice import LatticePmf
-from .numerics import neg_xlogx, stable_sum, stable_sum_rows  # noqa: F401  bench/layers.py traces stable_sum here
+from .numerics import stable_sum, stable_sum_rows, xlogx  # noqa: F401  bench/layers.py traces stable_sum here
 
 _ARGMAX_BLOCK = 1 << 15  # values per block of the argmax search
 
@@ -37,10 +39,12 @@ class CovarianceMatrix:
         if eig.size and float(eig[0]) < -1e-9 * scale:
             raise LceError(f"covariance has eigenvalue {eig[0]}, not PSD within tolerance")
         m.flags.writeable = False
+        eig.flags.writeable = False
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "_eig", eig)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
+        return self._eig
 
     def det(self) -> float:
         return float(np.prod(self.eigenvalues()))
@@ -66,7 +70,7 @@ def shannon_entropy(p: LatticePmf) -> float:
     """H(p) = -sum p log p in nats, with 0 log 0 = 0."""
     p.assert_normalized()
     v = p.values.reshape(-1)
-    return stable_sum_rows(lambda rows: neg_xlogx(v[rows]), v.shape)
+    return 0.0 - stable_sum_rows(lambda rows: xlogx(v[rows]), v.shape)
 
 
 def discrete_moments(p: LatticePmf) -> MomentSummary:
@@ -95,21 +99,13 @@ def discrete_moments(p: LatticePmf) -> MomentSummary:
     start = next(r for r in range(0, flat.size, _ARGMAX_BLOCK) if flat[r:r + _ARGMAX_BLOCK].max() == vmax)
     idx = np.unravel_index(start + int(flat[start:start + _ARGMAX_BLOCK].argmax()), vals.shape)
     argmax = tuple(int(a) + l for a, l in zip(idx, p.box.lo))
-    det = float(np.prod(np.linalg.eigvalsh(cov)))
-    sigma_hat = max(det, 0.0) ** (1.0 / (2.0 * d))
-    return MomentSummary(
-        mass=mass,
-        mean=mean,
-        cov=CovarianceMatrix(d, cov),
-        max_value=vmax,
-        argmax=argmax,
-        sigma_hat=sigma_hat,
-    )
+    cov = CovarianceMatrix(d, cov)
+    sigma_hat = max(cov.det(), 0.0) ** (1.0 / (2.0 * d))
+    return MomentSummary(mass=mass, mean=mean, cov=cov, max_value=vmax, argmax=argmax, sigma_hat=sigma_hat)
 
 
-def isotropy_score(p: LatticePmf | MomentSummary) -> IsotropyScore:
+def isotropy_score(summary: MomentSummary) -> IsotropyScore:
     """Operator-norm deviation of Cov from sigma_hat^2 * I, absolute and per sigma_hat."""
-    summary = p if isinstance(p, MomentSummary) else discrete_moments(p)
     if summary.sigma_hat <= 0.0 or summary.cov.det() <= 0.0:
         raise LceError("degenerate covariance: isotropy score undefined")
     d = summary.cov.dim
@@ -119,13 +115,11 @@ def isotropy_score(p: LatticePmf | MomentSummary) -> IsotropyScore:
     return IsotropyScore(op_norm_deviation=op, normalized=op / summary.sigma_hat)
 
 
-def max_pmf_width_product(p: LatticePmf | MomentSummary) -> float:
-    """d=1 statistic max p * sqrt(1 + 4 Var(p)), of a p.m.f. or of its summary."""
-    if (p.cov.dim if isinstance(p, MomentSummary) else p.dim) != 1:
+def max_pmf_width_product(s: MomentSummary) -> float:
+    """d=1 statistic max p * sqrt(1 + 4 Var(p)), from the summary of p."""
+    if s.cov.dim != 1:
         raise LceError("max_pmf_width_product is defined for d = 1 only")
-    s = p if isinstance(p, MomentSummary) else discrete_moments(p)
-    var = float(s.cov.entries[0, 0])
-    return s.max_value * math.sqrt(1.0 + 4.0 * var)
+    return s.max_value * math.sqrt(1.0 + 4.0 * float(s.cov.entries[0, 0]))
 
 
 def variation_sum(p: LatticePmf, axis: int) -> float:

@@ -1,5 +1,6 @@
-"""Shared numerical kernels: exact summation, Gauss-Legendre node caches, one
-adaptive tensor quadrature over boxes in R^d, and sweep directions.
+"""Shared numerical kernels: exact summation, the one x log x, Gauss-Legendre
+node caches, one adaptive tensor quadrature over boxes in R^d, and sweep
+directions.
 
 Every sum over a p.m.f. that reaches a report (entropy, moments, masses) is
 correctly rounded: it funnels through :func:`stable_sum_rows` (and
@@ -22,6 +23,12 @@ edge cases: empty or all-zero input (it decides the sign of the zero),
 non-finite input, a sum that could overflow and 2^26 values or more.  The
 result is therefore independent of accumulation order and block size, and
 bit-stable across runs and thread counts.
+
+Every entropy, discrete or smoothed, takes f log f from :func:`xlogx`, whose
+domain is the nonnegative floats, and negates the correctly rounded sum as
+``0.0 - sum``.  Rounding is symmetric, so that equals the correctly rounded
+sum of the negated terms; and a zero sum gives +0.0 (a point mass has
+entropy +0.0).
 """
 
 from __future__ import annotations
@@ -101,15 +108,11 @@ def stable_sum_rows(term, shape) -> float:
     return sum(map(int.__lshift__, (m * 2.0**53).astype(np.int64).tolist(), (x + 1073).tolist())) / (1 << 1126)
 
 
-def neg_xlogx(a: np.ndarray) -> np.ndarray:
-    """Elementwise -a*log(a) with the convention 0*log(0) = 0."""
-    a = np.asarray(a, dtype=np.float64)
-    out = np.zeros_like(a)
-    mask = a > 0.0
-    np.log(a, out=out, where=mask)
-    out *= a
-    np.negative(out, out=out)
-    return out
+def xlogx(f: np.ndarray) -> np.ndarray:
+    """f log f of a nonnegative array, with one temporary: -0.0 at f = +0
+    and +0.0 at f = -0; callers negate its sums as ``0.0 - sum``."""
+    g = np.maximum(f, 5e-324)
+    return np.multiply(f, np.log(g, out=g), out=g)
 
 
 def next_pow2(n: int) -> int:

@@ -8,6 +8,8 @@ until the contribution errors sum below the requested tolerance.  Only the
 kernel makes the integrand non-smooth (at cells where the mass steps to
 zero), so refinement touches a handful of cells in practice.  Nodes with one
 kernel stencil share one f log f: n = 1 takes one log per block of cells.
+Every f log f is :func:`~lce.numerics.xlogx` of nonnegative values, and each
+-sum f log f is taken as ``0.0 - sum``.
 Only cells of nonzero cover (the sum of their n^d stencil masses) are
 integrated, bit for bit: the masses are nonnegative, so any other cell has
 f = +-0 at every node and integrates to +0.0 anyway.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import LceError, NumericalError
 from .lattice import LatticePmf
-from .numerics import gauss_legendre_01, neg_xlogx, stable_sum, stable_sum_rows
+from .numerics import gauss_legendre_01, stable_sum, stable_sum_rows, xlogx
 
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_ENTROPY_TOL = 1e-8
@@ -86,7 +88,7 @@ def _cell_integrals(p: LatticePmf, n: int, order: int, cover: np.ndarray) -> np.
     zero-filled loop over all cells: a zero-cover cell has f = +-0 at every
     node and ends at +0.0 there too; in a kept cell, writing the first term
     and adding c * +0.0 for a mass outside the array change only the sign of
-    a zero f, where ``_xlogx`` gives -+0.0, and subtracting a zero leaves each
+    a zero f, where ``xlogx`` gives -+0.0, and subtracting a zero leaves each
     sum (from +0, never -0.0).  A node with the previous node's terms reuses
     its f log f.
     """
@@ -129,7 +131,7 @@ def _cell_integrals(p: LatticePmf, n: int, order: int, cover: np.ndarray) -> np.
                         f += c * masses[j]
                     else:
                         np.multiply(masses[j], c, out=f)
-                g = _xlogx(f)
+                g = xlogx(f)
             total -= w * g
         block.reshape(-1)[kept] = total
     return acc
@@ -141,12 +143,6 @@ def _cover(p: LatticePmf, n: int) -> np.ndarray:
     for j in product(range(n), repeat=p.dim):
         cover[tuple(slice(ji, ji + s) for ji, s in zip(j, p.values.shape))] += p.values
     return cover
-
-
-def _xlogx(f: np.ndarray) -> np.ndarray:
-    """f log f, except -0.0 at f = +0 and +0.0 at f = -0."""
-    g = np.maximum(f, 5e-324)
-    return np.multiply(f, np.log(g, out=g), out=g)
 
 
 def _stencil_values(p: LatticePmf, cell: tuple[int, ...], n: int) -> np.ndarray:
@@ -163,10 +159,10 @@ def _tensor_cell_integral(sv: np.ndarray, n: int, order: int, d: int) -> float:
     f = sv
     for _ in range(d):
         f = np.tensordot(f, K, axes=([0], [0]))
-    val = neg_xlogx(f)
+    val = xlogx(f)
     for _ in range(d):
         val = np.tensordot(val, weights, axes=([0], [0]))
-    return float(val)
+    return 0.0 - float(val)
 
 
 def _refine_cell(p, n, cell, start_order, tol_cell) -> float:
@@ -230,9 +226,9 @@ def smoothed_entropy_detail(
     # increasing there, so such cells are negligible regardless of quadrature.
     def tiny_terms(rows):
         c = cover[rows]
-        return neg_xlogx(np.where((c > 0.0) & (c < TINY_CELL_FLOOR), c, 0.0))
+        return xlogx(np.where((c > 0.0) & (c < TINY_CELL_FLOOR), c, 0.0))
 
-    tiny_bound = stable_sum_rows(tiny_terms, cover.shape)
+    tiny_bound = 0.0 - stable_sum_rows(tiny_terms, cover.shape)
     value = stable_sum(I2)
     return SmoothedEntropyDetail(
         value=value,

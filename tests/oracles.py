@@ -14,6 +14,8 @@
   bytes the column panels of :mod:`lce.lattice` must give, and the FFT
   sample check with an exact sum at every cell, whose verdicts and messages
   its float-filtered check must give.
+- The masked entropy term -x log x, which checks the sums of
+  :func:`lce.numerics.xlogx`.
 - The pointwise smoothed density, which checks the blocked cell quadrature of
   :mod:`lce.smoothing`; quadrature moments of a continuous density, which
   check the closed forms each :mod:`lce.densities` family declares; and
@@ -485,6 +487,23 @@ def verify_fft_subsample_exact(p: np.ndarray, q: np.ndarray, out: np.ndarray, sc
         raise NumericalError(
             f"FFT/direct subsample discrepancy {worst:.3e} exceeds {_FFT_CHECK_TOL * scale:.3e}"
         )
+
+
+# ---------------------------------------------------------------------------
+# the entropy term
+
+
+def neg_xlogx(a: np.ndarray) -> np.ndarray:
+    """Elementwise -a*log(a) with the convention 0*log(0) = 0, by a mask:
+    the definitional entropy term, which ``0.0 - sum`` of
+    :func:`lce.numerics.xlogx` must give."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.zeros_like(a)
+    mask = a > 0.0
+    np.log(a, out=out, where=mask)
+    out *= a
+    np.negative(out, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from lce.moments import (
     variation_sum,
 )
 
-from oracles import extensible_zoo_1d, is_log_concave_1d, rate_envelope_ok, shifted
+from oracles import extensible_zoo_1d, is_log_concave_1d, neg_xlogx, rate_envelope_ok, shifted
 
 
 def pmf(masses, lo=(0,)):
@@ -139,7 +139,7 @@ def test_blocked_entropy_and_moments_are_fsum_of_the_full_products(monkeypatch, 
     monkeypatch.setattr(numerics, "_SUM_BLOCK", block)
     monkeypatch.setattr(moments, "_ARGMAX_BLOCK", block)
     p = blocked_cases()[case]
-    terms = numerics.neg_xlogx(p.values).ravel()
+    terms = neg_xlogx(p.values).ravel()
     assert struct.pack("<d", shannon_entropy(p)) == struct.pack("<d", math.fsum(terms))
     mean, cov = fsum_moments(p)
     s = discrete_moments(p)
@@ -154,7 +154,7 @@ def test_entropy_of_a_one_point_pmf_is_fsum_of_its_negative_zeros(monkeypatch):
     # -0 log 0 and -1 log 1 are both -0.0; fsum decides the sign of the sum.
     monkeypatch.setattr(numerics, "_SUM_BLOCK", 3)
     for p in (point_mass((3, -1)), blocked_cases()[3]):
-        assert np.signbit(numerics.neg_xlogx(p.values)).all()
+        assert np.signbit(neg_xlogx(p.values)).all()
         assert struct.pack("<d", shannon_entropy(p)) == struct.pack("<d", math.fsum([-0.0] * p.values.size))
 
 
@@ -179,26 +179,41 @@ def test_entropy_and_moments_peak_far_below_the_pmf_bytes():
 # isotropy
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_summary_decomposes_its_covariance_once(monkeypatch, d):
+    p = make_product([families.binomial_pmf(4), families.two_sided_geometric(0.5), families.uniform_interval(3)][:d])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    s = discrete_moments(p)
+    det, eig = s.cov.det(), s.cov.eigenvalues()
+    assert len(calls) == 1
+    # The same bits as a fresh decomposition of the entries.
+    assert eig.tobytes() == eigvalsh(s.cov.entries).tobytes()
+    assert struct.pack("<d", det) == struct.pack("<d", float(np.prod(eig)))
+    assert struct.pack("<d", s.sigma_hat) == struct.pack("<d", max(det, 0.0) ** (1.0 / (2.0 * d)))
+
+
 def test_isotropy_exact_zero():
     p = make_product([families.uniform_interval(3), families.uniform_interval(3)])
-    score = isotropy_score(p)
+    score = isotropy_score(discrete_moments(p))
     assert score.op_norm_deviation == pytest.approx(0.0, abs=1e-12)
 
 
 def test_isotropy_gaussian_2d_small():
     p = families.quantized_gaussian(8.0, 2)
-    assert isotropy_score(p).normalized < 0.1
+    assert isotropy_score(discrete_moments(p)).normalized < 0.1
 
 
 def test_isotropy_flags_anisotropic_product():
     p = make_product([families.quantized_gaussian(4.0), families.quantized_gaussian(16.0)])
-    score = isotropy_score(p)
+    score = isotropy_score(discrete_moments(p))
     assert score.normalized > 1.0
 
 
 def test_isotropy_degenerate_rejected():
     with pytest.raises(LceError, match="degenerate covariance"):
-        isotropy_score(point_mass((0, 0)))
+        isotropy_score(discrete_moments(point_mass((0, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +222,7 @@ def test_isotropy_degenerate_rejected():
 
 def test_uniform_m3_width_product():
     p = families.uniform_interval(3)
-    val = max_pmf_width_product(p)
+    val = max_pmf_width_product(discrete_moments(p))
     expected = (1.0 / 3.0) * math.sqrt(1.0 + 4.0 * (9 - 1) / 12.0)
     assert val == pytest.approx(expected, abs=1e-12)
     assert val == pytest.approx(0.63828, abs=1e-4)
@@ -216,7 +231,7 @@ def test_uniform_m3_width_product():
 
 def test_width_product_rejects_d2():
     with pytest.raises(LceError):
-        max_pmf_width_product(point_mass((0, 0)))
+        max_pmf_width_product(discrete_moments(point_mass((0, 0))))
 
 
 def gauss_slack(p):
@@ -272,6 +287,7 @@ def test_uniform_m25_ub_ratio():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="max p * sqrt(1 + 4 Var) <= 1 fails for geometric-type p.m.f.s "
     "(e.g. one-sided q = 1/2 gives 3/2); the attainable sharp relation is "
     "Var <= (1 - max p)/(max p)^2, i.e. max p <= 2/(1 + sqrt(1 + 4 Var))",
@@ -279,7 +295,7 @@ def test_uniform_m25_ub_ratio():
 def test_max_width_product_capped_at_one_for_all_extensible():
     for p in extensible_zoo_1d(50):
         assert is_log_concave_1d(p).is_extensible
-        assert max_pmf_width_product(p) <= 1.0 + 1e-9
+        assert max_pmf_width_product(discrete_moments(p)) <= 1.0 + 1e-9
 
 
 def test_sharp_variance_bound_for_all_extensible():
@@ -298,7 +314,7 @@ def test_geometric_attains_sharp_bound():
     var = float(s.cov.entries[0, 0])
     assert var == pytest.approx((1.0 - 0.5) / 0.25, abs=1e-9)
     # and the claimed-but-false bound is indeed violated
-    assert max_pmf_width_product(p) == pytest.approx(1.5, abs=1e-9)
+    assert max_pmf_width_product(discrete_moments(p)) == pytest.approx(1.5, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from lce.moments import CovarianceMatrix, MomentSummary, isotropy_score
 from lce.numerics import (
     adaptive_quad,
     gauss_legendre_01,
-    neg_xlogx,
     next_pow2,
     stable_sum,
     stable_sum_rows,
     unit_directions,
+    xlogx,
 )
 
 from oracles import rate_envelope_ok
@@ -176,11 +176,11 @@ def test_stable_sum_takes_the_fast_path_on_large_finite_arrays(monkeypatch):
     assert struct.pack("<d", stable_sum(a)) == struct.pack("<d", expected)
 
 
-def test_neg_xlogx_zero_convention():
-    out = neg_xlogx(np.array([0.0, 1.0, math.e**-1]))
-    assert out[0] == 0.0
-    assert out[1] == 0.0
-    assert out[2] == pytest.approx(1.0 / math.e)
+def test_xlogx_zero_convention():
+    # -0.0 at +0 and +0.0 at -0; 0.0 - sum makes either zero +0.0.
+    out = xlogx(np.array([0.0, -0.0, 1.0, math.e**-1]))
+    assert out.tolist() == [0.0, 0.0, 0.0, pytest.approx(-1.0 / math.e)]
+    assert np.signbit(out).tolist() == [True, False, False, True]
 
 
 def test_next_pow2():

@@ -11,7 +11,7 @@ from lce import families, smoothing
 from lce.errors import LceError
 from lce.lattice import Box, LatticePmf, convolve, make_product, point_mass
 from lce.moments import shannon_entropy
-from lce.numerics import gauss_legendre_01, neg_xlogx
+from lce.numerics import gauss_legendre_01
 from lce.smoothing import (
     bspline_eval,
     differential_entropy,
@@ -20,7 +20,7 @@ from lce.smoothing import (
     smoothed_entropy_detail,
 )
 
-from oracles import shifted, smoothed_density_eval
+from oracles import neg_xlogx, shifted, smoothed_density_eval
 
 
 def pmf(masses, lo=(0,)):
@@ -320,8 +320,8 @@ def test_node_loop_runs_on_the_nonzero_cover_cells_of_each_block(monkeypatch, ca
     if case == "clipped_negative_zeros":
         assert (p.values == 0.0).any() and np.signbit(p.values[p.values == 0.0]).all()
     sizes = []
-    xlogx = smoothing._xlogx
-    monkeypatch.setattr(smoothing, "_xlogx", lambda f: sizes.append(f.size) or xlogx(f))
+    xlogx = smoothing.xlogx
+    monkeypatch.setattr(smoothing, "xlogx", lambda f: sizes.append(f.size) or xlogx(f))
     rows, order = 3, 8
     monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * math.prod(s + n - 1 for s in p.values.shape[1:]))
     cover = smoothing._cover(p, n)
@@ -338,8 +338,8 @@ def test_node_loop_runs_on_the_nonzero_cover_cells_of_each_block(monkeypatch, ca
 @pytest.mark.parametrize("n", [1, 2])
 def test_xlogx_runs_once_per_block_and_distinct_stencil(monkeypatch, n):
     calls = []
-    xlogx = smoothing._xlogx
-    monkeypatch.setattr(smoothing, "_xlogx", lambda f: calls.append(f.shape) or xlogx(f))
+    xlogx = smoothing.xlogx
+    monkeypatch.setattr(smoothing, "xlogx", lambda f: calls.append(f.shape) or xlogx(f))
     p = families.quantized_gaussian(3.0, 2)
     rows, order = 4, 8
     monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * (p.values.shape[1] + n - 1))
