@@ -5,9 +5,10 @@ and covariance-determinant gaps, with the largest lattice value for the
 quasi-concave bound |integral - lattice sum| <= max f that the ``bridge_gaps``
 check asserts; and the one-dimensional first-moment bound with constant
 (e + 1).  The integrals are the closed forms every density declares (mass 1,
-mean 0 and its covariance); the lattice sums run over the density's
-truncation box around the origin.  Covariance determinants are products of
-``np.linalg.eigvalsh`` eigenvalues.
+mean 0 and its covariance), used as declared; the lattice sums, each one
+:func:`~lce.numerics.product_sum`, run over the density's truncation box
+around the origin.  Both covariance determinants come from
+:meth:`~lce.moments.CovarianceMatrix.det`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from .densities import ContinuousDensity
 from .errors import LceError
 from .lattice import Box, truncation_box
-from .numerics import stable_sum, stable_sum_rows
+from .moments import CovarianceMatrix
+from .numerics import product_sum, stable_sum
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,12 @@ def _lattice_raw_moments(f: ContinuousDensity, box: Box):
     if not (math.isfinite(float(vals.min())) and math.isfinite(vmax)):
         raise LceError("density evaluated to a non-finite value")
     d = f.dim
-
-    def moment(*axes):
-        """stable_sum(vals * grid[..., axes[0]] * ...), one block of rows at a time."""
-        return stable_sum_rows(lambda rows: math.prod((grid[rows, ..., i] for i in axes), start=vals[rows]),
-                               vals.shape)
-
     s0 = stable_sum(vals)
-    s1 = np.array([moment(i) for i in range(d)])
+    s1 = np.array([product_sum(vals, grid[..., i]) for i in range(d)])
     s2 = np.zeros((d, d))
     for i in range(d):
         for j in range(i, d):
-            s2[i, j] = s2[j, i] = moment(i, j)
+            s2[i, j] = s2[j, i] = product_sum(vals, grid[..., i], grid[..., j])
     return s0, s1, s2, vmax
 
 
@@ -67,23 +63,20 @@ def lattice_vs_integral_gaps(f: ContinuousDensity) -> GapReport:
     """
     s0, s1, s2, vmax = _lattice_raw_moments(f, truncation_box(f))
     d = f.dim
-    m0, m1 = 1.0, np.zeros(d)
-    raw2 = m0 * (np.asarray(f.known_cov, dtype=np.float64) + np.outer(m1, m1))
+    cov = np.array(f.known_cov, dtype=np.float64)  # a copy, which CovarianceMatrix makes read-only
     if s0 <= 0:
         raise LceError("density carries no lattice mass on the box")
-    cov_lattice = s2 / s0 - np.outer(s1 / s0, s1 / s0)
-    cov_cont = raw2 / m0 - np.outer(m1 / m0, m1 / m0)
-    det_l = float(np.prod(np.linalg.eigvalsh(cov_lattice)))
-    det_c = float(np.prod(np.linalg.eigvalsh(cov_cont)))
+    det_l = CovarianceMatrix(d, s2 / s0 - np.outer(s1 / s0, s1 / s0)).det()
+    det_c = CovarianceMatrix(d, cov).det()
     cross = {}
     for i in range(d):
         for j in range(i + 1, d):
-            cross[(i, j)] = float(raw2[i, j] - s2[i, j])
+            cross[(i, j)] = float(cov[i, j] - s2[i, j])
     return GapReport(
         sigma=max(det_c, 0.0) ** (1.0 / (2.0 * d)),
-        mass_gap=float(m0 - s0),
-        mean_gap=m1 - s1,
-        second_moment_gap=np.diag(raw2) - np.diag(s2),
+        mass_gap=float(1.0 - s0),
+        mean_gap=0.0 - s1,  # not -s1, which gives the zero gaps of even densities a sign bit
+        second_moment_gap=np.diag(cov) - np.diag(s2),
         cross_moment=cross,
         det_gap=det_l - det_c,
         lattice_mass=s0,
@@ -111,7 +104,7 @@ def covdis_check_1d(f: ContinuousDensity) -> FirstMomentCheck:
     box = truncation_box(f)
     ks = np.arange(box.lo[0], box.hi[0] + 1, dtype=np.float64)
     vals = f.evaluate(ks[:, None])
-    skf = stable_sum(vals * ks)
+    skf = product_sum(vals, ks)
     sf = stable_sum(vals)
     gap = abs(skf)  # f is centred, so int x f = 0
     bound = (math.e + 1.0) * sf

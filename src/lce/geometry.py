@@ -39,8 +39,6 @@ from .simplex import OPTIMAL, solve_lp
 
 @dataclass(frozen=True)
 class InclusionConstants:
-    p: float
-    q: float
     lower: float  # Gamma(p+1)^(1/p) / Gamma(q+1)^(1/q)
     upper: float  # e^(d/p - d/q)
 
@@ -50,7 +48,7 @@ def inclusion_constants(d: int, p: float, q: float) -> InclusionConstants:
         raise LceError("need 0 < p < q")
     lower = math.gamma(p + 1.0) ** (1.0 / p) / math.gamma(q + 1.0) ** (1.0 / q)
     upper = math.exp(d / p - d / q)
-    return InclusionConstants(p=p, q=q, lower=lower, upper=upper)
+    return InclusionConstants(lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------

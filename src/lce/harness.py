@@ -38,7 +38,7 @@ from .errors import LceError
 from .lattice import Box, LatticePmf, LatticeSet, convolve, make_product, pmf_to_doc, point_mass
 from .moments import MomentSummary, discrete_moments, isotropy_score, max_pmf_width_product, shannon_entropy
 from .numerics import stable_sum, unit_directions
-from .smoothing import differential_entropy, elementary_estimate, entropy_like
+from .smoothing import elementary_estimate, entropy_like, smoothed_entropy_detail
 
 TOOL_VERSION = f"lce {__version__}"
 
@@ -167,9 +167,6 @@ class CheckResult:
     status: str
     runtime_ms: float
     notes: dict = field(default_factory=dict)
-
-    def to_doc(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -322,7 +319,7 @@ def check_smooth_identity(ctx: RunContext) -> list:
             families.quantized_gaussian(2.0, 2)]
     worst = 0.0
     for p in zoo:
-        worst = max(worst, abs(differential_entropy(p, 1) - shannon_entropy(p)))
+        worst = max(worst, abs(smoothed_entropy_detail(p, 1).value - shannon_entropy(p)))
     return [ctx.row("smooth_identity", ("assorted_zoo", 1, 0.0, 1), {"max_abs_delta": worst, "count": float(len(zoo))},
                     {"identity_tol": tol}, worst < tol, "max_abs_delta < identity_tol")]
 
@@ -373,7 +370,7 @@ def check_diff_approx(ctx: RunContext) -> list:
         for sigma in cfg.sigmas:
             chain = ctx.chain(d, sigma, n_top)
             for n in cfg.n_values:
-                delta = abs(differential_entropy(chain.sums[n - 1], n, tol=etol) - chain.H[n - 1])
+                delta = abs(smoothed_entropy_detail(chain.sums[n - 1], n, tol=etol).value - chain.H[n - 1])
                 sig_n = chain.sigma_hat[n - 1]
                 rate = _rate(delta, sig_n)
                 if n >= 2:

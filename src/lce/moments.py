@@ -1,8 +1,8 @@
 """Discrete entropy, moments, the isotropy score, the d = 1 max-mass width
 product, variation sums and sums of maxima.
 
-Entropy is in nats throughout.  Moments are exact finite sums accumulated with
-the correctly rounded summation from :mod:`lce.numerics`; the argmax tie-break
+Entropy is in nats throughout.  Moments and sums of maxima are correctly
+rounded, each one :func:`~lce.numerics.product_sum`; the argmax tie-break
 is lexicographic.  Operator norms and determinants of the small covariance
 matrices come from their eigenvalues (LAPACK, ``np.linalg.eigvalsh``), which a
 :class:`CovarianceMatrix` takes once, in its PSD check.  The statistics take a
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import LceError
 from .lattice import LatticePmf
-from .numerics import stable_sum, stable_sum_rows, xlogx  # noqa: F401  bench/layers.py traces stable_sum here
+from .numerics import product_sum, stable_sum, stable_sum_rows, xlogx  # noqa: F401  the bench traces stable_sum here
 
 _ARGMAX_BLOCK = 1 << 15  # values per block of the argmax search
 
@@ -80,18 +80,12 @@ def discrete_moments(p: LatticePmf) -> MomentSummary:
     mass = p.mass
     coords = [p.box.axis_coords(i).astype(np.float64).reshape([-1 if k == i else 1 for k in range(d)])
               for i in range(d)]
-
-    def moment(*factors):
-        """stable_sum(vals * factors[0] * ...) / mass, one block of rows at a time."""
-        full = [np.broadcast_to(c, vals.shape) for c in factors]
-        return stable_sum_rows(lambda rows: math.prod((c[rows] for c in full), start=vals[rows]), vals.shape) / mass
-
-    mean = np.array([moment(coords[i]) for i in range(d)])
+    mean = np.array([product_sum(vals, coords[i]) / mass for i in range(d)])
     cov = np.zeros((d, d))
     for i in range(d):
         ci = coords[i] - mean[i]
         for j in range(i, d):
-            cov[i, j] = cov[j, i] = moment(ci, coords[j] - mean[j])
+            cov[i, j] = cov[j, i] = product_sum(vals, ci, coords[j] - mean[j]) / mass
     # The first maximum in C order is the lexicographically smallest.  argmax
     # copies a read-only array, so it runs on the first block that holds one.
     vmax = float(vals.max())
@@ -162,5 +156,4 @@ def sum_of_maxima(p: LatticePmf, i: int, j: int) -> float:
         raise LceError(f"j must lie in [0, {p.dim - 1}]")
     reduced = p.values.max(axis=tuple(range(j))) if j > 0 else p.values
     weights = np.abs(p.box.axis_coords(j).astype(np.float64)) ** i  # |0|^0 = 1
-    weights = weights.reshape([-1] + [1] * (reduced.ndim - 1))
-    return stable_sum_rows(lambda rows: reduced[rows] * weights[rows], reduced.shape)
+    return product_sum(reduced, weights.reshape([-1] + [1] * (reduced.ndim - 1)))

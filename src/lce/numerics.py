@@ -1,6 +1,6 @@
-"""Shared numerical kernels: exact summation, the one x log x, Gauss-Legendre
-node caches, one adaptive tensor quadrature over boxes in R^d, and sweep
-directions.
+"""Shared numerical kernels: exact summation, the one lattice moment sum
+(:func:`product_sum`), the one x log x, Gauss-Legendre node caches, one
+adaptive tensor quadrature over boxes in R^d, and sweep directions.
 
 Every sum over a p.m.f. that reaches a report (entropy, moments, masses) is
 correctly rounded: it funnels through :func:`stable_sum_rows` (and
@@ -16,9 +16,9 @@ exact total is rounded once (exact summation as in Zhu and Hayes, "Algorithm
 about ``_SUM_BLOCK`` elements, each split and binned while it is in cache and
 added into two fixed 2048-bin accumulators; the bins fold into one integer
 once, at the end.  A caller that sums a function of an array (p log p, or
-p times coordinates) computes it one block of rows at a time, so no sum
-allocates a temporary of the array's size.  A nonzero input that cancels
-exactly sums to +0.0; ``math.fsum`` of every value, in C order, takes the
+p times coordinates: :func:`product_sum`) computes it one block of rows at a
+time, so no sum allocates a temporary of the array's size.  A nonzero input
+that cancels exactly sums to +0.0; ``math.fsum`` of every value, in C order, takes the
 edge cases: empty or all-zero input (it decides the sign of the zero),
 non-finite input, a sum that could overflow and 2^26 values or more.  The
 result is therefore independent of accumulation order and block size, and
@@ -106,6 +106,13 @@ def stable_sum_rows(term, shape) -> float:
     bins = np.concatenate((hi_bins, lo_bins))
     m, x = np.frexp(bins[bins != 0.0])
     return sum(map(int.__lshift__, (m * 2.0**53).astype(np.int64).tolist(), (x + 1073).tolist())) / (1 << 1126)
+
+
+def product_sum(values: np.ndarray, *factors) -> float:
+    """Correctly rounded sum of ``values * factors[0] * ...``, each factor
+    broadcast to the shape of ``values``, one block of rows at a time."""
+    full = [np.broadcast_to(f, values.shape) for f in factors]
+    return stable_sum_rows(lambda rows: math.prod((f[rows] for f in full), start=values[rows]), values.shape)
 
 
 def xlogx(f: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The order-n cardinal B-spline is the density of the sum of n independent
 uniforms on [0, 1); smoothing a p.m.f. with its tensor product yields the
-density of S + U_1 + ... + U_n.  Differential entropy is integrated cell by
-cell with tensor Gauss-Legendre rules, refined by order doubling per cell
-until the contribution errors sum below the requested tolerance.  Only the
-kernel makes the integrand non-smooth (at cells where the mass steps to
+density of S + U_1 + ... + U_n.  Its differential entropy has one entry,
+:func:`smoothed_entropy_detail`, integrated cell by cell with tensor
+Gauss-Legendre rules of the fixed order ``QUAD_ORDER`` against twice it, and
+refined by order doubling per cell until the contribution errors sum below
+the requested tolerance.  Only the kernel makes the integrand non-smooth (at cells where the mass steps to
 zero), so refinement touches a handful of cells in practice.  Nodes with one
 kernel stencil share one f log f: n = 1 takes one log per block of cells.
 Every f log f is :func:`~lce.numerics.xlogx` of nonnegative values, and each
@@ -29,7 +30,7 @@ from .errors import LceError, NumericalError
 from .lattice import LatticePmf
 from .numerics import gauss_legendre_01, stable_sum, stable_sum_rows, xlogx
 
-DEFAULT_QUAD_ORDER = 8
+QUAD_ORDER = 8  # each cell compares this order with twice it
 DEFAULT_ENTROPY_TOL = 1e-8
 ORDER_CAP = 2048
 REFINE_CELL_CAP = 8192
@@ -180,20 +181,16 @@ def _refine_cell(p, n, cell, start_order, tol_cell) -> float:
     )
 
 
-def smoothed_entropy_detail(
-    p: LatticePmf,
-    n: int,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-    tol: float = DEFAULT_ENTROPY_TOL,
-) -> SmoothedEntropyDetail:
-    for name, k in (("n", n), ("quad_order", quad_order)):
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise LceError(f"{name} must be an integer >= 1, got {k!r}")
+def smoothed_entropy_detail(p: LatticePmf, n: int, tol: float = DEFAULT_ENTROPY_TOL) -> SmoothedEntropyDetail:
+    """h(S + U_1 + ... + U_n) in nats, with its cell counts and error bounds.  For n = 1
+    the density is constant on every cell, so the value is H(p) to rounding accuracy."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise LceError(f"n must be an integer >= 1, got {n!r}")
     if not 0.0 < tol < math.inf:
         raise LceError(f"tol must be a finite positive number, got {tol!r}")
     cover = _cover(p, n)
-    I1 = _cell_integrals(p, n, quad_order, cover)
-    I2 = _cell_integrals(p, n, 2 * quad_order, cover)
+    I1 = _cell_integrals(p, n, QUAD_ORDER, cover)
+    I2 = _cell_integrals(p, n, 2 * QUAD_ORDER, cover)
     diff = np.abs(I2 - I1)
     ncells = I2.size
     lo = p.box.lo
@@ -217,7 +214,7 @@ def smoothed_entropy_detail(
         for flat_idx in chosen:
             idx = np.unravel_index(int(flat_idx), I2.shape)
             cell = tuple(int(a) + l for a, l in zip(idx, lo))
-            I2[idx] = _refine_cell(p, n, cell, 4 * quad_order, tol_each)
+            I2[idx] = _refine_cell(p, n, cell, 4 * QUAD_ORDER, tol_each)
         refined = k
         err_accepted = stable_sum(np.delete(flat, chosen)) + k * tol_each
 
@@ -237,20 +234,6 @@ def smoothed_entropy_detail(
         error_estimate=float(err_accepted),
         tiny_cell_bound=float(tiny_bound),
     )
-
-
-def differential_entropy(
-    p: LatticePmf,
-    n: int,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-    tol: float = DEFAULT_ENTROPY_TOL,
-) -> float:
-    """h(S + U_1 + ... + U_n) in nats by adaptive cell-wise quadrature.
-
-    For n = 1 the smoothed density is constant on every cell, so the value
-    equals the Shannon entropy of p to rounding accuracy.
-    """
-    return smoothed_entropy_detail(p, n, quad_order=quad_order, tol=tol).value
 
 
 # ---------------------------------------------------------------------------

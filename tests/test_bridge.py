@@ -78,6 +78,7 @@ def test_even_density_mean_gap_exactly_zero():
     for f in [gaussian(2.0, 1), gaussian(1.5, 2), laplace_product(1.0, 2)]:
         rep = bridge.lattice_vs_integral_gaps(f)
         assert np.all(rep.mean_gap == 0.0)
+        assert not np.signbit(rep.mean_gap).any()  # +0.0, as ``lce bridge`` prints it
 
 
 def test_gap_report_finite_fields():

@@ -264,6 +264,7 @@ def test_reeve_simplex_self_sum_has_a_hole():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="hole-freeness is not preserved by Minkowski self-sums in d = 3 "
     "(Reeve-simplex phenomenon); random hull-lattice sets hit such cases",
 )
