@@ -369,3 +369,9 @@ def test_detail_builds_the_cover_once_and_keeps_the_tiny_bound_bytes(monkeypatch
 def test_bad_n_is_an_lce_error(bad):
     with pytest.raises(LceError, match="^n must be an integer >= 1"):
         smoothed_entropy_detail(point_mass((0,)), bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-9, math.inf, -math.inf, math.nan])
+def test_bad_tol_is_an_lce_error(bad):
+    with pytest.raises(LceError, match="^tol must be a finite positive number"):
+        smoothed_entropy_detail(point_mass((0,)), 2, tol=bad)
