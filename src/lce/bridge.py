@@ -101,11 +101,7 @@ def covdis_check_1d(f: ContinuousDensity) -> FirstMomentCheck:
     centered log-concave f."""
     if f.dim != 1:
         raise LceError("covdis_check_1d is for d = 1")
-    box = truncation_box(f)
-    ks = np.arange(box.lo[0], box.hi[0] + 1, dtype=np.float64)
-    vals = f.evaluate(ks[:, None])
-    skf = product_sum(vals, ks)
-    sf = stable_sum(vals)
-    gap = abs(skf)  # f is centred, so int x f = 0
+    sf, (skf,), _, _ = _lattice_raw_moments(f, truncation_box(f))
+    gap = abs(float(skf))  # f is centred, so int x f = 0
     bound = (math.e + 1.0) * sf
     return FirstMomentCheck(sf, gap, bound, gap <= bound + 1e-12)

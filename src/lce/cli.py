@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--mode", required=True, choices=["zconvex", "extensible", "selfsum"])
     k.add_argument("--tol", type=float, default=1e-9)
     k.add_argument("--exact", action="store_true",
-                   help="decide extensibility on the hull in rational arithmetic, with no float tolerance "
+                   help="decide extensibility on the hull exactly on integers, with no float tolerance "
                         "(the integer hull of zconvex is exact already)")
     k.add_argument("--nmax", type=int, default=3)
     k.set_defaults(fn=_check)

@@ -8,8 +8,10 @@ Both decisions come from :mod:`lce.hull` in every dimension: an exact
 integer H-representation of conv(A) tested against every bounding-box point
 in one matrix product, and the lower hull of the lifted points (k, V(k)).
 The convexity decision is exact as it stands; the exact mode
-(``exact=True``, the CLI's ``--exact``) runs the same lower hull on the
-rationals that the float log-masses represent, with no float tolerance.
+(``exact=True``, the CLI's ``--exact``) runs the same lower hull with no
+float tolerance on integers, the log-masses times the power of two that
+clears their denominators; each facet value is one int / int, and rounding
+is monotone, so the envelope is the exact one rounded once.
 The Caratheodory and rational-LP oracles that check both routes live with
 the tests.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -120,9 +121,8 @@ def is_log_concave_extensible(
     vertices: a convex extension can always bend upward there).
 
     The envelope is the lower hull of all lifted support points
-    (:func:`lce.hull.lower_envelope`), and the gap is ``max(0, V - envelope)``.
-    With ``exact=True`` the hull runs on the exact rationals of the float
-    values V, and the gap is V less the envelope rounded once to a float.
+    (:func:`lce.hull.lower_envelope`), and the gap is ``max(0, V - envelope)``;
+    with ``exact=True`` the envelope is exact and rounded once.
     """
     if not 0.0 <= tol < math.inf:
         raise LceError(f"tol must be a finite non-negative number, got {tol!r}")
@@ -136,7 +136,7 @@ def is_log_concave_extensible(
     vals = np.array([-math.log(p.value_at(k)) for k in pts])
     if not np.all(np.isfinite(vals)):
         raise LceError("non-finite log-mass value")
-    env = lower_envelope(np.array(pts, dtype=np.int64), [Fraction(v) for v in vals] if exact else vals)
+    env = (_exact_envelope if exact else lower_envelope)(np.array(pts, dtype=np.int64), vals)
     gaps = {k: max(0.0, float(v) - float(e)) for k, v, e in zip(pts, vals, env)}
     ok = conv_report.is_convex and max(gaps.values()) <= tol
     return ExtensibilityReport(
@@ -146,6 +146,14 @@ def is_log_concave_extensible(
         tolerance_used=tol,
         convexity_witnesses=conv_report.witnesses,
     )
+
+
+def _exact_envelope(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The lower envelope of the lifted points (pts, vals) at pts, decided on
+    the integers vals * scale and rounded once; scale is the largest
+    denominator of the values, a power of two, so dividing by it is exact."""
+    scale = max(v.as_integer_ratio()[1] for v in vals.tolist())
+    return lower_envelope(pts, np.array([int(v * scale) for v in vals.tolist()], dtype=object)) / scale
 
 
 def check_self_sum_convexity(A: LatticeSet, n_max: int) -> list[ConvexityReport]:

@@ -4,9 +4,9 @@ report and CSV emission.
 Checks are registered by id and take the :class:`RunContext` that
 :func:`run_config` builds per run: the :class:`ExperimentConfig`, the moment
 summary of the family member of each (d, sigma), taken once per run, and the
-entropy chains S_1..S_n, one per (d, sigma), which ``epi_gap`` (Delta_n) and
-``diff_approx`` (delta_n) share.  Each chain level is convolved once, when a
-reader first needs it, and a chain is dropped at its last read.
+entropy chains S_1..S_(max n), one per (d, sigma), which ``epi_gap``
+(Delta_n) and ``diff_approx`` (delta_n) share.  A chain is built whole at its
+first read and dropped at its last; ``epi_gap`` takes H(S_(max n + 1)) itself.
 
 Each check produces :class:`CheckResult` rows whose status is recomputable
 from the stored measured/bound pairs; sweep points whose hypotheses fail
@@ -31,7 +31,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import __version__, convexity, families, geometry, hull
+from . import __version__, convexity, families, geometry
 from .bridge import covdis_check_1d, lattice_vs_integral_gaps
 from .densities import asym_exponential, gaussian, laplace_product
 from .errors import LceError
@@ -218,30 +218,18 @@ def _family_extensibility_precheck(cfg: ExperimentConfig, d: int, sigma: float) 
 
 
 class EntropyChain:
-    """S_k = X_1 + ... + X_k for i.i.d. copies of one family member: ``H[k - 1]``
-    = H(S_k) and, for k <= ``keep`` only, ``sigma_hat[k - 1]`` = sigma_hat(S_k)
-    and ``sums[k - 1]`` = the p.m.f. of S_k; so it grows at most one level
-    past ``keep``, and that level gets its entropy only."""
+    """S_k = X_1 + ... + X_k for i.i.d. copies of one family member, k = 1 ..
+    ``levels``: ``sums[k - 1]`` = the p.m.f. of S_k, ``H[k - 1]`` = H(S_k)
+    and ``sigma_hat[k - 1]`` = sigma_hat(S_k)."""
 
-    def __init__(self, base: LatticePmf, base_moments: MomentSummary, keep: int):
+    def __init__(self, base: LatticePmf, base_moments: MomentSummary, levels: int):
         self.base = base
-        self.keep = keep
         self.sums = [base]
-        self.H = [shannon_entropy(base)]
-        self.sigma_hat = [base_moments.sigma_hat]
-
-    def extend(self, levels: int) -> None:
         # Convolutions first: on the default sweep this peaks lower in RSS.
-        new = []
-        while len(self.H) + len(new) < levels:
-            new.append(convolve(new[-1] if new else self.sums[-1], self.base))
-        self.H += [shannon_entropy(s) for s in new]
-        self.sigma_hat += [discrete_moments(s).sigma_hat for s in new[: self.keep - len(self.sigma_hat)]]
-        self.sums += new[: self.keep - len(self.sums)]
-
-
-# Checks that read the entropy chains of the run context.
-CHAIN_READERS = ("epi_gap", "diff_approx")
+        while len(self.sums) < levels:
+            self.sums.append(convolve(self.sums[-1], base))
+        self.H = [shannon_entropy(s) for s in self.sums]
+        self.sigma_hat = [base_moments.sigma_hat] + [discrete_moments(s).sigma_hat for s in self.sums[1:]]
 
 
 class RunContext:
@@ -252,13 +240,12 @@ class RunContext:
     base if a chain is built first, and kept for the run, so a check that
     needs only the summary builds no member; the members themselves are not
     kept.  Each chain reader reads the chain of every (d, sigma) of the sweep
-    once; a chain is built at its first read, keeps the p.m.f.s up to
-    max(n_values) (the ones ``diff_approx`` smooths) and is dropped at its
-    last read."""
+    once; a chain is built at its first read, up to max(n_values) (the
+    p.m.f.s ``diff_approx`` smooths), and is dropped at its last read."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        readers = sum(c in CHAIN_READERS for c in cfg.checks)
+        readers = sum(c in ("epi_gap", "diff_approx") for c in cfg.checks)  # the chain readers
         points = Counter((d, sigma) for d in cfg.dims for sigma in cfg.sigmas)
         self._reads_left = Counter({key: count * readers for key, count in points.items()})
         self._chains: dict = {}
@@ -288,14 +275,13 @@ class RunContext:
             self._moments[key] = discrete_moments(family_pmf(self.cfg, d, sigma) if member is None else member)
         return self._moments[key]
 
-    def chain(self, d: int, sigma: float, levels: int) -> EntropyChain:
-        """The chain of (d, sigma), extended to at least ``levels`` levels."""
+    def chain(self, d: int, sigma: float) -> EntropyChain:
+        """The chain S_1..S_(max n) of (d, sigma)."""
         key = (d, sigma)
         chain = self._chains.pop(key, None)
         if chain is None:
             base = family_pmf(self.cfg, d, sigma)
             chain = EntropyChain(base, self.member_moments(d, sigma, base), max(self.cfg.n_values))
-        chain.extend(levels)
         self._reads_left[key] -= 1
         if self._reads_left[key] > 0:
             self._chains[key] = chain
@@ -330,14 +316,14 @@ def check_epi_gap(ctx: RunContext) -> list:
     floor = cfg.tol("epi_sigma_floor")
     min_delta = cfg.tol("epi_min_delta")
     dfloor = cfg.tol("deficit_floor")
-    n_top = max(cfg.n_values) + 1
     for d in cfg.dims:
         extensible = _family_extensibility_precheck(cfg, d, min(cfg.sigmas))
         deficits: dict[int, list] = {n: [] for n in cfg.n_values}
         for sigma in cfg.sigmas:
-            chain = ctx.chain(d, sigma, n_top)
+            chain = ctx.chain(d, sigma)
+            H = chain.H + [shannon_entropy(convolve(chain.sums[-1], chain.base))]  # H(S_(max n + 1))
             for n in cfg.n_values:
-                delta = chain.H[n] - chain.H[n - 1] - 0.5 * d * math.log((n + 1) / n)
+                delta = H[n] - H[n - 1] - 0.5 * d * math.log((n + 1) / n)
                 sig_n = chain.sigma_hat[n - 1]
                 deficit = max(0.0, -delta)
                 deficits[n].append(deficit)
@@ -364,11 +350,10 @@ def check_diff_approx(ctx: RunContext) -> list:
     results = []
     id_tol = cfg.tol("identity_tol")
     etol = cfg.tol("entropy_tol")
-    n_top = max(cfg.n_values)
     for d in cfg.dims:
         rates: dict[int, list] = {n: [] for n in cfg.n_values if n >= 2}
         for sigma in cfg.sigmas:
-            chain = ctx.chain(d, sigma, n_top)
+            chain = ctx.chain(d, sigma)
             for n in cfg.n_values:
                 delta = abs(smoothed_entropy_detail(chain.sums[n - 1], n, tol=etol).value - chain.H[n - 1])
                 sig_n = chain.sigma_hat[n - 1]
@@ -453,14 +438,10 @@ def check_bridge_gaps(ctx: RunContext) -> list:
 
 
 def _random_convex_set(rng: np.random.Generator, d: int, span: int) -> LatticeSet:
-    """Random Z^d-convex set: lattice points of the hull of random seeds."""
+    """Random Z^d-convex set: random seeds and the lattice points their hull adds."""
     npts = int(rng.integers(d + 1, d + 5))
-    pts = rng.integers(0, span + 1, size=(npts, d))
-    seed_set = LatticeSet.from_iterable(d, pts)
-    box = seed_set.bounding_box()
-    lo = np.array(box.lo, dtype=np.int64)
-    A, b = hull.hrep(seed_set.array() - lo)
-    return LatticeSet.from_iterable(d, hull.box_points_inside(A, b, box.shape) + lo)
+    seeds = LatticeSet.from_iterable(d, rng.integers(0, span + 1, size=(npts, d)))
+    return LatticeSet(d, seeds.points.union(convexity.is_zd_convex(seeds).witnesses))
 
 
 def check_self_sum_convex(ctx: RunContext) -> list:

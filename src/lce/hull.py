@@ -15,8 +15,8 @@ chart: its affine-hull equalities, each as a pair of opposite inequalities,
 plus the hull of a coordinate projection that is one-to-one on it.
 :func:`lower_envelope` evaluates the lower convex envelope of lifted points
 ``(k, V(k))`` at the points themselves, in the same chart.  Float heights
-take a scale-relative tolerance; ``Fraction`` heights (an object array) are
-decided exactly, as the routines compute on the rows' own numbers.
+take a scale-relative tolerance; object heights (Python integers or
+``Fraction`` values) are decided exactly, on the rows' own numbers.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ def lower_envelope(points, heights) -> np.ndarray:
     Envelope vertices get their own height exactly.  A set of lower affine
     dimension is read in the coordinates of its chart (see :func:`hrep`), an
     affine bijection that leaves the envelope unchanged; lifted points on one
-    hyperplane are all on the envelope.  Heights given as an object array of
-    ``Fraction`` values are decided with no tolerance, and the envelope comes
-    back in the same exact numbers.
+    hyperplane are all on the envelope.  Object heights are decided with no
+    tolerance; off the vertices the envelope is then a ``Fraction`` or, for
+    integers, an int / int rounded once to a float.
     """
     P = np.asarray(points)
     h = np.asarray(heights).ravel()
@@ -219,7 +219,8 @@ def _frame(P: np.ndarray, tol: float) -> list[int]:
     difference vector against those picked (their wedge), summed in absolute
     value for integer input; for float input their norm over the picked
     wedge's, the distance to the picked affine hull, beyond ``tol`` times the
-    coordinate span.  Object rows (``Fraction`` values) count as exact."""
+    coordinate span.  Object rows (integers or ``Fraction`` values) count as
+    exact."""
     exact = P.dtype.kind in "iuO"
     n, d = P.shape
     eps = 0.0 if exact else tol * float(np.ptp(P, axis=0).max())

@@ -179,3 +179,16 @@ def test_lattice_moments_reject_a_non_finite_value(bad):
 
     with pytest.raises(LceError, match="density evaluated to a non-finite value"):
         bridge._lattice_raw_moments(dataclasses.replace(f, evaluate=evaluate), truncation_box(f))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_first_moment_check_rejects_a_non_finite_value(bad):
+    f = gaussian(1.0, 1)
+
+    def evaluate(x):
+        out = f.evaluate(x)
+        out.flat[0] = bad
+        return out
+
+    with pytest.raises(LceError, match="density evaluated to a non-finite value"):
+        bridge.covdis_check_1d(dataclasses.replace(f, evaluate=evaluate))

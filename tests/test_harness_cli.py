@@ -675,17 +675,16 @@ def test_shared_chains_give_the_rows_of_single_check_runs():
 
 def test_a_chain_is_shared_then_dropped_at_its_last_read():
     ctx = harness.RunContext(chain_config(["epi_gap", "diff_approx"]))
-    first = ctx.chain(1, 2.0, 3)
-    # H of S_3, but sigma_hat and p.m.f.s only up to S_(max n) = S_2
-    assert (len(first.H), len(first.sigma_hat), len(first.sums)) == (3, 2, 2)
+    first = ctx.chain(1, 2.0)
+    # S_1..S_(max n) = S_2: epi_gap takes H(S_3) itself
+    assert (len(first.H), len(first.sigma_hat), len(first.sums)) == (2, 2, 2)
     for s, sig in zip(first.sums, first.sigma_hat):
         assert struct.pack("<d", sig) == struct.pack("<d", discrete_moments(s).sigma_hat)
-    assert ctx.chain(1, 2.0, 2) is first
-    assert ctx.chain(1, 2.0, 2) is not first
+    assert ctx.chain(1, 2.0) is first
+    assert ctx.chain(1, 2.0) is not first
 
 
-@pytest.mark.parametrize("steps", [[4], [2, 4], [1, 3, 4]])
-def test_a_chain_takes_moments_of_the_levels_it_keeps_only(steps, monkeypatch):
+def test_a_chain_takes_moments_of_the_levels_past_its_base_only(monkeypatch):
     calls = []
 
     def counted(p):
@@ -695,10 +694,8 @@ def test_a_chain_takes_moments_of_the_levels_it_keeps_only(steps, monkeypatch):
     monkeypatch.setattr(harness, "discrete_moments", counted)
     base = harness.family_pmf(chain_config([]), 1, 2.0)
     chain = harness.EntropyChain(base, discrete_moments(base), 3)
-    for levels in steps:
-        chain.extend(levels)
     # the base comes with its summary
-    assert (len(chain.H), len(calls)) == (4, 2)
+    assert (len(chain.H), len(calls)) == (3, 2)
     assert all(c is s for c, s in zip(calls, chain.sums[1:], strict=True))
 
 
@@ -867,22 +864,31 @@ def test_every_public_function_is_reached():
     assert {name for name, method in unreached if method} == TEST_ONLY_METHODS
 
 
+def imported(tree):
+    """Every module name, and every ``module.name``, that a parsed module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield base
+            yield from (f"{base}.{a.name}" for a in node.names)
+
+
 def test_oracles_stay_apart_from_the_routes_they_check():
     # The oracles check the integer hulls, so they must not reach lce.hull;
     # and the library must not reach the tests.
-    def imported(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                yield from (a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                base = "." * node.level + (node.module or "")
-                yield base
-                yield from (f"{base}.{a.name}" for a in node.names)
-
     oracle_imports = set(imported(ast.parse((REPO / "tests" / "oracles.py").read_text())))
     assert "lce.hull" not in oracle_imports
     for path, tree in source_trees().items():
         assert not {m for m in imported(tree) if m.split(".")[0] in ("oracles", "tests")}, path
+
+
+def test_the_library_computes_on_no_rationals():
+    # The exact routes run on integers; Fraction arithmetic is for the oracles.
+    for path, tree in source_trees().items():
+        if path.parent.name == "lce":
+            assert not {m for m in imported(tree) if m.split(".")[0] == "fractions"}, path
 
 
 # Defaulted parameters that no call in src/lce or scripts passes.

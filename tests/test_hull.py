@@ -9,7 +9,7 @@ import pytest
 from lce import convexity as cx
 from lce import hull
 from lce.errors import LceError
-from lce.lattice import Box, LatticePmf, LatticeSet
+from lce.lattice import Box, LatticePmf, LatticeSet, support_set
 
 from oracles import (
     envelope_minimum,
@@ -297,14 +297,44 @@ def test_cocircular_gaussian_window_stays_extensible():
         assert rep.is_extensible and rep.max_gap() <= 1e-12
 
 
-def test_extensibility_hull_route_matches_exact_lp_route():
+def random_3x3_pmfs():
+    """Ten p.m.f.s on random supports in the 3 x 3 box."""
     rng = np.random.default_rng(31)
     for _ in range(10):
         vals = np.zeros(9)
         cells = rng.choice(9, size=int(rng.integers(2, 8)), replace=False)
         vals[cells] = rng.uniform(0.05, 1.0, len(cells))
         vals = vals.reshape(3, 3)
-        p = LatticePmf(Box((0, 0), (2, 2)), vals / vals.sum())
+        yield LatticePmf(Box((0, 0), (2, 2)), vals / vals.sum())
+
+
+def degenerate_pmfs():
+    """A 1-d support, a collinear 2-d support (chart dimension 1), lifted
+    points on one plane (a uniform p.m.f.) and a single point."""
+    rng = np.random.default_rng(32)
+    line = rng.uniform(0.05, 1.0, 9)
+    diagonal = np.diag(rng.uniform(0.05, 1.0, 5))
+    uniform = np.ones((3, 4))
+    for vals, lo in ((line, (0,)), (diagonal, (0, 0)), (uniform, (-1, 2)), (np.ones((1, 1, 1)), (2, 0, 1))):
+        yield LatticePmf(Box(lo, tuple(l + s - 1 for l, s in zip(lo, vals.shape))), vals / vals.sum())
+
+
+def quadratic_3d_pmfs(n):
+    """(hole, p): a convex quadratic log-mass on the n^3 box, then with noise
+    that bends it, then with a hole at (1, 1, 1) in its support."""
+    rng = np.random.default_rng(40 + n)
+    grid = np.indices((n, n, n)).reshape(3, -1).T
+    B = rng.normal(size=(3, 3))
+    V = 0.5 * np.einsum("ni,ij,nj->n", grid, B.T @ B / 4.0 + 0.1 * np.eye(3), grid)
+    for noise, hole in [(0.0, False), (0.3, False), (0.0, True)]:
+        vals = np.exp(-(V + noise * rng.random(len(grid)) - V.min()))
+        if hole:
+            vals[n * n + n + 1] = 0.0  # the inner cell (1, 1, 1)
+        yield hole, LatticePmf(Box((0, 0, 0), (n - 1,) * 3), vals.reshape(n, n, n) / vals.sum())
+
+
+def test_extensibility_hull_route_matches_exact_lp_route():
+    for p in random_3x3_pmfs():
         fast = cx.is_log_concave_extensible(p)
         exact = cx.is_log_concave_extensible(p, exact=True)
         assert exact == is_log_concave_extensible_lp(p)  # verdicts, witnesses, gaps to the bit
@@ -315,34 +345,20 @@ def test_extensibility_hull_route_matches_exact_lp_route():
 
 
 def test_exact_route_matches_exact_lp_route_on_degenerate_supports():
-    # A 1-d support, a collinear 2-d support (chart dimension 1), lifted
-    # points on one plane (a uniform p.m.f.) and a single point.
-    rng = np.random.default_rng(32)
-    line = rng.uniform(0.05, 1.0, 9)
-    diagonal = np.diag(rng.uniform(0.05, 1.0, 5))
-    uniform = np.ones((3, 4))
-    for vals, lo in ((line, (0,)), (diagonal, (0, 0)), (uniform, (-1, 2)), (np.ones((1, 1, 1)), (2, 0, 1))):
-        p = LatticePmf(Box(lo, tuple(l + s - 1 for l, s in zip(lo, vals.shape))), vals / vals.sum())
+    pmfs = list(degenerate_pmfs())
+    for p in pmfs:
         exact = cx.is_log_concave_extensible(p, exact=True)
         assert exact == is_log_concave_extensible_lp(p)
         assert exact.support_convex
-    assert not cx.is_log_concave_extensible(LatticePmf(Box((0,), (8,)), line / line.sum()), exact=True).is_extensible
+    assert not cx.is_log_concave_extensible(pmfs[0], exact=True).is_extensible
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_3d_extensibility_hull_route_matches_exact_lp_route(n):
     # A convex quadratic log-mass on the n^3 box is extensible; noise that
     # bends it, or a hole in its support, makes it not.
-    rng = np.random.default_rng(40 + n)
-    grid = np.indices((n, n, n)).reshape(3, -1).T
-    B = rng.normal(size=(3, 3))
-    V = 0.5 * np.einsum("ni,ij,nj->n", grid, B.T @ B / 4.0 + 0.1 * np.eye(3), grid)
     outcomes = set()
-    for noise, hole in [(0.0, False), (0.3, False), (0.0, True)]:
-        vals = np.exp(-(V + noise * rng.random(len(grid)) - V.min()))
-        if hole:
-            vals[n * n + n + 1] = 0.0  # the inner cell (1, 1, 1)
-        p = LatticePmf(Box((0, 0, 0), (n - 1,) * 3), vals.reshape(n, n, n) / vals.sum())
+    for hole, p in quadratic_3d_pmfs(n):
         fast = cx.is_log_concave_extensible(p)
         exact = cx.is_log_concave_extensible(p, exact=True)
         if n == 3 or not hole:  # the rational-LP oracle takes about 3 s on the 4^3 hole case
@@ -353,3 +369,16 @@ def test_3d_extensibility_hull_route_matches_exact_lp_route(n):
             assert math.isclose(g, exact.envelope_gaps[k], abs_tol=1e-9)
         outcomes.add(fast.is_extensible)
     assert outcomes == {True, False}
+
+
+def test_exact_envelope_on_integers_is_the_rational_envelope_rounded_once():
+    # The exact route scales the log-masses to integers; its envelope must be
+    # the envelope of their rationals rounded once, to the bit, on every case
+    # above and on the extensible 5^3 quadratic.
+    cases = [*random_3x3_pmfs(), *degenerate_pmfs(), *(p for n in (3, 4) for _, p in quadratic_3d_pmfs(n)),
+             next(quadratic_3d_pmfs(5))[1]]
+    for p in cases:
+        keys = support_set(p).sorted_points()
+        pts, vals = np.array(keys, dtype=np.int64), np.array([-math.log(p.value_at(k)) for k in keys])
+        want = np.array([float(e) for e in hull.lower_envelope(pts, [Fraction(v) for v in vals])])
+        assert np.array(cx._exact_envelope(pts, vals), dtype=np.float64).tobytes() == want.tobytes()
