@@ -35,7 +35,6 @@ class GapReport:
     second_moment_gap: np.ndarray  # per axis, uncentered
     cross_moment: dict  # (i, j) -> gap, i < j
     det_gap: float  # det(Cov_Z) - det(Cov_R)
-    lattice_mass: float
     max_lattice_value: float
 
 
@@ -79,7 +78,6 @@ def lattice_vs_integral_gaps(f: ContinuousDensity) -> GapReport:
         second_moment_gap=np.diag(cov) - np.diag(s2),
         cross_moment=cross,
         det_gap=det_l - det_c,
-        lattice_mass=s0,
         max_lattice_value=vmax,
     )
 
@@ -90,9 +88,8 @@ def lattice_vs_integral_gaps(f: ContinuousDensity) -> GapReport:
 
 @dataclass(frozen=True)
 class FirstMomentCheck:
-    lattice_mass: float  # sum f(k)
     gap: float
-    bound: float  # (e + 1) * lattice_mass
+    bound: float  # (e + 1) * sum f(k)
     holds: bool
 
 
@@ -104,4 +101,4 @@ def covdis_check_1d(f: ContinuousDensity) -> FirstMomentCheck:
     sf, (skf,), _, _ = _lattice_raw_moments(f, truncation_box(f))
     gap = abs(float(skf))  # f is centred, so int x f = 0
     bound = (math.e + 1.0) * sf
-    return FirstMomentCheck(sf, gap, bound, gap <= bound + 1e-12)
+    return FirstMomentCheck(gap, bound, gap <= bound + 1e-12)

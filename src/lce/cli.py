@@ -160,8 +160,7 @@ def _geom(args) -> int:
         f = DENSITIES.from_spec(args.density)
         dirs = unit_directions(f.dim, args.dirs)
         if args.check == "ballbody":
-            prof = geometry.ball_body_radial(f, args.p, dirs)
-            _emit({"p": args.p, "radii": prof.radii})
+            _emit({"p": args.p, "radii": geometry.ball_body_radial(f, args.p, dirs)})
             return 0
         chk = geometry.check_inclusions(f, args.p, args.q, dirs)
         _emit(

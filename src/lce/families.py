@@ -15,7 +15,7 @@ import numpy as np
 
 from . import densities
 from .errors import LceError
-from .lattice import Box, LatticePmf, make_product, point_mass, quantize_density
+from .lattice import Box, LatticePmf, _check_cells, make_product, point_mass, quantize_density
 
 # Largest tail mass a geometric family cuts off; it is the exact deficit.
 GEOMETRIC_TAIL_TOL = 1e-14
@@ -25,7 +25,7 @@ def uniform_interval(m: int, lo: int = 0) -> LatticePmf:
     """Uniform mass on {lo, ..., lo + m - 1}."""
     if m < 1:
         raise LceError("m must be positive")
-    box = Box((lo,), (lo + m - 1,))
+    box = _check_cells(Box((lo,), (lo + m - 1,)))  # before an array of its size exists
     return LatticePmf(box, np.full(box.shape, 1.0 / m), 0.0, {"family": "uniform", "m": m})
 
 
@@ -42,10 +42,11 @@ def one_sided_geometric(q: float) -> LatticePmf:
     if not (0.0 < q < 1.0):
         raise LceError("need 0 < q < 1")
     K = max(1, int(math.ceil(math.log(GEOMETRIC_TAIL_TOL) / math.log(q))) + 1)
+    box = _check_cells(Box((0,), (K,)))
     ks = np.arange(K + 1)
     vals = (1.0 - q) * q**ks
     deficit = q ** (K + 1)
-    return LatticePmf(Box((0,), (K,)), vals, deficit, {"family": "geometric", "q": q})
+    return LatticePmf(box, vals, deficit, {"family": "geometric", "q": q})
 
 
 def two_sided_geometric(q: float) -> LatticePmf:
@@ -53,13 +54,16 @@ def two_sided_geometric(q: float) -> LatticePmf:
     if not (0.0 < q < 1.0):
         raise LceError("need 0 < q < 1")
     C = (1.0 - q) / (1.0 + q)
-    K = 1
+    # The smallest K >= 1 whose cut tail is within the tolerance, searched up
+    # from two steps short of the closed form 2 q^(K+1) / (1 + q) <= tol.
+    K = max(1, math.ceil(math.log(GEOMETRIC_TAIL_TOL * (1.0 + q) / 2.0) / math.log(q)) - 3)
     while 2.0 * C * q ** (K + 1) / (1.0 - q) > GEOMETRIC_TAIL_TOL:
         K += 1
+    box = _check_cells(Box((-K,), (K,)))
     ks = np.arange(-K, K + 1)
     vals = C * q ** np.abs(ks)
     deficit = 2.0 * C * q ** (K + 1) / (1.0 - q)
-    return LatticePmf(Box((-K,), (K,)), vals, deficit, {"family": "two_sided_geometric", "q": q})
+    return LatticePmf(box, vals, deficit, {"family": "two_sided_geometric", "q": q})
 
 
 def quantized_gaussian(sigma: float, dim: int = 1, radius_multiplier: float = 12.0) -> LatticePmf:

@@ -9,20 +9,21 @@ eigenvalues.
 Convex bodies come in five kinds: box, ellipsoid, simplex, h-polytope and
 v-polytope.  ``cube`` and ``ball`` are constructors of a box and an ellipsoid,
 and a scaled simplex is a v-polytope.  Boxes, ellipsoids and the centred
-standard simplex use closed-form moments.  Every other polytope has exact
-moments from its vertices: the hull (:func:`lce.hull.facets`) is coned from
-the vertex mean into one simplex per facet, and the simplices' closed-form
-moments are summed.  A v-polytope stores its vertices; an h-polytope
-{x : A x <= b} with b > 0 takes them from the facets of its polar body
-conv(a_i / b_i), one vertex per facet.  Every polytope measures its inradius
-on facet rows ``A x <= b``: an h-polytope's own, or the hull facets of a
-simplex or v-polytope.
+standard simplex use closed-form moments.  A polytope body builds one hull
+record, :attr:`ConvexBody.hull` = (V, F, N, off), at its first use: its
+vertices V and their hull ``facets(V)`` (:func:`lce.hull.facets`).  A
+v-polytope stores V; an h-polytope {x : A x <= b} with b > 0 takes it from its
+polar body conv(a_i / b_i), one vertex per facet.  The record gives the exact
+moments (the hull coned from the vertex mean into simplices whose closed-form
+moments are summed), the circumradius, and the inradius from the facet rows
+``N x <= off`` (an h-polytope reads its own rows ``A x <= b``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,25 +56,6 @@ def inclusion_constants(d: int, p: float, q: float) -> InclusionConstants:
 # radial functions of ball bodies
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    directions: np.ndarray  # (m, d), unit vectors
-    radii: np.ndarray  # (m,), positive
-
-    def __post_init__(self):
-        dirs = np.ascontiguousarray(self.directions, dtype=np.float64)
-        rad = np.ascontiguousarray(self.radii, dtype=np.float64)
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise LceError("directions must be unit vectors")
-        if np.any(rad <= 0.0):
-            raise LceError("radii must be positive")
-        dirs.flags.writeable = False
-        rad.flags.writeable = False
-        object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "radii", rad)
-
-
 def _radial_moment(f: ContinuousDensity, theta: np.ndarray, p: float) -> float:
     """integral of p r^(p-1) f(r theta) dr over (0, inf) with certified tail cut."""
     tb = f.tail_bound
@@ -95,16 +77,21 @@ def _radial_moment(f: ContinuousDensity, theta: np.ndarray, p: float) -> float:
     return val
 
 
-def ball_body_radial(f: ContinuousDensity, p: float, dirs) -> RadialProfile:
-    """Radial function of K_p(f): rho(theta)^p = (1/f(0)) int p r^(p-1) f(r theta) dr."""
+def ball_body_radial(f: ContinuousDensity, p: float, dirs) -> np.ndarray:
+    """Read-only radii of K_p(f) on unit rows theta of ``dirs``: rho^p = (1/f(0)) int p r^(p-1) f(r theta) dr."""
     if not 0 < p < math.inf:
         raise LceError("p must be finite and positive")
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-12):
+        raise LceError("directions must be unit vectors")
     f0 = float(f(np.zeros(f.dim)))
     if f0 <= 0.0:
         raise LceError("f(0) must be positive")
     radii = np.array([(_radial_moment(f, th, p) / f0) ** (1.0 / p) for th in dirs])
-    return RadialProfile(directions=dirs, radii=radii)
+    if np.any(radii <= 0.0):
+        raise LceError("radii must be positive")
+    radii.flags.writeable = False
+    return radii
 
 
 @dataclass(frozen=True)
@@ -119,9 +106,7 @@ class InclusionCheck:
 def check_inclusions(f: ContinuousDensity, p: float, q: float, dirs) -> InclusionCheck:
     """Verify lower <= rho_{K_p}(theta)/rho_{K_q}(theta) <= upper on sampled directions."""
     consts = inclusion_constants(f.dim, p, q)
-    prof_p = ball_body_radial(f, p, dirs)
-    prof_q = ball_body_radial(f, q, dirs)
-    ratios = prof_p.radii / prof_q.radii
+    ratios = ball_body_radial(f, p, dirs) / ball_body_radial(f, q, dirs)
     lo, hi = float(ratios.min()), float(ratios.max())
     passed = (lo >= consts.lower - 1e-9) and (hi <= consts.upper + 1e-9)
     return InclusionCheck(consts.lower, consts.upper, lo, hi, passed)
@@ -136,6 +121,25 @@ class ConvexBody:
     kind: str
     dim: int
     data: tuple  # kind-specific payload, hashable
+
+    @cached_property
+    def hull(self) -> tuple:
+        """(V, F, N, off): the vertices V a simplex or v-polytope stores, or for
+        an h-polytope {x : A x <= b} the N / off of each facet N y = off of its
+        polar body conv(a_i / b_i); and their hull ``facets(V)``.  A polar facet
+        with off <= 0, or polar points that span no full hull, mean K is unbounded."""
+        if self.kind == "hpoly":
+            A, b = (np.asarray(a) for a in self.data)
+            try:
+                _, N, off = facets(A / b[:, None])
+            except LceError:
+                raise LceError("h-polytope is unbounded") from None
+            if np.any(off <= 0.0):
+                raise LceError("h-polytope is unbounded")
+            V = N / off[:, None]
+        else:
+            V = np.asarray(self.data[0], dtype=np.float64)
+        return (V, *facets(V))
 
 
 def _numeric(name: str, values) -> None:
@@ -294,36 +298,18 @@ def body_moments(K: ConvexBody) -> BodyMoments:
         bary = np.asarray(K.data[0]).mean(axis=0)
         return BodyMoments(1.0 / math.factorial(d), bary, M0)
     if K.kind in ("vpoly", "hpoly"):
-        V = _vertices(K)
-        return _vpoly_moments(V, facets(V))
+        return _vpoly_moments(K.hull)
     raise LceError(f"moments not implemented for {K.kind}")
 
 
-def _vertices(K: ConvexBody) -> np.ndarray:
-    """The vertices of a polytope: those a simplex or v-polytope stores, or
-    for an h-polytope {x : A x <= b} one per facet {y : N y = off} of its polar
-    body conv(a_i / b_i), namely N / off.  A facet with off <= 0, or polar
-    points that span no full-dimensional hull, mean that K is unbounded."""
-    if K.kind != "hpoly":
-        return np.asarray(K.data[0], dtype=np.float64)
-    A, b = (np.asarray(a) for a in K.data)
-    try:
-        _, N, off = facets(A / b[:, None])
-    except LceError:
-        raise LceError("h-polytope is unbounded") from None
-    if np.any(off <= 0.0):
-        raise LceError("h-polytope is unbounded")
-    return N / off[:, None]
-
-
-def _vpoly_moments(V: np.ndarray, hull) -> BodyMoments:
-    """Exact moments of conv(V) from its hull ``facets(V)``: the hull is coned
-    from the vertex mean c into one simplex S per facet.  With v_0 = c,
-    v_1..v_d the facet's vertices and s = sum v_i, S has volume
+def _vpoly_moments(hull) -> BodyMoments:
+    """Exact moments of conv(V) from the record (V, F, N, off) of its hull: the
+    hull is coned from the vertex mean c into one simplex S per facet.  With
+    v_0 = c, v_1..v_d the facet's vertices and s = sum v_i, S has volume
     |S| = (off - N c)/d! and the closed-form moments int_S x dx = |S| s/(d+1)
     and int_S x x^T dx = |S| (sum v_i v_i^T + s s^T)/((d+1)(d+2))."""
+    V, F, N, off = hull
     d = V.shape[1]
-    F, N, off = hull
     c = V.mean(axis=0)
     S = np.concatenate([np.broadcast_to(c, (len(F), 1, d)), V[F]], axis=1)  # (m, d+1, d)
     s = S.sum(axis=1)
@@ -407,15 +393,8 @@ def body_inradius(K: ConvexBody) -> float:
         return float(min(np.min(-lo), np.min(hi)))
     if K.kind == "ellipsoid":
         return float(np.min(K.data[0]))
-    if K.kind == "hpoly":
-        A, b = (np.asarray(a) for a in K.data)
-    else:
-        _, A, b = facets(_vertices(K))
-    return _facet_distance(A, b)
-
-
-def _facet_distance(A: np.ndarray, b: np.ndarray) -> float:
-    """Distance from the origin to the nearest facet plane A_i x = b_i."""
+    # the nearest facet plane A_i x = b_i: an h-polytope's own rows, or the hull's
+    A, b = (np.asarray(a) for a in K.data) if K.kind == "hpoly" else K.hull[2:]
     return float(np.min(b / np.linalg.norm(A, axis=1)))
 
 
@@ -426,27 +405,17 @@ def body_circumradius(K: ConvexBody) -> float:
     if K.kind == "ellipsoid":
         return float(np.max(K.data[0]))
     if K.kind in ("simplex", "vpoly", "hpoly"):
-        return _max_norm(_vertices(K))
+        return float(np.max(np.linalg.norm(K.hull[0], axis=1)))
     raise LceError(f"circumradius not implemented for {K.kind}")
-
-
-def _max_norm(V: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(V, axis=1)))
 
 
 def radius_bounds_check(K: ConvexBody) -> RadiusReport:
     """Inradius/circumradius bounds via covariance eigenvalues; requires |K| = 1
     and the origin in the interior."""
-    if K.kind in ("vpoly", "hpoly"):  # one vertex set and one hull for the moments, R and r
-        V = _vertices(K)
-        hull = facets(V)
-        mom, R = _vpoly_moments(V, hull), _max_norm(V)
-    else:
-        mom, R = body_moments(K), body_circumradius(K)
+    mom = body_moments(K)
     if abs(mom.volume - 1.0) > 1e-9:
         raise LceError(f"body must have unit volume (got {mom.volume}); rescale first")
-    # An h-polytope's own rows A x <= b give r, as body_inradius reads them.
-    r = _facet_distance(*hull[1:]) if K.kind == "vpoly" else body_inradius(K)
+    r, R = body_inradius(K), body_circumradius(K)
     if r <= 0.0:
         raise LceError("origin must lie in the interior")
     d = K.dim

@@ -520,11 +520,11 @@ def check_explore_conv(ctx: RunContext) -> list:
 
 def check_geom_ballbody(ctx: RunContext) -> list:
     dirs = unit_directions(2, 64)
-    prof1 = geometry.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
-    err_value = float(np.abs(prof1.radii - math.sqrt(2.0)).max())
-    spread = float(prof1.radii.max() / prof1.radii.min() - 1.0)
-    prof2 = geometry.ball_body_radial(gaussian(2.0, 2), 2.0, dirs)
-    scale_err = float(np.abs(prof2.radii / prof1.radii - 2.0).max())
+    r1 = geometry.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
+    err_value = float(np.abs(r1 - math.sqrt(2.0)).max())
+    spread = float(r1.max() / r1.min() - 1.0)
+    r2 = geometry.ball_body_radial(gaussian(2.0, 2), 2.0, dirs)
+    scale_err = float(np.abs(r2 / r1 - 2.0).max())
     return [ctx.row("geom_ballbody", ("gaussian", 2, 1.0, 1),
                     {"radial_err": err_value, "direction_spread": spread, "scaling_err": scale_err},
                     {"radial_tol": 1e-6, "spread_tol": 1e-8, "scaling_tol": 1e-6},

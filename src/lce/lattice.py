@@ -94,9 +94,10 @@ class Box:
         )
 
 
-def _check_cells(box: Box):
+def _check_cells(box: Box) -> Box:
     if box.ncells > CELL_CAP:
         raise LceError(f"box with {box.ncells} cells exceeds cap {CELL_CAP}")
+    return box
 
 
 @dataclass(frozen=True)
@@ -450,9 +451,12 @@ def pmf_from_doc(doc: dict) -> LatticePmf:
 
 
 def save_pmf(p: LatticePmf, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pmf_to_doc(p), fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(pmf_to_doc(p), fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise LceError(f"cannot write p.m.f. file {path}: {exc}") from None
 
 
 def load_pmf(path) -> LatticePmf:

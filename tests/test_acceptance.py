@@ -263,8 +263,8 @@ def test_criterion_09_companion_reeve_witness():
 
 def test_criterion_10_ball_geometry():
     dirs = unit_directions(2, 64)
-    prof = geo.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
-    radial_ok = float(np.abs(prof.radii - math.sqrt(2.0)).max()) < 1e-6
+    radii = geo.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
+    radial_ok = float(np.abs(radii - math.sqrt(2.0)).max()) < 1e-6
     inc = geo.check_inclusions(gaussian(1.0, 2), 2.0, 3.0, dirs)
     kls_ok = True
     for K in (geo.make_ball(2, 1.5), geo.make_cube(2), geo.make_simplex(2),

@@ -42,29 +42,35 @@ def test_inclusion_constants_validation():
 
 def test_gaussian_radial_sqrt2():
     dirs = unit_directions(2, 64)
-    prof = geo.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
-    assert float(np.abs(prof.radii - math.sqrt(2.0)).max()) < 1e-6
+    radii = geo.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
+    assert float(np.abs(radii - math.sqrt(2.0)).max()) < 1e-6
+    assert radii.shape == (64,) and not radii.flags.writeable
 
 
 def test_radial_closed_form_various_p():
     # rho^p = sigma^p 2^(p/2) Gamma(p/2 + 1) for the isotropic Gaussian
     f = gaussian(1.5, 2)
     for p in (1.0, 2.0, 3.0, 4.0):
-        prof = geo.ball_body_radial(f, p, unit_directions(2, 4))
+        radii = geo.ball_body_radial(f, p, unit_directions(2, 4))
         expected = (1.5**p * 2 ** (p / 2.0) * math.gamma(p / 2.0 + 1.0)) ** (1.0 / p)
-        assert prof.radii[0] == pytest.approx(expected, rel=1e-9)
+        assert radii[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_radial_scaling_homogeneity():
     dirs = unit_directions(2, 8)
-    r1 = geo.ball_body_radial(gaussian(1.0, 2), 2.0, dirs).radii
-    r3 = geo.ball_body_radial(gaussian(3.0, 2), 2.0, dirs).radii
+    r1 = geo.ball_body_radial(gaussian(1.0, 2), 2.0, dirs)
+    r3 = geo.ball_body_radial(gaussian(3.0, 2), 2.0, dirs)
     assert np.allclose(r3 / r1, 3.0, rtol=1e-9)
 
 
 def test_radial_isotropy_spread():
-    prof = geo.ball_body_radial(gaussian(1.0, 2), 3.0, unit_directions(2, 64))
-    assert float(prof.radii.max() / prof.radii.min() - 1.0) < 1e-8
+    radii = geo.ball_body_radial(gaussian(1.0, 2), 3.0, unit_directions(2, 64))
+    assert float(radii.max() / radii.min() - 1.0) < 1e-8
+
+
+def test_radial_refuses_directions_that_are_not_unit_vectors():
+    with pytest.raises(LceError, match="directions must be unit vectors"):
+        geo.ball_body_radial(gaussian(1.0, 2), 2.0, [[1.0, 0.0], [1.0, 1.0]])
 
 
 def test_inclusion_chain_on_gaussian():
@@ -333,24 +339,22 @@ def test_kls_rejects_uncentered():
 
 
 def test_geom_kls_computes_moments_once_per_body(monkeypatch):
-    calls = {"_vertices": 0, "_hpoly_support": 0}
-
-    def counted(name):
-        fn = getattr(geo, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(geo, name, wrapper)
-
-    counted("_vertices")
-    counted("_hpoly_support")
+    hulls, supports = [], []
+    support = geo._hpoly_support
+    monkeypatch.setattr(geo, "facets", lambda P: hulls.append(P) or facets(P))
+    monkeypatch.setattr(geo, "_hpoly_support", lambda K, u: supports.append(K) or support(K, u))
     rows = harness.check_geom_kls(harness.RunContext(harness.default_config()))
     assert all(r.status == harness.PASS for r in rows)
-    # two h-polytopes, in d = 2 and d = 3: one vertex computation each, and
-    # one support LP per direction (3 each)
-    assert calls == {"_vertices": 2, "_hpoly_support": 3 + 3}
+    # two h-polytopes, in d = 2 and d = 3: one hull record each, which takes
+    # its vertices from the hull of the polar points and then builds their
+    # hull; the simplices read their stored vertices and closed form and
+    # build none; and one support LP per direction (3 each)
+    polar, vertex_sets = hulls[0::2], hulls[1::2]
+    assert len(polar) == len(vertex_sets) == 2
+    for P, V in zip(polar, vertex_sets):
+        _, N, off = facets(P)
+        assert np.array_equal(V, N / off[:, None])
+    assert len(supports) == 3 + 3 and len(set(supports)) == 2
 
 
 # ---------------------------------------------------------------------------

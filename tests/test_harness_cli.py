@@ -363,6 +363,11 @@ BAD_INPUT_REASONS = {
     "ball_bool_radius": "radius must be numeric, got True",
     "ellipsoid_bool_axis": "axes must be numeric, got True",
     "hpoly_bool_b": "b must be numeric, got True",
+    "gen_out_missing_dir": "cannot write p.m.f. file ",
+    "convolve_out_a_directory": "cannot write p.m.f. file ",
+    "gen_geometric_past_the_cap": "exceeds cap",
+    "gen_two_sided_geometric_past_the_cap": "exceeds cap",
+    "gen_uniform_past_the_cap": "exceeds cap",
 }
 
 
@@ -429,6 +434,11 @@ BAD_INPUT_REASONS = {
         ["geom", "--body", "ball{d=2,radius=true}", "--check", "kls"],
         ["geom", "--body", "ellipsoid{axes=[true,2]}", "--check", "kls"],
         ["geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,-1]],b=[true,1,1]}", "--check", "kls"],
+        ["gen", "--family", "uniform{m=3}", "--out", "{tmp}/no_such_dir/x.json"],
+        ["convolve", "--pmf", "{tmp}/pair.json", "--pmf", "{tmp}/pair.json", "--out", "{tmp}"],
+        ["gen", "--family", "geometric{q=0.999999999}", "--out", "{tmp}/x.json"],
+        ["gen", "--family", "two_sided_geometric{q=0.999999999}", "--out", "{tmp}/x.json"],
+        ["gen", "--family", "uniform{m=70000000}", "--out", "{tmp}/x.json"],
     ],
     ids=[
         "unknown_family",
@@ -491,6 +501,11 @@ BAD_INPUT_REASONS = {
         "ball_bool_radius",
         "ellipsoid_bool_axis",
         "hpoly_bool_b",
+        "gen_out_missing_dir",
+        "convolve_out_a_directory",
+        "gen_geometric_past_the_cap",
+        "gen_two_sided_geometric_past_the_cap",
+        "gen_uniform_past_the_cap",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
@@ -536,19 +551,32 @@ def test_cli_radius_check_of_hpoly_matches_its_twin(hpoly, twin, capsys):
 
 
 def test_cli_radius_check_of_hpoly_takes_its_vertices_once_per_body(monkeypatch, capsys):
+    spec = "hpoly{A=[[1,0],[0,1],[-1,-1]],b=[1,1,1]}"
+    K = geometry.BODIES.from_spec(spec)
+    vertices = [K.hull[0], geometry.scale_to_unit_volume(K).hull[0]]
     calls = []
-    vertices = geometry._vertices
-    monkeypatch.setattr(geometry, "_vertices", lambda K: calls.append(K) or vertices(K))
-    assert run_cli("geom", "--body", "hpoly{A=[[1,0],[0,1],[-1,-1]],b=[1,1,1]}", "--check", "radius") == 0
+    facets = geometry.facets
+    monkeypatch.setattr(geometry, "facets", lambda P: calls.append(P) or facets(P))
+    assert run_cli("geom", "--body", spec, "--check", "radius") == 0
     assert json.loads(capsys.readouterr().out)["holds"] is True
-    # the body, to rescale it to unit volume, then the rescaled body
-    assert len(calls) == 2 and calls[0] != calls[1]
+    # the body, to rescale it to unit volume, then the rescaled body: one
+    # record each, the hull of the polar points and then the hull of the
+    # vertices they give
+    assert len(calls) == 2 * 2
+    assert [V.tobytes() for V in calls[1::2]] == [V.tobytes() for V in vertices]
+    assert calls[1].tobytes() != calls[3].tobytes()
 
 
-def test_cli_radius_check_of_vpoly_builds_one_hull_per_body(monkeypatch, capsys):
-    spec = "vpoly{vertices=[[1,1],[1,-2],[-2,1]]}"
+@pytest.mark.parametrize("spec, hulls", [
+    ("vpoly{vertices=[[1,1],[1,-2],[-2,1]]}", 2),
+    # closed-form moments rescale the simplex; the rescaled one is a v-polytope
+    ("simplex{d=3}", 1),
+    # each record also builds the hull of the polar points
+    ("hpoly{A=[[1,0],[0,1],[-1,-1]],b=[1,1,1]}", 2 * 2),
+], ids=["vpoly", "simplex", "hpoly"])
+def test_cli_radius_check_of_vpoly_builds_one_hull_per_body(spec, hulls, monkeypatch, capsys):
     unit = geometry.scale_to_unit_volume(geometry.BODIES.from_spec(spec))
-    # The report as each body-level routine gives it, one hull apiece.
+    # The report as each body-level routine gives it, from one record.
     mom = geometry.body_moments(unit)
     eig = np.linalg.eigvalsh(mom.second_moment)
     r, R, d = geometry.body_inradius(unit), geometry.body_circumradius(unit), unit.dim
@@ -561,7 +589,7 @@ def test_cli_radius_check_of_vpoly_builds_one_hull_per_body(monkeypatch, capsys)
     assert run_cli("geom", "--body", spec, "--check", "radius") == 0
     assert json.loads(capsys.readouterr().out)["holds"] is True
     # the body, to rescale it to unit volume, then the rescaled body
-    assert len(calls) == 2
+    assert len(calls) == hulls
     assert [struct.pack("<d", x) for x in dataclasses.astuple(reports[0])] == [
         struct.pack("<d", x) for x in dataclasses.astuple(expected)
     ]

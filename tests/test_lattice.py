@@ -229,6 +229,30 @@ def test_memory_cap():
         lat._check_cells(big)
 
 
+def test_one_dimensional_generators_refuse_a_box_past_the_cap(monkeypatch):
+    # refused before an array of the box's size exists
+    monkeypatch.setattr(np, "arange", None)
+    monkeypatch.setattr(np, "full", None)
+    for make, arg in ((families.one_sided_geometric, 0.999999999), (families.two_sided_geometric, 0.999999999),
+                      (families.uniform_interval, 70_000_000)):
+        with pytest.raises(LceError, match="exceeds cap"):
+            make(arg)
+
+
+def test_two_sided_geometric_cuts_where_the_stepwise_search_does():
+    # the smallest K >= 1 whose cut tail is within the tolerance, and that
+    # tail as the deficit, bit for bit
+    rng = np.random.default_rng(7)
+    for q in [0.25, 0.5, 0.8, 0.1, 0.4, 0.65, 0.9, 0.95, 0.999, 1e-300, *rng.uniform(0.0, 1.0, 200)]:
+        C = (1.0 - q) / (1.0 + q)
+        K = 1
+        while 2.0 * C * q ** (K + 1) / (1.0 - q) > families.GEOMETRIC_TAIL_TOL:
+            K += 1
+        p = families.two_sided_geometric(q)
+        assert p.box == Box((-K,), (K,))
+        assert p.deficit == 2.0 * C * q ** (K + 1) / (1.0 - q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_convolution_commutes_and_associates(seed):
