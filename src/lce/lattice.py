@@ -12,9 +12,10 @@ of the window products, with a certified bound on its error, decides most
 cells; a cell that bound cannot decide falls back to
 :func:`~lce.numerics.stable_sum`, exact up to one rounding, so the verdict is
 that of exact sums at every cell.  The FFT never holds a whole
-padded spectrum: besides the operands and the output it holds their rfft along
-the last axis, one complex array of the output's leading shape by the rfft's
-width, and one panel of about ``_FFT_PANEL_BYTES`` per operand at a time.
+padded spectrum: besides the operands it holds their rfft along the last axis
+in panels of about ``_FFT_PANEL_BYTES``, the cut product in tiles of
+``_IRFFT_ROWS`` output lines by one panel, and a few padded panels at a time.
+Its peak allocation is the tiles, one cut product spectrum in all, and the output.
 
 All values are immutable after construction and operations are pure, so
 everything here is safe to share across threads.
@@ -22,8 +23,10 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -47,6 +50,9 @@ _FFT_CHECK_TOL = 1e-10
 # Bytes of one panel of padded spectrum columns, and output rows per irfft block.
 _FFT_PANEL_BYTES = 1 << 20
 _IRFFT_ROWS = 64
+# glibc keeps the freed tiles of an FFT resident while a live block sits above
+# them in its heap; malloc_trim(0) hands their pages back to the system.
+_malloc_trim = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "malloc_trim", lambda pad: 0)
 
 
 @dataclass(frozen=True)
@@ -349,16 +355,17 @@ def _convolve_fft(p: np.ndarray, q: np.ndarray, out_shape, scale: float) -> np.n
     # axis (one spectrum for a self-convolution), then per panel of frequency
     # columns the fft on axes d-2 .. 0, the product and the ifft on axes
     # 0 .. d-2, each cut to out_shape before the next, and last the irfft in
-    # blocks of rows.  The same 1-d transforms of the kept rows, so the same
-    # bits, and no whole padded spectrum is ever alive.
-    spectra = [np.fft.rfft(x, n=padded[-1], axis=-1) for x in ((p,) if q is p else (p, q))]
-    cols = padded[-1] // 2 + 1
-    mid = np.empty(out_shape[:-1] + (cols,), dtype=np.complex128)
+    # blocks of lines.  The same 1-d transforms of the kept lines, so the same
+    # bits.  Each spectrum panel is dropped once its product is taken, and each
+    # tile of the product once its block of lines is inverted.
     width = max(1, _FFT_PANEL_BYTES // (16 * math.prod(padded[:-1])))
-    for c in range(0, cols, width):
+    spectra = [_rfft_panels(x, padded[-1], width) for x in ((p,) if q is p else (p, q))]
+    blocks = range(0, math.prod(out_shape[:-1]), _IRFFT_ROWS)
+    tiles = [[] for _ in blocks]
+    for c in range(len(spectra[0])):
         panels = []
         for spectrum in spectra:
-            panel = spectrum[..., c : c + width]
+            panel, spectrum[c] = spectrum[c], None
             for ax in reversed(lead):
                 panel = np.fft.fft(panel, n=padded[ax], axis=ax)
             panels.append(panel)
@@ -366,15 +373,33 @@ def _convolve_fft(p: np.ndarray, q: np.ndarray, out_shape, scale: float) -> np.n
         del panels
         for ax in lead:
             panel = np.fft.ifft(panel, n=padded[ax], axis=ax)[(slice(None),) * ax + (slice(0, out_shape[ax]),)]
-        mid[..., c : c + width] = panel
+        # Copies, not slices: a slice would keep the padded ifft result alive.
+        panel = panel.reshape(-1, panel.shape[-1])
+        for tile, r in zip(tiles, blocks):
+            tile.append(panel[r : r + _IRFFT_ROWS].copy())
     del spectra, panel
     out = np.empty(out_shape)
-    freqs, lines = mid.reshape(-1, cols), out.reshape(-1, out_shape[-1])
-    for r in range(0, len(lines), _IRFFT_ROWS):
-        lines[r : r + _IRFFT_ROWS] = np.fft.irfft(freqs[r : r + _IRFFT_ROWS], n=padded[-1])[:, : out_shape[-1]]
+    lines = out.reshape(-1, out_shape[-1])
+    for b, r in enumerate(blocks):
+        freqs, tiles[b] = np.concatenate(tiles[b], axis=1), None
+        lines[r : r + _IRFFT_ROWS] = np.fft.irfft(freqs, n=padded[-1])[:, : out_shape[-1]]
+        if (b + 1) * freqs.nbytes // _FFT_PANEL_BYTES > b * freqs.nbytes // _FFT_PANEL_BYTES:
+            _malloc_trim(0)  # about once per panel's bytes of freed tiles
     if float(out.min()) < -_FFT_CHECK_TOL * scale:
         raise NumericalError("FFT convolution produced a significantly negative value")
     return out
+
+
+def _rfft_panels(x: np.ndarray, n: int, width: int) -> list[np.ndarray]:
+    """rfft of ``x`` on its last axis, padded to ``n``, one array per ``width`` columns."""
+    lines = x.reshape(-1, x.shape[-1])
+    starts = range(0, n // 2 + 1, width)
+    panels = [np.empty((len(lines), min(width, n // 2 + 1 - c)), dtype=np.complex128) for c in starts]
+    for r in range(0, len(lines), _IRFFT_ROWS):
+        spectrum = np.fft.rfft(lines[r : r + _IRFFT_ROWS], n=n)
+        for panel, c in zip(panels, starts):
+            panel[r : r + _IRFFT_ROWS] = spectrum[:, c : c + width]
+    return [panel.reshape(x.shape[:-1] + (-1,)) for panel in panels]
 
 
 def _verify_fft_subsample(p: np.ndarray, q: np.ndarray, out: np.ndarray, scale: float):

@@ -422,7 +422,9 @@ def test_fft_kernel_gives_the_oracle_bytes_across_panels_and_row_blocks(case, mo
     assert calls["irfft"] == -(-math.prod(out_shape[:-1]) // rows)
 
 
-def test_every_fft_call_of_a_sweep_gives_the_oracle_bytes(monkeypatch):
+def oracle_checked_fft_calls(monkeypatch, sigmas, checks):
+    """Run a gaussian config on dims 1, 2 with every ``_convolve_fft`` call
+    compared byte for byte with the whole-spectrum oracle; the out shapes."""
     import lce.lattice as lat
     from lce import harness
 
@@ -435,15 +437,47 @@ def test_every_fft_call_of_a_sweep_gives_the_oracle_bytes(monkeypatch):
         return out
 
     monkeypatch.setattr(lat, "_convolve_fft", checked)
-    cfg = harness.ExperimentConfig(family={"name": "gaussian", "params": {}}, dims=[1, 2], sigmas=[4.0],
-                                   n_values=[1, 2], checks=["epi_gap", "diff_approx", "explore_conv"])
+    cfg = harness.ExperimentConfig(family={"name": "gaussian", "params": {}}, dims=[1, 2], sigmas=sigmas,
+                                   n_values=[1, 2], checks=checks)
     harness.run_config(cfg)
+    return calls
+
+
+def test_every_fft_call_of_a_sweep_gives_the_oracle_bytes(monkeypatch):
+    calls = oracle_checked_fft_calls(monkeypatch, [4.0], ["epi_gap", "diff_approx", "explore_conv"])
     assert any(len(s) == 2 for s in calls)
 
 
-# Traced peaks in MB (numpy 2.4): the kernel 39.2 and 17.0, the oracle 96.1
-# and 48.8.  A kernel that holds two whole padded spectra, as rfftn gives them,
-# and cuts each inverse pass to out_shape peaks at 70.2 and 36.3: above the bound.
+# The sizes of the entropy_fft bench workload: four d = 2 calls, up to
+# 769^2 x 385^2 into 1153^2 in 19 blocks of output lines by 33 panels of 32
+# frequency columns (d = 1 convolves directly).
+def test_every_fft_call_of_an_entropy_fft_config_gives_the_oracle_bytes(monkeypatch):
+    calls = oracle_checked_fft_calls(monkeypatch, [8.0, 16.0], ["epi_gap"])
+    assert calls == [(385, 385), (577, 577), (769, 769), (1153, 1153)]
+
+
+@pytest.mark.parametrize("case", ["d1-panels", "d2-panels-blocks", "d3-self-panels-blocks"])
+def test_fft_convolution_values_own_their_data(case, monkeypatch):
+    import lce.lattice as lat
+
+    p_shape, q_shape, width, rows = PANEL_CASES[case]
+    rng = np.random.default_rng(sum(p_shape))
+    p = small_pmf(rng.random(p_shape), lo=(0,) * len(p_shape))
+    q = p if q_shape is None else small_pmf(rng.random(q_shape), lo=(0,) * len(q_shape))
+    padded = tuple(next_pow2(a + b - 1) for a, b in zip(p.box.shape, q.box.shape))
+    monkeypatch.setattr(lat, "_FFT_PANEL_BYTES", max(1, 16 * math.prod(padded[:-1]) * width))
+    monkeypatch.setattr(lat, "_IRFFT_ROWS", rows)
+    # Not a view into a padded transform or a buffer of tiles.
+    assert convolve(p, q, method="fft").values.base is None
+
+
+# Traced peaks in MiB (numpy 2.4): the kernel 29.4 and 16.6, the oracle 96.2
+# and 48.9.  A kernel that holds two whole padded spectra, as rfftn gives them,
+# and cuts each inverse pass to out_shape peaks at 70.2 and 36.3: above the
+# 0.55 bound.  The kernel may hold the cut product spectrum (mid, 17.6 MiB in d2)
+# and out (10.1 MiB) at once, and about 2 MiB of transforms beside them.  One
+# that keeps the operands' last-axis spectra whole until mid is full peaks at
+# 39.2 in d2: above that bound.
 @pytest.mark.parametrize("shapes", [((769, 769), (385, 385)), ((60, 70, 80), (30, 30, 30))], ids=["d2", "d3"])
 def test_fft_kernel_peaks_well_below_the_whole_spectrum_oracle(shapes):
     import tracemalloc
@@ -462,6 +496,8 @@ def test_fft_kernel_peaks_well_below_the_whole_spectrum_oracle(shapes):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 0.55 * peaks[1]
+    mid_bytes = math.prod(out_shape[:-1]) * (next_pow2(out_shape[-1]) // 2 + 1) * 16
+    assert peaks[0] <= mid_bytes + math.prod(out_shape) * 8 + (2 << 20)
 
 
 def sparse_pmf(rng, shape):
