@@ -142,7 +142,7 @@ def _geom(args) -> int:
     K = geometry.BODIES.from_spec(args.body)
     if args.check == "kls":
         (rep,) = geometry.kls_second_moment_check(K, np.ones(K.dim))
-        _emit({"lhs": rep.lhs, "mid": rep.mid, "rhs": rep.rhs, "chain_holds": rep.chain_holds(tol=1e-9)})
+        _emit({"lhs": rep.lhs, "mid": rep.mid, "rhs": rep.rhs, "chain_holds": rep.chain_holds()})
         return 0
     if args.check == "radius":
         rep = geometry.radius_bounds_check(geometry.scale_to_unit_volume(K))
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("check", help="convexity / extensibility decisions")
     k.add_argument("--pmf", required=True)
     k.add_argument("--mode", required=True, choices=["zconvex", "extensible", "selfsum"])
-    k.add_argument("--tol", type=float, default=1e-9)
+    k.add_argument("--tol", type=float, default=convexity.DEFAULT_ENVELOPE_TOL)
     k.add_argument("--exact", action="store_true",
                    help="decide extensibility on the hull exactly on integers, with no float tolerance "
                         "(the integer hull of zconvex is exact already)")
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("smooth-entropy", help="differential entropy of p.m.f. + n uniforms")
     s.add_argument("--pmf", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=float, default=smoothing.DEFAULT_ENTROPY_TOL)
     s.set_defaults(fn=_smooth_entropy)
 
     ge = sub.add_parser("geom", help="convex-geometry checks")

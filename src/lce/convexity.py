@@ -7,11 +7,13 @@ on the lower convex envelope of its own lifted support points.
 Both decisions come from :mod:`lce.hull` in every dimension: an exact
 integer H-representation of conv(A) tested against every bounding-box point
 in one matrix product, and the lower hull of the lifted points (k, V(k)).
-The convexity decision is exact as it stands; the exact mode
-(``exact=True``, the CLI's ``--exact``) runs the same lower hull with no
-float tolerance on integers, the log-masses times the power of two that
-clears their denominators; each facet value is one int / int, and rounding
-is monotone, so the envelope is the exact one rounded once.
+The n-fold self-sums nA are indicator masks on their bounding boxes, built
+by the exact direct convolution of :mod:`lce.lattice` and tested against
+n conv(A) as A itself is.  The convexity decision is exact as it stands; the
+exact mode (``exact=True``, the CLI's ``--exact``) runs the same lower hull
+with no float tolerance on integers, the log-masses times the power of two
+that clears their denominators; each facet value is one int / int, and
+rounding is monotone, so the envelope is the exact one rounded once.
 The Caratheodory and rational-LP oracles that check both routes live with
 the tests.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import LceError
 from .hull import box_points_inside, hrep, lower_envelope
-from .lattice import Box, LatticePmf, LatticeSet, support_set
+from .lattice import LatticePmf, LatticeSet, _convolve_direct, support_set
 
 DEFAULT_ENVELOPE_TOL = 1e-9
 BOX_ENUM_CAP = 500_000
@@ -54,16 +56,6 @@ class ExtensibilityReport:
         return max(self.envelope_gaps.values(), default=0.0)
 
 
-def minkowski_sum(A: LatticeSet, B: LatticeSet) -> LatticeSet:
-    """{a + b : a in A, b in B}, deduplicated."""
-    if A.dim != B.dim:
-        raise LceError("minkowski_sum operands have different dimensions")
-    if len(A) == 0 or len(B) == 0:
-        return LatticeSet(A.dim, frozenset())
-    sums = (A.array()[:, None, :] + B.array()[None, :, :]).reshape(-1, A.dim)
-    return LatticeSet.from_iterable(A.dim, sums)
-
-
 def is_zd_convex(A: LatticeSet) -> ConvexityReport:
     """Decide A = conv(A) cap Z^d; the witnesses are the lattice points of
     conv(A) that A misses, in lexicographic order.
@@ -71,36 +63,34 @@ def is_zd_convex(A: LatticeSet) -> ConvexityReport:
     Every bounding-box point is tested against the exact integer
     H-representation of conv(A).
     """
-    _check_nonempty(A)
-    box = _checked_box(A)
-    return _hull_report(A, box, *_hrep_from_corner(A, box))
-
-
-def _check_nonempty(A: LatticeSet) -> None:
     if len(A) == 0:
         raise LceError("convexity of the empty set is not defined here")
+    return _hull_report(*_indicator_and_hull(A))
 
 
-def _checked_box(S: LatticeSet) -> Box:
-    box = S.bounding_box()
-    if box.ncells > BOX_ENUM_CAP:
-        raise LceError(f"bounding box has {box.ncells} cells, cap is {BOX_ENUM_CAP}")
-    return box
+def _checked_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    ncells = math.prod(shape)
+    if ncells > BOX_ENUM_CAP:
+        raise LceError(f"bounding box has {ncells} cells, cap is {BOX_ENUM_CAP}")
+    return shape
 
 
-def _hrep_from_corner(A: LatticeSet, box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """H-representation of conv(A) in coordinates relative to ``box.lo``,
+def _indicator_and_hull(A: LatticeSet):
+    """A's indicator mask on its bounding box, the box's corner ``lo``, and the
+    H-representation ``(H, b)`` of conv(A) in coordinates relative to ``lo``,
     which keeps the int64 orientation tests small."""
-    return hrep(A.array() - np.array(box.lo, dtype=np.int64))
-
-
-def _hull_report(S: LatticeSet, box: Box, A: np.ndarray, b: np.ndarray) -> ConvexityReport:
-    """Witnesses of S against the hull {x : A (x - box.lo) <= b}, ``box`` the
-    bounding box of S."""
+    box = A.bounding_box()
     lo = np.array(box.lo, dtype=np.int64)
-    inside = box_points_inside(A, b, box.shape)
-    member = np.zeros(box.shape, dtype=bool)
-    member[tuple((S.array() - lo).T)] = True
+    pts = A.array() - lo
+    member = np.zeros(_checked_shape(box.shape), dtype=bool)
+    member[tuple(pts.T)] = True
+    return (member, lo, *hrep(pts))
+
+
+def _hull_report(member: np.ndarray, lo: np.ndarray, H: np.ndarray, b: np.ndarray) -> ConvexityReport:
+    """Witnesses of the set with indicator ``member`` on its bounding box,
+    whose corner is ``lo``, against the hull {x : H (x - lo) <= b}."""
+    inside = box_points_inside(H, b, member.shape)
     witnesses = [tuple(z) for z in (inside[~member[tuple(inside.T)]] + lo).tolist()]
     return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
 
@@ -159,21 +149,22 @@ def _exact_envelope(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def check_self_sum_convexity(A: LatticeSet, n_max: int) -> list[ConvexityReport]:
     """Convexity reports for the n-fold Minkowski sums of A, n = 2..n_max.
 
-    Requires A itself to be Z^d-convex.  Since conv(A + ... + A) = n conv(A),
+    Requires A itself to be Z^d-convex.  Each sum nA is an indicator mask on
+    its bounding box n box(A): the direct convolution of A's mask with that of
+    (n-1)A counts the ways to reach each cell, exact small integers, so a cell
+    is in nA when its count is positive.  Since conv(A + ... + A) = n conv(A),
     the H-representation of conv(A) is built once and each sum is tested
     against it with the offsets multiplied by n.
     """
     if n_max < 2:
         raise LceError("n_max must be at least 2")
-    box = _checked_box(A)
-    H, b = _hrep_from_corner(A, box)
-    base = _hull_report(A, box, H, b)
-    if not base.is_convex:
-        raise LceError("A must be Z^d-convex (witnesses: %s)" % base.witnesses[:5])
-    reports = []
-    current = A
+    base, lo, H, b = _indicator_and_hull(A)
+    rep = _hull_report(base, lo, H, b)
+    if not rep.is_convex:
+        raise LceError("A must be Z^d-convex (witnesses: %s)" % rep.witnesses[:5])
+    reports, current = [], base
     for n in range(2, n_max + 1):
-        current = minkowski_sum(current, A)
-        # The box of the n-fold sum starts at n times the corner of A's box.
-        reports.append(_hull_report(current, _checked_box(current), H, n * b))
+        shape = _checked_shape(tuple(n * (s - 1) + 1 for s in base.shape))
+        current = _convolve_direct(base, current, shape) > 0.0
+        reports.append(_hull_report(current, n * lo, H, n * b))
     return reports

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import densities
 from .errors import LceError
-from .lattice import Box, LatticePmf, _check_cells, make_product, point_mass, quantize_density
+from .lattice import DEFAULT_RADIUS_MULTIPLIER, Box, LatticePmf, _check_cells, make_product, point_mass, quantize_density
 
 # Largest tail mass a geometric family cuts off; it is the exact deficit.
 GEOMETRIC_TAIL_TOL = 1e-14
@@ -66,7 +66,7 @@ def two_sided_geometric(q: float) -> LatticePmf:
     return LatticePmf(box, vals, deficit, {"family": "two_sided_geometric", "q": q})
 
 
-def quantized_gaussian(sigma: float, dim: int = 1, radius_multiplier: float = 12.0) -> LatticePmf:
+def quantized_gaussian(sigma: float, dim: int = 1, radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER) -> LatticePmf:
     """Isotropic Gaussian density sampled on Z^d and normalized."""
     return quantize_density(densities.gaussian(sigma, dim), radius_multiplier=radius_multiplier)
 
@@ -99,7 +99,7 @@ def assorted_pmfs_1d(count: int = 20) -> list[LatticePmf]:
     return pool[:count]
 
 
-def product_gaussian(sigma: float, dim: int, radius_multiplier: float = 12.0) -> LatticePmf:
+def product_gaussian(sigma: float, dim: int, radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER) -> LatticePmf:
     """Product of 1-d quantized Gaussians (coordinates independent)."""
     factor = quantized_gaussian(sigma, 1, radius_multiplier)
     return make_product([factor] * dim)
@@ -123,7 +123,8 @@ def _integer(name: str, value) -> int:
 GENERATORS = densities.Registry(
     "generator family",
     {
-        "gaussian": lambda sigma=4.0, dim=1, radius_multiplier=12.0: quantized_gaussian(sigma, dim, radius_multiplier),
+        "gaussian": lambda sigma=4.0, dim=1, radius_multiplier=DEFAULT_RADIUS_MULTIPLIER:
+            quantized_gaussian(sigma, dim, radius_multiplier),
         "uniform": lambda m=5, lo=0: uniform_interval(_integer("m", m), _integer("lo", lo)),
         "binomial": lambda n=10, prob=0.5: binomial_pmf(_integer("n", n), prob),
         "geometric": lambda q=0.5: one_sided_geometric(q),

@@ -47,8 +47,11 @@ class InclusionConstants:
 def inclusion_constants(d: int, p: float, q: float) -> InclusionConstants:
     if not (0 < p < q):
         raise LceError("need 0 < p < q")
-    lower = math.gamma(p + 1.0) ** (1.0 / p) / math.gamma(q + 1.0) ** (1.0 / q)
-    upper = math.exp(d / p - d / q)
+    try:
+        lower = math.gamma(p + 1.0) ** (1.0 / p) / math.gamma(q + 1.0) ** (1.0 / q)
+        upper = math.exp(d / p - d / q)
+    except OverflowError:
+        raise LceError(f"inclusion constants overflow a float for d={d}, p={p!r}, q={q!r}") from None
     return InclusionConstants(lower=lower, upper=upper)
 
 

@@ -38,7 +38,7 @@ from .errors import LceError
 from .lattice import Box, LatticePmf, LatticeSet, convolve, make_product, pmf_to_doc, point_mass
 from .moments import MomentSummary, discrete_moments, isotropy_score, max_pmf_width_product, shannon_entropy
 from .numerics import stable_sum, unit_directions
-from .smoothing import elementary_estimate, entropy_like, smoothed_entropy_detail
+from .smoothing import DEFAULT_ENTROPY_TOL, elementary_estimate, entropy_like, smoothed_entropy_detail
 
 TOOL_VERSION = f"lce {__version__}"
 
@@ -50,12 +50,12 @@ BRIDGE_SIGMAS = (2.0, 4.0, 8.0)
 
 DEFAULT_TOLERANCES = {
     "identity_tol": 1e-9,  # |h(S + U^1) - H(S)|
-    "entropy_tol": 1e-8,  # quadrature target for smoothed entropies
+    "entropy_tol": DEFAULT_ENTROPY_TOL,  # quadrature target for smoothed entropies
     "epi_min_delta": 1e-3,  # Delta_n >= -this once sigma >= epi_sigma_floor
     "epi_sigma_floor": 8.0,
     "deficit_floor": 1e-9,  # fp floor when comparing EPI deficits across sigma
     "ub_cap": 1.0,  # max p * sqrt(det Cov) cap for the sweep family
-    "envelope_tol": 1e-9,  # extensibility tolerance (log-mass units)
+    "envelope_tol": convexity.DEFAULT_ENVELOPE_TOL,  # extensibility tolerance (log-mass units)
     "max_width_cap": 1.0 + 1e-9,
     "explore_samples": 40,
     "selfsum_d2_sets": 30,

@@ -207,11 +207,15 @@ def adaptive_quad(fun, lo, hi, *, rel_tol: float = 1e-10, abs_tol: float = 0.0):
     return math.fsum(accepted), math.fsum(errors)
 
 
+# Each direction costs a caller one adaptive quadrature, about 0.3 ms.
+MAX_DIRECTIONS = 1 << 16
+
+
 def unit_directions(dim: int, count: int) -> np.ndarray:
     """Deterministic unit directions: signs in d=1, equal angles in d=2,
     seeded normalized Gaussians beyond."""
-    if count < 1:
-        raise LceError(f"direction count must be at least 1, got {count}")
+    if not 1 <= count <= MAX_DIRECTIONS:
+        raise LceError(f"direction count must be in [1, {MAX_DIRECTIONS}], got {count}")
     if dim == 1:
         reps = [(-1.0) ** i for i in range(count)]
         return np.array(reps).reshape(-1, 1)

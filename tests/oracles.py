@@ -10,6 +10,8 @@
   the per-point LP decisions of convexity and extensibility built on them,
   which check the exact mode of :mod:`lce.convexity`.  And the d = 1
   local-concavity test p(k)^2 >= p(k-1) p(k+1).
+- The Minkowski sum of two sets as every pair sum, deduplicated, which
+  checks the indicator-mask self-sums of :mod:`lce.convexity`.
 - The whole-spectrum FFT convolution (rfftn product, then irfftn), whose
   bytes the column panels of :mod:`lce.lattice` must give, and the FFT
   sample check with an exact sum at every cell, whose verdicts and messages
@@ -203,6 +205,14 @@ def zd_convex_bruteforce(A: LatticeSet) -> ConvexityReport:
         mask = [ok and hull_membership_bruteforce(pts, z) for z, ok in zip(zs, near)]
     witnesses = [z for z, inc in zip(candidates, mask) if inc]
     return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
+
+
+def minkowski_sum_pairwise(A: LatticeSet, B: LatticeSet) -> LatticeSet:
+    """{a + b : a in A, b in B} from all |A| |B| pair sums, deduplicated."""
+    if A.dim != B.dim:
+        raise LceError("minkowski_sum_pairwise operands have different dimensions")
+    sums = (A.array()[:, None, :] + B.array()[None, :, :]).reshape(-1, A.dim)
+    return LatticeSet.from_iterable(A.dim, sums)
 
 
 def zd_convex_lp(A: LatticeSet, *, exact: bool = True) -> ConvexityReport:

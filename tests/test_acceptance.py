@@ -31,6 +31,7 @@ from oracles import (
     extensible_zoo_1d,
     is_log_concave_1d,
     is_log_concave_extensible_bruteforce,
+    minkowski_sum_pairwise,
     zd_convex_bruteforce,
 )
 
@@ -218,7 +219,7 @@ def test_criterion_08_extensibility_oracles_and_witness():
         mismatches += int(not agree)
     S1 = LatticeSet.from_iterable(2, [(0, 0), (1, 1)])
     S2 = LatticeSet.from_iterable(2, [(0, 1), (1, 0)])
-    rep = cx.is_zd_convex(cx.minkowski_sum(S1, S2))
+    rep = cx.is_zd_convex(minkowski_sum_pairwise(S1, S2))
     witness_ok = (not rep.is_convex) and rep.witnesses == [(1, 1)]
     ok = mismatches == 0 and witness_ok
     assert report("8b", ok, f"envelope LP vs Caratheodory: {mismatches} mismatches in 100; "

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from hypothesis import strategies as st
 
 from lce import convexity as cx
 from lce.errors import LceError
+from lce.families import quantized_gaussian
+from lce.harness import _random_convex_set
+from lce.hull import hrep
 from lce.lattice import Box, LatticePmf, LatticeSet, support_set
 
 from oracles import (
     is_log_concave_1d,
     is_log_concave_extensible_bruteforce,
     make_uniform_on_set,
+    minkowski_sum_pairwise,
     zd_convex_bruteforce,
     zd_convex_lp,
 )
@@ -44,25 +49,25 @@ def random_subset_pmf(rng, span=3, max_support=12):
 
 
 # ---------------------------------------------------------------------------
-# minkowski sums
+# minkowski sums (the pairwise oracle that checks the self-sum masks)
 
 
 def test_minkowski_identity():
     A = LatticeSet.from_iterable(2, [(0, 0), (2, 1), (1, 3)])
     Z = LatticeSet.from_iterable(2, [(0, 0)])
-    assert cx.minkowski_sum(A, Z) == A
+    assert minkowski_sum_pairwise(A, Z) == A
 
 
 def test_minkowski_murota_sets():
     S1 = LatticeSet.from_iterable(2, [(0, 0), (1, 1)])
     S2 = LatticeSet.from_iterable(2, [(0, 1), (1, 0)])
-    S = cx.minkowski_sum(S1, S2)
+    S = minkowski_sum_pairwise(S1, S2)
     assert S.sorted_points() == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def test_minkowski_box_plus_box():
     B = LatticeSet.from_iterable(2, [(a, b) for a in (0, 1) for b in (0, 1)])
-    S = cx.minkowski_sum(B, B)
+    S = minkowski_sum_pairwise(B, B)
     assert S.sorted_points() == [(a, b) for a in range(3) for b in range(3)]
 
 
@@ -83,7 +88,7 @@ def test_two_point_diagonal_is_convex():
 def test_murota_sum_not_convex_with_witness():
     S1 = LatticeSet.from_iterable(2, [(0, 0), (1, 1)])
     S2 = LatticeSet.from_iterable(2, [(0, 1), (1, 0)])
-    rep = cx.is_zd_convex(cx.minkowski_sum(S1, S2))
+    rep = cx.is_zd_convex(minkowski_sum_pairwise(S1, S2))
     assert not rep.is_convex
     assert rep.witnesses == [(1, 1)]
 
@@ -209,8 +214,6 @@ def test_self_sum_random_triangle():
     rng = np.random.default_rng(11)
     tri = LatticeSet.from_iterable(2, rng.integers(0, 6, size=(3, 2)))
     # lattice points of the triangle's hull form a convex set
-    from lce.harness import _random_convex_set
-
     A = _random_convex_set(np.random.default_rng(5), 2, 5)
     for r in cx.check_self_sum_convexity(A, 4):
         assert r.is_convex
@@ -222,31 +225,58 @@ def test_self_sum_requires_convex_input():
         cx.check_self_sum_convexity(holed, 2)
 
 
-def test_self_sum_scaled_generators_match_raw():
-    # n conv(A) from the scaled facets of conv(A) equals the hull of the raw
-    # n-fold sum, and the reports equal those of the raw sums
-    from lce.hull import hrep
+REEVE = LatticeSet.from_iterable(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
+# d = 2 draws as in the sweep (span 5), d = 3 draws as in its opt-in half (span 3)
+SELF_SUM_DRAWS = [(2, 5, seed) for seed in range(6)] + [(3, 3, seed) for seed in range(6)]
 
-    for A in (
-        LatticeSet.from_iterable(2, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]),
-        LatticeSet.from_iterable(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]),
-    ):
-        H, b = hrep(A.array())
+
+@pytest.mark.parametrize(
+    "A",
+    [_random_convex_set(np.random.default_rng(seed), d, span) for d, span, seed in SELF_SUM_DRAWS] + [REEVE],
+    ids=[f"d{d}_span{span}_seed{seed}" for d, span, seed in SELF_SUM_DRAWS] + ["reeve"],
+)
+def test_self_sum_scaled_generators_match_raw(A):
+    # n conv(A) from the scaled facets of conv(A) equals the hull of the
+    # pairwise n-fold sum, and each report, built from the indicator masks,
+    # equals the decision on that sum
+    H, b = hrep(A.array())
+    reports = cx.check_self_sum_convexity(A, 4)
+    assert len(reports) == 3
+    current = A
+    for n, rep in zip((2, 3, 4), reports):
+        current = minkowski_sum_pairwise(current, A)
+        Hn, bn = hrep(current.array())
+        assert sorted(zip(map(tuple, H), n * b)) == sorted(zip(map(tuple, Hn), bn))
+        raw = cx.is_zd_convex(current)
+        assert rep.is_convex == raw.is_convex and rep.witnesses == raw.witnesses
+
+
+def test_self_sum_box_cap_is_checked_before_the_sum(monkeypatch):
+    # gcd(400, 401) = 1, so the segment holds no other lattice point: A is
+    # convex on a box of 161,202 cells, and the box of 2A has 643,203
+    A = LatticeSet.from_iterable(2, [(0, 0), (400, 401)])
+    monkeypatch.setattr(cx, "_convolve_direct", lambda *args: pytest.fail("summed past the cap"))
+    with pytest.raises(LceError, match="bounding box has 643203 cells, cap is 500000"):
+        cx.check_self_sum_convexity(A, 2)
+
+
+def test_self_sums_of_a_quantized_gaussian_support_stay_small():
+    # 625 support points: the masks of the 2- and 3-fold sums have 2401 and
+    # 5329 cells, while the pair sums of A and 2A alone are 1.5M points
+    A = support_set(quantized_gaussian(1.0, 2))
+    tracemalloc.start()
+    try:
         reports = cx.check_self_sum_convexity(A, 3)
-        current = A
-        for n, rep in zip((2, 3), reports):
-            current = cx.minkowski_sum(current, A)
-            Hn, bn = hrep(current.array())
-            assert sorted(zip(map(tuple, H), n * b)) == sorted(zip(map(tuple, Hn), bn))
-            raw = cx.is_zd_convex(current)
-            assert rep.is_convex == raw.is_convex and rep.witnesses == raw.witnesses
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.is_convex for r in reports)
+    assert peak < 8 * 2**20
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
 def test_self_sums_of_convex_planar_sets_stay_convex(seed):
-    from lce.harness import _random_convex_set
-
     A = _random_convex_set(np.random.default_rng(seed), 2, 5)
     for r in cx.check_self_sum_convexity(A, 4):
         assert r.is_convex
@@ -269,8 +299,6 @@ def test_reeve_simplex_self_sum_has_a_hole():
     "(Reeve-simplex phenomenon); random hull-lattice sets hit such cases",
 )
 def test_random_z3_convex_self_sums_all_convex():
-    from lce.harness import _random_convex_set
-
     rng = np.random.default_rng(20240810 + 1)
     for _ in range(20):
         A = _random_convex_set(rng, 3, 3)

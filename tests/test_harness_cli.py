@@ -368,6 +368,9 @@ BAD_INPUT_REASONS = {
     "gen_geometric_past_the_cap": "exceeds cap",
     "gen_two_sided_geometric_past_the_cap": "exceeds cap",
     "gen_uniform_past_the_cap": "exceeds cap",
+    "inclusions_gamma_overflow": "inclusion constants overflow a float",
+    "inclusions_exp_overflow": "inclusion constants overflow a float",
+    "ballbody_too_many_directions": "direction count must be in [1, 65536]",
 }
 
 
@@ -439,6 +442,9 @@ BAD_INPUT_REASONS = {
         ["gen", "--family", "geometric{q=0.999999999}", "--out", "{tmp}/x.json"],
         ["gen", "--family", "two_sided_geometric{q=0.999999999}", "--out", "{tmp}/x.json"],
         ["gen", "--family", "uniform{m=70000000}", "--out", "{tmp}/x.json"],
+        ["geom", "--check", "inclusions", "--density", "gaussian{sigma=1,dim=2}", "--p", "200", "--q", "300"],
+        ["geom", "--check", "inclusions", "--p", "1e-300", "--q", "1"],
+        ["geom", "--check", "ballbody", "--dirs", "100000000000"],
     ],
     ids=[
         "unknown_family",
@@ -506,6 +512,9 @@ BAD_INPUT_REASONS = {
         "gen_geometric_past_the_cap",
         "gen_two_sided_geometric_past_the_cap",
         "gen_uniform_past_the_cap",
+        "inclusions_gamma_overflow",
+        "inclusions_exp_overflow",
+        "ballbody_too_many_directions",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
