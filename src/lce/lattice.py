@@ -13,8 +13,9 @@ cells; a cell that bound cannot decide falls back to
 :func:`~lce.numerics.stable_sum`, exact up to one rounding, so the verdict is
 that of exact sums at every cell.  The FFT never holds a whole
 padded spectrum: besides the operands it holds their rfft along the last axis
-in panels of about ``_FFT_PANEL_BYTES``, the cut product in tiles of
-``_IRFFT_ROWS`` output lines by one panel, and a few padded panels at a time.
+in panels of about ``_FFT_PANEL_BYTES``, frequency columns first so that the
+passes on the other axes run along contiguous lines, the cut product in tiles
+of ``_IRFFT_ROWS`` output lines by one panel, and a few padded panels at a time.
 Its peak allocation is the tiles, one cut product spectrum in all, and the output.
 
 All values are immutable after construction and operations are pure, so
@@ -355,9 +356,12 @@ def _convolve_fft(p: np.ndarray, q: np.ndarray, out_shape, scale: float) -> np.n
     # axis (one spectrum for a self-convolution), then per panel of frequency
     # columns the fft on axes d-2 .. 0, the product and the ifft on axes
     # 0 .. d-2, each cut to out_shape before the next, and last the irfft in
-    # blocks of lines.  The same 1-d transforms of the kept lines, so the same
-    # bits.  Each spectrum panel is dropped once its product is taken, and each
-    # tile of the product once its block of lines is inverted.
+    # blocks of lines.  A panel, of shape (cols,) + lead shape, takes axis ax on
+    # its axis ax + 1, so those passes run along contiguous lines; its tiles,
+    # of lines by cols like the irfft blocks, are copied from its transpose.
+    # The same 1-d transforms of the kept lines, so the same bits.  Each
+    # spectrum panel is dropped once its product is taken, and each tile of the
+    # product once its block of lines is inverted.
     width = max(1, _FFT_PANEL_BYTES // (16 * math.prod(padded[:-1])))
     spectra = [_rfft_panels(x, padded[-1], width) for x in ((p,) if q is p else (p, q))]
     blocks = range(0, math.prod(out_shape[:-1]), _IRFFT_ROWS)
@@ -367,14 +371,15 @@ def _convolve_fft(p: np.ndarray, q: np.ndarray, out_shape, scale: float) -> np.n
         for spectrum in spectra:
             panel, spectrum[c] = spectrum[c], None
             for ax in reversed(lead):
-                panel = np.fft.fft(panel, n=padded[ax], axis=ax)
+                panel = np.fft.fft(panel, n=padded[ax], axis=ax + 1)
             panels.append(panel)
         panel = panels[0] * panels[-1]
         del panels
         for ax in lead:
-            panel = np.fft.ifft(panel, n=padded[ax], axis=ax)[(slice(None),) * ax + (slice(0, out_shape[ax]),)]
+            cut = (slice(None),) * (ax + 1) + (slice(0, out_shape[ax]),)
+            panel = np.fft.ifft(panel, n=padded[ax], axis=ax + 1)[cut]
         # Copies, not slices: a slice would keep the padded ifft result alive.
-        panel = panel.reshape(-1, panel.shape[-1])
+        panel = panel.reshape(len(panel), -1).T
         for tile, r in zip(tiles, blocks):
             tile.append(panel[r : r + _IRFFT_ROWS].copy())
     del spectra, panel
@@ -391,15 +396,15 @@ def _convolve_fft(p: np.ndarray, q: np.ndarray, out_shape, scale: float) -> np.n
 
 
 def _rfft_panels(x: np.ndarray, n: int, width: int) -> list[np.ndarray]:
-    """rfft of ``x`` on its last axis, padded to ``n``, one array per ``width`` columns."""
+    """rfft of ``x`` on its last axis, padded to ``n``: per ``width`` columns one array, columns first."""
     lines = x.reshape(-1, x.shape[-1])
     starts = range(0, n // 2 + 1, width)
-    panels = [np.empty((len(lines), min(width, n // 2 + 1 - c)), dtype=np.complex128) for c in starts]
+    panels = [np.empty((min(width, n // 2 + 1 - c), len(lines)), dtype=np.complex128) for c in starts]
     for r in range(0, len(lines), _IRFFT_ROWS):
-        spectrum = np.fft.rfft(lines[r : r + _IRFFT_ROWS], n=n)
+        spectrum = np.fft.rfft(lines[r : r + _IRFFT_ROWS], n=n).T
         for panel, c in zip(panels, starts):
-            panel[r : r + _IRFFT_ROWS] = spectrum[:, c : c + width]
-    return [panel.reshape(x.shape[:-1] + (-1,)) for panel in panels]
+            panel[:, r : r + _IRFFT_ROWS] = spectrum[c : c + width]
+    return [panel.reshape((-1,) + x.shape[:-1]) for panel in panels]
 
 
 def _verify_fft_subsample(p: np.ndarray, q: np.ndarray, out: np.ndarray, scale: float):

@@ -78,6 +78,8 @@ def discrete_moments(p: LatticePmf) -> MomentSummary:
     d = p.dim
     vals = p.values
     mass = p.mass
+    if mass == 0.0:
+        raise LceError("p.m.f. has no mass")
     coords = [p.box.axis_coords(i).astype(np.float64).reshape([-1 if k == i else 1 for k in range(d)])
               for i in range(d)]
     mean = np.array([product_sum(vals, coords[i]) / mass for i in range(d)])

@@ -9,16 +9,17 @@ compared with a tolerance, in the sample check of an FFT convolution, first
 decides through a float sum with a certified error bound, and sums exactly
 only the cells that bound cannot decide (:mod:`lce.lattice`).
 :func:`stable_sum_rows` computes the correctly rounded sum of its inputs,
-bit-equal to ``math.fsum``: each value is split by
-a bit mask into two parts whose sums per binary exponent are exact, and the
-exact total is rounded once (exact summation as in Zhu and Hayes, "Algorithm
-908", ACM TOMS 2010, vectorised with numpy).  The values stream in blocks of
-about ``_SUM_BLOCK`` elements, each split and binned while it is in cache and
-added into two fixed 2048-bin accumulators; the bins fold into one integer
-once, at the end.  A caller that sums a function of an array (p log p, or
-p times coordinates: :func:`product_sum`) computes it one block of rows at a
-time, so no sum allocates a temporary of the array's size.  A nonzero input
-that cancels exactly sums to +0.0; ``math.fsum`` of every value, in C order, takes the
+bit-equal to ``math.fsum``, in blocks of about ``_SUM_BLOCK`` values, each
+handled while it is in cache.  Sums of one sign (masses, entropies,
+variances) go through a certified float filter (Rump, Ogita and Oishi,
+"Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31, 2008);
+the others, and those it cannot decide, split each value by a bit mask into
+two parts whose sums per binary exponent are exact and round the exact total
+once (Zhu and Hayes, "Algorithm 908", ACM TOMS 2010, vectorised).  A caller
+that sums a function of an array (p log p, or p times coordinates:
+:func:`product_sum`) computes it one block of rows at a time, so no sum
+allocates a temporary of the array's size.  A nonzero input that cancels
+exactly sums to +0.0; ``math.fsum`` of every value, in C order, takes the
 edge cases: empty or all-zero input (it decides the sign of the zero),
 non-finite input, a sum that could overflow and 2^26 values or more.  The
 result is therefore independent of accumulation order and block size, and
@@ -63,49 +64,89 @@ def stable_sum_rows(term, shape) -> float:
     array of ``shape``, bit-equal to ``math.fsum`` of all their values.
 
     ``term`` maps a slice of axis 0 to the values of those rows, read in C
-    order; blocks hold about ``_SUM_BLOCK`` elements.  The biased exponent E of
-    each value is read from its bits.  Clearing the low 26 stored mantissa
-    bits gives a high part that is a multiple of 2^(E-1049) below 2^(E-1022);
-    the low part, the exact rest, is a multiple of 2^(E-1075) below
-    2^(E-1049).  ``np.bincount`` adds each part into one float bin per
-    exponent, exactly while there are fewer than 2^26 values, and the bins
-    fold once into a Python int at scale 2^-1126 that is divided once;
-    int/int true division rounds correctly.  A nonzero input whose exact sum
-    is zero gives +0.0, as round-to-nearest and fsum do.  Empty, all-zero or
-    non-finite input, 2^26 values or more and a sum that could overflow go to
-    ``math.fsum`` of every value of ``term``, which is called again for them.
+    order; blocks hold about ``_SUM_BLOCK`` elements.  While every nonzero
+    block has one sign, the filter of Rump, Ogita and Oishi (2008) takes it:
+    with n values below 2^e, 2^k >= n + 2 and sigma = 2^(e+k), the parts
+    t = (a + sigma) - sigma are multiples of 2^(e+k-53) below 2^(e+k) in sum,
+    so ``t.sum()`` is exact in any order, and the rest r = a - t is exact and
+    below 2^(e+k-53), so ``r.sum()`` is within gamma_(n-1) n 2^(e+k-53) <=
+    2^(3k+e-104) of its exact sum (Higham, 2002, 4.2).  If the exact total of
+    these sums minus and plus the sum of the bounds rounds (int/int true
+    division) to one float, that float is the sum, as rounding is monotone.
+    A mixed block, a block of the other sign or a sum the filter cannot
+    decide sends every block to the bins: clearing the low 26 stored mantissa
+    bits of a value of biased exponent E gives a high part, a multiple of
+    2^(E-1049) below 2^(E-1022), and an exact rest, a multiple of 2^(E-1075)
+    below 2^(E-1049).  ``np.bincount`` adds each part into a bin per E,
+    exactly for fewer than 2^26 values, and the bins fold once into a Python
+    int at scale 2^-1126 that is divided once.  A nonzero input whose exact
+    sum is zero gives +0.0, as round-to-nearest and fsum do.  Empty, all-zero
+    or non-finite input, 2^26 values or more and a sum that could overflow go
+    to ``math.fsum`` of every value of ``term``, which is called again.
     """
     rows = max(1, _SUM_BLOCK // max(1, math.prod(shape[1:])))
+    starts = range(0, shape[0], rows)
 
-    def blocks():
-        for r in range(0, shape[0], rows):
-            yield np.ascontiguousarray(term(slice(r, r + rows)), dtype=np.float64).reshape(-1)
+    def block(r):
+        return np.ascontiguousarray(term(slice(r, r + rows)), dtype=np.float64).reshape(-1)
 
-    hi_bins = lo_bins = 0.0
-    count = emax = 0
-    nonzero = False
-    for a in blocks():
+    bins = np.zeros((2, 2048))
+    parts, certified = [], []  # the filter's exact float sums, and the blocks it took
+    # sign: 0 before the first nonzero block, then its sign while the filter runs, 2 once the bins do.
+    count = top = slack = sign = 0
+    for r in starts:
+        a = block(r)
         if not a.size:
             continue
         count += a.size
-        bits = a.view(np.int64)
-        e = bits >> 52
-        e &= 0x7FF
-        emax = max(emax, int(e.max()))
-        # 0x7FF is the exponent of inf and nan; emax - 1022 is np.frexp's exponent.
-        if count >= _EXACT_BIN_ELEMENTS or emax == 0x7FF or emax - 1022 + count.bit_length() > _SAFE_SUM_EXP:
-            return math.fsum(chain.from_iterable(blocks()))
-        nonzero = nonzero or bool(a.any())
-        hi = (bits & ~((1 << 26) - 1)).view(np.float64)
-        hi_bins = hi_bins + np.bincount(e, weights=hi, minlength=2048)
-        lo_bins = lo_bins + np.bincount(e, weights=a - hi, minlength=2048)
-    if not nonzero:
-        return math.fsum(chain.from_iterable(blocks()))
-    # A bin m * 2^x has an integer m * 2^53 and x >= -1073, so the exact total
-    # at scale 2^-1126 is an int.
-    bins = np.concatenate((hi_bins, lo_bins))
-    m, x = np.frexp(bins[bins != 0.0])
-    return sum(map(int.__lshift__, (m * 2.0**53).astype(np.int64).tolist(), (x + 1073).tolist())) / (1 << 1126)
+        low, high = float(a.min()), float(a.max())  # min and max carry a nan
+        e = math.frexp(max(-low, high))[1]
+        top = max(top, e)
+        # high - low is inf or nan on a non-finite block, and finite on any other below the overflow bound.
+        if not math.isfinite(high - low) or count >= _EXACT_BIN_ELEMENTS or top + count.bit_length() > _SAFE_SUM_EXP:
+            return math.fsum(chain.from_iterable(map(block, starts)))
+        if low == high == 0.0:
+            continue
+        s = (low >= 0.0) - (high <= 0.0)  # 1 or -1 for one sign, 0 for both
+        if s and sign in (0, s):
+            sign, k = s, (a.size + 1).bit_length()
+            sigma = math.ldexp(1.0, e + k)
+            t = a + sigma
+            t -= sigma
+            parts += float(t.sum()), float(np.subtract(a, t, out=t).sum())
+            slack += 1 << max(0, 3 * k + e + 1022)  # 2^(3k+e-104) at scale 2^-1126, at least 1
+            certified.append(r)
+            continue
+        sign = 2
+        while certified:
+            _bin(block(certified.pop()), bins)
+        _bin(a, bins)
+    if sign == 0:
+        return math.fsum(chain.from_iterable(map(block, starts)))
+    if certified:
+        exact = _fold(np.array(parts))
+        low, high = (exact - slack) / (1 << 1126), (exact + slack) / (1 << 1126)
+        if low == high:
+            return low + 0.0  # -0.0 + 0.0: a sum that rounds to zero is zero, and fsum gives +0.0
+        while certified:
+            _bin(block(certified.pop()), bins)
+    return _fold(bins) / (1 << 1126)
+
+
+def _bin(a: np.ndarray, bins: np.ndarray):
+    """Add the high and low parts of ``a`` into the exponent bins ``bins[0]`` and ``bins[1]``."""
+    bits = a.view(np.int64)
+    e = bits >> 52
+    e &= 0x7FF
+    hi = (bits & ~((1 << 26) - 1)).view(np.float64)
+    bins[0] += np.bincount(e, weights=hi, minlength=2048)
+    bins[1] += np.bincount(e, weights=a - hi, minlength=2048)
+
+
+def _fold(values: np.ndarray) -> int:
+    """Exact sum of ``values`` at scale 2^-1126: an int, as m * 2^53 is one and x >= -1073 for m * 2^x."""
+    m, x = np.frexp(values[values != 0.0])
+    return sum(map(int.__lshift__, (m * 2.0**53).astype(np.int64).tolist(), (x + 1073).tolist()))
 
 
 def product_sum(values: np.ndarray, *factors) -> float:

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .errors import LceError, NumericalError
-from .lattice import LatticePmf
+from .lattice import LatticePmf, _malloc_trim
 from .numerics import gauss_legendre_01, stable_sum, stable_sum_rows, xlogx
 
 QUAD_ORDER = 8  # each cell compares this order with twice it
@@ -227,6 +227,8 @@ def smoothed_entropy_detail(p: LatticePmf, n: int, tol: float = DEFAULT_ENTROPY_
 
     tiny_bound = 0.0 - stable_sum_rows(tiny_terms, cover.shape)
     value = stable_sum(I2)
+    del cover, I1, I2, diff
+    _malloc_trim(0)  # so that the level-sized arrays just freed leave no resident holes in the heap
     return SmoothedEntropyDetail(
         value=value,
         cells=int(ncells),

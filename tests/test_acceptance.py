@@ -319,3 +319,30 @@ def test_criterion_12_deterministic_reports():
     # The bytes every "bit for bit" change of the library must keep.
     digest = hashlib.sha256(a.canonical_bytes()).hexdigest()
     assert digest == "e45226b6d8071eec9a57f8b3c22e1dc97e94bef574aeb30608034c06d905f586"
+
+
+# The overrides of the three benchmark workloads, copied so that the pins do
+# not depend on the benchmark's files.
+WORKLOAD_OVERRIDES = {
+    "sweep_default": {"sigmas": [4.0, 8.0],
+                      "tolerances": {"selfsum_d2_sets": 6, "explore_samples": 8, "elementary_samples": 20000}},
+    "convexity_lp": {"checks": ["self_sum_convex", "explore_conv"],
+                     "tolerances": {"selfsum_d2_sets": 10, "selfsum_d3_sets": 2, "explore_samples": 16}},
+    "entropy_fft": {"checks": ["epi_gap", "discrete_ub", "max_pmf_1d"], "sigmas": [8.0, 16.0]},
+}
+
+
+def test_workload_reports_keep_their_canonical_bytes():
+    # The other three reports every "bit for bit" change must keep, beside
+    # the default sweep of criterion 12, at the default seed.
+    expected = {
+        "sweep_default": "c9f1367064c08fc80ce7e96f1f6fb133cfe1d5fbc524fe8093c3ef0eac35663c",
+        "convexity_lp": "6dd5750c074d2fef138c0f1155aeb7888e14ba7caa0e3fb21072dec3c818b414",
+        "entropy_fft": "abfc365ec472b899ff5096063152dbd1cab11b6292f0badacdd1c1f9ebcb6489",
+    }
+    digests = {}
+    for name, overrides in WORKLOAD_OVERRIDES.items():
+        doc = {**harness.default_config().to_doc(), "seed": 20240810, **overrides}
+        report = harness.run_config(harness.ExperimentConfig.from_doc(doc))
+        digests[name] = hashlib.sha256(report.canonical_bytes()).hexdigest()
+    assert digests == expected

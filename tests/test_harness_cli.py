@@ -371,6 +371,7 @@ BAD_INPUT_REASONS = {
     "inclusions_gamma_overflow": "inclusion constants overflow a float",
     "inclusions_exp_overflow": "inclusion constants overflow a float",
     "ballbody_too_many_directions": "direction count must be in [1, 65536]",
+    "moments_zero_mass": "p.m.f. has no mass",
 }
 
 
@@ -445,6 +446,7 @@ BAD_INPUT_REASONS = {
         ["geom", "--check", "inclusions", "--density", "gaussian{sigma=1,dim=2}", "--p", "200", "--q", "300"],
         ["geom", "--check", "inclusions", "--p", "1e-300", "--q", "1"],
         ["geom", "--check", "ballbody", "--dirs", "100000000000"],
+        ["moments", "--pmf", "{tmp}/zero_mass.json"],
     ],
     ids=[
         "unknown_family",
@@ -515,12 +517,16 @@ BAD_INPUT_REASONS = {
         "inclusions_gamma_overflow",
         "inclusions_exp_overflow",
         "ballbody_too_many_directions",
+        "moments_zero_mass",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
     # two values for a box of four cells
     (tmp_path / "short.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [3], "values": [0.5, 0.5]}))
     (tmp_path / "pair.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [1], "values": [0.5, 0.5]}))
+    # no mass, yet within 1e-9 of normalized through its deficit
+    (tmp_path / "zero_mass.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [1], "values": [0.0, 0.0],
+                                                          "deficit": 0.9999999995}))
     doc = tiny_config(["max_pmf_1d"]).to_doc()
     for name, change in [
         ("family_key", {"family": {"name": "gaussian", "params": {"foo": 1}}}),

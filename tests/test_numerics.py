@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lce import numerics
+from lce import moments, numerics
 from lce.errors import NumericalError
 from lce.moments import CovarianceMatrix, MomentSummary, isotropy_score
 from lce.numerics import (
@@ -108,6 +108,69 @@ def test_blocked_sums_are_bit_equal_to_fsum(block, xs, cancel, rnd):
 def test_blocked_sums_are_bit_equal_to_fsum_on_non_finite_input(block, xs, specials, cancel, rnd):
     a, xs = oracle_case(xs + specials, cancel, rnd)
     assert_blocked_sums_match_fsum(block, a, xs)
+
+
+def binned_sizes(monkeypatch):
+    """Record the size of every block that reaches the exponent bins."""
+    sizes, bin_ = [], numerics._bin
+    monkeypatch.setattr(numerics, "_bin", lambda a, bins: sizes.append(a.size) or bin_(a, bins))
+    return sizes
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(finite, max_size=60))
+def test_filtered_sums_of_one_sign_are_bit_equal_to_fsum(block, xs):
+    # Subnormals, 2^1000 and the float max, all of one sign, and negated by
+    # the helper: the filter takes each block, and a sum that could overflow
+    # goes to fsum.
+    xs = [abs(x) for x in xs]
+    assert_blocked_sums_match_fsum(block, np.array(xs, dtype=np.float64), xs)
+
+
+@pytest.mark.parametrize("xs, expected", [
+    ([1.0, 2.0**-53], 1.0),  # an exact midpoint: ties to even
+    ([2.0**-53, 1.0], 1.0),
+    ([1.0, 2.0**-53, 2.0**-1000], 1.0 + 2.0**-52),  # just above one
+    ([-1.0, -(2.0**-53), -(2.0**-1000)], -1.0 - 2.0**-52),
+    ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),  # a midpoint that rounds up, to even
+])
+def test_filter_leaves_sums_at_a_rounding_midpoint_to_the_bins(monkeypatch, xs, expected):
+    # The exact sum lies within the filter's slack of a midpoint, so its two
+    # ends round apart: the blocks the filter took are binned again.
+    sizes = binned_sizes(monkeypatch)
+    assert stable_sum(np.array(xs)) == math.fsum(xs) == expected
+    assert sizes == [len(xs)]
+
+
+def test_filter_decides_the_one_sign_sums_of_an_entropy_chain_level(monkeypatch):
+    # S_2 of a quantized Gaussian of sigma 16 on Z^2, 769^2 cells: the mass,
+    # the entropy and both variances have terms of one sign and are decided
+    # by the filter; the two means and the cross covariance cancel, and go to
+    # the bins.  Every value is fsum of its terms, in C order.
+    from lce.families import quantized_gaussian
+    from lce.lattice import convolve
+    from lce.moments import discrete_moments, shannon_entropy
+
+    p = quantized_gaussian(16.0, 2)
+    s2 = convolve(p, p)
+    sizes = binned_sizes(monkeypatch)
+    rows_sum, routes = numerics.stable_sum_rows, []
+
+    def traced(term, shape):
+        before = len(sizes)
+        value = rows_sum(term, shape)
+        terms = np.asarray(term(slice(0, shape[0])), dtype=np.float64).ravel()
+        assert struct.pack("<d", value) == struct.pack("<d", math.fsum(terms))
+        routes.append("bins" if len(sizes) > before else "filter")
+        return value
+
+    monkeypatch.setattr(numerics, "stable_sum_rows", traced)
+    monkeypatch.setattr(moments, "stable_sum_rows", traced)
+    shannon_entropy(s2)
+    discrete_moments(s2)
+    # mass, entropy, mean_0, mean_1, cov_00, cov_01, cov_11
+    assert routes == ["filter", "filter", "bins", "bins", "filter", "bins", "filter"]
 
 
 def no_fsum(values):
