@@ -65,7 +65,7 @@ def is_zd_convex(A: LatticeSet) -> ConvexityReport:
     """
     if len(A) == 0:
         raise LceError("convexity of the empty set is not defined here")
-    return _hull_report(*_indicator_and_hull(A))
+    return _hull_report(A.mask, np.array(A.lo), *_relative_hrep(A))
 
 
 def _checked_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -75,16 +75,10 @@ def _checked_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
     return shape
 
 
-def _indicator_and_hull(A: LatticeSet):
-    """A's indicator mask on its bounding box, the box's corner ``lo``, and the
-    H-representation ``(H, b)`` of conv(A) in coordinates relative to ``lo``,
-    which keeps the int64 orientation tests small."""
-    box = A.bounding_box()
-    lo = np.array(box.lo, dtype=np.int64)
-    pts = A.array() - lo
-    member = np.zeros(_checked_shape(box.shape), dtype=bool)
-    member[tuple(pts.T)] = True
-    return (member, lo, *hrep(pts))
+def _relative_hrep(A: LatticeSet):
+    """H-representation ``(H, b)`` of conv(A) relative to ``A.lo`` (small int64 orientation tests)."""
+    _checked_shape(A.bounding_box().shape)
+    return hrep(A.points() - np.array(A.lo))
 
 
 def _hull_report(member: np.ndarray, lo: np.ndarray, H: np.ndarray, b: np.ndarray) -> ConvexityReport:
@@ -122,12 +116,11 @@ def is_log_concave_extensible(
     if len(support) > SUPPORT_CAP:
         raise LceError(f"support size {len(support)} exceeds cap {SUPPORT_CAP}")
     conv_report = is_zd_convex(support)
-    pts = support.sorted_points()
-    vals = np.array([-math.log(p.value_at(k)) for k in pts])
-    if not np.all(np.isfinite(vals)):
-        raise LceError("non-finite log-mass value")
-    env = (_exact_envelope if exact else lower_envelope)(np.array(pts, dtype=np.int64), vals)
-    gaps = {k: max(0.0, float(v) - float(e)) for k, v, e in zip(pts, vals, env)}
+    # The masses in the points' order; math.log, as numpy's log is not libm's on every platform.
+    vals = np.array([-math.log(v) for v in p.values[p.values > 0.0].tolist()])
+    pts = support.points()
+    env = (_exact_envelope if exact else lower_envelope)(pts, vals)
+    gaps = {k: max(0.0, float(v) - float(e)) for k, v, e in zip(map(tuple, pts.tolist()), vals, env)}
     ok = conv_report.is_convex and max(gaps.values()) <= tol
     return ExtensibilityReport(
         is_extensible=ok,
@@ -158,13 +151,13 @@ def check_self_sum_convexity(A: LatticeSet, n_max: int) -> list[ConvexityReport]
     """
     if n_max < 2:
         raise LceError("n_max must be at least 2")
-    base, lo, H, b = _indicator_and_hull(A)
-    rep = _hull_report(base, lo, H, b)
+    lo, (H, b) = np.array(A.lo), _relative_hrep(A)
+    rep = _hull_report(A.mask, lo, H, b)
     if not rep.is_convex:
         raise LceError("A must be Z^d-convex (witnesses: %s)" % rep.witnesses[:5])
-    reports, current = [], base
+    reports, current = [], A.mask
     for n in range(2, n_max + 1):
-        shape = _checked_shape(tuple(n * (s - 1) + 1 for s in base.shape))
-        current = _convolve_direct(base, current, shape) > 0.0
+        shape = _checked_shape(tuple(n * (s - 1) + 1 for s in A.mask.shape))
+        current = _convolve_direct(A.mask, current, shape) > 0.0
         reports.append(_hull_report(current, n * lo, H, n * b))
     return reports

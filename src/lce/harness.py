@@ -441,7 +441,7 @@ def _random_convex_set(rng: np.random.Generator, d: int, span: int) -> LatticeSe
     """Random Z^d-convex set: random seeds and the lattice points their hull adds."""
     npts = int(rng.integers(d + 1, d + 5))
     seeds = LatticeSet.from_iterable(d, rng.integers(0, span + 1, size=(npts, d)))
-    return LatticeSet(d, seeds.points.union(convexity.is_zd_convex(seeds).witnesses))
+    return LatticeSet.from_iterable(d, np.vstack([seeds.points(), *convexity.is_zd_convex(seeds).witnesses]))
 
 
 def check_self_sum_convex(ctx: RunContext) -> list:
@@ -476,14 +476,13 @@ def _random_extensible_pmf(rng: np.random.Generator):
         B = rng.normal(size=(2, 2))
         Q = B.T @ B / 4.0 + 0.05 * np.eye(2)
         b = rng.normal(size=2)
-        arr = support.array().astype(np.float64)
+        arr = support.points().astype(np.float64)
         V = 0.5 * np.einsum("ni,ij,nj->n", arr, Q, arr) + arr @ b
         V = V + 0.15 * rng.random(len(arr))
         w = np.exp(-(V - V.min()))
-        box = support.bounding_box()
-        vals = np.zeros(box.shape)
-        vals[tuple((support.array() - np.array(box.lo)).T)] = w
-        p = LatticePmf(Box(tuple(box.lo), tuple(box.hi)), vals / stable_sum(vals), 0.0, {"family": "random_extensible"})
+        vals = np.zeros(support.mask.shape)
+        vals[support.mask] = w
+        p = LatticePmf(support.bounding_box(), vals / stable_sum(vals), 0.0, {"family": "random_extensible"})
         rep = convexity.is_log_concave_extensible(p)
         if rep.is_extensible:
             return p

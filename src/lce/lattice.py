@@ -6,6 +6,10 @@ a ``deficit``: an upper bound on the mass truncated outside the box.  Deficits
 are tracked through every operation and never silently renormalized, so the
 error budget of any downstream quantity remains auditable.
 
+A :class:`LatticeSet` is a finite subset of Z^d held as a read-only bool mask on
+its bounding box, trimmed so that every face of the box meets the set, and the
+box's corner ``lo``; its points are the mask's nonzero indices plus ``lo``.
+
 Every FFT convolution is checked at sample cells against direct summation of
 a window of one operand times the flipped window of the other.  A float sum
 of the window products, with a certified bound on its error, decides most
@@ -150,48 +154,50 @@ class LatticePmf:
 
 @dataclass(frozen=True)
 class LatticeSet:
-    """Finite set of integer points in Z^d."""
+    """Finite set of points of Z^d: a read-only bool ``mask`` on its bounding box,
+    whose corner is ``lo``; the empty set's mask has shape (0,) * d."""
 
-    dim: int
-    points: frozenset
+    lo: tuple[int, ...]
+    mask: np.ndarray
 
-    def __post_init__(self):
-        for p in self.points:
-            if len(p) != self.dim:
-                raise LceError(f"point {p} does not have dimension {self.dim}")
+    @classmethod
+    def from_mask(cls, lo, mask: np.ndarray) -> "LatticeSet":
+        """The set {lo + i : mask[i]}, its mask a copy trimmed to the set's box."""
+        mask = np.asarray(mask, dtype=bool)
+        axes = range(mask.ndim)
+        keep = [np.flatnonzero(mask.any(axis=tuple(b for b in axes if b != a))) for a in axes]
+        cut = [slice(int(k[0]), int(k[-1]) + 1) if k.size else slice(0, 0) for k in keep]
+        mask = mask[tuple(cut)].copy()
+        mask.flags.writeable = False
+        return cls(tuple(int(l) + c.start if mask.size else 0 for l, c in zip(lo, cut)), mask)
 
     @classmethod
     def from_iterable(cls, dim: int, pts) -> "LatticeSet":
         arr = np.asarray(pts, dtype=np.int64)
-        if arr.size and (arr.ndim != 2 or arr.shape[1] != dim):
+        if not arr.size:
+            return cls.from_mask((0,) * dim, np.zeros((0,) * dim, dtype=bool))
+        if arr.ndim != 2 or arr.shape[1] != dim:
             raise LceError(f"points of shape {arr.shape} do not have dimension {dim}")
-        return cls(dim, frozenset(map(tuple, arr.reshape(-1, dim).tolist())))
+        box = _check_cells(Box(tuple(arr.min(axis=0).tolist()), tuple(arr.max(axis=0).tolist())))
+        mask = np.zeros(box.shape, dtype=bool)
+        mask[tuple((arr - box.lo).T)] = True
+        return cls.from_mask(box.lo, mask)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return int(np.count_nonzero(self.mask))
 
-    def __contains__(self, p) -> bool:
-        return tuple(int(x) for x in p) in self.points
-
-    def sorted_points(self) -> list[tuple[int, ...]]:
-        return sorted(self.points)
-
-    def array(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.array(self.sorted_points(), dtype=np.int64)
+    def points(self) -> np.ndarray:
+        """The points as an (n, dim) int64 array in lexicographic order, C-contiguous."""
+        return np.ascontiguousarray(np.argwhere(self.mask) + np.array(self.lo, dtype=np.int64))
 
     def bounding_box(self) -> Box:
-        if not self.points:
+        if not self.mask.size:
             raise LceError("empty set has no bounding box")
-        arr = self.array()
-        return Box(tuple(int(x) for x in arr.min(axis=0)), tuple(int(x) for x in arr.max(axis=0)))
+        return Box(self.lo, tuple(l + s - 1 for l, s in zip(self.lo, self.mask.shape)))
 
 
 def support_set(p: LatticePmf) -> LatticeSet:
-    idx = np.argwhere(p.values > 0.0)
-    pts = idx + np.array(p.box.lo, dtype=np.int64)
-    return LatticeSet.from_iterable(p.dim, pts)
+    return LatticeSet.from_mask(p.box.lo, p.values > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from lce.lattice import (
     Box,
     LatticePmf,
     LatticeSet,
-    _check_cells,
     convolve,
     support_set,
 )
@@ -189,18 +188,18 @@ def zd_convex_bruteforce(A: LatticeSet) -> ConvexityReport:
     """
     if len(A) == 0:
         raise LceError("convexity of the empty set is not defined here")
-    box = A.bounding_box()
-    if box.ncells > 100_000:
+    if A.mask.size > 100_000:
         raise LceError("bounding box too large for the brute-force oracle")
-    pts = A.array() - box.lo
-    candidates = [z for z in _box_points_lex(box) if z not in A]
-    zs = np.array(candidates, dtype=np.int64).reshape(-1, A.dim) - box.lo
-    if A.dim == 2:
+    pts = np.argwhere(A.mask)
+    zs = np.argwhere(~A.mask)
+    candidates = [tuple(z) for z in (zs + A.lo).tolist()]
+    d = A.mask.ndim
+    if d == 2:
         mask = _membership_2d_integer(pts, zs)
     else:
         # z is outside if u . z > max(u . A) for some u = +-e_i +- e_j (exact on box offsets).
-        pairs = combinations(np.eye(A.dim, dtype=np.int64), 2)
-        U = np.array([s * a + t * b for a, b in pairs for s in (1, -1) for t in (1, -1)]).reshape(-1, A.dim).T
+        pairs = combinations(np.eye(d, dtype=np.int64), 2)
+        U = np.array([s * a + t * b for a, b in pairs for s in (1, -1) for t in (1, -1)]).reshape(-1, d).T
         near = np.all(zs @ U <= (pts @ U).max(axis=0), axis=1)
         mask = [ok and hull_membership_bruteforce(pts, z) for z, ok in zip(zs, near)]
     witnesses = [z for z, inc in zip(candidates, mask) if inc]
@@ -209,10 +208,11 @@ def zd_convex_bruteforce(A: LatticeSet) -> ConvexityReport:
 
 def minkowski_sum_pairwise(A: LatticeSet, B: LatticeSet) -> LatticeSet:
     """{a + b : a in A, b in B} from all |A| |B| pair sums, deduplicated."""
-    if A.dim != B.dim:
+    d = A.mask.ndim
+    if B.mask.ndim != d:
         raise LceError("minkowski_sum_pairwise operands have different dimensions")
-    sums = (A.array()[:, None, :] + B.array()[None, :, :]).reshape(-1, A.dim)
-    return LatticeSet.from_iterable(A.dim, sums)
+    sums = (A.points()[:, None, :] + B.points()[None, :, :]).reshape(-1, d)
+    return LatticeSet.from_iterable(d, sums)
 
 
 def zd_convex_lp(A: LatticeSet, *, exact: bool = True) -> ConvexityReport:
@@ -220,15 +220,10 @@ def zd_convex_lp(A: LatticeSet, *, exact: bool = True) -> ConvexityReport:
     rational unless ``exact`` is False; witnesses in lexicographic order."""
     if len(A) == 0:
         raise LceError("convexity of the empty set is not defined here")
-    generators = A.array()
-    witnesses = [z for z in _box_points_lex(A.bounding_box())
-                 if z not in A and hull_membership(generators, np.array(z, dtype=np.float64), exact=exact)]
+    generators = A.points()
+    witnesses = [tuple(z) for z in (np.argwhere(~A.mask) + A.lo).tolist()
+                 if hull_membership(generators, np.array(z, dtype=np.float64), exact=exact)]
     return ConvexityReport(is_convex=not witnesses, witnesses=witnesses)
-
-
-def _box_points_lex(box: Box):
-    ranges = [range(l, h + 1) for l, h in zip(box.lo, box.hi)]
-    return product(*ranges)
 
 
 def is_log_concave_1d(p: LatticePmf) -> ExtensibilityReport:
@@ -242,10 +237,10 @@ def is_log_concave_1d(p: LatticePmf) -> ExtensibilityReport:
     support = support_set(p)
     if len(support) == 0:
         raise LceError("p.m.f. has empty support")
-    pts = support.sorted_points()
+    pts = [tuple(k) for k in support.points().tolist()]
     ks = [k[0] for k in pts]
-    interval = ks == list(range(ks[0], ks[-1] + 1))
-    witnesses = [] if interval else [(k,) for k in range(ks[0], ks[-1] + 1) if (k,) not in support]
+    witnesses = [(k,) for k in (np.flatnonzero(~support.mask) + support.lo[0]).tolist()]
+    interval = not witnesses
     gaps = {}
     for k in pts:
         gaps[k] = 0.0
@@ -307,7 +302,7 @@ def _extensibility_report(p: LatticePmf, convexity, minimum) -> ExtensibilityRep
     if len(support) == 0:
         raise LceError("p.m.f. has empty support")
     conv_report = convexity(support)
-    pts = support.sorted_points()
+    pts = [tuple(k) for k in support.points().tolist()]
     V = np.array([-math.log(p.value_at(k)) for k in pts])
     gaps = _envelope_gaps(pts, V, minimum)
     ok = conv_report.is_convex and max(gaps.values()) <= DEFAULT_ENVELOPE_TOL
@@ -629,14 +624,9 @@ def make_uniform_on_set(S: LatticeSet) -> LatticePmf:
     """Uniform mass 1/|S| on each point of S; zero deficit."""
     if len(S) == 0:
         raise LceError("cannot build a uniform p.m.f. on the empty set")
-    box = S.bounding_box()
-    _check_cells(box)
-    vals = np.zeros(box.shape)
-    w = 1.0 / len(S)
-    lo = np.array(box.lo, dtype=np.int64)
-    for pt in S.sorted_points():
-        vals[tuple(np.array(pt, dtype=np.int64) - lo)] = w
-    return LatticePmf(box, vals, 0.0, {"family": "uniform_on_set", "support_size": len(S)})
+    vals = np.zeros(S.mask.shape)
+    vals[S.mask] = 1.0 / len(S)
+    return LatticePmf(S.bounding_box(), vals, 0.0, {"family": "uniform_on_set", "support_size": len(S)})
 
 
 def self_convolve(p: LatticePmf, n: int) -> LatticePmf:

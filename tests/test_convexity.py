@@ -11,7 +11,7 @@ from lce.errors import LceError
 from lce.families import quantized_gaussian
 from lce.harness import _random_convex_set
 from lce.hull import hrep
-from lce.lattice import Box, LatticePmf, LatticeSet, support_set
+from lce.lattice import Box, LatticePmf, LatticeSet, convolve, support_set
 
 from oracles import (
     is_log_concave_1d,
@@ -55,20 +55,20 @@ def random_subset_pmf(rng, span=3, max_support=12):
 def test_minkowski_identity():
     A = LatticeSet.from_iterable(2, [(0, 0), (2, 1), (1, 3)])
     Z = LatticeSet.from_iterable(2, [(0, 0)])
-    assert minkowski_sum_pairwise(A, Z) == A
+    assert minkowski_sum_pairwise(A, Z).points().tolist() == A.points().tolist()
 
 
 def test_minkowski_murota_sets():
     S1 = LatticeSet.from_iterable(2, [(0, 0), (1, 1)])
     S2 = LatticeSet.from_iterable(2, [(0, 1), (1, 0)])
     S = minkowski_sum_pairwise(S1, S2)
-    assert S.sorted_points() == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert S.points().tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
 
 
 def test_minkowski_box_plus_box():
     B = LatticeSet.from_iterable(2, [(a, b) for a in (0, 1) for b in (0, 1)])
     S = minkowski_sum_pairwise(B, B)
-    assert S.sorted_points() == [(a, b) for a in range(3) for b in range(3)]
+    assert S.points().tolist() == [[a, b] for a in range(3) for b in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +239,13 @@ def test_self_sum_scaled_generators_match_raw(A):
     # n conv(A) from the scaled facets of conv(A) equals the hull of the
     # pairwise n-fold sum, and each report, built from the indicator masks,
     # equals the decision on that sum
-    H, b = hrep(A.array())
+    H, b = hrep(A.points())
     reports = cx.check_self_sum_convexity(A, 4)
     assert len(reports) == 3
     current = A
     for n, rep in zip((2, 3, 4), reports):
         current = minkowski_sum_pairwise(current, A)
-        Hn, bn = hrep(current.array())
+        Hn, bn = hrep(current.points())
         assert sorted(zip(map(tuple, H), n * b)) == sorted(zip(map(tuple, Hn), bn))
         raw = cx.is_zd_convex(current)
         assert rep.is_convex == raw.is_convex and rep.witnesses == raw.witnesses
@@ -258,6 +258,28 @@ def test_self_sum_box_cap_is_checked_before_the_sum(monkeypatch):
     monkeypatch.setattr(cx, "_convolve_direct", lambda *args: pytest.fail("summed past the cap"))
     with pytest.raises(LceError, match="bounding box has 643203 cells, cap is 500000"):
         cx.check_self_sum_convexity(A, 2)
+
+
+def test_caps_are_checked_before_a_large_support_is_built():
+    # the sigma = 16, n = 2 chain level: a 769^2 box, most of it positive
+    g = quantized_gaussian(16.0, 2)
+    p = convolve(g, g)
+    tracemalloc.start()
+    try:
+        A = support_set(p)
+        peak = tracemalloc.get_traced_memory()[1]
+        cells = A.bounding_box().ncells
+        with pytest.raises(LceError, match=f"^support size {len(A)} exceeds cap {cx.SUPPORT_CAP}$"):
+            cx.is_log_concave_extensible(p)
+        with pytest.raises(LceError, match=f"^bounding box has {cells} cells, cap is {cx.BOX_ENUM_CAP}$"):
+            cx.is_zd_convex(A)
+        with pytest.raises(LceError, match=f"^bounding box has {cells} cells, cap is {cx.BOX_ENUM_CAP}$"):
+            cx.check_self_sum_convexity(A, 2)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(A) > cx.SUPPORT_CAP and cells > cx.BOX_ENUM_CAP
+    assert peak < 8 * 2**20 and refused_peak < 8 * 2**20
 
 
 def test_self_sums_of_a_quantized_gaussian_support_stay_small():

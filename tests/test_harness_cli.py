@@ -236,6 +236,19 @@ def test_cli_check_exact_prints_what_the_hull_route_prints(pmf, mode, verdict, t
     assert {k: doc[k] for k in verdict} == verdict
 
 
+@pytest.mark.parametrize("mode, reason", [
+    ("zconvex", "convexity of the empty set is not defined here"),
+    ("extensible", "p.m.f. has empty support"),
+    ("selfsum", "empty set has no bounding box"),
+])
+def test_cli_check_of_a_pmf_with_no_mass_exits_2(mode, reason, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 2, "lo": [0, 0], "hi": [1, 1], "values": [0.0] * 4, "deficit": 0.5}))
+    assert run_cli("check", "--pmf", str(path), "--mode", mode) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {reason}\n"
+
+
 def test_cli_smooth_entropy(tmp_path, capsys):
     pmf = tmp_path / "p.json"
     run_cli("gen", "--family", "point_mass{at=[0]}", "--out", str(pmf))

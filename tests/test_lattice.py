@@ -146,6 +146,7 @@ def test_uniform_on_set_examples():
     p1 = make_uniform_on_set(s1)
     assert p1.value_at((0, 0)) == 0.5 and p1.value_at((1, 1)) == 0.5
     assert p1.value_at((0, 1)) == 0.0
+    assert p1.value_at((-1, 0)) == 0.0 and p1.value_at((2, 1)) == 0.0
     s2 = LatticeSet.from_iterable(2, [(a, b) for a in (0, 1) for b in (0, 1)])
     p2 = make_uniform_on_set(s2)
     assert np.all(p2.values == 0.25)
@@ -153,7 +154,7 @@ def test_uniform_on_set_examples():
 
 def test_uniform_on_empty_set_rejected():
     with pytest.raises(LceError):
-        make_uniform_on_set(LatticeSet(2, frozenset()))
+        make_uniform_on_set(LatticeSet.from_iterable(2, []))
 
 
 def test_make_product_examples():
@@ -670,17 +671,39 @@ def test_non_finite_values_are_named_before_negative_ones(planted, non_finite):
         quantize_density(f)
 
 
-def test_lattice_set_from_iterable():
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.tuples(*[st.integers(-4, 4)] * d), max_size=12))))
+def test_lattice_set_from_iterable(case):
+    # duplicates, negative coordinates and the empty list; the mask is
+    # trimmed, so every face of its box meets the set
+    d, pts = case
+    s = LatticeSet.from_iterable(d, pts)
+    want = sorted(set(map(tuple, pts)))
+    assert s.points().tolist() == [list(p) for p in want]
+    assert len(s) == len(want) and len(s.lo) == d
+    assert s.points().flags.c_contiguous and s.points().dtype == np.int64
+    assert not s.mask.flags.writeable and s.mask.ndim == d
+    if not want:
+        assert s.mask.shape == (0,) * d
+    for axis in range(d if want else 0):
+        faces = np.moveaxis(s.mask, axis, 0)
+        assert faces[0].any() and faces[-1].any()
+    trimmed = LatticeSet.from_mask(tuple(l - 2 for l in s.lo), np.pad(s.mask, 2))
+    assert trimmed.lo == s.lo and np.array_equal(trimmed.mask, s.mask)
+
+
+def test_lattice_set_rejects_points_of_another_dimension():
     pts = np.array([[0, 1], [2, -3], [0, 1]])
-    s = LatticeSet.from_iterable(2, pts)
-    assert s.points == frozenset({(0, 1), (2, -3)})
-    assert all(type(x) is int for p in s.points for x in p)
-    assert LatticeSet.from_iterable(2, [(0, 1), (2, -3)]) == s
-    assert len(LatticeSet.from_iterable(3, [])) == 0
     with pytest.raises(LceError, match="do not have dimension 3"):
         LatticeSet.from_iterable(3, pts)
 
 
+def test_lattice_set_box_cap_is_checked_before_the_mask():
+    with pytest.raises(LceError, match="exceeds cap"):
+        LatticeSet.from_iterable(2, [(0, 0), (10**6, 10**6)])
+
+
 def test_support_set():
     p = small_pmf([0.5, 0.0, 0.5])
-    assert support_set(p).sorted_points() == [(0,), (2,)]
+    assert support_set(p).points().tolist() == [[0], [2]]
