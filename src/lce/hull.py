@@ -1,5 +1,5 @@
 """Exact convex hulls of small point sets and lower envelopes of lifted
-points, in any dimension.
+points, in any dimension up to ``HULL_DIM_CAP``.
 
 :func:`facets` is the one hull routine: the simplicial facets, outward normals
 and offsets of the hull of a full-dimensional point set.  Every d >= 2 takes
@@ -43,6 +43,8 @@ _FACET_REL_TOL = 1e-9
 # Cap on the elements of one (points x facets) block of a matrix product.
 _BLOCK = 1 << 20
 
+HULL_DIM_CAP = 12  # the code that :func:`_cofactors` compiles grows about as 2^d
+
 
 def facets(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simplicial facets ``(F, N, off)`` of the hull of a full-dimensional
@@ -63,6 +65,7 @@ def facets(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     P = np.asarray(points)
     if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] == 0:
         raise LceError(f"hull facets need a nonempty (n, d) point array, got shape {P.shape}")
+    _check_dim(P.shape[1])
     exact = P.dtype.kind in "iu"
     P = P.astype(np.int64 if exact else np.float64)
     if exact:
@@ -82,6 +85,7 @@ def hrep(points) -> tuple[np.ndarray, np.ndarray]:
     P = np.asarray(points)
     if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] == 0:
         raise LceError("hrep needs a nonempty (n, d) point array")
+    _check_dim(P.shape[1])
     if P.dtype.kind not in "iu" and not np.array_equal(P, np.round(P)):
         raise LceError("hrep needs integer points")
     P = P.astype(np.int64)
@@ -128,6 +132,7 @@ def lower_envelope(points, heights) -> np.ndarray:
         h = h.astype(np.float64)
     if P.ndim != 2 or P.shape[0] != h.size or P.shape[1] == 0:
         raise LceError("lower_envelope needs (n, d) points and n heights")
+    _check_dim(P.shape[1])
     if not exact and not np.all(np.isfinite(h)):
         raise LceError("lower_envelope needs finite heights")
     P = P.astype(np.int64)
@@ -174,6 +179,11 @@ def _check_int64(P: np.ndarray) -> None:
     bound = max(max(minors[1:]), 2 * max(max(hi), -min(lo)) * max(minors[:-1]))
     if bound > np.iinfo(np.int64).max:
         raise LceError(f"coordinates exceed the exact int64 range (bound {bound}); translate or shrink the set")
+
+
+def _check_dim(d: int) -> None:
+    if d > HULL_DIM_CAP:
+        raise LceError(f"hull of points in dimension {d} exceeds the dimension cap {HULL_DIM_CAP}")
 
 
 @lru_cache(maxsize=None)

@@ -85,9 +85,6 @@ class Box:
     def ncells(self) -> int:
         return math.prod(self.shape)
 
-    def contains(self, point) -> bool:
-        return all(l <= int(x) <= h for l, x, h in zip(self.lo, point, self.hi))
-
     def axis_coords(self, axis: int) -> np.ndarray:
         return np.arange(self.lo[axis], self.hi[axis] + 1)
 
@@ -141,12 +138,6 @@ class LatticePmf:
     @cached_property
     def mass(self) -> float:
         return stable_sum(self.values)
-
-    def value_at(self, point) -> float:
-        if not self.box.contains(point):
-            return 0.0
-        idx = tuple(int(x) - l for x, l in zip(point, self.box.lo))
-        return float(self.values[idx])
 
     def assert_normalized(self):
         if abs(self.mass + self.deficit - 1.0) > 1e-9:

@@ -25,8 +25,8 @@
   ``A x <= b`` alone, which check the polar-hull moments of
   :mod:`lce.geometry`.
 - Fixtures: a zoo of 1-d log-concave p.m.f.s, uniform p.m.f.s on sets,
-  convolution powers, translates, a tail-bound spot check, a sweep-envelope
-  test and a report loader.
+  convolution powers, the mass at a point, translates, a tail-bound spot
+  check, a sweep-envelope test and a report loader.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def is_log_concave_1d(p: LatticePmf) -> ExtensibilityReport:
     for k in pts:
         gaps[k] = 0.0
     if interval:
-        logs = np.log([p.value_at((k,)) for k in ks])
+        logs = np.log([value_at(p, (k,)) for k in ks])
         for j in range(1, len(ks) - 1):
             gap = -logs[j] - 0.5 * (-logs[j - 1] - logs[j + 1])
             gaps[(ks[j],)] = max(0.0, float(gap))
@@ -303,7 +303,7 @@ def _extensibility_report(p: LatticePmf, convexity, minimum) -> ExtensibilityRep
         raise LceError("p.m.f. has empty support")
     conv_report = convexity(support)
     pts = [tuple(k) for k in support.points().tolist()]
-    V = np.array([-math.log(p.value_at(k)) for k in pts])
+    V = np.array([-math.log(value_at(p, k)) for k in pts])
     gaps = _envelope_gaps(pts, V, minimum)
     ok = conv_report.is_convex and max(gaps.values()) <= DEFAULT_ENVELOPE_TOL
     return ExtensibilityReport(
@@ -637,6 +637,13 @@ def self_convolve(p: LatticePmf, n: int) -> LatticePmf:
     for _ in range(n - 1):
         out = convolve(out, p)
     return out
+
+
+def value_at(p: LatticePmf, point) -> float:
+    """The mass of ``p`` at a lattice point; 0.0 outside its box."""
+    if not all(l <= int(x) <= h for l, x, h in zip(p.box.lo, point, p.box.hi)):
+        return 0.0
+    return float(p.values[tuple(int(x) - l for x, l in zip(point, p.box.lo))])
 
 
 def shifted(p: LatticePmf, vec) -> LatticePmf:

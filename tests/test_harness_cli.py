@@ -256,6 +256,7 @@ def test_cli_smooth_entropy(tmp_path, capsys):
     assert run_cli("smooth-entropy", "--pmf", str(pmf), "--n", "2", "--tol", "1e-8") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["differential_entropy_nats"] == pytest.approx(0.5, abs=1e-6)
+    assert doc["refined_cells"] == doc["cells"] == 2  # the tent's kinks raise the order
 
 
 def test_cli_geom_and_bridge(capsys):
@@ -385,6 +386,8 @@ BAD_INPUT_REASONS = {
     "inclusions_exp_overflow": "inclusion constants overflow a float",
     "ballbody_too_many_directions": "direction count must be in [1, 65536]",
     "moments_zero_mass": "p.m.f. has no mass",
+    "smooth_entropy_kernel_order_past_the_cap": "B-spline order must be an integer in 1..12, got 100000",
+    "radius_simplex_past_the_hull_dimension_cap": "dimension 13 exceeds the dimension cap 12",
 }
 
 
@@ -460,6 +463,8 @@ BAD_INPUT_REASONS = {
         ["geom", "--check", "inclusions", "--p", "1e-300", "--q", "1"],
         ["geom", "--check", "ballbody", "--dirs", "100000000000"],
         ["moments", "--pmf", "{tmp}/zero_mass.json"],
+        ["smooth-entropy", "--pmf", "{tmp}/square.json", "--n", "100000"],
+        ["geom", "--body", "simplex{d=13}", "--check", "radius"],
     ],
     ids=[
         "unknown_family",
@@ -531,12 +536,16 @@ BAD_INPUT_REASONS = {
         "inclusions_exp_overflow",
         "ballbody_too_many_directions",
         "moments_zero_mass",
+        "smooth_entropy_kernel_order_past_the_cap",
+        "radius_simplex_past_the_hull_dimension_cap",
     ],
 )
 def test_cli_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, request):
     # two values for a box of four cells
     (tmp_path / "short.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [3], "values": [0.5, 0.5]}))
     (tmp_path / "pair.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [1], "values": [0.5, 0.5]}))
+    # in d = 2 a kernel of order 100000 would smooth it onto 10^10 cells
+    (tmp_path / "square.json").write_text(json.dumps({"dim": 2, "lo": [0, 0], "hi": [1, 1], "values": [0.25] * 4}))
     # no mass, yet within 1e-9 of normalized through its deficit
     (tmp_path / "zero_mass.json").write_text(json.dumps({"dim": 1, "lo": [0], "hi": [1], "values": [0.0, 0.0],
                                                           "deficit": 0.9999999995}))
@@ -647,14 +656,17 @@ def test_cli_closed_stdout_exits_141_without_traceback(tmp_path):
     assert proc.returncode == 141
 
 
-# sigma=2 fails at the per-cell order cap; sigma=6 in d=2 has more cells to
-# refine than the refinement cap
+# sigma=2 fails at the order cap; sigma=6 in d=2 has too many cells for the
+# pass cap at order 64, and is refused before that pass
 @pytest.mark.parametrize("family", ["gaussian{sigma=2}", "gaussian{sigma=6,dim=2}"])
 def test_cli_numerical_failure_exits_3_with_error_line(family, tmp_path, capsys):
     pmf = tmp_path / "g.json"
     assert run_cli("gen", "--family", family, "--out", str(pmf)) == 0
     capsys.readouterr()
+    start = time.perf_counter()
     assert run_cli("smooth-entropy", "--pmf", str(pmf), "--n", "2", "--tol", "1e-300") == 3
+    if family.endswith("dim=2}"):
+        assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error: ")
 
 

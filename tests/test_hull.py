@@ -16,6 +16,7 @@ from oracles import (
     envelope_minimum_bruteforce,
     hull_membership_bruteforce,
     is_log_concave_extensible_lp,
+    value_at,
     zd_convex_bruteforce,
     zd_convex_lp,
 )
@@ -379,6 +380,19 @@ def test_exact_envelope_on_integers_is_the_rational_envelope_rounded_once():
              next(quadratic_3d_pmfs(5))[1]]
     for p in cases:
         pts = support_set(p).points()
-        vals = np.array([-math.log(p.value_at(k)) for k in pts])
+        vals = np.array([-math.log(value_at(p, k)) for k in pts])
         want = np.array([float(e) for e in hull.lower_envelope(pts, [Fraction(v) for v in vals])])
         assert np.array(cx._exact_envelope(pts, vals), dtype=np.float64).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda P: hull.facets(P),
+    lambda P: hull.hrep(P),
+    lambda P: hull.lower_envelope(P, np.zeros(len(P))),
+], ids=["facets", "hrep", "lower_envelope"])
+def test_a_dimension_past_the_cap_is_refused_before_any_cofactors_are_compiled(monkeypatch, call):
+    d = hull.HULL_DIM_CAP + 1
+    monkeypatch.setattr(hull, "_cofactors", lambda m: pytest.fail(f"cofactors compiled for m = {m}"))
+    P = np.vstack([np.zeros(d, dtype=np.int64), np.eye(d, dtype=np.int64)])
+    with pytest.raises(LceError, match=f"dimension {d} exceeds the dimension cap {hull.HULL_DIM_CAP}"):
+        call(P)

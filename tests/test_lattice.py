@@ -35,6 +35,7 @@ from oracles import (
     fft_check_products,
     make_uniform_on_set,
     self_convolve,
+    value_at,
     verify_fft_subsample_exact,
     whole_spectrum_convolution,
 )
@@ -52,7 +53,7 @@ def small_pmf(values, lo=(0,)):
 
 def test_quantize_gaussian_ratio_exact():
     p = families.quantized_gaussian(1.0)
-    assert p.value_at((1,)) / p.value_at((0,)) == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert value_at(p, (1,)) / value_at(p, (0,)) == pytest.approx(math.exp(-0.5), abs=1e-15)
 
 
 def test_quantize_gaussian_deficit_bound_small_and_valid():
@@ -141,12 +142,12 @@ def test_mass_conservation_constructors():
 def test_uniform_on_set_examples():
     s0 = LatticeSet.from_iterable(1, [(0,)])
     p0 = make_uniform_on_set(s0)
-    assert p0.value_at((0,)) == 1.0
+    assert value_at(p0, (0,)) == 1.0
     s1 = LatticeSet.from_iterable(2, [(0, 0), (1, 1)])
     p1 = make_uniform_on_set(s1)
-    assert p1.value_at((0, 0)) == 0.5 and p1.value_at((1, 1)) == 0.5
-    assert p1.value_at((0, 1)) == 0.0
-    assert p1.value_at((-1, 0)) == 0.0 and p1.value_at((2, 1)) == 0.0
+    assert value_at(p1, (0, 0)) == 0.5 and value_at(p1, (1, 1)) == 0.5
+    assert value_at(p1, (0, 1)) == 0.0
+    assert value_at(p1, (-1, 0)) == 0.0 and value_at(p1, (2, 1)) == 0.0
     s2 = LatticeSet.from_iterable(2, [(a, b) for a in (0, 1) for b in (0, 1)])
     p2 = make_uniform_on_set(s2)
     assert np.all(p2.values == 0.25)
@@ -162,7 +163,7 @@ def test_make_product_examples():
     p = make_product([u, u])
     assert np.all(p.values == 0.25)
     pm = make_product([point_mass((0,)), point_mass((0,))])
-    assert pm.value_at((0, 0)) == 1.0
+    assert value_at(pm, (0, 0)) == 1.0
     with pytest.raises(LceError):
         make_product([])
 

@@ -19,7 +19,7 @@ from lce.smoothing import (
     smoothed_entropy_detail,
 )
 
-from oracles import neg_xlogx, shifted, smoothed_density_eval
+from oracles import neg_xlogx, shifted, smoothed_density_eval, value_at
 
 
 def pmf(masses, lo=(0,)):
@@ -98,7 +98,7 @@ def test_bilinear_cell_formula_d2():
     for s0 in (0, 1):
         for s1 in (0, 1):
             w = (t[0] if s0 == 0 else 1 - t[0]) * (t[1] if s1 == 0 else 1 - t[1])
-            expected += w * p.value_at((k[0] - s0, k[1] - s1))
+            expected += w * value_at(p, (k[0] - s0, k[1] - s1))
     assert smoothed_density_eval(p, 2, x) == pytest.approx(expected, abs=1e-14)
 
 
@@ -122,7 +122,7 @@ def test_kernel_cover_bound():
     for x, fv in zip(pts, f):
         k = np.floor(x).astype(int)
         cover = sum(
-            p.value_at((k[0] - s0, k[1] - s1)) for s0 in (0, 1) for s1 in (0, 1)
+            value_at(p, (k[0] - s0, k[1] - s1)) for s0 in (0, 1) for s1 in (0, 1)
         )
         assert fv <= cover + 1e-12
 
@@ -142,6 +142,17 @@ def test_point_mass_half_nat():
 
 def test_point_mass_one_nat_d2():
     assert smoothed_entropy_detail(point_mass((0, 0)), 2).value == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("d, exact", [(1, 0.5), (2, 1.0)])
+def test_point_mass_n2_is_exact_within_tol_through_raised_orders(d, exact, tol):
+    # The tent's kink at the cell edges keeps the (8, 16) pair off by more
+    # than tol/2, so the whole level goes on to higher order pairs.
+    det = smoothed_entropy_detail(point_mass((0,) * d), 2, tol=tol)
+    assert abs(det.value - exact) <= tol
+    assert det.error_estimate <= tol / 2
+    assert det.refined_cells == det.cells == 2**d
 
 
 def test_tensor_additivity_n3():
@@ -227,10 +238,10 @@ def test_smoothed_density_wrapper():
 # blocked cell quadrature
 
 
-def cell_integrals_unblocked(p, n, order):
+def cell_integrals_unblocked(p, n, order, rule=gauss_legendre_01):
     """The node loop of ``_cell_integrals`` over the whole array at once."""
     d = p.dim
-    nodes, weights = gauss_legendre_01(order)
+    nodes, weights = rule(order)
     kernel = [bspline_eval(n, nodes + j) for j in range(n)]
     big_shape = tuple(s + n - 1 for s in p.values.shape)
     acc = np.zeros(big_shape)
@@ -299,7 +310,7 @@ def edge_pmf(case):
     "case", ["negative_zeros", "subnormals", "zero_rows", "point_mass", "chain_level", "clipped_negative_zeros"]
 )
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("order", [8, 16])
+@pytest.mark.parametrize("order", [8, 16, 32])
 def test_cell_integrals_match_the_unblocked_loop_at_signed_zeros_and_subnormals(monkeypatch, case, n, order):
     p = edge_pmf(case)
     if case == "negative_zeros":
@@ -312,22 +323,42 @@ def test_cell_integrals_match_the_unblocked_loop_at_signed_zeros_and_subnormals(
     assert not np.signbit(got[got == 0.0]).any()
 
 
+def record_xlogx(monkeypatch):
+    """The shape of every array that the node loop hands to xlogx, in turn."""
+    shapes = []
+    xlogx = smoothing.xlogx
+    monkeypatch.setattr(smoothing, "xlogx", lambda f: shapes.append(f.shape) or xlogx(f))
+    return shapes
+
+
+def stencils_per_block(shapes, distinct):
+    """[cells, stencils] of each block, from the (stencils, cells) shapes that
+    xlogx saw; a block ends once it has seen ``distinct`` stencils."""
+    blocks = []
+    for stencils, cells in shapes:
+        if blocks and blocks[-1][1] < distinct:
+            assert blocks[-1][0] == cells
+            blocks[-1][1] += stencils
+        else:
+            blocks.append([cells, stencils])
+    return blocks
+
+
 @pytest.mark.parametrize("case", ["zero_rows", "chain_level", "clipped_negative_zeros"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_node_loop_runs_on_the_nonzero_cover_cells_of_each_block(monkeypatch, case, n):
     p = edge_pmf(case)
     if case == "clipped_negative_zeros":
         assert (p.values == 0.0).any() and np.signbit(p.values[p.values == 0.0]).all()
-    sizes = []
-    xlogx = smoothing.xlogx
-    monkeypatch.setattr(smoothing, "xlogx", lambda f: sizes.append(f.size) or xlogx(f))
+    shapes = record_xlogx(monkeypatch)
     rows, order = 3, 8
     monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * math.prod(s + n - 1 for s in p.values.shape[1:]))
     cover = smoothing._cover(p, n)
     got = smoothing._cell_integrals(p, n, order, cover)
     kept = [np.count_nonzero(cover[r0:r0 + rows]) for r0 in range(0, cover.shape[0], rows)]
-    # n >= 2: every node's stencil differs from the previous node's
-    assert sizes == [k for k in kept if k for _ in range(order**2)]
+    # n >= 2: every node's stencil differs from the previous node's, so xlogx
+    # sees kept x order^2 values in each block
+    assert stencils_per_block(shapes, order**2) == [[k, order**2] for k in kept if k]
     skipped = got[cover == 0.0]
     assert (skipped == 0.0).all() and not np.signbit(skipped).any()
     if case == "zero_rows" and n == 3:  # the last block, row 12, covers zero input row 10 only
@@ -336,17 +367,55 @@ def test_node_loop_runs_on_the_nonzero_cover_cells_of_each_block(monkeypatch, ca
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_xlogx_runs_once_per_block_and_distinct_stencil(monkeypatch, n):
-    calls = []
-    xlogx = smoothing.xlogx
-    monkeypatch.setattr(smoothing, "xlogx", lambda f: calls.append(f.shape) or xlogx(f))
+    shapes = record_xlogx(monkeypatch)
     p = families.quantized_gaussian(3.0, 2)
     rows, order = 4, 8
     monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * (p.values.shape[1] + n - 1))
     blocks = math.ceil((p.values.shape[0] + n - 1) / rows)
     assert blocks > 1
-    smoothing._cell_integrals(p, n, order, smoothing._cover(p, n))
+    cover = smoothing._cover(p, n)
+    smoothing._cell_integrals(p, n, order, cover)
     # n = 1: every node's stencil is (1.0, (0, 0)); n = 2: the nodes' stencils differ.
-    assert len(calls) == blocks * (1 if n == 1 else order**2)
+    distinct = 1 if n == 1 else order**2
+    kept = [np.count_nonzero(cover[r0:r0 + rows]) for r0 in range(0, cover.shape[0], rows)]
+    assert len(kept) == blocks
+    assert stencils_per_block(shapes, distinct) == [[k, distinct] for k in kept]
+
+
+@pytest.mark.parametrize("case", ["point_mass", "zero_rows"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [32, 64])
+def test_sparse_blocks_take_many_nodes_per_tile_bit_for_bit(monkeypatch, case, n, order):
+    # At the default block size these levels are one sparse block, whose
+    # stencils go through xlogx many at a time.
+    p = edge_pmf(case)
+    shapes = record_xlogx(monkeypatch)
+    got = smoothing._cell_integrals(p, n, order, smoothing._cover(p, n))
+    assert got.tobytes() == cell_integrals_unblocked(p, n, order).tobytes()
+    assert max(s[0] for s in shapes) == (1 if n == 1 else min(order**2, smoothing.CELLS_PER_BLOCK // shapes[0][1]))
+
+
+@pytest.mark.parametrize("case, rows", [("point_mass", None), ("zero_rows", None), ("zero_rows", 3)])
+def test_repeated_stencils_share_their_f_log_f_bit_for_bit(monkeypatch, case, rows):
+    # A rule whose nodes come in equal pairs: in d = 2 each node (a, 2i + 1)
+    # repeats the stencil of node (a, 2i), in sparse blocks (many nodes per
+    # tile) and, with 3-row blocks, in full ones.
+    def paired(order):
+        x, w = gauss_legendre_01(order // 2)
+        return np.repeat(x, 2), np.repeat(w / 2, 2)
+
+    p, n, order = edge_pmf(case), 2, 16
+    monkeypatch.setattr(smoothing, "gauss_legendre_01", paired)
+    cover = smoothing._cover(p, n)
+    if rows:
+        monkeypatch.setattr(smoothing, "CELLS_PER_BLOCK", rows * cover.shape[1])
+    rows = rows or len(cover)  # one block at the default size
+    shapes = record_xlogx(monkeypatch)
+    got = smoothing._cell_integrals(p, n, order, cover)
+    assert got.tobytes() == cell_integrals_unblocked(p, n, order, paired).tobytes()
+    kept = [np.count_nonzero(cover[r0:r0 + rows]) for r0 in range(0, cover.shape[0], rows)]
+    distinct = order * order // 2
+    assert stencils_per_block(shapes, distinct) == [[k, distinct] for k in kept if k]
 
 
 @pytest.mark.parametrize("case", ["zero_rows", "subnormals", "point_mass"])
@@ -375,3 +444,10 @@ def test_bad_n_is_an_lce_error(bad):
 def test_bad_tol_is_an_lce_error(bad):
     with pytest.raises(LceError, match="^tol must be a finite positive number"):
         smoothed_entropy_detail(point_mass((0,)), 2, tol=bad)
+
+
+@pytest.mark.parametrize("n", [13, 100000])
+def test_kernel_order_past_the_cap_is_refused_before_the_cover_is_built(monkeypatch, n):
+    monkeypatch.setattr(smoothing, "_cover", lambda *a: pytest.fail("the cover was built"))
+    with pytest.raises(LceError, match=rf"^B-spline order must be an integer in 1\.\.12, got {n}$"):
+        smoothed_entropy_detail(point_mass((0, 0)), n)
