@@ -1,5 +1,6 @@
 """Exact convex hulls of small point sets and lower envelopes of lifted
-points, in any dimension up to ``HULL_DIM_CAP``.
+points, in any hull dimension up to ``HULL_DIM_CAP`` (for an envelope, that
+of the lifted points: one more than the input's).
 
 :func:`facets` is the one hull routine: the simplicial facets, outward normals
 and offsets of the hull of a full-dimensional point set.  Every d >= 2 takes
@@ -132,7 +133,7 @@ def lower_envelope(points, heights) -> np.ndarray:
         h = h.astype(np.float64)
     if P.ndim != 2 or P.shape[0] != h.size or P.shape[1] == 0:
         raise LceError("lower_envelope needs (n, d) points and n heights")
-    _check_dim(P.shape[1])
+    _check_dim(P.shape[1] + 1)  # the hull is of the lifted points
     if not exact and not np.all(np.isfinite(h)):
         raise LceError("lower_envelope needs finite heights")
     P = P.astype(np.int64)

@@ -30,7 +30,7 @@ from .numerics import gauss_legendre_01, stable_sum, stable_sum_rows, xlogx
 QUAD_ORDER = 8  # each cell compares this order with twice it
 DEFAULT_ENTROPY_TOL = 1e-8
 ORDER_CAP = 2048  # bounds the Gauss-Legendre eigen-solve
-PASS_CAP = 1 << 26  # nodes times (kept cells + kernel terms) of one escalated pass
+PASS_CAP = 1 << 27  # multiply-adds of one escalated pass: nodes x kernel terms x kept cells
 TINY_CELL_FLOOR = 1e-30
 MAX_KERNEL_ORDER = 12
 CELLS_PER_BLOCK = 1 << 15  # output cells per block of _cell_integrals
@@ -88,9 +88,9 @@ def _cell_integrals(p: LatticePmf, n: int, order: int, cover: np.ndarray) -> np.
     reuses its f log f (n = 1: one log per block).  Blocks of about
     ``CELLS_PER_BLOCK`` cells (whole rows of axis 0) gather the masses of
     their nonzero-cover cells once and take the distinct stencils in tiles of
-    ``CELLS_PER_BLOCK // kept``.  A full block folds ``total -= w * g`` one
-    node at a time; a sparse one (16 nodes or more per tile) many nodes per
-    array op, with ``np.subtract.reduce`` along them, in node order.
+    ``CELLS_PER_BLOCK // kept``; each tile of nodes folds ``total -= w * g``
+    with one ``np.subtract.reduce`` along the nodes, which subtracts in node
+    order (one node per tile in a block that keeps ``CELLS_PER_BLOCK`` cells).
 
     This is bit-equal to a zero-filled loop over all cells, one node at a
     time: a zero-cover cell has f = +-0 at every node and ends at +0.0 there
@@ -136,17 +136,12 @@ def _cell_integrals(p: LatticePmf, n: int, order: int, cover: np.ndarray) -> np.
             for j in range(1, len(masses)):
                 f += c[:, j:j + 1] * masses[j]
             g = xlogx(f)
-            start, stop = first[s0], first[s0 + len(c)]
-            if step < 16:  # a full block: below 16 nodes a tile's one-op fold is no faster
-                for t in range(start, stop):
-                    total -= W[t] * g[run[t] - s0]
-            else:
-                for t0 in range(start, stop, step):
-                    t1 = min(t0 + step, stop)
-                    # g's rows are the nodes' own unless a stencil repeats (n = 1: one row for all)
-                    wg = W[t0:t1, None] * (g if len(g) in (1, stop - start) else g[run[t0:t1] - s0])
-                    np.subtract(total, wg[0], out=wg[0])
-                    total = np.subtract.reduce(wg, axis=0)
+            for t0 in range(first[s0], first[s0 + len(c)], step):
+                t1 = min(t0 + step, first[s0 + len(c)])
+                wg = g[run[t0:t1] - s0]  # each node's f log f row
+                wg *= W[t0:t1, None]
+                np.subtract(total, wg[0], out=wg[0])
+                np.subtract.reduce(wg, axis=0, out=total)
         block.reshape(-1)[kept] = total
     return acc
 
@@ -177,8 +172,10 @@ def smoothed_entropy_detail(p: LatticePmf, n: int, tol: float = DEFAULT_ENTROPY_
         order, refined = 2 * order, int(np.count_nonzero(cover))
         if 2 * order > ORDER_CAP:
             raise NumericalError(f"error sum {err:.2e} is above {0.5 * tol:.2e} at order cap {ORDER_CAP}")
-        if (2 * order) ** p.dim * (refined + n**p.dim) > PASS_CAP:
-            raise NumericalError(f"{refined} cells at order {2 * order} exceed the pass cap {PASS_CAP}")
+        # The pass's multiply-adds, which also bound its (2m)^d x n^d node table.
+        work = (2 * order) ** p.dim * n**p.dim * refined
+        if work > PASS_CAP:
+            raise NumericalError(f"{refined} cells at order {2 * order}: {work} multiply-adds > pass cap {PASS_CAP}")
         I1, I2 = I2, _cell_integrals(p, n, 2 * order, cover)
         err = stable_sum(np.abs(I2 - I1))
 

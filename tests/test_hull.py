@@ -385,14 +385,16 @@ def test_exact_envelope_on_integers_is_the_rational_envelope_rounded_once():
         assert np.array(cx._exact_envelope(pts, vals), dtype=np.float64).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("call", [
-    lambda P: hull.facets(P),
-    lambda P: hull.hrep(P),
-    lambda P: hull.lower_envelope(P, np.zeros(len(P))),
-], ids=["facets", "hrep", "lower_envelope"])
-def test_a_dimension_past_the_cap_is_refused_before_any_cofactors_are_compiled(monkeypatch, call):
-    d = hull.HULL_DIM_CAP + 1
+# lower_envelope takes the hull of its points lifted by one coordinate, so
+# points in dimension HULL_DIM_CAP are already one past the cap there
+@pytest.mark.parametrize("call, d, lift", [
+    (lambda P: hull.facets(P), hull.HULL_DIM_CAP + 1, 0),
+    (lambda P: hull.hrep(P), hull.HULL_DIM_CAP + 1, 0),
+    (lambda P: hull.lower_envelope(P, np.zeros(len(P))), hull.HULL_DIM_CAP + 1, 1),
+    (lambda P: hull.lower_envelope(P, np.zeros(len(P))), hull.HULL_DIM_CAP, 1),
+], ids=["facets", "hrep", "lower_envelope", "lower_envelope_lifted"])
+def test_a_dimension_past_the_cap_is_refused_before_any_cofactors_are_compiled(monkeypatch, call, d, lift):
     monkeypatch.setattr(hull, "_cofactors", lambda m: pytest.fail(f"cofactors compiled for m = {m}"))
     P = np.vstack([np.zeros(d, dtype=np.int64), np.eye(d, dtype=np.int64)])
-    with pytest.raises(LceError, match=f"dimension {d} exceeds the dimension cap {hull.HULL_DIM_CAP}"):
+    with pytest.raises(LceError, match=f"dimension {d + lift} exceeds the dimension cap {hull.HULL_DIM_CAP}"):
         call(P)

@@ -1,5 +1,6 @@
 import math
 import struct
+import time
 from itertools import product
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lce import families, smoothing
-from lce.errors import LceError
+from lce.errors import LceError, NumericalError
 from lce.lattice import Box, LatticePmf, convolve, make_product, point_mass
 from lce.moments import shannon_entropy
 from lce.numerics import gauss_legendre_01
@@ -153,6 +154,17 @@ def test_point_mass_n2_is_exact_within_tol_through_raised_orders(d, exact, tol):
     assert abs(det.value - exact) <= tol
     assert det.error_estimate <= tol / 2
     assert det.refined_cells == det.cells == 2**d
+
+
+def test_pass_cap_bounds_the_multiply_adds_of_an_escalated_pass():
+    # 144 cells of 144 kernel terms: the (32, 64) pass does 64^2 * 144 * 144
+    # multiply-adds, under the cap; the order-128 pass would do 4 times that.
+    start = time.perf_counter()
+    refusal = rf"^144 cells at order 128: {128**2 * 144**2} multiply-adds > pass cap {smoothing.PASS_CAP}$"
+    with pytest.raises(NumericalError, match=refusal):
+        smoothed_entropy_detail(point_mass((0, 0)), 12, tol=1e-300)
+    assert time.perf_counter() - start < 3.0
+    assert 64**2 * 144**2 <= smoothing.PASS_CAP < 128**2 * 144**2
 
 
 def test_tensor_additivity_n3():
